@@ -4,8 +4,9 @@ Every command prints exact decimal integers (rationals, if they ever
 appear, as num/den), tab-separated, in a deterministic order, and follows
 one exit-code contract: 0 when the run passed, 1 when a verification found
 a mismatch or contradiction, 2 on input errors (bad flags, unreadable or
-malformed tables, missing coefficients).  Verification commands end with a
-greppable ``VERDICT: PASS`` or ``VERDICT: FAIL`` line.
+malformed tables, missing coefficients), 3 on an internal error (a failed
+self-check or a bug; no verdict is printed).  Verification commands end
+with a greppable ``VERDICT: PASS`` or ``VERDICT: FAIL`` line.
 """
 
 from __future__ import annotations
@@ -312,6 +313,12 @@ def main(argv: list[str] | None = None) -> int:
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # exit 1 is reserved for verified mismatches
+        import traceback  # imported here to keep it off the start-up path
+
+        print(f"internal error: {err}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 def entry() -> None:

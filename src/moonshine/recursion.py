@@ -17,9 +17,20 @@ enumeration, which is kept alongside as an oracle.
 On top of the relations sit three consumers: the Mobius-inverted closed
 form for c_g(ij), a monotone propagation solver that derives coefficients
 from seed data (every derived value carries the relation that produced it,
-and disagreeing derivations are a hard error), and a determinacy audit that
-re-runs the solver with opaque symbols to discover which indices are
-genuinely underivable.
+and disagreeing derivations are a hard error), and a structural
+determinacy audit that finds which indices are genuinely underivable.
+
+The audit needs no values at all.  Without seeds every coefficient it
+knows is an opaque symbol or a nonconstant polynomial in such symbols, and
+a product of nonconstant polynomials is never constant.  So a relation
+whose other keys are all known pins key u exactly when u occurs only on
+the left side or as a lone c(u)^1 monomial on the right, with nonzero net
+coefficient; any monomial sharing u with another key would put a symbol
+in u's coefficient.  That static test turns each relation into Horn
+clauses "other keys known => u known", and forward chaining to a fixpoint
+(Dowling & Gallier 1984) gives the same closure in any firing order.  The
+one case this misses is a derived polynomial that cancels to a constant;
+none occurs on the tested tables.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
-from typing import Hashable, Iterable, Mapping
+from typing import Mapping
 
 from .classes import ClassTable, CoefficientFamily, MissingCoefficients
 
@@ -42,7 +53,6 @@ __all__ = [
     "coefficient_recursion",
     "CrossCheckReport",
     "recursion_cross_check",
-    "Poly",
     "ContradictionError",
     "SolveResult",
     "solve_from_seeds",
@@ -213,9 +223,11 @@ def _weight_terms(
     return tuple(terms)
 
 
-@lru_cache(maxsize=None)
-def coefficient_relation(i: int, j: int) -> Relation:
-    """The relation at target (i,j); (i,j) and (j,i) canonicalize equal."""
+def _target_and_lhs(
+    i: int, j: int
+) -> tuple[tuple[int, int], tuple[tuple[int, int, Fraction], ...]]:
+    """Canonical target (i <= j) and its left side, one term per common
+    divisor k: (k, ij/k^2, 1/k)."""
     if i < 1 or j < 1:
         raise ValueError("target components must be >= 1")
     i, j = min(i, j), max(i, j)
@@ -224,27 +236,27 @@ def coefficient_relation(i: int, j: int) -> Relation:
         for k in range(1, gcd(i, j) + 1)
         if i % k == 0 and j % k == 0
     )
-    return Relation((i, j), lhs, _weight_terms(i, j))
+    return (i, j), lhs
+
+
+@lru_cache(maxsize=None)
+def coefficient_relation(i: int, j: int) -> Relation:
+    """The relation at target (i,j); (i,j) and (j,i) canonicalize equal."""
+    target, lhs = _target_and_lhs(i, j)
+    return Relation(target, lhs, _weight_terms(*target))
 
 
 def relation_from_partitions(i: int, j: int) -> Relation:
     """Same relation assembled from the brute cell enumeration (oracle)."""
-    if i < 1 or j < 1:
-        raise ValueError("target components must be >= 1")
-    i, j = min(i, j), max(i, j)
-    lhs = tuple(
-        (k, (i // k) * (j // k), Fraction(1, k))
-        for k in range(1, gcd(i, j) + 1)
-        if i % k == 0 and j % k == 0
-    )
+    target, lhs = _target_and_lhs(i, j)
     grouped: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for pm in vector_partitions(i, j):
+    for pm in vector_partitions(*target):
         key = pm.index_monomial()
         grouped[key] = grouped.get(key, Fraction(0)) + pm.weight()
     rhs = tuple(
         sorted(((w, mono) for mono, w in grouped.items() if w), key=lambda t: t[1])
     )
-    return Relation((i, j), lhs, rhs)
+    return Relation(target, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -333,124 +345,6 @@ def recursion_cross_check(
 
 
 # ---------------------------------------------------------------------------
-# polynomial values for the audit
-
-
-class Poly:
-    """Sparse multivariate polynomial over exact rationals.
-
-    Variables are arbitrary hashable labels; monomials are sorted tuples of
-    (variable, exponent).  Just enough arithmetic for the solver to run
-    with opaque symbols in place of integers.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(
-        self,
-        terms: Mapping[tuple[tuple[Hashable, int], ...], Fraction] | None = None,
-    ):
-        clean = {}
-        for mono, coeff in (terms or {}).items():
-            if coeff != 0:
-                clean[mono] = coeff
-        self.terms = clean
-
-    @classmethod
-    def const(cls, value: int | Fraction) -> "Poly":
-        return cls({(): Fraction(value)})
-
-    @classmethod
-    def symbol(cls, var: Hashable) -> "Poly":
-        return cls({((var, 1),): Fraction(1)})
-
-    def is_constant(self) -> bool:
-        return all(not mono for mono in self.terms)
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"not a constant: {self!r}")
-        return self.terms.get((), Fraction(0))
-
-    @staticmethod
-    def _coerce(other) -> "Poly | None":
-        if isinstance(other, Poly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Poly.const(other)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            terms[mono] = terms.get(mono, Fraction(0)) + coeff
-        return Poly(terms)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly({mono: -coeff for mono, coeff in self.terms.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly({m: c * other for m, c in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        terms: dict[tuple[tuple[Hashable, int], ...], Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                merged: dict[Hashable, int] = {}
-                for var, exp in m1 + m2:
-                    merged[var] = merged.get(var, 0) + exp
-                mono = tuple(sorted(merged.items(), key=repr))
-                terms[mono] = terms.get(mono, Fraction(0)) + c1 * c2
-        return Poly(terms)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        result = Poly.const(1)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, coeff in sorted(self.terms.items(), key=repr):
-            factors = "".join(
-                f"*{var}" + (f"^{exp}" if exp > 1 else "") for var, exp in mono
-            )
-            bits.append(f"{coeff}{factors}")
-        return " + ".join(bits)
-
-
-# ---------------------------------------------------------------------------
 # propagation solver
 
 
@@ -461,21 +355,11 @@ class ContradictionError(Exception):
         super().__init__(message)
 
 
-def _as_constant(value) -> Fraction | None:
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    if isinstance(value, Poly) and value.is_constant():
-        return value.constant_value()
-    return None
-
-
 def _show(value) -> str:
-    const = _as_constant(value)
-    if const is None:
-        return repr(value)
-    if const.denominator == 1:
-        return str(const.numerator)
-    return f"{const.numerator}/{const.denominator}"
+    value = Fraction(value)
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 @dataclass(frozen=True)
@@ -503,16 +387,12 @@ def _instantiate(table: ClassTable, relation: Relation, name: str) -> _Instance:
     return _Instance(name, relation.target, lhs, rhs)
 
 
-def _evaluate(inst: _Instance, values: dict, strict: bool):
+def _evaluate(inst: _Instance, values: dict):
     """Classify an instantiated relation against current knowledge.
 
     Returns ("verified", None), ("pending", None), or
-    ("fire", (key, solved_value)).  In strict mode a violated relation
-    raises ContradictionError; in symbolic mode it is dropped instead,
-    because two derivations that disagree as polynomials in the seed
-    symbols can still agree on every actual coefficient family (the
-    relations constrain the seeds of general solutions, so polynomial
-    identities only hold on the locus the numeric path checks).
+    ("fire", (key, solved_value)); a violated relation raises
+    ContradictionError.
     """
     const = Fraction(0)  # accumulated known part of LHS - RHS
     linear: dict[tuple[str, int], Fraction] = {}
@@ -539,18 +419,14 @@ def _evaluate(inst: _Instance, values: dict, strict: bool):
         elif len(unknown_here) == 1 and unknown_here[0][1] == 1:
             key = unknown_here[0][0]
             unknowns.add(key)
-            coeff = _as_constant(prod)
-            if coeff is None:
-                blocked.add(key)  # coefficient involves a symbol: cannot divide
-            else:
-                linear[key] = linear.get(key, Fraction(0)) - coeff
+            linear[key] = linear.get(key, Fraction(0)) - prod
         else:
             for key, _ in unknown_here:
                 unknowns.add(key)
                 blocked.add(key)
 
     if not unknowns:
-        if const != 0 and strict:
+        if const != 0:
             raise ContradictionError(
                 f"{inst.describe()} is violated: sides differ by {_show(const)}"
             )
@@ -562,15 +438,14 @@ def _evaluate(inst: _Instance, values: dict, strict: bool):
         return "pending", None
     coeff = linear.get(key, Fraction(0))
     if coeff == 0:
-        if const != 0 and strict:
+        if const != 0:
             raise ContradictionError(
                 f"{inst.describe()} cannot hold: {key} cancels but sides "
                 f"differ by {_show(const)}"
             )
         return "verified", None  # tautology on this unknown
     # const + coeff * key = 0
-    solved = (-const) * (1 / coeff) if isinstance(const, Poly) else -const / coeff
-    return "fire", (key, solved)
+    return "fire", (key, -const / coeff)
 
 
 @dataclass
@@ -600,34 +475,37 @@ def _relation_targets(nmax: int) -> list[tuple[int, int]]:
     return out
 
 
-def _run_passes(
-    instances: list[_Instance],
-    values: dict,
-    provenance: dict,
-    passno: int,
-    strict: bool = True,
-):
-    """Fixpoint loop; returns the pass counter and still-pending relations.
+def _instances(table: ClassTable, nmax: int) -> list[_Instance]:
+    """Every relation target for ``nmax``, instantiated at every class."""
+    return [
+        _instantiate(table, coefficient_relation(i, j), name)
+        for name in table.names
+        for (i, j) in _relation_targets(nmax)
+    ]
+
+
+def _run_passes(instances: list[_Instance], values: dict, provenance: dict) -> int:
+    """Fixpoint loop; returns the number of passes that derived something.
 
     All firings in a pass are evaluated against the values the pass started
-    with, then committed together; in strict mode two relations firing the
-    same key must agree, in symbolic mode the first (in deterministic
-    instantiation order) wins.
+    with, then committed together; two relations firing the same key must
+    agree.
     """
     pending = list(instances)
+    passno = 0
     while True:
         passno += 1
         fired: dict[tuple[str, int], tuple] = {}
         keep: list[_Instance] = []
         for inst in pending:
-            state, payload = _evaluate(inst, values, strict)
+            state, payload = _evaluate(inst, values)
             if state == "verified":
                 continue
             if state == "fire":
                 key, solved = payload
                 if key in fired:
                     prior_value, prior_inst = fired[key]
-                    if strict and not (prior_value == solved):
+                    if prior_value != solved:
                         raise ContradictionError(
                             f"{key[0]}({key[1]}) derived twice with different "
                             f"values: {_show(prior_value)} from {prior_inst.describe()} "
@@ -638,7 +516,7 @@ def _run_passes(
                 continue  # satisfied by the value it just produced
             keep.append(inst)
         if not fired:
-            return passno - 1, keep
+            return passno - 1
         for key, (solved, inst) in fired.items():
             values[key] = solved
             provenance[key] = (inst.name, inst.target, passno)
@@ -661,26 +539,20 @@ def solve_from_seeds(
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     seed_map = dict(table.seeds if seeds is None else seeds)
-    values: dict[tuple[str, int], object] = {}
+    values: dict[tuple[str, int], int | Fraction] = {}
     for (name, n), value in seed_map.items():
         if name not in table.orders:
             raise ValueError(f"seed for undeclared class {name!r}")
         values[(name, n)] = value
     provenance: dict[tuple[str, int], tuple[str, tuple[int, int], int]] = {}
-    instances = [
-        _instantiate(table, coefficient_relation(i, j), name)
-        for name in table.names
-        for (i, j) in _relation_targets(nmax)
-    ]
-    passes, _ = _run_passes(instances, values, provenance, 0)
+    passes = _run_passes(_instances(table, nmax), values, provenance)
     clean: dict[tuple[str, int], int] = {}
     for key, value in values.items():
-        const = _as_constant(value)
-        if const is None or const.denominator != 1:
+        if Fraction(value).denominator != 1:
             raise ContradictionError(
                 f"{key[0]}({key[1]}) solved to non-integer {_show(value)}"
             )
-        clean[key] = int(const)
+        clean[key] = int(value)
     family_values: dict[str, dict[int, int]] = {}
     for name in table.names:
         vals = {-1: 1, 0: 0}
@@ -714,48 +586,69 @@ class AuditReport:
         return tuple(n for g, n in self.introduced if g == name)
 
 
+def _horn_clauses(
+    inst: _Instance,
+) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]]]:
+    """All keys of an instance, and the keys it pins once the rest are known.
+
+    A key is pinned when it occurs only on the left side or as a lone
+    c(u)^1 monomial on the right, and those occurrences do not cancel.
+    """
+    net: dict[tuple[str, int], Fraction] = {}
+    tangled: set[tuple[str, int]] = set()
+    for key, coeff in inst.lhs:
+        net[key] = net.get(key, Fraction(0)) + coeff
+    for weight, monomial in inst.rhs:
+        if len(monomial) == 1 and monomial[0][1] == 1:
+            key = monomial[0][0]
+            net[key] = net.get(key, Fraction(0)) - weight
+        else:
+            tangled.update(key for key, _ in monomial)
+    pinned = frozenset(k for k, c in net.items() if c != 0 and k not in tangled)
+    return frozenset(net) | tangled, pinned
+
+
 def determinacy_audit(table: ClassTable, nmax: int) -> AuditReport:
-    """Run the solver with every coefficient hidden, introducing opaque
-    symbols only when stuck.
+    """Find the indices the relations cannot determine from no data at all.
 
-    Starting from no data at all, the fixpoint loop runs until no relation
-    can fire; the smallest unresolved index (ties broken by class
-    declaration order) is then replaced by a fresh symbol and propagation
-    resumes.  The set of introduced symbols is exactly the set of indices
-    the relations cannot determine — for the modular-invariant data this
-    comes out to {1, 2, 3, 5}.
+    Forward chaining runs the Horn clauses of every instance (see
+    ``_horn_clauses``) to a fixpoint; the smallest still-unknown index
+    (ties broken by class declaration order) is then introduced as an
+    opaque symbol and chaining resumes.  For the modular-invariant data the
+    introduced indices come out to {1, 2, 3, 5}.
 
-    Firing needs a nonzero *constant* net coefficient; an unknown whose
-    coefficient involves a symbol stays unknown (dividing by a symbol is
-    not a derivation).  When two relations pin the same key, the first in
-    instantiation order wins: derivations that differ as polynomials can
-    agree on every concrete family, so adjudicating them is the numeric
-    solver's job, not the audit's.
+    This is exact for symbolic values: with no seeds each known value is a
+    nonconstant polynomial in the symbols, and products of those are never
+    constant, so an unknown's coefficient involves a symbol exactly when
+    it shares a monomial with another key.  The clauses are monotone, so
+    firing order and ties do not matter.  Only a derived sum cancelling to
+    a constant could differ; none does on 1A to 30, the catalog to 14, or
+    its subsets {1A,2B}, {1A,3B}, {1A,2B,4C} to 16.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     order = {name: idx for idx, name in enumerate(table.names)}
-    values: dict[tuple[str, int], object] = {}
-    provenance: dict[tuple[str, int], tuple[str, tuple[int, int], int]] = {}
-    instances = [
-        _instantiate(table, coefficient_relation(i, j), name)
-        for name in table.names
-        for (i, j) in _relation_targets(nmax)
-    ]
+    clauses = [_horn_clauses(inst) for inst in _instances(table, nmax)]
+    known: set[tuple[str, int]] = set()
     introduced: list[tuple[str, int]] = []
-    passno = 0
-    pending = instances
     while True:
-        passno, pending = _run_passes(pending, values, provenance, passno, strict=False)
+        grew = True
+        while grew:
+            grew = False
+            for keys, pinned in clauses:
+                rest = keys - known
+                if len(rest) == 1 and rest <= pinned:
+                    known |= rest
+                    grew = True
         unresolved = [
             (name, n)
             for name in table.names
             for n in range(1, nmax + 1)
-            if (name, n) not in values
+            if (name, n) not in known
         ]
         if not unresolved:
             break
         key = min(unresolved, key=lambda t: (t[1], order[t[0]]))
-        values[key] = Poly.symbol(key)
         introduced.append(key)
+        known.add(key)
     return AuditReport(nmax, tuple(sorted(introduced, key=lambda t: (order[t[0]], t[1]))))

@@ -597,9 +597,11 @@ class BiSeries:
 
         The p constraint makes the sum over powers finite.  When the input
         has terms with negative q exponent, each extra factor can push real
-        contributions below the input ceiling, so the certified q ceiling
-        drops by ``(kmax - 1) * qslo``; intermediates are still carried up
-        to the input ceiling because high intermediate terms can recombine
+        contributions below the input ceiling.  An untracked term above the
+        ceiling may have p exponent 1, leaving room for ``(pmax - 1) //
+        pslo`` known factors beside it, so the certified q ceiling drops by
+        that many times ``qslo``; intermediates are still carried up to the
+        input ceiling because high intermediate terms can recombine
         downward.
         """
         if self._c and self._pslo < 1:
@@ -608,7 +610,7 @@ class BiSeries:
             return BiSeries((), self.pmax, self.qmin, self.qmax)
         pslo, qslo = self._pslo, self._qslo
         kmax = self.pmax // pslo
-        out_qmax = self.qmax + (kmax - 1) * min(qslo, 0)
+        out_qmax = self.qmax + ((self.pmax - 1) // pslo) * min(qslo, 0)
         out_qmin = min(qslo, kmax * qslo)
         acc: dict[tuple[int, int], Coeff] = {}
         power = dict(self._c)
@@ -624,14 +626,17 @@ class BiSeries:
         return BiSeries(acc, self.pmax, out_qmin, out_qmax)
 
     def exp(self) -> "BiSeries":
-        """exp(self); every nonzero term must have p exponent >= 1."""
+        """exp(self); every nonzero term must have p exponent >= 1.
+
+        The certified q ceiling is the one ``log1m`` gives.
+        """
         if self._c and self._pslo < 1:
             raise ValueError("exp of non-unit: a term has p exponent 0")
         if not self._c:
             return BiSeries({(0, 0): 1}, self.pmax, min(self.qmin, 0), self.qmax)
         pslo, qslo = self._pslo, self._qslo
         kmax = self.pmax // pslo
-        out_qmax = self.qmax + (kmax - 1) * min(qslo, 0)
+        out_qmax = self.qmax + ((self.pmax - 1) // pslo) * min(qslo, 0)
         out_qmin = min(0, kmax * qslo)
         if out_qmax < 0:
             raise ValueError(

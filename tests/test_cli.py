@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from moonshine import cli
 from moonshine.cli import main
 
 SEEDLESS = "class 1A order 1\nidentity 1A\n"
@@ -254,6 +255,26 @@ class TestDeterminism:
 
     def test_derive_stable(self, run):
         assert run("derive", "--max", "8") == run("derive", "--max", "8")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize(
+        "callee, argv",
+        [
+            ("normalized_j", ("witt", "--mmax", "2", "--nmax", "2")),
+            ("solve_from_seeds", ("compare", "--max", "4")),
+        ],
+    )
+    def test_fault_exits_3_without_verdict(self, run, monkeypatch, callee, argv):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setattr(cli, callee, fail)
+        code, out, err = run(*argv)
+        assert code == 3
+        assert "VERDICT" not in out
+        assert err.startswith("internal error: injected fault\n")
+        assert "Traceback" in err
 
 
 class TestProcessLevel:

@@ -14,7 +14,6 @@ from moonshine.modular import normalized_j
 from moonshine.recursion import (
     AuditReport,
     ContradictionError,
-    Poly,
     coefficient_recursion,
     coefficient_relation,
     determinacy_audit,
@@ -297,7 +296,32 @@ class TestSolver:
         assert "2B(7)" in str(excinfo.value)
 
 
+# ``introduced`` as recorded from the symbolic (polynomial-valued) audit
+# that the structural one replaced
+RECORDED_AUDITS = [
+    ("1A", 1, (("1A", 1),)),
+    ("1A", 2, (("1A", 1), ("1A", 2))),
+    ("1A", 3, (("1A", 1), ("1A", 2), ("1A", 3))),
+    ("1A", 5, tuple(("1A", n) for n in (1, 2, 3, 5))),
+    ("1A", 40, tuple(("1A", n) for n in (1, 2, 3, 5))),
+    (
+        "catalog",
+        30,
+        tuple((g, n) for g in ("1A", "2B", "3B", "4C") for n in (1, 2, 3, 5)),
+    ),
+]
+
+
 class TestAudit:
+    @pytest.mark.parametrize(
+        "table, nmax, introduced",
+        RECORDED_AUDITS,
+        ids=[f"{t}-{n}" for t, n, _ in RECORDED_AUDITS],
+    )
+    def test_recorded_introduced(self, table, nmax, introduced, catalog_table):
+        table = catalog_table if table == "catalog" else table_1a(seeds={})
+        assert determinacy_audit(table, nmax) == AuditReport(nmax, introduced)
+
     def test_seedless_1a_nmax_30(self):
         report = determinacy_audit(table_1a(seeds={}), 30)
         assert isinstance(report, AuditReport)
@@ -315,28 +339,3 @@ class TestAudit:
     def test_with_seeds_solver_leaves_nothing(self):
         result = solve_from_seeds(table_1a(), 30)
         assert result.unresolved == ()
-
-
-class TestPoly:
-    def test_constant_arithmetic(self):
-        assert Poly.const(3) + Poly.const(4) == Poly.const(7)
-        assert Poly.const(3) * Fraction(1, 3) == Poly.const(1)
-        assert Poly.const(5).constant_value() == 5
-
-    def test_symbols_combine(self):
-        x = Poly.symbol("x")
-        y = Poly.symbol("y")
-        assert x * y == y * x
-        assert (x + y) * (x - y) == x * x - y * y
-        assert not (x * y).is_constant()
-
-    def test_mixed_scalar_ops(self):
-        x = Poly.symbol("x")
-        assert 2 * x + x == 3 * x
-        assert (1 - x) + x == Poly.const(1)
-        assert Fraction(1, 2) * (x + x) == x
-
-    def test_power(self):
-        x = Poly.symbol("x")
-        assert x ** 3 == x * x * x
-        assert x ** 0 == Poly.const(1)

@@ -362,6 +362,17 @@ class TestBiSeries:
             (3, -1): -1,
         }
 
+    @pytest.mark.parametrize("op", ["log1m", "exp"])
+    def test_certified_window_survives_untracked_terms(self, op):
+        # the truncation drops p*q^6, a p-degree-1 term above its ceiling;
+        # times p^2/q^2 it lands on p^3 q^4, so the ceiling must sit below 4
+        data = {(3, -1): 3, (1, 6): 3, (2, -2): 1}
+        full = getattr(BiSeries(data, 3, -2, 40), op)()
+        short = getattr(BiSeries(data, 3, -2, 40).truncated(qmax=4), op)()
+        assert full.coeff(3, 4) == (-3 if op == "log1m" else 3)
+        assert not short.mismatches(full)
+        assert short.qmax == 2
+
     def test_exp_refuses_uncertifiable_window(self):
         # q-support at -3 with p ceiling 3 pushes the certified ceiling to
         # -6, which cannot hold the constant cell
