@@ -36,7 +36,6 @@ __all__ = [
     "generator_log_series",
     "EPReport",
     "euler_poincare_report",
-    "lambda_wedge_t",
 ]
 
 
@@ -481,38 +480,3 @@ def euler_poincare_report(
     rhs = generator_log_series(family, name, imax, jmax)
     return EPReport(name, imax, jmax, tuple(lhs.mismatches(rhs)))
 
-
-# ---------------------------------------------------------------------------
-# exterior powers from Adams data
-
-
-def lambda_wedge_t(adams: Callable[[int], BiSeries], tmax: int) -> list[BiSeries]:
-    """Exterior-power traces from Adams traces.
-
-    ``adams(d)`` must return the trace on the d-th Adams operation of the
-    underlying space; the exterior powers come out of the Newton-style
-    recurrence  n * wedge_n = sum_{d=1..n} (-1)^{d+1} adams(d) * wedge_{n-d},
-    i.e. the t-expansion of exp(-sum_d adams(d) (-t)^d / d).
-    """
-    if tmax < 0:
-        raise ValueError("tmax must be >= 0")
-    if tmax == 0:
-        first = adams(1)
-        return [BiSeries.one(first.pmax, first.qmin, first.qmax)]
-    traces = [adams(d) for d in range(1, tmax + 1)]
-    if any(i + j < 1 for t in traces for (i, j), _ in t.items()):
-        raise ValueError(
-            "wedge expansion needs a strictly positive lowest total degree"
-        )
-    pmax = min(t.pmax for t in traces)
-    qmax = min(t.qmax for t in traces)
-    qmin = min(min(t.qmin for t in traces), 0)
-    traces = [t.truncated(pmax=pmax, qmax=qmax) for t in traces]
-    wedges = [BiSeries.one(pmax, qmin, qmax)]
-    for n in range(1, tmax + 1):
-        acc = BiSeries.zero(pmax, qmin, qmax)
-        for d in range(1, n + 1):
-            sign = 1 if d % 2 == 1 else -1
-            acc = acc + traces[d - 1] * wedges[n - d] * sign
-        wedges.append(acc * Fraction(1, n))
-    return wedges

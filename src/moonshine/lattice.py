@@ -279,10 +279,11 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of  p(J(p) - J(q)) = (1 - pq^-1) prod (1-p^i q^j)^c(ij)
     on the window [0..pmax] x [-pmax..qmax].
 
-    The product over i,j >= 1 is taken through its logarithm: factors with
-    i > pmax or j > qmax + 1 cannot touch the window, so the finite log sum
-    is exact there.  The extra q-row (qmax + 1) is carried because the
-    1 - pq^-1 prefactor pulls one row back down.
+    The product over i,j >= 1 is expanded factor by factor with
+    ``dimension_product``, in integer binomials: factors with i > pmax or
+    j > qmax + 1 cannot touch the window, so the finite product is exact
+    there.  The extra q-row (qmax + 1) is carried because the 1 - pq^-1
+    prefactor pulls one row back down.
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("window bounds must be >= 1")
@@ -301,16 +302,12 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
             cells[(1, n)] = cells.get((1, n), 0) - value
     lhs = BiSeries(cells, pmax, qmin, qmax)
 
-    log_cells: dict[tuple[int, int], Coeff] = {}
-    for i in range(1, pmax + 1):
-        for j in range(1, qmax + 2):
-            mult = int(c.coeff(i * j))
-            if mult == 0:
-                continue
-            for t in range(1, min(pmax // i, (qmax + 1) // j) + 1):
-                key = (i * t, j * t)
-                log_cells[key] = log_cells.get(key, 0) - Fraction(mult, t)
-    expanded = BiSeries(log_cells, pmax, 0, qmax + 1).exp()
+    mults = {
+        (i, j): int(c.coeff(i * j))
+        for i in range(1, pmax + 1)
+        for j in range(1, qmax + 2)
+    }
+    expanded = dimension_product(GradedDims(mults, pmax, qmax + 1))
     prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, qmin, qmax + 1)
     rhs = prefactor * expanded
     return lhs, rhs

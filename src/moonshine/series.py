@@ -43,17 +43,6 @@ def _div(x: Coeff, y: Coeff) -> Coeff:
     return _norm(Fraction(x) / Fraction(y))
 
 
-def _dict_mul(da: dict[int, Coeff], db: dict[int, Coeff], hi: int) -> dict[int, Coeff]:
-    out: dict[int, Coeff] = {}
-    for e1, v1 in da.items():
-        for e2, v2 in db.items():
-            e = e1 + e2
-            if e > hi:
-                continue
-            out[e] = out.get(e, 0) + v1 * v2
-    return {e: v for e, v in out.items() if v != 0}
-
-
 class UniSeries:
     """A univariate Laurent series known exactly on the window ``[lo, hi]``.
 
@@ -273,57 +262,6 @@ class UniSeries:
                     s += a[t] * b[d - t]
             b.append(_div(-s, a[0]) if s else 0)
         return UniSeries({lo + d: b[d] for d in range(depth + 1)}, lo, hi)
-
-    def log1m(self, order: int | None = None) -> "UniSeries":
-        """log(1 - self) = -sum_k self^k / k.
-
-        Requires a strictly positive lowest exponent, so the sum terminates
-        on the window.
-        """
-        hi = self.hi if order is None else min(order, self.hi)
-        slo = self.support_lo
-        if self._c and slo <= 0:
-            raise ValueError(
-                "log of non-unit: series has a nonzero coefficient at exponent <= 0"
-            )
-        lo = min(slo, hi)
-        if lo > hi:
-            raise ValueError(f"empty window [{lo}, {hi}] for log")
-        acc: dict[int, Coeff] = {}
-        power = {e: v for e, v in self._c.items() if e <= hi}
-        k = 1
-        while power and k * slo <= hi:
-            for e, v in power.items():
-                acc[e] = acc.get(e, 0) + v * Fraction(-1, k)
-            k += 1
-            if k * slo > hi:
-                break
-            power = _dict_mul(power, self._c, hi)
-        return UniSeries(acc, lo, hi)
-
-    def exp(self, order: int | None = None) -> "UniSeries":
-        """exp(self) = sum_k self^k / k!, for series with positive lowest exponent."""
-        hi = self.hi if order is None else min(order, self.hi)
-        slo = self.support_lo
-        if self._c and slo <= 0:
-            raise ValueError(
-                "exp of non-unit: series has a nonzero coefficient at exponent <= 0"
-            )
-        if hi < 0:
-            raise ValueError(f"empty window [0, {hi}] for exp")
-        acc: dict[int, Coeff] = {0: 1}
-        power = {e: v for e, v in self._c.items() if e <= hi}
-        k = 1
-        fact = 1
-        while power and k * slo <= hi:
-            for e, v in power.items():
-                acc[e] = acc.get(e, 0) + v * Fraction(1, fact)
-            k += 1
-            fact *= k
-            if k * slo > hi:
-                break
-            power = _dict_mul(power, self._c, hi)
-        return UniSeries(acc, 0, hi)
 
     def substitute_power(self, k: int) -> "UniSeries":
         """Replace q by q^k.
@@ -574,18 +512,7 @@ class BiSeries:
         pmax = min(self.pmax + other._pslo, other.pmax + self._pslo)
         qmax = min(self.qmax + other._qslo, other.qmax + self._qslo)
         qmin = self.qmin + other.qmin
-        data: dict[tuple[int, int], Coeff] = {}
-        for (i1, j1), v1 in self._c.items():
-            for (i2, j2), v2 in other._c.items():
-                i = i1 + i2
-                if i > pmax:
-                    continue
-                j = j1 + j2
-                if j > qmax:
-                    continue
-                key = (i, j)
-                data[key] = data.get(key, 0) + v1 * v2
-        return BiSeries(data, pmax, qmin, qmax)
+        return BiSeries(_bidict_mul(self._c, other._c, pmax, qmax), pmax, qmin, qmax)
 
     __rmul__ = __mul__
 
@@ -598,20 +525,27 @@ class BiSeries:
         The p constraint makes the sum over powers finite.  When the input
         has terms with negative q exponent, each extra factor can push real
         contributions below the input ceiling.  An untracked term above the
-        ceiling may have p exponent 1, leaving room for ``(pmax - 1) //
-        pslo`` known factors beside it, so the certified q ceiling drops by
-        that many times ``qslo``; intermediates are still carried up to the
-        input ceiling because high intermediate terms can recombine
-        downward.
+        ceiling may have p exponent 1, leaving ``pmax - 1`` of p degree for
+        other factors beside it: known ones (p >= pslo, q >= qslo) and,
+        when the ceiling is below -1, untracked ones (p >= 1, q >= qmax +
+        1).  The certified q ceiling drops by the lowest q those factors
+        can reach; intermediates are still carried up to the input ceiling
+        because high intermediate terms can recombine downward.
         """
         if self._c and self._pslo < 1:
             raise ValueError("log of non-unit: a term has p exponent 0")
-        if not self._c:
-            return BiSeries((), self.pmax, self.qmin, self.qmax)
         pslo, qslo = self._pslo, self._qslo
+        spare = self.pmax - 1
+        known = spare // pslo
+        untracked_q = min(self.qmax + 1, 0)
+        out_qmax = self.qmax + min(
+            spare * untracked_q,
+            known * min(qslo, 0) + (spare - known * pslo) * untracked_q,
+        )
+        if not self._c:
+            return BiSeries((), self.pmax, min(self.qmin, out_qmax), out_qmax)
         kmax = self.pmax // pslo
-        out_qmax = self.qmax + ((self.pmax - 1) // pslo) * min(qslo, 0)
-        out_qmin = min(qslo, kmax * qslo)
+        out_qmin = min(qslo, kmax * qslo, out_qmax)
         acc: dict[tuple[int, int], Coeff] = {}
         power = dict(self._c)
         k = 1
@@ -620,39 +554,6 @@ class BiSeries:
                 if key[1] <= out_qmax:
                     acc[key] = acc.get(key, 0) + v * Fraction(-1, k)
             k += 1
-            if k * pslo > self.pmax:
-                break
-            power = _bidict_mul(power, self._c, self.pmax, self.qmax)
-        return BiSeries(acc, self.pmax, out_qmin, out_qmax)
-
-    def exp(self) -> "BiSeries":
-        """exp(self); every nonzero term must have p exponent >= 1.
-
-        The certified q ceiling is the one ``log1m`` gives.
-        """
-        if self._c and self._pslo < 1:
-            raise ValueError("exp of non-unit: a term has p exponent 0")
-        if not self._c:
-            return BiSeries({(0, 0): 1}, self.pmax, min(self.qmin, 0), self.qmax)
-        pslo, qslo = self._pslo, self._qslo
-        kmax = self.pmax // pslo
-        out_qmax = self.qmax + ((self.pmax - 1) // pslo) * min(qslo, 0)
-        out_qmin = min(0, kmax * qslo)
-        if out_qmax < 0:
-            raise ValueError(
-                "window too narrow to certify exp: the constant cell falls "
-                f"above the attainable q ceiling {out_qmax}"
-            )
-        acc: dict[tuple[int, int], Coeff] = {(0, 0): 1}
-        power = dict(self._c)
-        k = 1
-        fact = 1
-        while power and k * pslo <= self.pmax:
-            for key, v in power.items():
-                if key[1] <= out_qmax:
-                    acc[key] = acc.get(key, 0) + v * Fraction(1, fact)
-            k += 1
-            fact *= k
             if k * pslo > self.pmax:
                 break
             power = _bidict_mul(power, self._c, self.pmax, self.qmax)

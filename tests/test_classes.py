@@ -17,7 +17,6 @@ from moonshine.classes import (
     euler_poincare_report,
     generator_log_series,
     generator_series,
-    lambda_wedge_t,
     load_family,
     parse_table_text,
     serialize_table,
@@ -319,32 +318,3 @@ class TestEulerPoincare:
             power = power * u
             total = total + power * Fraction(1, k)
         assert generator_log_series(family, "1A", 3, 3) == total
-
-
-class TestWedges:
-    def test_t0(self):
-        wedges = lambda_wedge_t(lambda d: BiSeries({(d, d): 1}, 3, 0, 3), 0)
-        assert wedges == [BiSeries.one(3, 0, 3)]
-
-    def test_one_dimensional_piece(self):
-        wedges = lambda_wedge_t(lambda d: BiSeries({(d, d): 1}, 3, 0, 3), 3)
-        assert wedges[1] == BiSeries({(1, 1): 1}, 3, 0, 3)
-        assert wedges[2].is_zero()
-        assert wedges[3].is_zero()
-
-    def test_two_dimensional_piece(self):
-        def adams(d):
-            return BiSeries({(d, d): 1, (d, 2 * d): 1}, 4, 0, 6)
-
-        wedges = lambda_wedge_t(adams, 3)
-        assert wedges[1] == BiSeries({(1, 1): 1, (1, 2): 1}, 4, 0, 6)
-        assert wedges[2] == BiSeries({(2, 3): 1}, 4, 0, 6)
-        assert wedges[3].is_zero()
-
-    def test_requires_positive_degree(self):
-        with pytest.raises(ValueError, match="positive"):
-            lambda_wedge_t(lambda d: BiSeries({(0, 0): 1}, 2, 0, 2), 2)
-
-    def test_bad_tmax(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            lambda_wedge_t(lambda d: BiSeries({(d, d): 1}, 2, 0, 2), -1)

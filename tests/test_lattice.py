@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moonshine import lattice
 from moonshine.lattice import (
     LatticeVector,
     build_matrix,
@@ -24,7 +25,7 @@ from moonshine.lattice import (
     witt_dims_from_char,
 )
 from moonshine.modular import normalized_j
-from moonshine.series import BiSeries
+from moonshine.series import BiSeries, UniSeries
 
 
 @pytest.fixture(scope="module")
@@ -254,6 +255,8 @@ class TestDenominatorIdentity:
 
     def test_spot_cells(self):
         lhs, rhs = denominator_sides(4, 4)
+        assert (lhs.pmax, lhs.qmin, lhs.qmax) == (4, -4, 4)
+        assert (rhs.pmax, rhs.qmin, rhs.qmax) == (4, -4, 4)
         assert lhs.coeff(2, 0) == 196884 == rhs.coeff(2, 0)
         assert lhs.coeff(1, -1) == -1 == rhs.coeff(1, -1)
         assert lhs.coeff(0, 0) == 1 == rhs.coeff(0, 0)
@@ -264,3 +267,15 @@ class TestDenominatorIdentity:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             denominator_sides(0, 4)
+
+    def test_corrupted_coefficient_fails(self, monkeypatch):
+        # c(4) off by one enters both sides; the first cell it breaks is
+        # p^2 q^2, where the product sees c(4) through (1 - p^2 q^2)^c(4)
+        def corrupted(order):
+            return normalized_j(order) + UniSeries.monomial(1, 4, hi=order)
+
+        monkeypatch.setattr(lattice, "normalized_j", corrupted)
+        report = denominator_identity_report(6, 6)
+        assert not report.ok
+        assert len(report.mismatches) == 22
+        assert report.mismatches[0] == (2, 2, 0, -1)

@@ -35,7 +35,7 @@ def uni_series(draw, lo_min=-3, hi_max=8):
 
 @st.composite
 def positive_uni(draw):
-    """Series supported on exponents >= 1 (valid log/exp input)."""
+    """Series supported on exponents >= 1."""
     hi = draw(st.integers(min_value=1, max_value=8))
     n_terms = draw(st.integers(min_value=0, max_value=5))
     data = {}
@@ -188,34 +188,6 @@ class TestInverse:
 
 
 # ---------------------------------------------------------------------------
-# log / exp
-
-
-class TestLogExp:
-    def test_log_of_one_minus_q_is_harmonic(self):
-        t = UniSeries.monomial(1, 1, hi=5)
-        assert t.log1m().items() == [(k, Fraction(-1, k)) for k in range(1, 6)]
-
-    def test_exp_small(self):
-        s = UniSeries({1: 1, 2: 1}, 0, 2)
-        assert s.exp().items() == [(0, 1), (1, 1), (2, Fraction(3, 2))]
-
-    def test_log_rejects_constant_term(self):
-        with pytest.raises(ValueError, match="log of non-unit"):
-            UniSeries({0: 1, 1: 1}, 0, 3).log1m()
-
-    def test_exp_then_log_round_trip(self):
-        s = UniSeries({1: 2, 2: Fraction(1, 3)}, 0, 7)
-        # log(1 - (1 - exp(s))) = s
-        back = (1 - s.exp()).log1m()
-        assert not back.mismatches(s)
-
-    def test_order_argument_truncates(self):
-        t = UniSeries.monomial(1, 1, hi=9)
-        assert t.log1m(order=3).hi == 3
-
-
-# ---------------------------------------------------------------------------
 # substitution, shift, restriction
 
 
@@ -296,12 +268,6 @@ class TestRingLaws:
     def test_mul_associates(self, a, b, c):
         assert not ((a * b) * c).mismatches(a * (b * c))
 
-    @given(positive_uni())
-    def test_log_exp_inverse(self, s):
-        # exp(log(1 - s)) == 1 - s on the certified window
-        restored = s.log1m().exp()
-        assert not restored.mismatches(1 - s)
-
     @given(positive_uni(), st.integers(min_value=1, max_value=4))
     def test_substitute_power_is_multiplicative(self, s, k):
         sq = s * s
@@ -325,6 +291,23 @@ class TestRingLaws:
 # two-variable series
 
 
+@st.composite
+def log_input_with_cut(draw):
+    """A valid log1m input (p-support >= 1, q-support possibly negative)
+    and a q ceiling to truncate it to."""
+    pmax = draw(st.integers(min_value=1, max_value=5))
+    qmin = draw(st.integers(min_value=-3, max_value=1))
+    qmax = draw(st.integers(min_value=qmin, max_value=5))
+    n_terms = draw(st.integers(min_value=0, max_value=5))
+    data = {}
+    for _ in range(n_terms):
+        i = draw(st.integers(min_value=1, max_value=pmax))
+        j = draw(st.integers(min_value=qmin, max_value=qmax))
+        data[(i, j)] = draw(coeffs())
+    cut = draw(st.integers(min_value=qmin, max_value=qmax))
+    return BiSeries(data, pmax, qmin, qmax), cut
+
+
 class TestBiSeries:
     def test_mul_window_sharpening(self):
         u = BiSeries({(1, 1): 2, (1, 2): 3}, 3, 0, 4)
@@ -344,9 +327,18 @@ class TestBiSeries:
         with pytest.raises(ValueError, match="incompatible windows"):
             a + b
 
-    def test_log_exp_round_trip_positive_support(self):
+    def test_log1m_matches_power_sum(self):
+        # u^5 starts at p^5, so -sum_{k<=4} u^k / k is exact on the window;
+        # the p^2 term mixes powers of different k into the same cells
         u = BiSeries({(1, 1): 2, (1, 2): 3, (2, 1): -1}, 4, 0, 5)
-        assert not u.log1m().exp().mismatches(BiSeries.one(4, 0, 5) - u)
+        total = BiSeries.zero(4, 0, 5)
+        power = BiSeries.one(4, 0, 5)
+        for k in range(1, 5):
+            power = power * u
+            total = total + power * Fraction(-1, k)
+        lu = u.log1m()
+        assert (lu.pmax, lu.qmin, lu.qmax) == (4, 1, 5)
+        assert not lu.mismatches(total)
 
     def test_log1m_with_negative_q_support(self):
         # v = p/q + p*q; hand expansion of -(v + v^2/2 + v^3/3) kept on the
@@ -362,23 +354,32 @@ class TestBiSeries:
             (3, -1): -1,
         }
 
-    @pytest.mark.parametrize("op", ["log1m", "exp"])
+    @pytest.mark.parametrize("op", ["log1m"])
     def test_certified_window_survives_untracked_terms(self, op):
         # the truncation drops p*q^6, a p-degree-1 term above its ceiling;
         # times p^2/q^2 it lands on p^3 q^4, so the ceiling must sit below 4
         data = {(3, -1): 3, (1, 6): 3, (2, -2): 1}
         full = getattr(BiSeries(data, 3, -2, 40), op)()
         short = getattr(BiSeries(data, 3, -2, 40).truncated(qmax=4), op)()
-        assert full.coeff(3, 4) == (-3 if op == "log1m" else 3)
+        assert full.coeff(3, 4) == -3
         assert not short.mismatches(full)
         assert short.qmax == 2
 
-    def test_exp_refuses_uncertifiable_window(self):
-        # q-support at -3 with p ceiling 3 pushes the certified ceiling to
-        # -6, which cannot hold the constant cell
-        w = BiSeries({(1, -3): 1, (1, 0): 1}, 3, -3, 0)
-        with pytest.raises(ValueError, match="window too narrow"):
-            w.exp()
+    @pytest.mark.parametrize("known", [{}, {(2, -2): 1}])
+    def test_untracked_terms_below_zero_lower_the_ceiling(self, known):
+        # with the ceiling at -2 the dropped p/q is itself negative in q:
+        # squared it lands on p^2 q^-2
+        full = BiSeries({(1, -1): 1, **known}, 2, -2, 0).log1m()
+        short = BiSeries({(1, -1): 1, **known}, 2, -2, 0).truncated(qmax=-2).log1m()
+        assert full.coeff(2, -2) == -Fraction(1, 2) - sum(known.values())
+        assert short.qmax == -3
+        assert not short.mismatches(full)
+
+    @settings(max_examples=300)
+    @given(log_input_with_cut())
+    def test_log1m_window_is_sound_under_truncation(self, case):
+        u, t = case
+        assert not u.truncated(qmax=t).log1m().mismatches(u.log1m())
 
     def test_log_rejects_p_constant(self):
         with pytest.raises(ValueError, match="log of non-unit"):
