@@ -12,7 +12,6 @@ from importlib import resources
 
 from moonshine.classes import (
     adams_trace,
-    algebra_series,
     euler_poincare_report,
     load_family,
     parse_table_text,
@@ -37,7 +36,7 @@ print()
 # The Adams column swap, visible in the numbers: squaring an order-2
 # element lands on the identity, so the k=2 Adams trace of the 2B series
 # is built from identity-class data on doubled exponents.
-t = adams_trace(family, "2B", 2, algebra_series, 4, 4)
+t = adams_trace(family, "2B", 2, 4, 4)
 print("Adams k=2 trace at class 2B, cells (2,2) and (2,4):")
 print("  ", t.coeff(2, 2), t.coeff(2, 4), "(identity-class values)")
 print("  off the even sublattice:", t.coeff(1, 1), t.coeff(2, 3))

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .modular import EtaMonomial, EtaRecipe, expand_recipe, normalized_j
 from .series import BiSeries, Coeff, UniSeries
@@ -409,18 +409,10 @@ def generator_series(
     )
 
 
-SeriesBuilder = Callable[[CoefficientFamily, str, int, int], BiSeries]
-
-
 def adams_trace(
-    family: CoefficientFamily,
-    name: str,
-    k: int,
-    builder: SeriesBuilder,
-    imax: int,
-    jmax: int,
+    family: CoefficientFamily, name: str, k: int, imax: int, jmax: int
 ) -> BiSeries:
-    """Trace of g on the k-th Adams operation of a built series.
+    """Trace of g on the k-th Adams operation of the algebra trace series.
 
     At trace level the Adams operation swaps in the g^k coefficient column
     and substitutes p -> p^k, q -> q^k.  Window floors widen on the way:
@@ -431,7 +423,7 @@ def adams_trace(
     if imax // k < 1 or jmax // k < 1:
         return BiSeries.zero(imax, 0, jmax)
     powered = family.table.power_of(name, k)
-    inner = builder(family, powered, imax // k, jmax // k)
+    inner = algebra_series(family, powered, imax // k, jmax // k)
     return inner.substitute_power(k).truncated(pmax=imax, qmax=jmax)
 
 
@@ -445,7 +437,7 @@ def adams_log_series(
     """
     total = BiSeries.zero(imax, 0, jmax)
     for k in range(1, min(imax, jmax) + 1):
-        term = adams_trace(family, name, k, algebra_series, imax, jmax)
+        term = adams_trace(family, name, k, imax, jmax)
         total = total + term * Fraction(1, k)
     return total
 

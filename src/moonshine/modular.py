@@ -131,7 +131,7 @@ def j_series(order: int) -> UniSeries:
 
 def normalized_j(order: int) -> UniSeries:
     """j - 744: leading coefficient 1 at q^-1 and constant term exactly 0."""
-    return j_series(order) - 744
+    return (j_series(max(order, 0)) - 744).restrict(hi=order)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,18 @@ from seed data (every derived value carries the relation that produced it,
 and disagreeing derivations are a hard error), and a structural
 determinacy audit that finds which indices are genuinely underivable.
 
+The solver and the audit share one compiled form.  Each relation,
+instantiated at a class, is multiplied by ``scale``, the lcm of its
+coefficient denominators, and moved to one side as integer-weighted
+monomials: (1/k) c_{g^k}(n) on the left becomes the monomial c_{g^k}(n)^1.
+Like monomials are merged once.  The only coincidence possible is a left
+term with the lone right-side c_g(i+j-1), when g^k = g and k >= 2; its net
+weight 1/k - 1 is not zero, so no term vanishes.  The solver's evaluation
+stops at the first monomial with two unknowns, an unknown squared, or a
+second distinct unknown.  That early exit is exact: each of those makes
+the relation pending whatever the remaining terms hold, and only
+non-pending outcomes raise.
+
 The audit needs no values at all.  Without seeds every coefficient it
 knows is an opaque symbol or a nonconstant polynomial in such symbols, and
 a product of nonconstant polynomials is never constant.  So a relation
@@ -38,8 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
-from typing import Mapping
+from math import factorial, gcd, lcm
 
 from .classes import ClassTable, CoefficientFamily, MissingCoefficients
 
@@ -364,12 +375,19 @@ def _show(value) -> str:
 
 @dataclass(frozen=True)
 class _Instance:
-    """One relation instantiated at one class."""
+    """One relation instantiated at one class, compiled to integer terms.
+
+    Each term is (weight, ((key, exponent), ...)) with an ``int`` weight,
+    and sum weight * prod value^exponent == ``scale`` * (LHS - RHS), where
+    ``scale`` is the lcm of the relation's coefficient denominators.  Like
+    monomials are merged, and no merged weight is zero (see the module
+    docstring), so every key of the relation occurs in some term.
+    """
 
     name: str
     target: tuple[int, int]
-    lhs: tuple[tuple[tuple[str, int], Fraction], ...]  # (key, coefficient)
-    rhs: tuple[tuple[Fraction, tuple[tuple[tuple[str, int], int], ...]], ...]
+    scale: int
+    terms: tuple[tuple[int, tuple[tuple[tuple[str, int], int], ...]], ...]
 
     def describe(self) -> str:
         i, j = self.target
@@ -377,75 +395,70 @@ class _Instance:
 
 
 def _instantiate(table: ClassTable, relation: Relation, name: str) -> _Instance:
-    lhs = tuple(
-        ((table.power_of(name, k), n), coeff) for k, n, coeff in relation.lhs
+    scale = lcm(
+        *(c.denominator for _, _, c in relation.lhs),
+        *(w.denominator for w, _ in relation.rhs),
     )
-    rhs = tuple(
-        (weight, tuple(((name, v), e) for v, e in monomial))
-        for weight, monomial in relation.rhs
+    merged: dict[tuple[tuple[tuple[str, int], int], ...], int] = {}
+    for k, n, c in relation.lhs:  # distinct keys: n = ij/k^2 differs per k
+        mono = (((table.power_of(name, k), n), 1),)
+        merged[mono] = c.numerator * (scale // c.denominator)
+    for w, indices in relation.rhs:
+        mono = tuple(((name, v), e) for v, e in indices)
+        merged[mono] = merged.get(mono, 0) - w.numerator * (scale // w.denominator)
+    return _Instance(
+        name, relation.target, scale, tuple((w, m) for m, w in merged.items())
     )
-    return _Instance(name, relation.target, lhs, rhs)
 
 
 def _evaluate(inst: _Instance, values: dict):
     """Classify an instantiated relation against current knowledge.
 
     Returns ("verified", None), ("pending", None), or
-    ("fire", (key, solved_value)); a violated relation raises
-    ContradictionError.
+    ("fire", (key, solved_value)), the value an ``int`` when integral; a
+    violated relation raises ContradictionError.  One pass over the
+    compiled terms accumulates the known part and the unknown's
+    coefficient, both scaled by ``inst.scale``.  It returns pending at the
+    first monomial with two unknowns, an unknown squared or a second
+    distinct unknown: each of those leaves the relation pending whatever
+    the other terms hold, so stopping early changes no outcome.
     """
-    const = Fraction(0)  # accumulated known part of LHS - RHS
-    linear: dict[tuple[str, int], Fraction] = {}
-    blocked: set[tuple[str, int]] = set()
-    unknowns: set[tuple[str, int]] = set()
-
-    for key, coeff in inst.lhs:
-        if key in values:
-            const = const + coeff * values[key]
-        else:
-            unknowns.add(key)
-            linear[key] = linear.get(key, Fraction(0)) + coeff
-
-    for weight, monomial in inst.rhs:
+    const = 0  # known part of scale * (LHS - RHS)
+    coeff = 0  # scaled coefficient of the one linear unknown
+    unknown = None
+    for weight, monomial in inst.terms:
         prod = weight
-        unknown_here: list[tuple[tuple[str, int], int]] = []
+        here = None
         for key, exp in monomial:
             if key in values:
-                prod = prod * values[key] ** exp
+                prod *= values[key] ** exp
+            elif here is not None or exp > 1 or unknown not in (None, key):
+                return "pending", None
             else:
-                unknown_here.append((key, exp))
-        if not unknown_here:
-            const = const - prod
-        elif len(unknown_here) == 1 and unknown_here[0][1] == 1:
-            key = unknown_here[0][0]
-            unknowns.add(key)
-            linear[key] = linear.get(key, Fraction(0)) - prod
+                here = key
+        if here is None:
+            const += prod
         else:
-            for key, _ in unknown_here:
-                unknowns.add(key)
-                blocked.add(key)
+            unknown = here
+            coeff += prod
 
-    if not unknowns:
+    if unknown is None:
         if const != 0:
             raise ContradictionError(
-                f"{inst.describe()} is violated: sides differ by {_show(const)}"
+                f"{inst.describe()} is violated: sides differ by "
+                f"{_show(Fraction(const, inst.scale))}"
             )
         return "verified", None
-    if len(unknowns) > 1:
-        return "pending", None
-    key = next(iter(unknowns))
-    if key in blocked:
-        return "pending", None
-    coeff = linear.get(key, Fraction(0))
     if coeff == 0:
         if const != 0:
             raise ContradictionError(
-                f"{inst.describe()} cannot hold: {key} cancels but sides "
-                f"differ by {_show(const)}"
+                f"{inst.describe()} cannot hold: {unknown} cancels but sides "
+                f"differ by {_show(Fraction(const, inst.scale))}"
             )
         return "verified", None  # tautology on this unknown
-    # const + coeff * key = 0
-    return "fire", (key, -const / coeff)
+    # const + coeff * unknown = 0
+    solved = Fraction(-const, coeff)
+    return "fire", (unknown, solved.numerator if solved.denominator == 1 else solved)
 
 
 @dataclass
@@ -523,11 +536,7 @@ def _run_passes(instances: list[_Instance], values: dict, provenance: dict) -> i
         pending = keep
 
 
-def solve_from_seeds(
-    table: ClassTable,
-    nmax: int,
-    seeds: Mapping[tuple[str, int], int] | None = None,
-) -> SolveResult:
+def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
     """Derive coefficients from seed data by monotone propagation.
 
     A relation fires only when exactly one unknown remains and it occurs
@@ -538,9 +547,8 @@ def solve_from_seeds(
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    seed_map = dict(table.seeds if seeds is None else seeds)
     values: dict[tuple[str, int], int | Fraction] = {}
-    for (name, n), value in seed_map.items():
+    for (name, n), value in table.seeds.items():
         if name not in table.orders:
             raise ValueError(f"seed for undeclared class {name!r}")
         values[(name, n)] = value
@@ -591,21 +599,17 @@ def _horn_clauses(
 ) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]]]:
     """All keys of an instance, and the keys it pins once the rest are known.
 
-    A key is pinned when it occurs only on the left side or as a lone
-    c(u)^1 monomial on the right, and those occurrences do not cancel.
+    A key is pinned when its only monomial is a lone c(u)^1; merged
+    weights are never zero, so that occurrence cannot cancel.
     """
-    net: dict[tuple[str, int], Fraction] = {}
-    tangled: set[tuple[str, int]] = set()
-    for key, coeff in inst.lhs:
-        net[key] = net.get(key, Fraction(0)) + coeff
-    for weight, monomial in inst.rhs:
+    seen: dict[tuple[str, int], int] = {}
+    lone: list[tuple[str, int]] = []
+    for _, monomial in inst.terms:
+        for key, _ in monomial:
+            seen[key] = seen.get(key, 0) + 1
         if len(monomial) == 1 and monomial[0][1] == 1:
-            key = monomial[0][0]
-            net[key] = net.get(key, Fraction(0)) - weight
-        else:
-            tangled.update(key for key, _ in monomial)
-    pinned = frozenset(k for k, c in net.items() if c != 0 and k not in tangled)
-    return frozenset(net) | tangled, pinned
+            lone.append(monomial[0][0])
+    return frozenset(seen), frozenset(k for k in lone if seen[k] == 1)
 
 
 def determinacy_audit(table: ClassTable, nmax: int) -> AuditReport:

@@ -272,12 +272,12 @@ class TestTraceSeries:
 
 class TestAdams:
     def test_k1_is_identity(self, family):
-        assert adams_trace(family, "1A", 1, algebra_series, 4, 4) == algebra_series(
+        assert adams_trace(family, "1A", 1, 4, 4) == algebra_series(
             family, "1A", 4, 4
         )
 
     def test_k2_swaps_in_the_powered_class(self, family):
-        t = adams_trace(family, "2B", 2, algebra_series, 4, 4)
+        t = adams_trace(family, "2B", 2, 4, 4)
         # 2B squares to the identity, so cells carry identity data at doubled
         # exponents and vanish off the even sublattice
         assert t.coeff(2, 2) == 196884
@@ -286,11 +286,11 @@ class TestAdams:
         assert t.coeff(2, 3) == 0
 
     def test_window_floor_gives_zero(self, family):
-        assert adams_trace(family, "1A", 5, algebra_series, 4, 4).is_zero()
+        assert adams_trace(family, "1A", 5, 4, 4).is_zero()
 
     def test_bad_index(self, family):
         with pytest.raises(ValueError, match=">= 1"):
-            adams_trace(family, "1A", 0, algebra_series, 4, 4)
+            adams_trace(family, "1A", 0, 4, 4)
 
 
 class TestEulerPoincare:

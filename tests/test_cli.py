@@ -58,6 +58,11 @@ class TestJExpand:
             "5\t333202640600",
         ]
 
+    def test_polar_term_only(self, run):
+        code, out, _ = run("jexpand", "--order", "-1")
+        assert code == 0
+        assert out == "-1\t1\n"
+
     def test_bad_order(self, run):
         code, _, err = run("jexpand", "--order", "-5")
         assert code == 2

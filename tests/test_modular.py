@@ -122,6 +122,9 @@ class TestJInvariant:
     def test_negative_one_order(self):
         assert j_series(-1).items() == [(-1, 1)]
 
+    def test_normalized_negative_one_order(self):
+        assert normalized_j(-1).items() == [(-1, 1)]
+
 
 class TestRecipes:
     def test_quotient_24_over_2(self):

@@ -14,6 +14,11 @@ from moonshine.modular import normalized_j
 from moonshine.recursion import (
     AuditReport,
     ContradictionError,
+    _evaluate,
+    _horn_clauses,
+    _instances,
+    _relation_targets,
+    _show,
     coefficient_recursion,
     coefficient_relation,
     determinacy_audit,
@@ -240,7 +245,7 @@ class TestSolver:
 
     def test_missing_seed_leaves_gaps(self):
         seeds = {k: v for k, v in J_SEEDS.items() if k != ("1A", 5)}
-        result = solve_from_seeds(table_1a(), 30, seeds=seeds)
+        result = solve_from_seeds(table_1a(seeds=seeds), 30)
         unresolved = sorted(n for _, n in result.unresolved)
         assert unresolved == [
             5, 7, 8, 9, 11, 13, 14, 15, 16, 17, 18, 19, 20,
@@ -255,7 +260,7 @@ class TestSolver:
         seeds = dict(J_SEEDS)
         seeds[("1A", 2)] += 1
         with pytest.raises(ContradictionError):
-            solve_from_seeds(table_1a(), 30, seeds=seeds)
+            solve_from_seeds(table_1a(seeds=seeds), 30)
 
     def test_non_integer_values_are_rejected(self):
         # integer seeds appear to always give integer derivations (the
@@ -268,7 +273,7 @@ class TestSolver:
             ("1A", 5): 0,
         }
         with pytest.raises(ContradictionError, match="non-integer"):
-            solve_from_seeds(table_1a(), 4, seeds=seeds)
+            solve_from_seeds(table_1a(seeds=seeds), 4)
 
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
@@ -339,3 +344,190 @@ class TestAudit:
     def test_with_seeds_solver_leaves_nothing(self):
         result = solve_from_seeds(table_1a(), 30)
         assert result.unresolved == ()
+
+
+# ---------------------------------------------------------------------------
+# oracles for the compiled instances: the relation read in its two-sided
+# Fraction form, straight from ``Relation``
+
+
+def _two_sided(table, name, relation):
+    lhs = tuple(((table.power_of(name, k), n), coeff) for k, n, coeff in relation.lhs)
+    rhs = tuple(
+        (weight, tuple(((name, v), e) for v, e in monomial))
+        for weight, monomial in relation.rhs
+    )
+    return lhs, rhs
+
+
+def reference_evaluate(table, name, relation, values):
+    lhs, rhs = _two_sided(table, name, relation)
+    i, j = relation.target
+    describe = f"relation ({i},{j}) at class {name}"
+    const = Fraction(0)
+    linear = {}
+    blocked = set()
+    unknowns = set()
+    for key, coeff in lhs:
+        if key in values:
+            const = const + coeff * values[key]
+        else:
+            unknowns.add(key)
+            linear[key] = linear.get(key, Fraction(0)) + coeff
+    for weight, monomial in rhs:
+        prod = weight
+        unknown_here = []
+        for key, exp in monomial:
+            if key in values:
+                prod = prod * values[key] ** exp
+            else:
+                unknown_here.append((key, exp))
+        if not unknown_here:
+            const = const - prod
+        elif len(unknown_here) == 1 and unknown_here[0][1] == 1:
+            key = unknown_here[0][0]
+            unknowns.add(key)
+            linear[key] = linear.get(key, Fraction(0)) - prod
+        else:
+            for key, _ in unknown_here:
+                unknowns.add(key)
+                blocked.add(key)
+    if not unknowns:
+        if const != 0:
+            raise ContradictionError(
+                f"{describe} is violated: sides differ by {_show(const)}"
+            )
+        return "verified", None
+    if len(unknowns) > 1:
+        return "pending", None
+    key = next(iter(unknowns))
+    if key in blocked:
+        return "pending", None
+    coeff = linear.get(key, Fraction(0))
+    if coeff == 0:
+        if const != 0:
+            raise ContradictionError(
+                f"{describe} cannot hold: {key} cancels but sides "
+                f"differ by {_show(const)}"
+            )
+        return "verified", None
+    return "fire", (key, -const / coeff)
+
+
+def reference_horn_clauses(table, name, relation):
+    lhs, rhs = _two_sided(table, name, relation)
+    net = {}
+    tangled = set()
+    for key, coeff in lhs:
+        net[key] = net.get(key, Fraction(0)) + coeff
+    for weight, monomial in rhs:
+        if len(monomial) == 1 and monomial[0][1] == 1:
+            key = monomial[0][0]
+            net[key] = net.get(key, Fraction(0)) - weight
+        else:
+            tangled.update(key for key, _ in monomial)
+    pinned = frozenset(k for k, c in net.items() if c != 0 and k not in tangled)
+    return frozenset(net) | tangled, pinned
+
+
+def _outcome(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except ContradictionError as err:
+        return "contradiction", str(err)
+
+
+def _merges(inst):
+    relation = coefficient_relation(*inst.target)
+    return len(inst.terms) < len(relation.lhs) + len(relation.rhs)
+
+
+@pytest.fixture(scope="module")
+def catalog_instances(catalog_table):
+    """Every catalog instance to nmax 12, plus those to nmax 30 where a
+    left-side term merged with the lone right-side monomial (1A and 3B at
+    (6,10): g^2 is in the class of g, and c_g(60/2^2) = c_g(6+10-1))."""
+    extra = [inst for inst in _instances(catalog_table, 30) if _merges(inst)]
+    return _instances(catalog_table, 12) + extra
+
+
+@pytest.fixture(scope="module")
+def catalog_family(catalog_table):
+    return load_family(catalog_table, 60)
+
+
+def _monomial_sum(terms, values):
+    total = 0
+    for weight, monomial in terms:
+        prod = weight
+        for key, e in monomial:
+            prod *= values[key] ** e
+        total += prod
+    return total
+
+
+class TestCompiledInstances:
+    def test_left_term_merges_with_lone_right_monomial(self, catalog_instances):
+        merged = [inst for inst in catalog_instances if _merges(inst)]
+        assert [(inst.name, inst.target) for inst in merged] == [
+            ("1A", (6, 10)),
+            ("3B", (6, 10)),
+        ]
+        for inst in merged:
+            weights = {m: w for w, m in inst.terms}
+            lone = (((inst.name, 15), 1),)
+            assert Fraction(weights[lone], inst.scale) == Fraction(1, 2) - 1
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=300)
+    def test_evaluate_matches_two_sided_reference(
+        self, data, catalog_table, catalog_instances, catalog_family
+    ):
+        inst = data.draw(st.sampled_from(catalog_instances))
+        relation = coefficient_relation(*inst.target)
+        keys = sorted(reference_horn_clauses(catalog_table, inst.name, relation)[0])
+        unknown = data.draw(st.sets(st.sampled_from(keys), max_size=3))
+        exact = data.draw(st.booleans())
+        values = {}
+        for key in keys:
+            if key in unknown:
+                continue
+            v = catalog_family.value(*key)
+            choices = [v] if exact else [v, v, v, v + 1, v - 3, v + Fraction(1, 2), 0]
+            values[key] = data.draw(st.sampled_from(choices))
+        got = _outcome(_evaluate, inst, values)
+        want = _outcome(reference_evaluate, catalog_table, inst.name, relation, values)
+        assert got == want
+        if not unknown:
+            lhs, rhs = _two_sided(catalog_table, inst.name, relation)
+            left = sum(coeff * values[key] for key, coeff in lhs)
+            right = _monomial_sum(rhs, values)
+            assert _monomial_sum(inst.terms, values) == inst.scale * (left - right)
+
+    @pytest.mark.parametrize("c6", [-3, 7], ids=["tautology", "contradiction"])
+    def test_cancelled_unknown(self, catalog_table, catalog_instances, c6):
+        # (2,3): c(6) = c(4) + c(1) c(2); with c(1) = 0 the lone unknown
+        # c(2) drops out and the relation only checks c(6) against c(4)
+        (inst,) = [
+            i for i in catalog_instances if (i.name, i.target) == ("1A", (2, 3))
+        ]
+        values = {("1A", 6): c6, ("1A", 4): -3, ("1A", 1): 0}
+        relation = coefficient_relation(2, 3)
+        got = _outcome(_evaluate, inst, values)
+        want = _outcome(reference_evaluate, catalog_table, "1A", relation, values)
+        assert got == want
+        if c6 == -3:
+            assert got == ("verified", None)
+        else:
+            assert got == (
+                "contradiction",
+                "relation (2,3) at class 1A cannot hold: ('1A', 2) cancels "
+                "but sides differ by 10",
+            )
+
+    def test_horn_clauses_match_two_sided_reference(self, catalog_table):
+        for inst in _instances(catalog_table, 30):
+            relation = coefficient_relation(*inst.target)
+            assert _horn_clauses(inst) == reference_horn_clauses(
+                catalog_table, inst.name, relation
+            )
