@@ -20,7 +20,8 @@ from moonshine.recursion import (
 
 
 def render(relation):
-    """Typeset a relation the way you would write it by hand."""
+    """Typeset a relation the way you would write it by hand, with the
+    stored integer weights divided back by the relation's scale."""
 
     def coeff_prefix(value):
         if value == 1:
@@ -31,13 +32,13 @@ def render(relation):
 
     lhs = []
     for _, n, weight in relation.lhs:
-        lhs.append(f"{coeff_prefix(weight)}c({n})")
+        lhs.append(f"{coeff_prefix(Fraction(weight, relation.scale))}c({n})")
     rhs = []
     for weight, monomial in relation.rhs:
         body = "*".join(
             f"c({v})" if e == 1 else f"c({v})^{e}" for v, e in monomial
         )
-        rhs.append(f"{coeff_prefix(weight)}{body}")
+        rhs.append(f"{coeff_prefix(Fraction(weight, relation.scale))}{body}")
     return " + ".join(lhs).replace("+ -", "- ") + "  =  " + " + ".join(rhs)
 
 

@@ -25,7 +25,7 @@ for vector, mult in simple_roots(3, c).entries:
     print(f"  ({vector.m},{vector.n})  multiplicity {mult}")
 print()
 
-matrix = build_matrix(3, c)
+matrix = build_matrix(3)
 print("block-value Gram matrix over levels -1, 1, 2:")
 for row in matrix:
     print("  " + "\t".join(str(entry) for entry in row))

@@ -112,6 +112,8 @@ class ClassTable:
                 raise ValueError(f"power map {name}^{k} -> {target} references undeclared class")
             if k < 1:
                 raise ValueError(f"power map exponent {k} must be >= 1")
+            if k == 1 and target != name:
+                raise ValueError(f"power map {name}^1 -> {target} must map {name} to itself")
         for name in self.names:
             for r in range(2, self.order_of(name)):
                 self.power_of(name, r)

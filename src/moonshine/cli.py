@@ -29,7 +29,7 @@ from .lattice import (
     denominator_identity_report,
     dimension_product,
     simple_roots,
-    witt_dims,
+    witt_dims_from_char,
 )
 from .modular import normalized_j
 from .recursion import ContradictionError, determinacy_audit, solve_from_seeds
@@ -185,7 +185,17 @@ def _cmd_witt(args) -> int:
     if args.mmax < 1 or args.nmax < 1:
         raise CommandError("window bounds must be >= 1")
     c = normalized_j(args.mmax * args.nmax)
-    dims = witt_dims(args.mmax, args.nmax, c)
+    generators = BiSeries(
+        {
+            (m, n): int(c.coeff(m + n - 1))
+            for m in range(1, args.mmax + 1)
+            for n in range(1, args.nmax + 1)
+        },
+        args.mmax,
+        0,
+        args.nmax,
+    )
+    dims = witt_dims_from_char(generators)
     print(f"command: witt --mmax {args.mmax} --nmax {args.nmax}")
     print("free Lie algebra dimensions:")
     for m in range(1, args.mmax + 1):
@@ -202,16 +212,6 @@ def _cmd_witt(args) -> int:
         print("\t".join(row))
     for m, n, got, expected in mismatches:
         print(f"mismatch\t({m},{n})\t{got}\t{expected}")
-    generators = BiSeries(
-        {
-            (m, n): int(c.coeff(m + n - 1))
-            for m in range(1, args.mmax + 1)
-            for n in range(1, args.nmax + 1)
-        },
-        args.mmax,
-        0,
-        args.nmax,
-    )
     one = BiSeries.one(args.mmax, 0, args.nmax)
     oracle_bad = dimension_product(dims).mismatches(one - generators)
     for i, j, lhs, rhs in oracle_bad:

@@ -109,7 +109,7 @@ def gram_entry(i: int, j: int, c: UniSeries) -> int:
     return gram(expanded_root(i, c), expanded_root(j, c))
 
 
-def build_matrix(count: int, c: UniSeries | None = None) -> list[list[int]]:
+def build_matrix(count: int) -> list[list[int]]:
     """Block-value truncation of the simple-root Gram matrix.
 
     The full matrix has one row per individual simple root and is constant
@@ -117,14 +117,13 @@ def build_matrix(count: int, c: UniSeries | None = None) -> list[list[int]]:
     everything.  Row i here stands for the whole block at level n_i (-1,
     then 1, 2, ...), so entry (i, j) is the value filling block (i, j) of
     the expanded matrix; ``gram_entry`` probes the expanded matrix itself.
-    ``c`` supplies multiplicities and is consulted only to insist that each
-    displayed level actually occurs.
+    The multiplicities of ``normalized_j`` are consulted only to insist that
+    each displayed level actually occurs.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     levels = [-1] + list(range(1, count))
-    if c is None:
-        c = normalized_j(max(levels[-1], 1))
+    c = normalized_j(max(levels[-1], 1))
     for n in levels:
         if root_multiplicity(1, n, c) == 0:
             raise ValueError(f"level {n} has no simple roots")

@@ -9,10 +9,17 @@ target (i,j), one polynomial relation among trace coefficients:
 
 Relations are stored compressed: the right side is grouped by the multiset
 of index values r+s-1, with the count of cell-level decompositions folded
-into an exact rational weight.  This keeps relation sizes around the
-partition count of i+j instead of the (vastly larger) count of cell
-matrices, while remaining term-for-term equivalent to the brute
-enumeration, which is kept alongside as an oracle.
+into one weight.  This keeps relation sizes around the partition count of
+i+j instead of the (vastly larger) count of cell matrices, while remaining
+term-for-term equivalent to the brute enumeration, which is kept alongside
+as an oracle.  The multisets come from one depth-first walk over the
+partitions of i+j (see ``_weight_terms``).
+
+Every relation is stored multiplied by ``scale`` = gcd(i,j), and then all
+its weights are integers.  On the left, 1/k has k | gcd(i,j).  On the
+right, a weight is a count of ordered decompositions into M cells divided
+by M; rotating a decomposition, an orbit of size d repeats a block M/d
+times, so M/d divides gcd(i,j) and each orbit contributes 1/(M/d).
 
 On top of the relations sit three consumers: the Mobius-inverted closed
 form for c_g(ij), a monotone propagation solver that derives coefficients
@@ -21,16 +28,16 @@ and disagreeing derivations are a hard error), and a structural
 determinacy audit that finds which indices are genuinely underivable.
 
 The solver and the audit share one compiled form.  Each relation,
-instantiated at a class, is multiplied by ``scale``, the lcm of its
-coefficient denominators, and moved to one side as integer-weighted
-monomials: (1/k) c_{g^k}(n) on the left becomes the monomial c_{g^k}(n)^1.
-Like monomials are merged once.  The only coincidence possible is a left
-term with the lone right-side c_g(i+j-1), when g^k = g and k >= 2; its net
-weight 1/k - 1 is not zero, so no term vanishes.  The solver's evaluation
-stops at the first monomial with two unknowns, an unknown squared, or a
-second distinct unknown.  That early exit is exact: each of those makes
-the relation pending whatever the remaining terms hold, and only
-non-pending outcomes raise.
+instantiated at a class, is moved to one side as integer-weighted
+monomials: (scale/k) c_{g^k}(n) on the left becomes the monomial
+c_{g^k}(n)^1 with weight scale/k.  Like monomials are merged once.  The
+only coincidence possible is a left term with the lone right-side
+c_g(i+j-1), when g^k = g and k >= 2; its net weight scale*(1/k - 1) is not
+zero, so no term vanishes.  The solver's evaluation stops at the first
+monomial with two unknowns, an unknown squared, or a second distinct
+unknown.  That early exit is exact: each of those makes the relation
+pending whatever the remaining terms hold, and only non-pending outcomes
+raise.
 
 The audit needs no values at all.  Without seeds every coefficient it
 knows is an opaque symbol or a nonconstant polynomial in such symbols, and
@@ -50,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
 from .classes import ClassTable, CoefficientFamily, MissingCoefficients
 
@@ -155,50 +162,26 @@ def vector_partitions(i: int, j: int) -> list[PartitionMatrix]:
 
 @dataclass(frozen=True)
 class Relation:
-    """The coefficient-of-p^i q^j relation, canonicalized to i <= j.
+    """The coefficient-of-p^i q^j relation, canonicalized to i <= j and
+    multiplied by ``scale`` = gcd(i,j), which makes every weight an ``int``.
 
-    ``lhs``: terms (k, n, 1/k) meaning (1/k) * c_{g^k}(n), one per divisor
-    k of gcd(i,j), with n = ij/k^2.
+    ``lhs``: terms (k, n, scale // k) meaning (scale/k) * c_{g^k}(n), one per
+    divisor k of gcd(i,j), with n = ij/k^2.
     ``rhs``: terms (weight, ((v1, e1), (v2, e2), ...)) meaning
     weight * prod c_g(v)^e, already aggregated over all cell decompositions
     sharing the same index-value multiset.
     """
 
     target: tuple[int, int]
-    lhs: tuple[tuple[int, int, Fraction], ...]
-    rhs: tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]
-
-
-def _part_multiplicity_lists(total: int, cap: int) -> list[list[tuple[int, int]]]:
-    """Partitions of ``total`` into parts >= 2 with at most ``cap`` parts,
-    as lists of (part, multiplicity) with parts descending."""
-    results: list[list[tuple[int, int]]] = []
-    parts: list[tuple[int, int]] = []
-
-    def rec(remaining: int, max_part: int, count: int) -> None:
-        if remaining == 0:
-            if parts:
-                results.append(list(parts))
-            return
-        if count == cap or remaining < 2:
-            return
-        for p in range(min(max_part, remaining), 1, -1):
-            for mult in range(1, min(cap - count, remaining // p) + 1):
-                left = remaining - mult * p
-                if left == 1:
-                    continue
-                parts.append((p, mult))
-                rec(left, p - 1, count + mult)
-                parts.pop()
-
-    rec(total, total, 0)
-    return results
+    scale: int
+    lhs: tuple[tuple[int, int, int], ...]
+    rhs: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
 
 
 def _weight_terms(
-    i: int, j: int
-) -> tuple[tuple[Fraction, tuple[tuple[int, int], ...]], ...]:
-    """Compressed right side for target (i,j).
+    i: int, j: int, scale: int
+) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Compressed right side for target (i,j), times ``scale``.
 
     For a fixed multiset of index values v (with multiplicities m_v) the sum
     of (|a|-1)!/a! over all matching cell decompositions collapses to
@@ -207,67 +190,82 @@ def _weight_terms(
 
     where M = sum m_v: distributing each value-v part over its v candidate
     cells (r, v+1-r) is exactly choosing the exponent of x, and the
-    cell-level factorials assemble into the polynomial coefficient.
+    cell-level factorials assemble into the polynomial coefficient.  The
+    multisets are the partitions of i+j into parts p = v+1 >= 2 with at most
+    min(i,j) parts, walked depth first with parts descending.  The walk
+    carries the truncated polynomial and prod m_v!, so partitions sharing a
+    prefix share its work, and it drops a prefix whose remainder cannot be
+    filled by the parts still allowed.  M!/prod(m_v!) * [x^i](...) counts
+    ordered sequences of M cells, so the division by M is exact (see the
+    module docstring).
     """
-    terms: list[tuple[Fraction, tuple[tuple[int, int], ...]]] = []
-    for parts in _part_multiplicity_lists(i + j, min(i, j)):
-        total_mult = sum(m for _, m in parts)
-        base = Fraction(factorial(total_mult - 1))
-        poly = [0] * (i + 1)
-        poly[0] = 1
-        for p, mult in parts:
-            base /= factorial(mult)
-            v = p - 1
-            for _ in range(mult):
-                nxt = [0] * (i + 1)
-                for d, coeff in enumerate(poly):
-                    if coeff == 0:
-                        continue
-                    for step in range(1, min(v, i - d) + 1):
-                        nxt[d + step] += coeff
-                poly = nxt
-        if poly[i] == 0:
-            continue
-        monomial = tuple(sorted((p - 1, m) for p, m in parts))
-        terms.append((base * poly[i], monomial))
+    terms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
+    cap = min(i, j)
+    parts: list[tuple[int, int]] = []  # (v, m_v), v descending
+
+    def walk(remaining: int, max_part: int, count: int, poly: list[int], fact: int) -> None:
+        if remaining == 0:
+            weight = factorial(count) // fact * poly[i] * scale // count
+            terms.append((weight, tuple(reversed(parts))))
+            return
+        for p in range(min(max_part, remaining), 1, -1):
+            if remaining > (cap - count) * p:
+                break  # parts of at most p cannot fill what is left
+            power = poly
+            for mult in range(1, min(cap - count, remaining // p) + 1):
+                run = 0  # power * (x + ... + x^(p-1)), a running sum
+                power = [0] + [
+                    run := run + power[d - 1] - (power[d - p] if d >= p else 0)
+                    for d in range(1, i + 1)
+                ]
+                left = remaining - mult * p
+                if left == 1 or left > (cap - count - mult) * (p - 1):
+                    continue
+                parts.append((p - 1, mult))
+                walk(left, p - 1, count + mult, power, fact * factorial(mult))
+                parts.pop()
+
+    walk(i + j, i + j, 0, [1] + [0] * i, 1)
     terms.sort(key=lambda t: t[1])
     return tuple(terms)
 
 
 def _target_and_lhs(
     i: int, j: int
-) -> tuple[tuple[int, int], tuple[tuple[int, int, Fraction], ...]]:
-    """Canonical target (i <= j) and its left side, one term per common
-    divisor k: (k, ij/k^2, 1/k)."""
+) -> tuple[tuple[int, int], int, tuple[tuple[int, int, int], ...]]:
+    """Canonical target (i <= j), its scale gcd(i,j), and its left side, one
+    term per common divisor k: (k, ij/k^2, scale // k)."""
     if i < 1 or j < 1:
         raise ValueError("target components must be >= 1")
     i, j = min(i, j), max(i, j)
+    scale = gcd(i, j)
     lhs = tuple(
-        (k, (i // k) * (j // k), Fraction(1, k))
-        for k in range(1, gcd(i, j) + 1)
-        if i % k == 0 and j % k == 0
+        (k, (i // k) * (j // k), scale // k)
+        for k in range(1, scale + 1)
+        if scale % k == 0
     )
-    return (i, j), lhs
+    return (i, j), scale, lhs
 
 
 @lru_cache(maxsize=None)
 def coefficient_relation(i: int, j: int) -> Relation:
     """The relation at target (i,j); (i,j) and (j,i) canonicalize equal."""
-    target, lhs = _target_and_lhs(i, j)
-    return Relation(target, lhs, _weight_terms(*target))
+    target, scale, lhs = _target_and_lhs(i, j)
+    return Relation(target, scale, lhs, _weight_terms(*target, scale))
 
 
 def relation_from_partitions(i: int, j: int) -> Relation:
-    """Same relation assembled from the brute cell enumeration (oracle)."""
-    target, lhs = _target_and_lhs(i, j)
+    """Same relation assembled from the brute cell enumeration (oracle);
+    its weights stay ``Fraction``, so a non-integral one compares unequal."""
+    target, scale, lhs = _target_and_lhs(i, j)
     grouped: dict[tuple[tuple[int, int], ...], Fraction] = {}
     for pm in vector_partitions(*target):
         key = pm.index_monomial()
-        grouped[key] = grouped.get(key, Fraction(0)) + pm.weight()
+        grouped[key] = grouped.get(key, Fraction(0)) + pm.weight() * scale
     rhs = tuple(
         sorted(((w, mono) for mono, w in grouped.items() if w), key=lambda t: t[1])
     )
-    return Relation(target, lhs, rhs)
+    return Relation(target, scale, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +280,14 @@ def coefficient_recursion(
     c_g(ij) = sum_{k | gcd(i,j)} (mu(k)/k) *
               sum over decompositions of (i/k, j/k) of
               ((|a|-1)!/a!) prod c_{g^k}(r+s-1)^{a_rs}.
+
+    Layer k reads the relation at (i/k, j/k), whose scale is gcd(i,j)/k,
+    so every layer shares the one denominator k * scale = gcd(i,j).
     """
     if i < 2 or j < 2:
         raise ValueError("closed form needs i, j >= 2")
     missing: list[tuple[str, int]] = []
-    total = Fraction(0)
+    total = 0  # gcd(i,j) * c_g(ij)
     for k in range(1, gcd(i, j) + 1):
         if i % k or j % k:
             continue
@@ -294,9 +295,9 @@ def coefficient_recursion(
         if mu == 0:
             continue
         powered = family.table.power_of(name, k)
-        layer = Fraction(0)
-        for weight, monomial in _weight_terms(i // k, j // k):
-            prod = 1
+        layer = 0
+        for weight, monomial in coefficient_relation(i // k, j // k).rhs:
+            prod = weight
             for v, e in monomial:
                 try:
                     prod *= family.value(powered, v) ** e
@@ -304,15 +305,17 @@ def coefficient_recursion(
                     missing.extend(err.indices)
                     prod = 0
                     break
-            layer += weight * prod
-        total += Fraction(mu, k) * layer
+            layer += prod
+        total += mu * layer
     if missing:
         raise MissingCoefficients(missing)
-    if total.denominator != 1:
+    result, rest = divmod(total, gcd(i, j))
+    if rest:
         raise RuntimeError(
-            f"closed form for c_{name}({i * j}) came out non-integer: {total}"
+            f"closed form for c_{name}({i * j}) came out non-integer: "
+            f"{Fraction(total, gcd(i, j))}"
         )
-    return int(total)
+    return result
 
 
 @dataclass(frozen=True)
@@ -379,9 +382,10 @@ class _Instance:
 
     Each term is (weight, ((key, exponent), ...)) with an ``int`` weight,
     and sum weight * prod value^exponent == ``scale`` * (LHS - RHS), where
-    ``scale`` is the lcm of the relation's coefficient denominators.  Like
-    monomials are merged, and no merged weight is zero (see the module
-    docstring), so every key of the relation occurs in some term.
+    ``scale`` is the relation's own scale, gcd(i,j).  Instantiation only
+    renames index values to keys and merges like monomials; no merged
+    weight is zero (see the module docstring), so every key of the
+    relation occurs in some term.
     """
 
     name: str
@@ -395,19 +399,14 @@ class _Instance:
 
 
 def _instantiate(table: ClassTable, relation: Relation, name: str) -> _Instance:
-    scale = lcm(
-        *(c.denominator for _, _, c in relation.lhs),
-        *(w.denominator for w, _ in relation.rhs),
-    )
     merged: dict[tuple[tuple[tuple[str, int], int], ...], int] = {}
-    for k, n, c in relation.lhs:  # distinct keys: n = ij/k^2 differs per k
-        mono = (((table.power_of(name, k), n), 1),)
-        merged[mono] = c.numerator * (scale // c.denominator)
+    for k, n, w in relation.lhs:  # distinct keys: n = ij/k^2 differs per k
+        merged[(((table.power_of(name, k), n), 1),)] = w
     for w, indices in relation.rhs:
         mono = tuple(((name, v), e) for v, e in indices)
-        merged[mono] = merged.get(mono, 0) - w.numerator * (scale // w.denominator)
+        merged[mono] = merged.get(mono, 0) - w
     return _Instance(
-        name, relation.target, scale, tuple((w, m) for m, w in merged.items())
+        name, relation.target, relation.scale, tuple((w, m) for m, w in merged.items())
     )
 
 
@@ -465,7 +464,6 @@ def _evaluate(inst: _Instance, values: dict):
 class SolveResult:
     """Everything the propagation run learned."""
 
-    family: CoefficientFamily
     values: dict[tuple[str, int], int]
     unresolved: tuple[tuple[str, int], ...]
     provenance: dict[tuple[str, int], tuple[str, tuple[int, int], int]]
@@ -561,13 +559,6 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
                 f"{key[0]}({key[1]}) solved to non-integer {_show(value)}"
             )
         clean[key] = int(value)
-    family_values: dict[str, dict[int, int]] = {}
-    for name in table.names:
-        vals = {-1: 1, 0: 0}
-        for (g, n), v in clean.items():
-            if g == name:
-                vals[n] = v
-        family_values[name] = vals
     unresolved = tuple(
         (name, n)
         for name in table.names
@@ -575,7 +566,6 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
         if (name, n) not in clean
     )
     return SolveResult(
-        family=CoefficientFamily(table, family_values, nmax),
         values=clean,
         unresolved=unresolved,
         provenance=provenance,

@@ -89,6 +89,14 @@ class TestParsing:
         with pytest.raises(ValueError, match="not closed"):
             parse_table_text("class 1A order 1\nclass 6X order 6\nidentity 1A\n")
 
+    def test_first_power_maps_a_class_to_itself(self, catalog_table):
+        # g^1 = g; a k = 1 entry naming another class would make every
+        # command read that class's column as g's own
+        with pytest.raises(ValueError, match=r"2B\^1 -> 1A must map 2B to itself"):
+            parse_table_text(serialize_table(catalog_table) + "power 2B 1 1A\n")
+        table = parse_table_text(serialize_table(catalog_table) + "power 2B 1 2B\n")
+        assert table.power_of("2B", 1) == "2B"
+
 
 class TestPowerMap:
     def test_mod_reduction(self, catalog_table):

@@ -198,6 +198,26 @@ class TestCompare:
         assert "conflicts" in err
 
 
+class TestFirstPowerMap:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derive", "--max", "12"),
+            ("compare", "--max", "12"),
+            ("verify-ep", "--class", "2B", "--imax", "4", "--jmax", "4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_other_class_is_an_input_error(self, run, tmp_path, catalog_text, argv):
+        path = tmp_path / "badfirstpower.mtf"
+        path.write_text(catalog_text + "\npower 2B 1 1A\n")
+        code, out, err = run(argv[0], "--table", str(path), *argv[1:])
+        assert code == 2
+        assert err.startswith("error:")
+        assert "2B^1 -> 1A" in err
+        assert "VERDICT" not in out
+
+
 class TestWitt:
     def test_grid_and_oracle(self, run):
         code, out, _ = run("witt", "--mmax", "3", "--nmax", "3")

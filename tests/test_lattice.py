@@ -109,18 +109,18 @@ class TestMatrix:
         assert build_matrix(2) == [[2, 0], [0, -2]]
 
     def test_block_values(self, c25):
-        m = build_matrix(3, c25)
+        m = build_matrix(3)
         assert m == [[2, 0, -1], [0, -2, -3], [-1, -3, -4]]
 
     def test_blocks_agree_with_expanded_probes(self, c25):
-        m = build_matrix(3, c25)
+        m = build_matrix(3)
         # indices 0, 1, 196885 land in the blocks for levels -1, 1, 2
         for bi, ri in enumerate((0, 1, 196885)):
             for bj, rj in enumerate((0, 1, 196885)):
                 assert m[bi][bj] == gram_entry(ri, rj, c25)
 
     def test_conditions_hold_for_built_matrix(self, c25):
-        report = cartan_conditions(build_matrix(4, c25))
+        report = cartan_conditions(build_matrix(4))
         assert report.ok
         assert report.violations == ()
 

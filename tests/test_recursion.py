@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -114,9 +114,11 @@ class TestPartitionEnumeration:
 
 class TestRelations:
     def test_compressed_equals_enumerated(self):
-        for i in range(1, 7):
-            for j in range(i, 7):
-                assert coefficient_relation(i, j) == relation_from_partitions(i, j)
+        # the thin targets are where the part cap min(i,j) and the walk's
+        # pruning bind
+        targets = [(i, j) for i in range(1, 10) for j in range(i, 10)]
+        for i, j in targets + [(2, 40), (3, 30), (4, 20)]:
+            assert coefficient_relation(i, j) == relation_from_partitions(i, j)
 
     def test_symmetry(self):
         assert coefficient_relation(6, 2) == coefficient_relation(2, 6)
@@ -125,20 +127,22 @@ class TestRelations:
     def test_2_2_shape(self):
         rel = coefficient_relation(2, 2)
         assert rel.target == (2, 2)
-        assert rel.lhs == ((1, 4, Fraction(1)), (2, 1, Fraction(1, 2)))
+        assert rel.scale == 2
+        assert rel.lhs == ((1, 4, 2), (2, 1, 1))
         assert dict((m, w) for w, m in rel.rhs) == {
-            ((3, 1),): 1,
-            ((1, 2),): Fraction(1, 2),
+            ((3, 1),): 2,
+            ((1, 2),): 1,
         }
 
     def test_2_6_shape(self):
         rel = coefficient_relation(2, 6)
-        assert rel.lhs == ((1, 12, Fraction(1)), (2, 3, Fraction(1, 2)))
+        assert rel.scale == 2
+        assert rel.lhs == ((1, 12, 2), (2, 3, 1))
         assert dict((m, w) for w, m in rel.rhs) == {
-            ((7, 1),): 1,
-            ((1, 1), (5, 1)): 1,
-            ((2, 1), (4, 1)): 1,
-            ((3, 2),): Fraction(1, 2),
+            ((7, 1),): 2,
+            ((1, 1), (5, 1)): 2,
+            ((2, 1), (4, 1)): 2,
+            ((3, 2),): 1,
         }
 
     def test_axis_targets_are_tautologies(self):
@@ -150,7 +154,7 @@ class TestRelations:
     def test_lhs_divisor_structure(self):
         rel = coefficient_relation(6, 4)
         assert [(k, n) for k, n, _ in rel.lhs] == [(1, 24), (2, 6)]
-        assert all(coeff == Fraction(1, k) for k, _, coeff in rel.lhs)
+        assert all(weight == rel.scale // k for k, _, weight in rel.lhs)
         rel = coefficient_relation(6, 6)
         assert [k for k, _, _ in rel.lhs] == [1, 2, 3, 6]
         assert [n for _, n, _ in rel.lhs] == [36, 9, 4, 1]
@@ -158,12 +162,11 @@ class TestRelations:
     @given(st.integers(1, 9), st.integers(1, 9))
     @settings(deadline=None)
     def test_lcm_clearing_gives_integers(self, i, j):
+        # the lcm of the 1/k and the right-side denominators is gcd(i,j)
         rel = coefficient_relation(i, j)
-        clear = lcm(*(k for k, _, _ in rel.lhs)) if gcd(i, j) > 1 else 1
-        for _, _, coeff in rel.lhs:
-            assert (clear * coeff).denominator == 1
-        for weight, _ in rel.rhs:
-            assert (clear * weight).denominator == 1
+        assert rel.scale == gcd(i, j)
+        assert all(type(weight) is int for _, _, weight in rel.lhs)
+        assert all(type(weight) is int for weight, _ in rel.rhs)
 
     def test_rejects_nonpositive_targets(self):
         with pytest.raises(ValueError):
@@ -352,9 +355,12 @@ class TestAudit:
 
 
 def _two_sided(table, name, relation):
-    lhs = tuple(((table.power_of(name, k), n), coeff) for k, n, coeff in relation.lhs)
+    lhs = tuple(
+        ((table.power_of(name, k), n), Fraction(weight, relation.scale))
+        for k, n, weight in relation.lhs
+    )
     rhs = tuple(
-        (weight, tuple(((name, v), e) for v, e in monomial))
+        (Fraction(weight, relation.scale), tuple(((name, v), e) for v, e in monomial))
         for weight, monomial in relation.rhs
     )
     return lhs, rhs

@@ -1,0 +1,48 @@
+"""Recursion-layer commands reproduce the benchmark's recorded outputs.
+
+``perfbench/reference.json`` holds the exit code and stdout SHA-256 of
+every command the benchmark can emit, recorded from a commit whose outputs
+are known to be right.  This replays its derive, compare and audit
+commands in-process against the same generated tables, so a change to the
+relations, the solver or the audit that moves a single byte of stdout
+fails here.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from moonshine.cli import main
+
+_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
+workloads = importlib.util.module_from_spec(_SPEC)
+sys.modules[_SPEC.name] = workloads  # dataclasses look their module up here
+_SPEC.loader.exec_module(workloads)
+
+WORKLOADS = ("derive", "audit")
+COMMANDS = [command for name in WORKLOADS for command in workloads.domain(name)]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return workloads.load_reference()
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("tables")
+    for name in WORKLOADS:
+        workloads.write_tables(name, directory)
+    return directory
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command.key)
+def test_matches_reference(command, reference, table_dir, capsys):
+    code = main(command.argv_for(table_dir))
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert (code, workloads.digest(stdout)) == reference[command.key]
