@@ -6,14 +6,14 @@ one exit-code contract: 0 when the run passed, 1 when a verification found
 a mismatch or contradiction, 2 on input errors (bad flags, unreadable or
 malformed tables, missing coefficients), 3 on an internal error (a failed
 self-check or a bug; no verdict is printed).  Verification commands end
-with a greppable ``VERDICT: PASS`` or ``VERDICT: FAIL`` line.
+with a greppable ``VERDICT: PASS`` or ``VERDICT: FAIL`` line.  Warnings
+about a table's power maps go to stderr as ``warning:`` lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from importlib import resources
 
 from .classes import (
@@ -33,7 +33,7 @@ from .lattice import (
 )
 from .modular import normalized_j
 from .recursion import ContradictionError, determinacy_audit, solve_from_seeds
-from .series import BiSeries
+from .series import BiSeries, format_coeff
 
 __all__ = ["main", "entry"]
 
@@ -43,14 +43,6 @@ FAIL_LINE = "VERDICT: FAIL"
 
 class CommandError(Exception):
     """Input problem: bad bounds, unreadable table, missing data.  Exit 2."""
-
-
-def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
 
 
 def _load_table(path: str | None) -> ClassTable:
@@ -65,9 +57,12 @@ def _load_table(path: str | None) -> ClassTable:
         except OSError as err:
             raise CommandError(f"cannot read table file: {err}") from None
     try:
-        return parse_table_text(text)
+        table = parse_table_text(text)
     except ValueError as err:
         raise CommandError(str(err)) from None
+    for warning in table.consistency_warnings():
+        print(f"warning: {warning}", file=sys.stderr)
+    return table
 
 
 def _family(table: ClassTable, order: int):
@@ -86,7 +81,7 @@ def _cmd_jexpand(args) -> int:
         raise CommandError("order must be >= -1")
     c = normalized_j(args.order)
     for n in range(-1, args.order + 1):
-        print(f"{n}\t{_fmt(c.coeff(n))}")
+        print(f"{n}\t{format_coeff(c.coeff(n))}")
     return 0
 
 
@@ -97,7 +92,7 @@ def _cmd_verify_product(args) -> int:
     print(f"command: verify-product --pmax {args.pmax} --qmax {args.qmax}")
     print(f"window: p 0..{report.pmax}, q {report.qmin}..{report.qmax}")
     for i, j, lhs, rhs in report.mismatches:
-        print(f"mismatch\tp^{i} q^{j}\t{_fmt(lhs)}\t{_fmt(rhs)}")
+        print(f"mismatch\tp^{i} q^{j}\t{format_coeff(lhs)}\t{format_coeff(rhs)}")
     print(PASS_LINE if report.ok else FAIL_LINE)
     return 0 if report.ok else 1
 
@@ -119,7 +114,7 @@ def _cmd_verify_ep(args) -> int:
     )
     print(f"window: p 1..{args.imax}, q 1..{args.jmax}")
     for i, j, lhs, rhs in report.mismatches:
-        print(f"mismatch\t({i},{j})\t{_fmt(lhs)}\t{_fmt(rhs)}")
+        print(f"mismatch\t({i},{j})\t{format_coeff(lhs)}\t{format_coeff(rhs)}")
     print(PASS_LINE if report.ok else FAIL_LINE)
     return 0 if report.ok else 1
 
@@ -175,6 +170,7 @@ def _cmd_compare(args) -> int:
         shown = "underived" if derived is None else str(derived)
         print(f"difference\t{name}({n})\tderived {shown}\texpansion {expansion}")
     if differences:
+        print(f"differences: {len(differences)}")
         name, n, _, _ = differences[0]
         print(f"first differing index: {name}({n})")
     print(PASS_LINE if not differences else FAIL_LINE)
@@ -215,7 +211,7 @@ def _cmd_witt(args) -> int:
     one = BiSeries.one(args.mmax, 0, args.nmax)
     oracle_bad = dimension_product(dims).mismatches(one - generators)
     for i, j, lhs, rhs in oracle_bad:
-        print(f"oracle mismatch\t({i},{j})\t{_fmt(lhs)}\t{_fmt(rhs)}")
+        print(f"oracle mismatch\t({i},{j})\t{format_coeff(lhs)}\t{format_coeff(rhs)}")
     ok = not mismatches and not oracle_bad
     print(PASS_LINE if ok else FAIL_LINE)
     return 0 if ok else 1

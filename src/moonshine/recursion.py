@@ -27,25 +27,24 @@ from seed data (every derived value carries the relation that produced it,
 and disagreeing derivations are a hard error), and a structural
 determinacy audit that finds which indices are genuinely underivable.
 
-The solver and the audit share one compiled form.  Each relation,
-instantiated at a class, is moved to one side as integer-weighted
-monomials: (scale/k) c_{g^k}(n) on the left becomes the monomial
-c_{g^k}(n)^1 with weight scale/k.  Like monomials are merged once.  The
-only coincidence possible is a left term with the lone right-side
-c_g(i+j-1), when g^k = g and k >= 2; its net weight scale*(1/k - 1) is not
-zero, so no term vanishes.  The solver's evaluation stops at the first
-monomial with two unknowns, an unknown squared, or a second distinct
-unknown.  That early exit is exact: each of those makes the relation
-pending whatever the remaining terms hold, and only non-pending outcomes
-raise.
+The solver and the audit share each cached relation across classes: it
+reads the same at every class g, and only its columns change, c_g on the
+right and c_{g^k} on the left.  An instance is a class, the relation and
+the classes g^k of its left terms; known values live in one {index: value}
+dict per class.  Terms are read one by one, never combined, which is exact
+term by term.  A key has two lone linear occurrences only when g^k = g
+(k >= 2) and ij/k^2 = i+j-1, the lone right-side c_g(i+j-1) (1A and 3B at
+(6,10) in the catalog); their weights scale/k and -scale add up to
+scale*(1/k - 1) != 0, so such a key never cancels.  The solver's early
+exit is exact as well (see ``_evaluate``).
 
 The audit needs no values at all.  Without seeds every coefficient it
 knows is an opaque symbol or a nonconstant polynomial in such symbols, and
 a product of nonconstant polynomials is never constant.  So a relation
-whose other keys are all known pins key u exactly when u occurs only on
-the left side or as a lone c(u)^1 monomial on the right, with nonzero net
-coefficient; any monomial sharing u with another key would put a symbol
-in u's coefficient.  That static test turns each relation into Horn
+whose other keys are all known pins key u exactly when every occurrence
+of u is a lone c(u)^1 monomial (left terms always are), since those never
+cancel; any monomial sharing u with another key would put a symbol in u's
+coefficient.  That static test turns each relation into Horn
 clauses "other keys known => u known", and forward chaining to a fixpoint
 (Dowling & Gallier 1984) gives the same closure in any firing order.  The
 one case this misses is a derived polynomial that cancels to a constant;
@@ -60,6 +59,7 @@ from functools import lru_cache
 from math import factorial, gcd
 
 from .classes import ClassTable, CoefficientFamily, MissingCoefficients
+from .series import format_coeff
 
 __all__ = [
     "mobius",
@@ -365,94 +365,68 @@ def recursion_cross_check(
 class ContradictionError(Exception):
     """Two derivations (or a seed and a derivation) disagree."""
 
-    def __init__(self, message: str):
-        super().__init__(message)
+
+def _describe(name: str, relation: Relation) -> str:
+    i, j = relation.target
+    return f"relation ({i},{j}) at class {name}"
 
 
-def _show(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _evaluate(name: str, relation: Relation, powers: tuple[str, ...], values: dict):
+    """Classify the relation at class ``name`` against current knowledge.
 
-
-@dataclass(frozen=True)
-class _Instance:
-    """One relation instantiated at one class, compiled to integer terms.
-
-    Each term is (weight, ((key, exponent), ...)) with an ``int`` weight,
-    and sum weight * prod value^exponent == ``scale`` * (LHS - RHS), where
-    ``scale`` is the relation's own scale, gcd(i,j).  Instantiation only
-    renames index values to keys and merges like monomials; no merged
-    weight is zero (see the module docstring), so every key of the
-    relation occurs in some term.
-    """
-
-    name: str
-    target: tuple[int, int]
-    scale: int
-    terms: tuple[tuple[int, tuple[tuple[tuple[str, int], int], ...]], ...]
-
-    def describe(self) -> str:
-        i, j = self.target
-        return f"relation ({i},{j}) at class {self.name}"
-
-
-def _instantiate(table: ClassTable, relation: Relation, name: str) -> _Instance:
-    merged: dict[tuple[tuple[tuple[str, int], int], ...], int] = {}
-    for k, n, w in relation.lhs:  # distinct keys: n = ij/k^2 differs per k
-        merged[(((table.power_of(name, k), n), 1),)] = w
-    for w, indices in relation.rhs:
-        mono = tuple(((name, v), e) for v, e in indices)
-        merged[mono] = merged.get(mono, 0) - w
-    return _Instance(
-        name, relation.target, relation.scale, tuple((w, m) for m, w in merged.items())
-    )
-
-
-def _evaluate(inst: _Instance, values: dict):
-    """Classify an instantiated relation against current knowledge.
-
-    Returns ("verified", None), ("pending", None), or
-    ("fire", (key, solved_value)), the value an ``int`` when integral; a
-    violated relation raises ContradictionError.  One pass over the
-    compiled terms accumulates the known part and the unknown's
-    coefficient, both scaled by ``inst.scale``.  It returns pending at the
-    first monomial with two unknowns, an unknown squared or a second
+    ``powers`` names the class g^k of each left term, and ``values`` holds
+    one {index: value} dict per class.  Returns ("verified", None),
+    ("pending", None), or ("fire", (key, solved_value)), the value an
+    ``int`` when integral; a violated relation raises ContradictionError.
+    One loop over the left terms with weight +w, then one over the right
+    with weight -w, accumulates the known part and the unknown's
+    coefficient, both scaled by ``relation.scale``.  It returns pending at
+    the first monomial with two unknowns, an unknown squared or a second
     distinct unknown: each of those leaves the relation pending whatever
-    the other terms hold, so stopping early changes no outcome.
+    the other terms hold, so stopping early changes no outcome.  A key met
+    twice is one unknown whose two weights add (see the module docstring).
     """
     const = 0  # known part of scale * (LHS - RHS)
     coeff = 0  # scaled coefficient of the one linear unknown
     unknown = None
-    for weight, monomial in inst.terms:
-        prod = weight
+    for (_, n, weight), g in zip(relation.lhs, powers):
+        column = values[g]
+        if n in column:
+            const += weight * column[n]
+        elif unknown is not None:  # left keys are distinct: n differs per k
+            return "pending", None
+        else:
+            unknown = (g, n)
+            coeff += weight
+    column = values[name]
+    for weight, monomial in relation.rhs:
+        prod = -weight
         here = None
-        for key, exp in monomial:
-            if key in values:
-                prod *= values[key] ** exp
-            elif here is not None or exp > 1 or unknown not in (None, key):
+        for v, exp in monomial:
+            if v in column:
+                prod *= column[v] ** exp
+            elif here is not None or exp > 1 or unknown not in (None, (name, v)):
                 return "pending", None
             else:
-                here = key
+                here = v
         if here is None:
             const += prod
         else:
-            unknown = here
+            unknown = (name, here)
             coeff += prod
 
     if unknown is None:
         if const != 0:
             raise ContradictionError(
-                f"{inst.describe()} is violated: sides differ by "
-                f"{_show(Fraction(const, inst.scale))}"
+                f"{_describe(name, relation)} is violated: sides differ by "
+                f"{format_coeff(Fraction(const, relation.scale))}"
             )
         return "verified", None
     if coeff == 0:
         if const != 0:
             raise ContradictionError(
-                f"{inst.describe()} cannot hold: {unknown} cancels but sides "
-                f"differ by {_show(Fraction(const, inst.scale))}"
+                f"{_describe(name, relation)} cannot hold: {unknown} cancels but "
+                f"sides differ by {format_coeff(Fraction(const, relation.scale))}"
             )
         return "verified", None  # tautology on this unknown
     # const + coeff * unknown = 0
@@ -486,16 +460,22 @@ def _relation_targets(nmax: int) -> list[tuple[int, int]]:
     return out
 
 
-def _instances(table: ClassTable, nmax: int) -> list[_Instance]:
-    """Every relation target for ``nmax``, instantiated at every class."""
-    return [
-        _instantiate(table, coefficient_relation(i, j), name)
-        for name in table.names
-        for (i, j) in _relation_targets(nmax)
-    ]
+def _instances(
+    table: ClassTable, nmax: int
+) -> list[tuple[str, Relation, tuple[str, ...]]]:
+    """Every relation target for ``nmax`` at every class, as (class,
+    relation, the class g^k of each left term).  Each relation comes from
+    the cache, so all classes share one copy."""
+    instances = []
+    for name in table.names:
+        for i, j in _relation_targets(nmax):
+            relation = coefficient_relation(i, j)
+            powers = tuple(table.power_of(name, k) for k, _, _ in relation.lhs)
+            instances.append((name, relation, powers))
+    return instances
 
 
-def _run_passes(instances: list[_Instance], values: dict, provenance: dict) -> int:
+def _run_passes(instances: list, values: dict, provenance: dict) -> int:
     """Fixpoint loop; returns the number of passes that derived something.
 
     All firings in a pass are evaluated against the values the pass started
@@ -507,30 +487,32 @@ def _run_passes(instances: list[_Instance], values: dict, provenance: dict) -> i
     while True:
         passno += 1
         fired: dict[tuple[str, int], tuple] = {}
-        keep: list[_Instance] = []
+        keep = []
         for inst in pending:
-            state, payload = _evaluate(inst, values)
+            state, payload = _evaluate(*inst, values)
             if state == "verified":
                 continue
             if state == "fire":
                 key, solved = payload
+                name, relation, _ = inst
                 if key in fired:
-                    prior_value, prior_inst = fired[key]
+                    prior_value, prior_name, prior_relation = fired[key]
                     if prior_value != solved:
                         raise ContradictionError(
                             f"{key[0]}({key[1]}) derived twice with different "
-                            f"values: {_show(prior_value)} from {prior_inst.describe()} "
-                            f"vs {_show(solved)} from {inst.describe()}"
+                            f"values: {format_coeff(prior_value)} from "
+                            f"{_describe(prior_name, prior_relation)} vs "
+                            f"{format_coeff(solved)} from {_describe(name, relation)}"
                         )
                 else:
-                    fired[key] = (solved, inst)
+                    fired[key] = (solved, name, relation)
                 continue  # satisfied by the value it just produced
             keep.append(inst)
         if not fired:
             return passno - 1
-        for key, (solved, inst) in fired.items():
-            values[key] = solved
-            provenance[key] = (inst.name, inst.target, passno)
+        for (g, n), (solved, name, relation) in fired.items():
+            values[g][n] = solved
+            provenance[(g, n)] = (name, relation.target, passno)
         pending = keep
 
 
@@ -545,32 +527,28 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    values: dict[tuple[str, int], int | Fraction] = {}
+    values: dict[str, dict[int, int | Fraction]] = {name: {} for name in table.orders}
     for (name, n), value in table.seeds.items():
-        if name not in table.orders:
+        if name not in values:
             raise ValueError(f"seed for undeclared class {name!r}")
-        values[(name, n)] = value
+        values[name][n] = value
     provenance: dict[tuple[str, int], tuple[str, tuple[int, int], int]] = {}
     passes = _run_passes(_instances(table, nmax), values, provenance)
     clean: dict[tuple[str, int], int] = {}
-    for key, value in values.items():
+    for name, n in [*table.seeds, *provenance]:  # seeds, then derivation order
+        value = values[name][n]
         if Fraction(value).denominator != 1:
             raise ContradictionError(
-                f"{key[0]}({key[1]}) solved to non-integer {_show(value)}"
+                f"{name}({n}) solved to non-integer {format_coeff(value)}"
             )
-        clean[key] = int(value)
+        clean[(name, n)] = int(value)
     unresolved = tuple(
         (name, n)
         for name in table.names
         for n in range(1, nmax + 1)
         if (name, n) not in clean
     )
-    return SolveResult(
-        values=clean,
-        unresolved=unresolved,
-        provenance=provenance,
-        passes=passes,
-    )
+    return SolveResult(clean, unresolved, provenance, passes)
 
 
 @dataclass(frozen=True)
@@ -584,22 +562,36 @@ class AuditReport:
         return tuple(n for g, n in self.introduced if g == name)
 
 
-def _horn_clauses(
-    inst: _Instance,
-) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]]]:
-    """All keys of an instance, and the keys it pins once the rest are known.
+@lru_cache(maxsize=None)
+def _right_indices(i: int, j: int) -> tuple[frozenset[int], frozenset[int]]:
+    """The right-side indices of the relation at (i,j), and those among
+    them that occur outside a lone c(v)^1 monomial; the same at every class."""
+    rhs = coefficient_relation(i, j).rhs
+    indices = frozenset(v for _, mono in rhs for v, _ in mono)
+    tangled = frozenset(
+        v for _, mono in rhs if len(mono) > 1 or mono[0][1] > 1 for v, _ in mono
+    )
+    return indices, tangled
 
-    A key is pinned when its only monomial is a lone c(u)^1; merged
-    weights are never zero, so that occurrence cannot cancel.
+
+def _horn_clauses(
+    name: str, relation: Relation, powers: tuple[str, ...]
+) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]]]:
+    """All keys of the relation at class ``name``, and the keys it pins
+    once the rest are known.
+
+    A key is pinned when every occurrence is a lone c(u)^1 monomial (left
+    terms always are); two such occurrences never cancel (see the module
+    docstring).
     """
-    seen: dict[tuple[str, int], int] = {}
-    lone: list[tuple[str, int]] = []
-    for _, monomial in inst.terms:
-        for key, _ in monomial:
-            seen[key] = seen.get(key, 0) + 1
-        if len(monomial) == 1 and monomial[0][1] == 1:
-            lone.append(monomial[0][0])
-    return frozenset(seen), frozenset(k for k in lone if seen[k] == 1)
+    indices, tangled = _right_indices(*relation.target)
+    keys = {(name, v) for v in indices}
+    pinned = {(name, v) for v in indices - tangled}
+    for (_, n, _), g in zip(relation.lhs, powers):
+        keys.add((g, n))
+        if g != name or n not in tangled:
+            pinned.add((g, n))
+    return frozenset(keys), frozenset(pinned)
 
 
 def determinacy_audit(table: ClassTable, nmax: int) -> AuditReport:
@@ -622,7 +614,7 @@ def determinacy_audit(table: ClassTable, nmax: int) -> AuditReport:
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     order = {name: idx for idx, name in enumerate(table.names)}
-    clauses = [_horn_clauses(inst) for inst in _instances(table, nmax)]
+    clauses = [_horn_clauses(*inst) for inst in _instances(table, nmax)]
     known: set[tuple[str, int]] = set()
     introduced: list[tuple[str, int]] = []
     while True:

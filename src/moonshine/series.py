@@ -25,7 +25,16 @@ from typing import Iterable, Mapping
 
 Coeff = int | Fraction
 
-__all__ = ["Coeff", "UniSeries", "BiSeries"]
+__all__ = ["Coeff", "format_coeff", "UniSeries", "BiSeries"]
+
+
+def format_coeff(value: Coeff) -> str:
+    """An exact number as text: an integer as is, a fraction as num/den."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    return str(value)
 
 
 def _norm(value: Coeff) -> Coeff:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,27 @@ from moonshine import cli
 from moonshine.cli import main
 
 SEEDLESS = "class 1A order 1\nidentity 1A\n"
+DATA = Path(__file__).resolve().parent / "data"
+
+# 1A seeds and a 2B recipe, but no 2B seeds: every 2B index stays underived
+UNSEEDED_2B = """\
+class 1A order 1
+class 2B order 2
+identity 1A
+eta 2B 1 1:24 2:-24
+seed 1A 1 196884
+seed 1A 2 21493760
+seed 1A 3 864299970
+seed 1A 5 333202640600
+"""
+
+# what ``power 2B 2 2B`` on the catalog breaks: the order law and two
+# composition laws
+BADPOWER_WARNINGS = [
+    "warning: order(2B^2) = 2, expected 1",
+    "warning: (2B^2)^2 = 2B but 2B^4 = 1A",
+    "warning: (4C^2)^2 = 2B but 4C^4 = 1A",
+]
 
 # order-2 class carrying correct eta-quotient data except at index 4
 CORRUPTED_SEED = """\
@@ -190,12 +212,92 @@ class TestCompare:
         assert "derived twice" in lines[1]
         assert lines[-1] == "VERDICT: FAIL"
 
+    def test_listing_ends_with_total(self, run, tmp_path):
+        path = tmp_path / "unseeded.mtf"
+        path.write_text(UNSEEDED_2B)
+        code, out, _ = run("compare", "--table", str(path), "--max", "30")
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split("\t")[1] for line in lines[1:11]] == [
+            f"2B({n})" for n in range(1, 11)
+        ]
+        assert lines[11:] == [
+            "differences: 30",
+            "first differing index: 2B(1)",
+            "VERDICT: FAIL",
+        ]
+
     def test_conflicting_seed_is_an_input_error(self, run, tmp_path, catalog_text):
         path = tmp_path / "conflict.mtf"
         path.write_text(catalog_text + "\nseed 2B 4 -49151\n")
         code, _, err = run("compare", "--table", str(path))
         assert code == 2
         assert "conflicts" in err
+
+
+class TestPowerMapWarnings:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("derive", "--max", "12"),
+            ("compare", "--max", "12"),
+            ("verify-ep", "--class", "2B", "--imax", "4", "--jmax", "4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_bad_power_map_warns_on_stderr(self, run, badpower_table, argv):
+        code, out, err = run(argv[0], "--table", badpower_table, *argv[1:])
+        assert code == 1
+        assert err.splitlines() == BADPOWER_WARNINGS
+        assert "warning" not in out
+        assert out.splitlines()[-1] == "VERDICT: FAIL"
+
+    def test_stdout_is_unchanged(self, run, badpower_table):
+        _, out, _ = run("compare", "--table", badpower_table, "--max", "12")
+        assert out == (
+            "command: compare --max 12\n"
+            "contradiction: 2B(7) derived twice with different values: "
+            "-201706113 from relation (2,6) at class 2B vs 7963727 from "
+            "relation (2,9) at class 2B\n"
+            "VERDICT: FAIL\n"
+        )
+
+    def test_catalog_has_none(self, run):
+        code, _, err = run("derive", "--max", "4")
+        assert code == 0
+        assert err == ""
+
+
+class TestOrderFivePowerMap:
+    """5B = eta(tau)^6/eta(5 tau)^6, where the relations read g^5."""
+
+    def test_table_passes(self, run):
+        table = str(DATA / "eta5.mtf")
+        code, out, err = run("compare", "--table", table, "--max", "30")
+        assert (code, out.splitlines()[-1], err) == (0, "VERDICT: PASS", "")
+        code, out, _ = run("verify-ep", "--table", table, "--class", "5B")
+        assert out.splitlines()[:2] == [
+            "command: verify-ep --class 5B --imax 8 --jmax 8",
+            "window: p 1..8, q 1..8",
+        ]
+        assert (code, out.splitlines()[-1]) == (0, "VERDICT: PASS")
+        code, out, _ = run("derive", "--table", table, "--audit", "--max", "30")
+        assert code == 0
+        assert out.splitlines() == ["unresolved 1A: 1 2 3 5", "unresolved 5B: 1 2 3 5"]
+
+    @pytest.mark.parametrize("command", ["derive", "compare"])
+    def test_fifth_power_in_its_own_class_contradicts(self, run, command):
+        table = str(DATA / "eta5_badpower.mtf")
+        code, out, err = run(command, "--table", table, "--max", "30")
+        assert code == 1
+        assert (
+            "contradiction: 5B(23) derived twice with different values: -16180 "
+            "from relation (2,22) at class 5B vs -20555 from relation (2,24) "
+            "at class 5B"
+        ) in out.splitlines()
+        assert out.splitlines()[-1] == "VERDICT: FAIL"
+        assert "warning: order(5B^5) = 5, expected 1" in err.splitlines()
+        assert all(line.startswith("warning: ") for line in err.splitlines())
 
 
 class TestFirstPowerMap:

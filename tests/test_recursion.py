@@ -18,7 +18,6 @@ from moonshine.recursion import (
     _horn_clauses,
     _instances,
     _relation_targets,
-    _show,
     coefficient_recursion,
     coefficient_relation,
     determinacy_audit,
@@ -29,6 +28,7 @@ from moonshine.recursion import (
     vector_partitions,
 )
 from moonshine.series import BiSeries
+from moonshine.series import format_coeff as _show
 
 J_SEEDS = {
     ("1A", 1): 196884,
@@ -278,6 +278,19 @@ class TestSolver:
         with pytest.raises(ContradictionError, match="non-integer"):
             solve_from_seeds(table_1a(seeds=seeds), 4)
 
+    def test_non_integer_check_scans_seeds_first(self):
+        # seeds in table order, then derived keys in derivation order: the
+        # derived c(4) = c(3) + c(1)(c(1) - 1)/2 = 1/3 is not named first
+        seeds = {
+            ("1A", 1): 0,
+            ("1A", 3): Fraction(1, 3),
+            ("1A", 2): Fraction(1, 2),
+            ("1A", 5): 0,
+        }
+        with pytest.raises(ContradictionError) as excinfo:
+            solve_from_seeds(table_1a(seeds=seeds), 4)
+        assert str(excinfo.value) == "1A(3) solved to non-integer 1/3"
+
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
             solve_from_seeds(table_1a(), 0)
@@ -350,7 +363,7 @@ class TestAudit:
 
 
 # ---------------------------------------------------------------------------
-# oracles for the compiled instances: the relation read in its two-sided
+# oracles for the solver's instances: the relation read in its two-sided
 # Fraction form, straight from ``Relation``
 
 
@@ -443,17 +456,21 @@ def _outcome(evaluate, *args):
         return "contradiction", str(err)
 
 
-def _merges(inst):
-    relation = coefficient_relation(*inst.target)
-    return len(inst.terms) < len(relation.lhs) + len(relation.rhs)
+def _meets_lone_right(inst):
+    """A left term at g^k = g whose key is the lone right-side c_g(i+j-1)."""
+    name, relation, powers = inst
+    i, j = relation.target
+    return any(
+        g == name and n == i + j - 1 for (_, n, _), g in zip(relation.lhs, powers)
+    )
 
 
 @pytest.fixture(scope="module")
 def catalog_instances(catalog_table):
     """Every catalog instance to nmax 12, plus those to nmax 30 where a
-    left-side term merged with the lone right-side monomial (1A and 3B at
+    left-side key is also the lone right-side monomial (1A and 3B at
     (6,10): g^2 is in the class of g, and c_g(60/2^2) = c_g(6+10-1))."""
-    extra = [inst for inst in _instances(catalog_table, 30) if _merges(inst)]
+    extra = [inst for inst in _instances(catalog_table, 30) if _meets_lone_right(inst)]
     return _instances(catalog_table, 12) + extra
 
 
@@ -462,27 +479,39 @@ def catalog_family(catalog_table):
     return load_family(catalog_table, 60)
 
 
-def _monomial_sum(terms, values):
-    total = 0
-    for weight, monomial in terms:
-        prod = weight
-        for key, e in monomial:
-            prod *= values[key] ** e
-        total += prod
-    return total
+def _columns(table, values):
+    """Keyed values as the solver holds them: one {index: value} dict per class."""
+    columns = {name: {} for name in table.names}
+    for (name, n), value in values.items():
+        columns[name][n] = value
+    return columns
 
 
 class TestCompiledInstances:
-    def test_left_term_merges_with_lone_right_monomial(self, catalog_instances):
-        merged = [inst for inst in catalog_instances if _merges(inst)]
-        assert [(inst.name, inst.target) for inst in merged] == [
+    def test_classes_share_one_relation(self, catalog_table):
+        instances = _instances(catalog_table, 12)
+        per_class = len(instances) // len(catalog_table.names)
+        for idx, (_, relation, powers) in enumerate(instances):
+            assert relation is instances[idx % per_class][1]
+            assert len(powers) == len(relation.lhs)
+
+    def test_left_term_meets_lone_right_monomial(
+        self, catalog_table, catalog_instances, catalog_family
+    ):
+        met = [inst for inst in catalog_instances if _meets_lone_right(inst)]
+        assert [(name, rel.target) for name, rel, _ in met] == [
             ("1A", (6, 10)),
             ("3B", (6, 10)),
         ]
-        for inst in merged:
-            weights = {m: w for w, m in inst.terms}
-            lone = (((inst.name, 15), 1),)
-            assert Fraction(weights[lone], inst.scale) == Fraction(1, 2) - 1
+        for name, relation, powers in met:
+            # the two lone occurrences of c_g(15) add up to scale*(1/2 - 1)
+            (left,) = [w for _, n, w in relation.lhs if n == 15]
+            (right,) = [w for w, m in relation.rhs if m == ((15, 1),)]
+            assert Fraction(left - right, relation.scale) == Fraction(1, 2) - 1
+            keys = reference_horn_clauses(catalog_table, name, relation)[0]
+            values = {k: catalog_family.value(*k) for k in keys if k != (name, 15)}
+            got = _evaluate(name, relation, powers, _columns(catalog_table, values))
+            assert got == ("fire", ((name, 15), catalog_family.value(name, 15)))
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=300)
@@ -490,8 +519,8 @@ class TestCompiledInstances:
         self, data, catalog_table, catalog_instances, catalog_family
     ):
         inst = data.draw(st.sampled_from(catalog_instances))
-        relation = coefficient_relation(*inst.target)
-        keys = sorted(reference_horn_clauses(catalog_table, inst.name, relation)[0])
+        name, relation, _ = inst
+        keys = sorted(reference_horn_clauses(catalog_table, name, relation)[0])
         unknown = data.draw(st.sets(st.sampled_from(keys), max_size=3))
         exact = data.draw(st.booleans())
         values = {}
@@ -501,26 +530,38 @@ class TestCompiledInstances:
             v = catalog_family.value(*key)
             choices = [v] if exact else [v, v, v, v + 1, v - 3, v + Fraction(1, 2), 0]
             values[key] = data.draw(st.sampled_from(choices))
-        got = _outcome(_evaluate, inst, values)
-        want = _outcome(reference_evaluate, catalog_table, inst.name, relation, values)
+        got = _outcome(_evaluate, *inst, _columns(catalog_table, values))
+        want = _outcome(reference_evaluate, catalog_table, name, relation, values)
         assert got == want
-        if not unknown:
-            lhs, rhs = _two_sided(catalog_table, inst.name, relation)
-            left = sum(coeff * values[key] for key, coeff in lhs)
-            right = _monomial_sum(rhs, values)
-            assert _monomial_sum(inst.terms, values) == inst.scale * (left - right)
+
+    def test_unknown_left_terms_stay_pending(
+        self, catalog_table, catalog_instances, catalog_family
+    ):
+        # two unknown left terms never meet on the right, so the random
+        # draws above rarely hit this case; take every instance with one
+        checked = 0
+        for name, relation, powers in catalog_instances:
+            left = {(g, n) for (_, n, _), g in zip(relation.lhs, powers)}
+            if len(left) < 2:
+                continue
+            keys = reference_horn_clauses(catalog_table, name, relation)[0]
+            values = {k: catalog_family.value(*k) for k in keys - left}
+            got = _outcome(_evaluate, name, relation, powers, _columns(catalog_table, values))
+            want = _outcome(reference_evaluate, catalog_table, name, relation, values)
+            assert got == want == ("pending", None)
+            checked += 1
+        assert checked > 0
 
     @pytest.mark.parametrize("c6", [-3, 7], ids=["tautology", "contradiction"])
     def test_cancelled_unknown(self, catalog_table, catalog_instances, c6):
         # (2,3): c(6) = c(4) + c(1) c(2); with c(1) = 0 the lone unknown
         # c(2) drops out and the relation only checks c(6) against c(4)
         (inst,) = [
-            i for i in catalog_instances if (i.name, i.target) == ("1A", (2, 3))
+            i for i in catalog_instances if (i[0], i[1].target) == ("1A", (2, 3))
         ]
         values = {("1A", 6): c6, ("1A", 4): -3, ("1A", 1): 0}
-        relation = coefficient_relation(2, 3)
-        got = _outcome(_evaluate, inst, values)
-        want = _outcome(reference_evaluate, catalog_table, "1A", relation, values)
+        got = _outcome(_evaluate, *inst, _columns(catalog_table, values))
+        want = _outcome(reference_evaluate, catalog_table, "1A", inst[1], values)
         assert got == want
         if c6 == -3:
             assert got == ("verified", None)
@@ -532,8 +573,7 @@ class TestCompiledInstances:
             )
 
     def test_horn_clauses_match_two_sided_reference(self, catalog_table):
-        for inst in _instances(catalog_table, 30):
-            relation = coefficient_relation(*inst.target)
-            assert _horn_clauses(inst) == reference_horn_clauses(
-                catalog_table, inst.name, relation
+        for name, relation, powers in _instances(catalog_table, 30):
+            assert _horn_clauses(name, relation, powers) == reference_horn_clauses(
+                catalog_table, name, relation
             )
