@@ -8,6 +8,12 @@ exponent window recording what is actually known:
 * exponents inside the window are stored sparsely,
 * exponents above the window are untracked, and asking for them raises.
 
+One-variable products run through one dense integer kernel: each factor is
+densified, its denominators are cleared, and the two coefficient lists are
+multiplied by Kronecker substitution, as a single big-integer product whose
+digits are wide enough that no carry crosses from one coefficient to the
+next (see ``_mul_low`` for the width bound).
+
 Arithmetic propagates windows so that every reported coefficient is exact.
 A truncated product, for instance, can only be trusted up to
 ``min(a.hi + b.lo, b.hi + a.lo)``; the implementation sharpens that bound
@@ -21,6 +27,7 @@ All series are immutable by convention: operations return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 Coeff = int | Fraction
@@ -50,6 +57,65 @@ def _norm(value: Coeff) -> Coeff:
 
 def _div(x: Coeff, y: Coeff) -> Coeff:
     return _norm(Fraction(x) / Fraction(y))
+
+
+def _dense(coeffs: dict[int, Coeff], start: int, n: int) -> tuple[list[int], int]:
+    """The coefficients at ``start .. start + n - 1`` as integers.
+
+    Returns the list scaled by ``den``, the lcm of the denominators of its
+    ``Fraction`` entries (1 when every entry is an ``int``), and ``den``.
+    """
+    values = [coeffs.get(e, 0) for e in range(start, start + n)]
+    den = lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    if den != 1:
+        values = [
+            v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
+            for v in values
+        ]
+    return values, den
+
+
+def _mul_low(a: list[int], b: list[int]) -> list[int]:
+    """The low ``n`` coefficients of the product of two length-``n`` integer lists.
+
+    Kronecker substitution: each list becomes one integer with one k-bit
+    digit per exponent, the two integers are multiplied once (squared when
+    ``a is b``), and the digits of the product are the coefficients.  A
+    digit is stored biased by ``2^(k-1)``, so a signed value ``v`` with
+    ``|v| < 2^(k-1)`` is the unsigned digit ``v + 2^(k-1)``.
+
+    Width bound: a low coefficient ``c_t`` (``t < n``) is a sum of at most
+    ``n`` products, so ``|c_t| <= n * max|a| * max|b|``.  With
+    ``k = bits(max|a|) + bits(max|b|) + bits(n) + 1``, rounded up to whole
+    bytes, every ``|c_t| < 2^(k-1)``: each biased digit of the product lies
+    in ``[0, 2^k)`` and no carry crosses a digit.  Digits are packed and
+    read back by slicing one byte buffer, never by shifting.
+    """
+    n = len(a)
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + n.bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8  # bytes per digit
+    bias = 1 << (8 * width - 1)
+    biases = int.from_bytes(bias.to_bytes(width, "little") * n, "little")
+
+    def pack(values: list[int]) -> int:
+        raw = b"".join((v + bias).to_bytes(width, "little") for v in values)
+        return int.from_bytes(raw, "little") - biases
+
+    x = pack(a)
+    product = x * x if a is b else x * pack(b)
+    # biasing the low n digits makes each one nonnegative, so the mask
+    # keeps exactly those digits
+    low = (product + biases) & ((1 << (8 * width * n)) - 1)
+    raw = low.to_bytes(width * n, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - bias
+        for i in range(0, width * n, width)
+    ]
 
 
 class UniSeries:
@@ -204,6 +270,17 @@ class UniSeries:
         return NotImplemented
 
     def __mul__(self, other):
+        """Product with a scalar or another series.
+
+        Two series multiply exactly up to ``min(a.hi + b.support_lo,
+        b.hi + a.support_lo)``.  Each factor is densified from its support
+        floor over the exponents that can land inside that window, its
+        ``Fraction`` coefficients are cleared by the lcm of their
+        denominators, and the two integer lists are multiplied by one
+        Kronecker product (:func:`_mul_low`).  The integer result is divided
+        back by the product of the two denominators, so all-integer factors
+        never see a ``Fraction``.
+        """
         if isinstance(other, (int, Fraction)):
             other = _norm(other)
             if other == 0:
@@ -214,33 +291,44 @@ class UniSeries:
         if not isinstance(other, UniSeries):
             return NotImplemented
         lo = self.lo + other.lo
-        hi = min(self.hi + other.support_lo, other.hi + self.support_lo)
-        data: dict[int, Coeff] = {}
-        b_slo = other.support_lo
-        for e1, v1 in self._c.items():
-            if e1 + b_slo > hi:
-                continue
-            for e2, v2 in other._c.items():
-                e = e1 + e2
-                if e > hi:
-                    continue
-                data[e] = data.get(e, 0) + v1 * v2
-        return UniSeries(data, lo, hi)
+        a_slo, b_slo = self.support_lo, other.support_lo
+        hi = min(self.hi + b_slo, other.hi + a_slo)
+        if not self._c or not other._c:
+            return UniSeries((), lo, hi)
+        # exponents of either factor that can land at or below hi, densified
+        # from each support floor; both lists have one length n
+        n = hi - a_slo - b_slo + 1
+        a, a_den = _dense(self._c, a_slo, n)
+        b, b_den = (a, a_den) if other is self else _dense(other._c, b_slo, n)
+        den = a_den * b_den
+        return UniSeries(
+            {
+                a_slo + b_slo + t: v if den == 1 else Fraction(v, den)
+                for t, v in enumerate(_mul_low(a, b))
+                if v
+            },
+            lo,
+            hi,
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "UniSeries":
         if not isinstance(n, int) or n < 0:
             raise ValueError("series power must be a nonnegative integer")
-        result = UniSeries.one(self.hi)
+        if n == 0:
+            return UniSeries.one(self.hi)
+        # start from self, not from one: a product with one would clip a
+        # Laurent window to one's
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # ------------------------------------------------------------------
     # functional operations

@@ -11,6 +11,31 @@ from hypothesis import strategies as st
 from moonshine.series import BiSeries, UniSeries
 
 # ---------------------------------------------------------------------------
+# reference product
+
+
+def reference_mul(a: UniSeries, b: UniSeries) -> UniSeries:
+    """The product by the sparse double loop over both factors' terms.
+
+    This is the definition the dense Kronecker kernel in ``UniSeries.__mul__``
+    must reproduce, items and window alike.
+    """
+    lo = a.lo + b.lo
+    hi = min(a.hi + b.support_lo, b.hi + a.support_lo)
+    data = {}
+    b_slo = b.support_lo
+    for e1, v1 in a.items():
+        if e1 + b_slo > hi:
+            continue
+        for e2, v2 in b.items():
+            e = e1 + e2
+            if e > hi:
+                continue
+            data[e] = data.get(e, 0) + v1 * v2
+    return UniSeries(data, lo, hi)
+
+
+# ---------------------------------------------------------------------------
 # strategies
 
 
@@ -31,6 +56,27 @@ def uni_series(draw, lo_min=-3, hi_max=8):
         e = draw(st.integers(min_value=lo, max_value=hi))
         data[e] = draw(coeffs())
     return UniSeries(data, lo, hi)
+
+
+def wide_coeffs():
+    """Coefficients for the product kernel: huge integers and fractions."""
+    big = 2**2000
+    return st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-big, max_value=big),
+        st.sampled_from([big, -big, big - 1, 1 - big]),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.builds(Fraction, st.integers(min_value=-big, max_value=big), st.integers(1, 2**70)),
+    )
+
+
+@st.composite
+def kernel_series(draw):
+    """Laurent series with gaps, possibly empty or a single term."""
+    lo = draw(st.integers(min_value=-6, max_value=4))
+    hi = draw(st.integers(min_value=lo, max_value=lo + 40))
+    exps = draw(st.lists(st.integers(min_value=lo, max_value=hi), max_size=12))
+    return UniSeries({e: draw(wide_coeffs()) for e in exps}, lo, hi)
 
 
 @st.composite
@@ -159,6 +205,66 @@ class TestMultiplication:
         a = UniSeries({1: 3}, 0, 4)
         assert (a**0).items() == [(0, 1)]
 
+    @pytest.mark.parametrize(
+        "s",
+        [
+            UniSeries({-1: 1, 0: 2, 1: 3}, -1, 5),
+            UniSeries({-2: 1}, -2, -1),
+            UniSeries({-3: 2, -1: -1}, -4, 0),
+        ],
+        ids=["laurent", "below-zero", "gap"],
+    )
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pow_keeps_laurent_window(self, s, n):
+        by_mul = s
+        for _ in range(n - 1):
+            by_mul = by_mul * s
+        power = s**n
+        assert (power.lo, power.hi) == (by_mul.lo, by_mul.hi)
+        assert power.items() == by_mul.items()
+
+
+# ---------------------------------------------------------------------------
+# the dense product kernel against the sparse reference
+
+
+def assert_same_product(got: UniSeries, want: UniSeries):
+    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got.items() == want.items()
+
+
+class TestProductKernel:
+    @settings(max_examples=300)
+    @given(kernel_series(), kernel_series())
+    def test_matches_reference(self, a, b):
+        assert_same_product(a * b, reference_mul(a, b))
+
+    @settings(max_examples=100)
+    @given(kernel_series())
+    def test_square_matches_reference(self, a):
+        assert_same_product(a * a, reference_mul(a, a))
+
+    @pytest.mark.parametrize("a_is_b", [True, False])
+    @pytest.mark.parametrize("length", [1, 2, 255, 256, 257])
+    @pytest.mark.parametrize("bits", [1, 3, 4, 8, 64])
+    @pytest.mark.parametrize("kind", ["max", "-max", "-pow"])
+    def test_extreme_coefficients(self, kind, bits, length, a_is_b):
+        # every coefficient at the top of its bit length (or -2^b, one bit
+        # more) drives every low coefficient of the product to the edge of
+        # the digit width; at length 255 with bits a multiple of 4 the width
+        # bound has no byte of slack
+        value = {"max": 2**bits - 1, "-max": 1 - 2**bits, "-pow": -(2**bits)}[kind]
+        a = UniSeries({e: value for e in range(-1, length - 1)}, -1, length - 2)
+        b = a if a_is_b else UniSeries({e: -value for e in range(length)}, 0, length - 1)
+        assert_same_product(a * b, reference_mul(a, b))
+
+    def test_fraction_factors_divide_back(self):
+        a = UniSeries({0: Fraction(1, 2), 1: Fraction(2, 3)}, 0, 3)
+        b = UniSeries({0: 4, 2: Fraction(3, 4)}, 0, 3)
+        p = a * b
+        assert p.items() == [(0, 2), (1, Fraction(8, 3)), (2, Fraction(3, 8)), (3, Fraction(1, 2))]
+        assert isinstance(p.coeff(0), int)
+
 
 # ---------------------------------------------------------------------------
 # inverse
@@ -274,6 +380,26 @@ class TestRingLaws:
         assert not sq.substitute_power(k).mismatches(
             s.substitute_power(k) * s.substitute_power(k)
         )
+
+    @given(kernel_series(), kernel_series(), st.integers(min_value=0, max_value=40))
+    def test_mul_is_sound_under_truncation(self, a, b, cut):
+        # every coefficient certified from a truncated factor is the true one
+        if a.lo + cut > a.hi:
+            return
+        short = a.restrict(hi=a.lo + cut) * b
+        full = a * b
+        assert short.hi <= full.hi
+        assert not short.mismatches(full)
+
+    @given(uni_series(lo_min=0), st.integers(min_value=0, max_value=8))
+    def test_inverse_is_sound_under_truncation(self, s, cut):
+        if s.is_zero() or not s.support_lo <= cut <= s.hi:
+            return
+        order = s.hi - s.support_lo
+        short = s.restrict(hi=cut).inverse(order)
+        full = s.inverse(order)
+        assert short.hi <= full.hi
+        assert not short.mismatches(full)
 
     @given(uni_series(lo_min=0))
     def test_inverse_round_trip(self, s):
