@@ -8,11 +8,11 @@ exponent window recording what is actually known:
 * exponents inside the window are stored sparsely,
 * exponents above the window are untracked, and asking for them raises.
 
-One-variable products run through one dense integer kernel: each factor is
-densified, its denominators are cleared, and the two coefficient lists are
-multiplied by Kronecker substitution, as a single big-integer product whose
-digits are wide enough that no carry crosses from one coefficient to the
-next (see ``_mul_low`` for the width bound).
+One-variable products run through one dense integer kernel: the
+denominators of each factor are cleared, and the two factors are multiplied
+by Kronecker substitution, as a single big-integer product with one digit
+per exponent step, wide enough that no carry crosses from one coefficient
+to the next (see ``_mul_low`` for the step and the width bound).
 
 Arithmetic propagates windows so that every reported coefficient is exact.
 A truncated product, for instance, can only be trusted up to
@@ -27,7 +27,7 @@ All series are immutable by convention: operations return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 Coeff = int | Fraction
@@ -59,63 +59,72 @@ def _div(x: Coeff, y: Coeff) -> Coeff:
     return _norm(Fraction(x) / Fraction(y))
 
 
-def _dense(coeffs: dict[int, Coeff], start: int, n: int) -> tuple[list[int], int]:
-    """The coefficients at ``start .. start + n - 1`` as integers.
+def _int_terms(
+    coeffs: dict[int, Coeff], start: int, n: int
+) -> tuple[dict[int, int], int]:
+    """The terms at ``start .. start + n - 1`` as ``{offset: integer}``.
 
-    Returns the list scaled by ``den``, the lcm of the denominators of its
-    ``Fraction`` entries (1 when every entry is an ``int``), and ``den``.
+    Every offset is ``exponent - start``.  The values are scaled by ``den``,
+    the lcm of their denominators (1 when every value is an ``int``), and
+    ``den`` is returned beside them.
     """
-    values = [coeffs.get(e, 0) for e in range(start, start + n)]
-    den = lcm(*(v.denominator for v in values if isinstance(v, Fraction)))
+    terms = {e - start: v for e, v in coeffs.items() if e < start + n}
+    den = lcm(*(v.denominator for v in terms.values()))
     if den != 1:
-        values = [
-            v.numerator * (den // v.denominator) if isinstance(v, Fraction) else v * den
-            for v in values
-        ]
-    return values, den
+        terms = {t: v.numerator * (den // v.denominator) for t, v in terms.items()}
+    return terms, den
 
 
-def _mul_low(a: list[int], b: list[int]) -> list[int]:
-    """The low ``n`` coefficients of the product of two length-``n`` integer lists.
+def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
+    """The nonzero coefficients below offset ``n`` of the product ``a * b``.
 
-    Kronecker substitution: each list becomes one integer with one k-bit
-    digit per exponent, the two integers are multiplied once (squared when
-    ``a is b``), and the digits of the product are the coefficients.  A
-    digit is stored biased by ``2^(k-1)``, so a signed value ``v`` with
-    ``|v| < 2^(k-1)`` is the unsigned digit ``v + 2^(k-1)``.
+    ``a`` and ``b`` map offsets in ``[0, n)`` to nonzero integers.
+    Kronecker substitution: each factor becomes one integer with one k-bit
+    digit per multiple of ``step``, the gcd of all offsets (so a series in
+    ``q^s`` costs what a series in ``q`` of 1/s the length costs), the two
+    integers are multiplied once (squared when ``a is b``), and the digits
+    of the product are the coefficients.  A digit is stored biased by
+    ``2^(k-1)``, so a signed value ``v`` with ``|v| < 2^(k-1)`` is the
+    unsigned digit ``v + 2^(k-1)``.
 
-    Width bound: a low coefficient ``c_t`` (``t < n``) is a sum of at most
-    ``n`` products, so ``|c_t| <= n * max|a| * max|b|``.  With
-    ``k = bits(max|a|) + bits(max|b|) + bits(n) + 1``, rounded up to whole
-    bytes, every ``|c_t| < 2^(k-1)``: each biased digit of the product lies
-    in ``[0, 2^k)`` and no carry crosses a digit.  Digits are packed and
-    read back by slicing one byte buffer, never by shifting.
+    Width bound: a product coefficient ``c_t`` is a sum of at most
+    ``m = min(len(a), len(b))`` nonzero products, so ``|c_t| <= m * max|a|
+    * max|b|``.  With ``k = bits(max|a|) + bits(max|b|) + bits(m) + 1``,
+    rounded up to whole bytes, every ``|c_t| < 2^(k-1)``: each biased digit
+    of the product lies in ``[0, 2^k)`` and no carry crosses a digit.
+    Digits are written into and read from byte buffers, never shifted.
     """
-    n = len(a)
+    step = gcd(*a, *b) or 1  # gcd is 0 when every offset is 0
+    digits = (n - 1) // step + 1
     bits = (
-        max(map(abs, a)).bit_length()
-        + max(map(abs, b)).bit_length()
-        + n.bit_length()
+        max(map(abs, a.values())).bit_length()
+        + max(map(abs, b.values())).bit_length()
+        + min(len(a), len(b)).bit_length()
         + 1
     )
     width = (bits + 7) // 8  # bytes per digit
     bias = 1 << (8 * width - 1)
-    biases = int.from_bytes(bias.to_bytes(width, "little") * n, "little")
+    zero = bias.to_bytes(width, "little")
+    biases = int.from_bytes(zero * digits, "little")
 
-    def pack(values: list[int]) -> int:
-        raw = b"".join((v + bias).to_bytes(width, "little") for v in values)
+    def pack(terms: dict[int, int]) -> int:
+        raw = bytearray(zero * digits)
+        for t, v in terms.items():
+            i = t // step * width
+            raw[i : i + width] = (v + bias).to_bytes(width, "little")
         return int.from_bytes(raw, "little") - biases
 
     x = pack(a)
     product = x * x if a is b else x * pack(b)
-    # biasing the low n digits makes each one nonnegative, so the mask
-    # keeps exactly those digits
-    low = (product + biases) & ((1 << (8 * width * n)) - 1)
-    raw = low.to_bytes(width * n, "little")
-    return [
-        int.from_bytes(raw[i : i + width], "little") - bias
-        for i in range(0, width * n, width)
+    # biasing the low digits makes each one nonnegative, so the mask keeps
+    # exactly those digits
+    low = (product + biases) & ((1 << (8 * width * digits)) - 1)
+    raw = low.to_bytes(width * digits, "little")
+    values = [
+        int.from_bytes(raw[i : i + width], "little")
+        for i in range(0, width * digits, width)
     ]
+    return {d * step: v - bias for d, v in enumerate(values) if v != bias}
 
 
 class UniSeries:
@@ -273,10 +282,10 @@ class UniSeries:
         """Product with a scalar or another series.
 
         Two series multiply exactly up to ``min(a.hi + b.support_lo,
-        b.hi + a.support_lo)``.  Each factor is densified from its support
-        floor over the exponents that can land inside that window, its
+        b.hi + a.support_lo)``.  Each factor keeps the terms that can land
+        inside that window, as offsets from its support floor; its
         ``Fraction`` coefficients are cleared by the lcm of their
-        denominators, and the two integer lists are multiplied by one
+        denominators, and the two integer factors are multiplied by one
         Kronecker product (:func:`_mul_low`).  The integer result is divided
         back by the product of the two denominators, so all-integer factors
         never see a ``Fraction``.
@@ -295,17 +304,16 @@ class UniSeries:
         hi = min(self.hi + b_slo, other.hi + a_slo)
         if not self._c or not other._c:
             return UniSeries((), lo, hi)
-        # exponents of either factor that can land at or below hi, densified
-        # from each support floor; both lists have one length n
+        # offsets from each support floor that can land at or below hi
         n = hi - a_slo - b_slo + 1
-        a, a_den = _dense(self._c, a_slo, n)
-        b, b_den = (a, a_den) if other is self else _dense(other._c, b_slo, n)
+        a, a_den = _int_terms(self._c, a_slo, n)
+        b, b_den = (a, a_den) if other is self else _int_terms(other._c, b_slo, n)
         den = a_den * b_den
+        floor = a_slo + b_slo
         return UniSeries(
             {
-                a_slo + b_slo + t: v if den == 1 else Fraction(v, den)
-                for t, v in enumerate(_mul_low(a, b))
-                if v
+                floor + t: v if den == 1 else Fraction(v, den)
+                for t, v in _mul_low(a, b, n).items()
             },
             lo,
             hi,

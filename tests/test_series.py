@@ -244,11 +244,28 @@ class TestProductKernel:
     def test_square_matches_reference(self, a):
         assert_same_product(a * a, reference_mul(a, a))
 
+    @settings(max_examples=200)
+    @given(
+        kernel_series(),
+        kernel_series(),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=-3, max_value=3),
+    )
+    def test_stepped_factors_match_reference(self, a, b, s, t, shift):
+        # a factor in q^s packs one digit per multiple of the gcd of all
+        # offsets; unequal steps fall back to their gcd
+        a = a.substitute_power(s).shift(shift)
+        b = b.substitute_power(t)
+        assert_same_product(a * b, reference_mul(a, b))
+        assert_same_product(a * a, reference_mul(a, a))
+
+    @pytest.mark.parametrize("step", [1, 3])
     @pytest.mark.parametrize("a_is_b", [True, False])
     @pytest.mark.parametrize("length", [1, 2, 255, 256, 257])
     @pytest.mark.parametrize("bits", [1, 3, 4, 8, 64])
     @pytest.mark.parametrize("kind", ["max", "-max", "-pow"])
-    def test_extreme_coefficients(self, kind, bits, length, a_is_b):
+    def test_extreme_coefficients(self, kind, bits, length, a_is_b, step):
         # every coefficient at the top of its bit length (or -2^b, one bit
         # more) drives every low coefficient of the product to the edge of
         # the digit width; at length 255 with bits a multiple of 4 the width
@@ -256,6 +273,9 @@ class TestProductKernel:
         value = {"max": 2**bits - 1, "-max": 1 - 2**bits, "-pow": -(2**bits)}[kind]
         a = UniSeries({e: value for e in range(-1, length - 1)}, -1, length - 2)
         b = a if a_is_b else UniSeries({e: -value for e in range(length)}, 0, length - 1)
+        if step > 1:
+            a = a.substitute_power(step)
+            b = a if a_is_b else b.substitute_power(step)
         assert_same_product(a * b, reference_mul(a, b))
 
     def test_fraction_factors_divide_back(self):
