@@ -7,12 +7,14 @@ a mismatch or contradiction, 2 on input errors (bad flags, unreadable or
 malformed tables, missing coefficients), 3 on an internal error (a failed
 self-check or a bug; no verdict is printed).  Verification commands end
 with a greppable ``VERDICT: PASS`` or ``VERDICT: FAIL`` line.  Warnings
-about a table's power maps go to stderr as ``warning:`` lines.
+about a table's power maps go to stderr as ``warning:`` lines.  A closed
+stdout (``| head``) ends the command silently on SIGPIPE, like any filter.
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from importlib import resources
 
@@ -318,4 +320,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -323,23 +323,28 @@ def dimension_product(dims: GradedDims) -> BiSeries:
 
     Each factor is a finite binomial sum, so this route is independent of
     logs and Mobius inversion; for a correct dimension table it must return
-    exactly 1 - (character of the generators).
+    exactly 1 - (character of the generators).  The factors are applied in
+    place to one integer term dict: every term of the product so far adds
+    (-1)^t C(d, t) times itself at t steps of (m, n), inside the window.
     """
     pmax, qmax = dims.mmax, dims.nmax
-    out = BiSeries.one(pmax, 0, qmax)
+    out = {(0, 0): 1}
     for (m, n), d in sorted(dims.dims.items()):
         if d == 0:
             continue
         if d < 0:
             raise ValueError(f"negative dimension {d} at ({m},{n})")
-        factor = BiSeries(
-            {
-                (m * t, n * t): (-1) ** t * math.comb(d, t)
-                for t in range(0, min(pmax // m, qmax // n) + 1)
-            },
-            pmax,
-            0,
-            qmax,
-        )
-        out = out * factor
-    return out
+        top = min(pmax // m, qmax // n)
+        binomials = [(-1) ** t * math.comb(d, t) for t in range(1, top + 1)]
+        # a snapshot of the terms this factor moves, so that the terms it
+        # adds are not expanded again
+        moving = [
+            (i, j, v) for (i, j), v in out.items() if i + m <= pmax and j + n <= qmax
+        ]
+        for i, j, v in moving:
+            for t, b in enumerate(binomials, 1):
+                key = (i + m * t, j + n * t)
+                if key[0] > pmax or key[1] > qmax:
+                    break
+                out[key] = out.get(key, 0) + b * v
+    return BiSeries(out, pmax, 0, qmax)

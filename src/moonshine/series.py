@@ -8,11 +8,14 @@ exponent window recording what is actually known:
 * exponents inside the window are stored sparsely,
 * exponents above the window are untracked, and asking for them raises.
 
-One-variable products run through one dense integer kernel: the
+Products in both classes run through one dense integer kernel: the
 denominators of each factor are cleared, and the two factors are multiplied
 by Kronecker substitution, as a single big-integer product with one digit
 per exponent step, wide enough that no carry crosses from one coefficient
-to the next (see ``_mul_low`` for the step and the width bound).
+to the next (see ``_mul_low`` for the step and the width bound).  A
+two-variable term p^i q^j is first flattened to one exponent (``_bimul``).
+Negative q exponents exist only for the ``1 - p q^-1`` prefactor of the
+two-variable product identity; ``BiSeries.log1m`` refuses them.
 
 Arithmetic propagates windows so that every reported coefficient is exact.
 A truncated product, for instance, can only be trusted up to
@@ -57,22 +60,6 @@ def _norm(value: Coeff) -> Coeff:
 
 def _div(x: Coeff, y: Coeff) -> Coeff:
     return _norm(Fraction(x) / Fraction(y))
-
-
-def _int_terms(
-    coeffs: dict[int, Coeff], start: int, n: int
-) -> tuple[dict[int, int], int]:
-    """The terms at ``start .. start + n - 1`` as ``{offset: integer}``.
-
-    Every offset is ``exponent - start``.  The values are scaled by ``den``,
-    the lcm of their denominators (1 when every value is an ``int``), and
-    ``den`` is returned beside them.
-    """
-    terms = {e - start: v for e, v in coeffs.items() if e < start + n}
-    den = lcm(*(v.denominator for v in terms.values()))
-    if den != 1:
-        terms = {t: v.numerator * (den // v.denominator) for t, v in terms.items()}
-    return terms, den
 
 
 def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
@@ -127,6 +114,32 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
     return {d * step: v - bias for d, v in enumerate(values) if v != bias}
 
 
+def _mul_exact(a: dict[int, Coeff], b: dict[int, Coeff], n: int) -> dict[int, Coeff]:
+    """The nonzero coefficients below offset ``n`` of ``a * b``, exactly.
+
+    Each factor's denominators are cleared by their lcm, the integer factors
+    go through one Kronecker product (:func:`_mul_low`, a square when ``a is
+    b``), and the result is divided back.  Values come back normalized
+    (``int`` when integral), so a result can be fed back in as a factor.
+    """
+    if not a or not b:
+        return {}
+
+    def cleared(terms: dict[int, Coeff]) -> tuple[dict[int, int], int]:
+        den = lcm(*(v.denominator for v in terms.values()))
+        if den == 1:
+            return terms, 1
+        return {t: v.numerator * (den // v.denominator) for t, v in terms.items()}, den
+
+    a_int, a_den = cleared(a)
+    b_int, b_den = (a_int, a_den) if b is a else cleared(b)
+    den = a_den * b_den
+    product = _mul_low(a_int, b_int, n)
+    if den == 1:
+        return product
+    return {t: _norm(Fraction(v, den)) for t, v in product.items()}
+
+
 class UniSeries:
     """A univariate Laurent series known exactly on the window ``[lo, hi]``.
 
@@ -167,10 +180,6 @@ class UniSeries:
     @classmethod
     def one(cls, hi: int) -> "UniSeries":
         return cls({0: 1}, 0, hi)
-
-    @classmethod
-    def monomial(cls, value: Coeff, exponent: int, hi: int | None = None) -> "UniSeries":
-        return cls({exponent: value}, exponent, exponent if hi is None else hi)
 
     # ------------------------------------------------------------------
     # inspection
@@ -283,12 +292,8 @@ class UniSeries:
 
         Two series multiply exactly up to ``min(a.hi + b.support_lo,
         b.hi + a.support_lo)``.  Each factor keeps the terms that can land
-        inside that window, as offsets from its support floor; its
-        ``Fraction`` coefficients are cleared by the lcm of their
-        denominators, and the two integer factors are multiplied by one
-        Kronecker product (:func:`_mul_low`).  The integer result is divided
-        back by the product of the two denominators, so all-integer factors
-        never see a ``Fraction``.
+        inside that window, as offsets from its support floor, and the two
+        are multiplied by one Kronecker product (:func:`_mul_exact`).
         """
         if isinstance(other, (int, Fraction)):
             other = _norm(other)
@@ -302,22 +307,14 @@ class UniSeries:
         lo = self.lo + other.lo
         a_slo, b_slo = self.support_lo, other.support_lo
         hi = min(self.hi + b_slo, other.hi + a_slo)
-        if not self._c or not other._c:
-            return UniSeries((), lo, hi)
         # offsets from each support floor that can land at or below hi
         n = hi - a_slo - b_slo + 1
-        a, a_den = _int_terms(self._c, a_slo, n)
-        b, b_den = (a, a_den) if other is self else _int_terms(other._c, b_slo, n)
-        den = a_den * b_den
+        a = {e - a_slo: v for e, v in self._c.items() if e - a_slo < n}
+        b = a if other is self else {
+            e - b_slo: v for e, v in other._c.items() if e - b_slo < n
+        }
         floor = a_slo + b_slo
-        return UniSeries(
-            {
-                floor + t: v if den == 1 else Fraction(v, den)
-                for t, v in _mul_low(a, b, n).items()
-            },
-            lo,
-            hi,
-        )
+        return UniSeries({floor + t: v for t, v in _mul_exact(a, b, n).items()}, lo, hi)
 
     __rmul__ = __mul__
 
@@ -398,33 +395,54 @@ class UniSeries:
         return UniSeries(data, new_lo, new_hi)
 
 
-def _bidict_mul(
-    da: dict[tuple[int, int], Coeff],
-    db: dict[tuple[int, int], Coeff],
+def _bimul(
+    a: dict[tuple[int, int], Coeff],
+    b: dict[tuple[int, int], Coeff],
     pmax: int,
     qmax: int,
 ) -> dict[tuple[int, int], Coeff]:
-    out: dict[tuple[int, int], Coeff] = {}
-    for (i1, j1), v1 in da.items():
-        for (i2, j2), v2 in db.items():
-            i = i1 + i2
-            if i > pmax:
-                continue
-            j = j1 + j2
-            if j > qmax:
-                continue
-            key = (i, j)
-            out[key] = out.get(key, 0) + v1 * v2
-    return {k: v for k, v in out.items() if v != 0}
+    """The product of two ``{(i, j): value}`` term dicts, cut at p^pmax q^qmax.
+
+    Each factor's p^i q^j becomes the single offset ``(i - pa) * w + (j -
+    qa)``, where ``pa`` and ``qa`` are its lowest p and q exponents, and the
+    two are multiplied by one Kronecker product (:func:`_mul_exact`).  Only
+    terms with ``i - pa <= rows`` and ``j - qa <= span`` can land inside the
+    cut.  Two q offsets sum to at most ``2 * span``, so with ``w = 2 * span
+    + 1`` no q sum reaches the next row; product digits whose q offset
+    exceeds ``span`` lie above ``qmax`` and are dropped.
+    """
+    if not a or not b:
+        return {}
+    pa, qa = min(i for i, _ in a), min(j for _, j in a)
+    pb, qb = min(i for i, _ in b), min(j for _, j in b)
+    rows, span = pmax - pa - pb, qmax - qa - qb
+    w = 2 * span + 1
+
+    def pack(terms, p0, q0):
+        return {
+            (i - p0) * w + j - q0: v
+            for (i, j), v in terms.items()
+            if i - p0 <= rows and j - q0 <= span
+        }
+
+    x = pack(a, pa, qa)
+    y = x if b is a else pack(b, pb, qb)
+    out = {}
+    for t, v in _mul_exact(x, y, rows * w + span + 1).items():
+        di, dj = divmod(t, w)
+        if dj <= span:
+            out[(pa + pb + di, qa + qb + dj)] = v
+    return out
 
 
 class BiSeries:
     """A series in two variables p, q on the window ``[0..pmax] x [qmin..qmax]``.
 
     p exponents are always nonnegative; q exponents may go negative down to
-    ``qmin`` (needed for the single q^-1 factor in the two-variable product
-    identity).  As in :class:`UniSeries`, window floors are support bounds
-    and window ceilings are truncation orders.
+    ``qmin``, which only the ``1 - p q^-1`` prefactor of the two-variable
+    product identity needs (``log1m`` refuses them).  As in
+    :class:`UniSeries`, window floors are support bounds and window ceilings
+    are truncation orders.
     """
 
     __slots__ = ("pmax", "qmin", "qmax", "_c")
@@ -469,23 +487,6 @@ class BiSeries:
     @classmethod
     def one(cls, pmax: int, qmin: int, qmax: int) -> "BiSeries":
         return cls({(0, 0): 1}, pmax, qmin, qmax)
-
-    @classmethod
-    def monomial(
-        cls,
-        value: Coeff,
-        i: int,
-        j: int,
-        pmax: int | None = None,
-        qmin: int | None = None,
-        qmax: int | None = None,
-    ) -> "BiSeries":
-        return cls(
-            {(i, j): value},
-            i if pmax is None else pmax,
-            j if qmin is None else qmin,
-            j if qmax is None else qmax,
-        )
 
     # ------------------------------------------------------------------
     # inspection
@@ -617,7 +618,7 @@ class BiSeries:
         pmax = min(self.pmax + other._pslo, other.pmax + self._pslo)
         qmax = min(self.qmax + other._qslo, other.qmax + self._qslo)
         qmin = self.qmin + other.qmin
-        return BiSeries(_bidict_mul(self._c, other._c, pmax, qmax), pmax, qmin, qmax)
+        return BiSeries(_bimul(self._c, other._c, pmax, qmax), pmax, qmin, qmax)
 
     __rmul__ = __mul__
 
@@ -625,44 +626,27 @@ class BiSeries:
     # functional operations
 
     def log1m(self) -> "BiSeries":
-        """log(1 - self); every nonzero term must have p exponent >= 1.
+        """log(1 - self); every term must have p exponent >= 1 and q >= 0.
 
-        The p constraint makes the sum over powers finite.  When the input
-        has terms with negative q exponent, each extra factor can push real
-        contributions below the input ceiling.  An untracked term above the
-        ceiling may have p exponent 1, leaving ``pmax - 1`` of p degree for
-        other factors beside it: known ones (p >= pslo, q >= qslo) and,
-        when the ceiling is below -1, untracked ones (p >= 1, q >= qmax +
-        1).  The certified q ceiling drops by the lowest q those factors
-        can reach; intermediates are still carried up to the input ceiling
-        because high intermediate terms can recombine downward.
+        The p constraint makes the sum over powers finite.  The q constraint
+        covers the untracked terms too (they sit at q >= qmax + 1, so qmax
+        must be >= -1): no factor of a power then lowers q, so the result is
+        exact on the input window, from the lowest known q up to qmax.
         """
         if self._c and self._pslo < 1:
             raise ValueError("log of non-unit: a term has p exponent 0")
-        pslo, qslo = self._pslo, self._qslo
-        spare = self.pmax - 1
-        known = spare // pslo
-        untracked_q = min(self.qmax + 1, 0)
-        out_qmax = self.qmax + min(
-            spare * untracked_q,
-            known * min(qslo, 0) + (spare - known * pslo) * untracked_q,
-        )
+        if (self._c and self._qslo < 0) or self.qmax < -1:
+            raise ValueError("log1m needs q exponents >= 0, known and untracked")
         if not self._c:
-            return BiSeries((), self.pmax, min(self.qmin, out_qmax), out_qmax)
-        kmax = self.pmax // pslo
-        out_qmin = min(qslo, kmax * qslo, out_qmax)
+            return BiSeries((), self.pmax, self.qmin, self.qmax)
         acc: dict[tuple[int, int], Coeff] = {}
-        power = dict(self._c)
-        k = 1
-        while power and k * pslo <= self.pmax:
+        power = self._c
+        for k in range(1, self.pmax // self._pslo + 1):
+            if k > 1:
+                power = _bimul(power, self._c, self.pmax, self.qmax)
             for key, v in power.items():
-                if key[1] <= out_qmax:
-                    acc[key] = acc.get(key, 0) + v * Fraction(-1, k)
-            k += 1
-            if k * pslo > self.pmax:
-                break
-            power = _bidict_mul(power, self._c, self.pmax, self.qmax)
-        return BiSeries(acc, self.pmax, out_qmin, out_qmax)
+                acc[key] = acc.get(key, 0) + v * Fraction(-1, k)
+        return BiSeries(acc, self.pmax, self._qslo, self.qmax)
 
     def substitute_power(self, k: int) -> "BiSeries":
         """Replace p, q by p^k, q^k; in-between exponents are known zero."""

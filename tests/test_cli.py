@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,47 @@ class TestOrderFivePowerMap:
         assert all(line.startswith("warning: ") for line in err.splitlines())
 
 
+class TestOrderSevenAndThirteen:
+    """7B = eta(tau)^4/eta(7 tau)^4 and 13B = eta(tau)^2/eta(13 tau)^2."""
+
+    TABLE = str(DATA / "eta7_13.mtf")
+
+    @pytest.mark.parametrize("klass", ["7B", "13B"])
+    def test_trace_identity_passes(self, run, klass):
+        code, out, err = run("verify-ep", "--table", self.TABLE, "--class", klass)
+        assert out.splitlines()[:2] == [
+            f"command: verify-ep --class {klass} --imax 8 --jmax 8",
+            "window: p 1..8, q 1..8",
+        ]
+        assert (code, out.splitlines()[-1], err) == (0, "VERDICT: PASS", "")
+
+    def test_derivation_matches_expansions(self, run):
+        code, out, err = run("compare", "--table", self.TABLE, "--max", "30")
+        assert out.splitlines() == ["command: compare --max 30", "VERDICT: PASS"]
+        assert (code, err) == (0, "")
+
+    def test_audit_pins_the_same_four_indices(self, run):
+        code, out, _ = run("derive", "--table", self.TABLE, "--audit", "--max", "30")
+        assert code == 0
+        assert out.splitlines() == [
+            "unresolved 1A: 1 2 3 5",
+            "unresolved 7B: 1 2 3 5",
+            "unresolved 13B: 1 2 3 5",
+        ]
+
+    def test_seed_off_by_one_fails(self, run, tmp_path):
+        path = tmp_path / "eta7_13_badseed.mtf"
+        text = (DATA / "eta7_13.mtf").read_text()
+        path.write_text(text.replace("seed 7B 3 -5\n", "seed 7B 3 -4\n"))
+        code, out, err = run("compare", "--table", str(path), "--max", "30")
+        assert (code, out) == (2, "")
+        assert err == "error: seed 7B(3) = -4 conflicts with expansion value -5\n"
+        code, out, _ = run("derive", "--table", str(path), "--max", "30")
+        assert code == 1
+        assert out.splitlines()[-2].startswith("contradiction: 7B(7) derived twice")
+        assert out.splitlines()[-1] == "VERDICT: FAIL"
+
+
 class TestFirstPowerMap:
     @pytest.mark.parametrize(
         "argv",
@@ -421,3 +463,21 @@ class TestProcessLevel:
             text=True,
         )
         assert proc.returncode == 2
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_closed_stdout_ends_quietly(self):
+        # jexpand to 1200 prints about 150 kB, more than a pipe holds, so
+        # the command is still writing when its reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "moonshine", "jexpand", "--order", "1200"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+        assert head == b"-1\t1\n0\t0\n1"
+        assert err == b""
+        assert code == -signal.SIGPIPE

@@ -272,7 +272,7 @@ class TestDenominatorIdentity:
         # c(4) off by one enters both sides; the first cell it breaks is
         # p^2 q^2, where the product sees c(4) through (1 - p^2 q^2)^c(4)
         def corrupted(order):
-            return normalized_j(order) + UniSeries.monomial(1, 4, hi=order)
+            return normalized_j(order) + UniSeries({4: 1}, 4, order)
 
         monkeypatch.setattr(lattice, "normalized_j", corrupted)
         report = denominator_identity_report(6, 6)

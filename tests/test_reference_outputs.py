@@ -1,12 +1,13 @@
-"""Series- and recursion-layer commands reproduce the benchmark's outputs.
+"""Every benchmark command reproduces the benchmark's recorded output.
 
 ``perfbench/reference.json`` holds the exit code and stdout SHA-256 of
 every command the benchmark can emit, recorded from a commit whose outputs
-are known to be right.  This replays its jexpand and simple-roots commands
-(the expand workload) and its derive, compare and audit commands
-in-process against the same generated tables, so a change to the series
-product kernel, the relations, the solver or the audit that moves a single
-byte of stdout fails here.
+are known to be right.  This replays all of them in-process against the
+same generated tables: jexpand and simple-roots (the expand workload),
+verify-product, verify-ep and witt (the product workload), and derive,
+compare and audit.  A change to either series product kernel, the
+two-variable checks, the relations, the solver or the audit that moves a
+single byte of stdout fails here.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ workloads = importlib.util.module_from_spec(_SPEC)
 sys.modules[_SPEC.name] = workloads  # dataclasses look their module up here
 _SPEC.loader.exec_module(workloads)
 
-WORKLOADS = ("expand", "derive", "audit")
+WORKLOADS = ("expand", "product", "derive", "audit")
 COMMANDS = [command for name in WORKLOADS for command in workloads.domain(name)]
 
 

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moonshine.lattice import GradedDims, dimension_product
 from moonshine.series import BiSeries, UniSeries
 
 # ---------------------------------------------------------------------------
@@ -33,6 +35,23 @@ def reference_mul(a: UniSeries, b: UniSeries) -> UniSeries:
                 continue
             data[e] = data.get(e, 0) + v1 * v2
     return UniSeries(data, lo, hi)
+
+
+def reference_bimul(a: BiSeries, b: BiSeries) -> BiSeries:
+    """The two-variable product by the sparse double loop over both factors.
+
+    This is the definition the Kronecker kernel in ``BiSeries.__mul__`` must
+    reproduce, items and window alike.
+    """
+    pmax = min(a.pmax + b._pslo, b.pmax + a._pslo)
+    qmax = min(a.qmax + b._qslo, b.qmax + a._qslo)
+    data = {}
+    for (i1, j1), v1 in a.items():
+        for (i2, j2), v2 in b.items():
+            i, j = i1 + i2, j1 + j2
+            if i <= pmax and j <= qmax:
+                data[(i, j)] = data.get((i, j), 0) + v1 * v2
+    return BiSeries(data, pmax, a.qmin + b.qmin, qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +96,24 @@ def kernel_series(draw):
     hi = draw(st.integers(min_value=lo, max_value=lo + 40))
     exps = draw(st.lists(st.integers(min_value=lo, max_value=hi), max_size=12))
     return UniSeries({e: draw(wide_coeffs()) for e in exps}, lo, hi)
+
+
+@st.composite
+def kernel_bi_series(draw):
+    """Two-variable series with gaps and wide coefficients; q may go negative."""
+    pmax = draw(st.integers(min_value=0, max_value=6))
+    qmin = draw(st.integers(min_value=-3, max_value=2))
+    qmax = draw(st.integers(min_value=qmin, max_value=qmin + 10))
+    keys = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=pmax),
+                st.integers(min_value=qmin, max_value=qmax),
+            ),
+            max_size=10,
+        )
+    )
+    return BiSeries({k: draw(wide_coeffs()) for k in keys}, pmax, qmin, qmax)
 
 
 @st.composite
@@ -439,19 +476,31 @@ class TestRingLaws:
 
 @st.composite
 def log_input_with_cut(draw):
-    """A valid log1m input (p-support >= 1, q-support possibly negative)
-    and a q ceiling to truncate it to."""
+    """A log1m input (p-support >= 1, q-support >= 0; the q floor may still
+    sit below 0) and a q ceiling >= -1 to truncate it to."""
     pmax = draw(st.integers(min_value=1, max_value=5))
     qmin = draw(st.integers(min_value=-3, max_value=1))
-    qmax = draw(st.integers(min_value=qmin, max_value=5))
+    qmax = draw(st.integers(min_value=max(qmin, 0), max_value=5))
     n_terms = draw(st.integers(min_value=0, max_value=5))
     data = {}
     for _ in range(n_terms):
         i = draw(st.integers(min_value=1, max_value=pmax))
-        j = draw(st.integers(min_value=qmin, max_value=qmax))
+        j = draw(st.integers(min_value=max(qmin, 0), max_value=qmax))
         data[(i, j)] = draw(coeffs())
-    cut = draw(st.integers(min_value=qmin, max_value=qmax))
+    cut = draw(st.integers(min_value=max(qmin, -1), max_value=qmax))
     return BiSeries(data, pmax, qmin, qmax), cut
+
+
+def reference_log1m(u: BiSeries) -> BiSeries:
+    """-sum_k u^k / k over the powers that reach p^pmax, by the dict product."""
+    # a floor <= 0 stays at or below the ceiling when the powers scale it
+    u = BiSeries(u.items(), u.pmax, min(u.qmin, 0), u.qmax)
+    total = BiSeries.zero(u.pmax, u.qmin, u.qmax)
+    power = u
+    for k in range(1, u.pmax + 1):
+        total = total + power * Fraction(-1, k)
+        power = reference_bimul(power, u).truncated(pmax=u.pmax, qmax=u.qmax)
+    return total
 
 
 class TestBiSeries:
@@ -486,40 +535,52 @@ class TestBiSeries:
         assert (lu.pmax, lu.qmin, lu.qmax) == (4, 1, 5)
         assert not lu.mismatches(total)
 
-    def test_log1m_with_negative_q_support(self):
-        # v = p/q + p*q; hand expansion of -(v + v^2/2 + v^3/3) kept on the
-        # certified region j <= 0
-        v = BiSeries({(1, -1): 1, (1, 1): 1}, 3, -1, 2)
-        lv = v.log1m()
-        assert (lv.pmax, lv.qmin, lv.qmax) == (3, -3, 0)
-        assert dict(lv.items()) == {
-            (1, -1): -1,
-            (2, -2): Fraction(-1, 2),
-            (2, 0): -1,
-            (3, -3): Fraction(-1, 3),
-            (3, -1): -1,
+    @pytest.mark.parametrize(
+        "u",
+        [
+            # known terms below q^0: p/q + p q
+            BiSeries({(1, -1): 1, (1, 1): 1}, 3, -1, 2),
+            BiSeries({(3, -1): 3, (1, 6): 3, (2, -2): 1}, 3, -2, 40).truncated(qmax=4),
+            # a ceiling of -2: untracked terms may sit at q^-1
+            BiSeries({(1, -1): 1}, 2, -2, 0).truncated(qmax=-2),
+            BiSeries({(1, -1): 1, (2, -2): 1}, 2, -2, 0).truncated(qmax=-2),
+        ],
+        ids=[
+            "negative-q-support",
+            "untracked-terms",
+            "ceiling-below-zero-known0",
+            "ceiling-below-zero-known1",
+        ],
+    )
+    def test_log1m_refuses_negative_q(self, u):
+        with pytest.raises(ValueError, match="q exponents >= 0"):
+            u.log1m()
+
+    def test_log1m_keeps_floor_and_ceiling(self):
+        # an empty input keeps its floor; otherwise the floor is the
+        # lowest known q; the ceiling is the input's, even at -1
+        empty = BiSeries((), 2, -3, -1).log1m()
+        assert empty.is_zero() and (empty.pmax, empty.qmin, empty.qmax) == (2, -3, -1)
+        lu = BiSeries({(1, 2): 1}, 3, -2, 4).log1m()
+        assert (lu.pmax, lu.qmin, lu.qmax) == (3, 2, 4)
+
+    def test_log1m_feeds_integral_fractions_back(self):
+        # u^2 cut at q^3 is p^2 q^2 + p^2 q^3, all integral although u is
+        # not; the kernel must hand those back as ints before u^3
+        u = BiSeries({(1, 1): 1, (1, 2): Fraction(1, 2)}, 3, 0, 3)
+        assert dict(u.log1m().items()) == {
+            (1, 1): -1,
+            (1, 2): Fraction(-1, 2),
+            (2, 2): Fraction(-1, 2),
+            (2, 3): Fraction(-1, 2),
+            (3, 3): Fraction(-1, 3),
         }
 
-    @pytest.mark.parametrize("op", ["log1m"])
-    def test_certified_window_survives_untracked_terms(self, op):
-        # the truncation drops p*q^6, a p-degree-1 term above its ceiling;
-        # times p^2/q^2 it lands on p^3 q^4, so the ceiling must sit below 4
-        data = {(3, -1): 3, (1, 6): 3, (2, -2): 1}
-        full = getattr(BiSeries(data, 3, -2, 40), op)()
-        short = getattr(BiSeries(data, 3, -2, 40).truncated(qmax=4), op)()
-        assert full.coeff(3, 4) == -3
-        assert not short.mismatches(full)
-        assert short.qmax == 2
-
-    @pytest.mark.parametrize("known", [{}, {(2, -2): 1}])
-    def test_untracked_terms_below_zero_lower_the_ceiling(self, known):
-        # with the ceiling at -2 the dropped p/q is itself negative in q:
-        # squared it lands on p^2 q^-2
-        full = BiSeries({(1, -1): 1, **known}, 2, -2, 0).log1m()
-        short = BiSeries({(1, -1): 1, **known}, 2, -2, 0).truncated(qmax=-2).log1m()
-        assert full.coeff(2, -2) == -Fraction(1, 2) - sum(known.values())
-        assert short.qmax == -3
-        assert not short.mismatches(full)
+    @settings(max_examples=200)
+    @given(log_input_with_cut())
+    def test_log1m_matches_reference_power_sum(self, case):
+        u, _ = case
+        assert u.log1m().items() == reference_log1m(u).items()
 
     @settings(max_examples=300)
     @given(log_input_with_cut())
@@ -564,3 +625,76 @@ class TestBiSeries:
         assert not sq.substitute_power(k).mismatches(
             a.substitute_power(k) * a.substitute_power(k)
         )
+
+
+# ---------------------------------------------------------------------------
+# two-variable products against the dict reference
+
+
+def assert_same_bi(got: BiSeries, want: BiSeries):
+    assert (got.pmax, got.qmin, got.qmax) == (want.pmax, want.qmin, want.qmax)
+    assert got.items() == want.items()
+
+
+@st.composite
+def graded_dims(draw):
+    """Full dimension grids with zero entries and 300-bit entries."""
+    mmax = draw(st.integers(min_value=1, max_value=6))
+    nmax = draw(st.integers(min_value=1, max_value=6))
+    dim = st.one_of(
+        st.just(0),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=2**299, max_value=2**300),
+    )
+    cells = [(m, n) for m in range(1, mmax + 1) for n in range(1, nmax + 1)]
+    return GradedDims({cell: draw(dim) for cell in cells}, mmax, nmax)
+
+
+class TestBiProductKernel:
+    @settings(max_examples=300)
+    @given(kernel_bi_series(), kernel_bi_series())
+    def test_matches_reference(self, a, b):
+        assert_same_bi(a * b, reference_bimul(a, b))
+
+    @settings(max_examples=100)
+    @given(kernel_bi_series())
+    def test_square_matches_reference(self, a):
+        assert_same_bi(a * a, reference_bimul(a, a))
+
+    @settings(max_examples=100)
+    @given(
+        kernel_bi_series(),
+        kernel_bi_series(),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=3),
+    )
+    def test_substituted_factors_match_reference(self, a, b, s, t):
+        a, b = a.substitute_power(s), b.substitute_power(t)
+        assert_same_bi(a * b, reference_bimul(a, b))
+        assert_same_bi(a * a, reference_bimul(a, a))
+
+    @given(kernel_bi_series())
+    def test_prefactor_with_negative_q(self, a):
+        # the product identity's 1 - p q^-1 is the one factor below q^0
+        pmax = max(a.pmax, 1)
+        prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, -pmax, max(a.qmax + 1, 0))
+        assert_same_bi(prefactor * a, reference_bimul(prefactor, a))
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_dims())
+    # after (1,1) both 1 and p^2 q^2 are terms; (2,2) moves the constant
+    # onto p^2 q^2 first, then must move p^2 q^2 with its earlier value
+    @example(GradedDims({(1, 1): 3, (2, 2): 1}, 4, 4))
+    def test_dimension_product_matches_reference(self, dims):
+        pmax, qmax = dims.mmax, dims.nmax
+        want = BiSeries.one(pmax, 0, qmax)
+        for (m, n), d in dims.dims.items():
+            top = min(pmax // m, qmax // n)
+            factor = BiSeries(
+                {(m * t, n * t): (-1) ** t * math.comb(d, t) for t in range(top + 1)},
+                pmax,
+                0,
+                qmax,
+            )
+            want = reference_bimul(want, factor)
+        assert_same_bi(dimension_product(dims), want)
