@@ -14,10 +14,9 @@ would fabricate identity violations (or worse, mask them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .modular import EtaMonomial, EtaRecipe, expand_recipe, normalized_j
 from .series import BiSeries, Coeff, UniSeries
@@ -49,8 +48,7 @@ class MissingCoefficients(Exception):
         super().__init__(f"unknown coefficients: {listed}{more}")
 
 
-@dataclass
-class ClassTable:
+class ClassTable(NamedTuple):
     """Conjugacy classes, element orders, power maps, seeds, recipes."""
 
     names: tuple[str, ...]
@@ -276,8 +274,7 @@ def serialize_table(table: ClassTable) -> str:
 # coefficient families
 
 
-@dataclass
-class CoefficientFamily:
+class CoefficientFamily(NamedTuple):
     """Known trace coefficients c_g(n) per class.
 
     Slots -1 and 0 are always present (1 and 0 by normalization); other
@@ -452,8 +449,7 @@ def generator_log_series(
     return -u.log1m()
 
 
-@dataclass(frozen=True)
-class EPReport:
+class EPReport(NamedTuple):
     """Result of the per-class Euler-Poincare identity comparison."""
 
     name: str

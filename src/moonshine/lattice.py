@@ -14,8 +14,8 @@ oracle so the Witt route never has to be trusted on its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .modular import normalized_j
 from .recursion import mobius
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LatticeVector:
+class LatticeVector(NamedTuple):
     m: int
     n: int
 
@@ -53,8 +52,7 @@ def gram(a: LatticeVector, b: LatticeVector) -> int:
     return -(a.m * b.n + a.n * b.m)
 
 
-@dataclass(frozen=True)
-class SimpleRootList:
+class SimpleRootList(NamedTuple):
     """Simple roots with multiplicities, in canonical order."""
 
     entries: tuple[tuple[LatticeVector, int], ...]
@@ -131,8 +129,7 @@ def build_matrix(count: int) -> list[list[int]]:
     return [[gram(a, b) for b in reps] for a in reps]
 
 
-@dataclass(frozen=True)
-class CartanReport:
+class CartanReport(NamedTuple):
     """Outcome of the generalized-Cartan-matrix conditions.
 
     The three checks: the matrix is symmetric; off-diagonal entries are
@@ -191,8 +188,7 @@ def root_multiplicity(m: int, n: int, c: UniSeries) -> int:
 # generalized Witt formula
 
 
-@dataclass(frozen=True)
-class GradedDims:
+class GradedDims(NamedTuple):
     """Integer dimensions on the grid [1..mmax] x [1..nmax]."""
 
     dims: dict[tuple[int, int], int]
@@ -260,8 +256,7 @@ def witt_dims(mmax: int, nmax: int, c: UniSeries) -> GradedDims:
 # denominator identity
 
 
-@dataclass(frozen=True)
-class ProductReport:
+class ProductReport(NamedTuple):
     """Coefficient-wise comparison of the two sides of the product formula."""
 
     pmax: int

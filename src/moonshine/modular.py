@@ -11,9 +11,8 @@ a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .series import Coeff, UniSeries
 
@@ -138,8 +137,7 @@ def normalized_j(order: int) -> UniSeries:
 # eta-quotient recipes
 
 
-@dataclass(frozen=True)
-class EtaMonomial:
+class EtaMonomial(NamedTuple):
     """A rational multiple of a product of scaled eta powers.
 
     ``factors`` maps each scale k to the exponent of eta(k*tau); the term
@@ -169,8 +167,7 @@ class EtaMonomial:
         return Fraction(sum(k * e for k, e in self.factors), 24)
 
 
-@dataclass(frozen=True)
-class EtaRecipe:
+class EtaRecipe(NamedTuple):
     """A formal sum of eta monomials defining a Hauptmodul candidate.
 
     With ``normalize`` set, the constant term of the expansion is subtracted

@@ -53,10 +53,10 @@ none occurs on the tested tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
+from typing import NamedTuple
 
 from .classes import ClassTable, CoefficientFamily, MissingCoefficients
 from .series import format_coeff
@@ -101,8 +101,7 @@ def mobius(k: int) -> int:
 # partition matrices (brute enumeration, kept as the oracle route)
 
 
-@dataclass(frozen=True)
-class PartitionMatrix:
+class PartitionMatrix(NamedTuple):
     """A multiset of cells (r,s) >= (1,1) with multiplicities, by target.
 
     ``entries`` is a sorted tuple of ((r, s), multiplicity).
@@ -160,8 +159,7 @@ def vector_partitions(i: int, j: int) -> list[PartitionMatrix]:
 # compressed relations
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """The coefficient-of-p^i q^j relation, canonicalized to i <= j and
     multiplied by ``scale`` = gcd(i,j), which makes every weight an ``int``.
 
@@ -318,8 +316,7 @@ def coefficient_recursion(
     return result
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(NamedTuple):
     """Closed form vs stored values over all factorizations of each n."""
 
     name: str
@@ -434,8 +431,7 @@ def _evaluate(name: str, relation: Relation, powers: tuple[str, ...], values: di
     return "fire", (unknown, solved.numerator if solved.denominator == 1 else solved)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     """Everything the propagation run learned."""
 
     values: dict[tuple[str, int], int]
@@ -551,8 +547,7 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
     return SolveResult(clean, unresolved, provenance, passes)
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Which indices the relation system cannot derive on its own."""
 
     nmax: int

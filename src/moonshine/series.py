@@ -12,7 +12,8 @@ Products in both classes run through one dense integer kernel: the
 denominators of each factor are cleared, and the two factors are multiplied
 by Kronecker substitution, as a single big-integer product with one digit
 per exponent step, wide enough that no carry crosses from one coefficient
-to the next (see ``_mul_low`` for the step and the width bound).  A
+to the next (see ``_mul_low`` for the step and the width bound).  Factors
+with fewer term pairs than product digits are multiplied pair by pair.  A
 two-variable term p^i q^j is first flattened to one exponent (``_bimul``).
 Negative q exponents exist only for the ``1 - p q^-1`` prefactor of the
 two-variable product identity; ``BiSeries.log1m`` refuses them.
@@ -80,9 +81,20 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
     rounded up to whole bytes, every ``|c_t| < 2^(k-1)``: each biased digit
     of the product lies in ``[0, 2^k)`` and no carry crosses a digit.
     Digits are written into and read from byte buffers, never shifted.
+
+    When ``len(a) * len(b)`` is at most the digit count the term pairs are
+    multiplied directly instead: packing a few wide terms into hundreds of
+    wide digits costs far more than the pairs themselves.
     """
     step = gcd(*a, *b) or 1  # gcd is 0 when every offset is 0
     digits = (n - 1) // step + 1
+    if len(a) * len(b) <= digits:
+        out: dict[int, int] = {}
+        for s, u in a.items():
+            for t, v in b.items():
+                if s + t < n:
+                    out[s + t] = out.get(s + t, 0) + u * v
+        return {t: v for t, v in out.items() if v}
     bits = (
         max(map(abs, a.values())).bit_length()
         + max(map(abs, b.values())).bit_length()

@@ -456,6 +456,24 @@ class TestProcessLevel:
         assert proc.returncode == 0
         assert "VERDICT: PASS" in proc.stdout
 
+    def test_import_leaves_dataclasses_unloaded(self):
+        # the records are NamedTuples: importing dataclasses (with inspect)
+        # and generating record methods added ~25 ms to every command
+        probe = (
+            "import sys\n"
+            "print('dataclasses' in sys.modules)\n"
+            "import moonshine.cli\n"
+            "print('dataclasses' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after = proc.stdout.split()
+        if before == "True":
+            pytest.skip("the interpreter loads dataclasses at start-up")
+        assert after == "False"
+
     def test_unknown_subcommand_exits_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "moonshine", "frobnicate"],

@@ -668,6 +668,14 @@ class TestBiProductKernel:
         st.integers(min_value=1, max_value=3),
         st.integers(min_value=1, max_value=3),
     )
+    # two terms each, one 2001 bits wide: the products span hundreds of
+    # digits, which the kernel must not pack for four term pairs
+    @example(
+        BiSeries({(3, 10): 1, (5, 5): 2**2000}, 6, 0, 10),
+        BiSeries({(2, 0): -1, (5, 1): 1}, 6, -1, 9),
+        3,
+        2,
+    )
     def test_substituted_factors_match_reference(self, a, b, s, t):
         a, b = a.substitute_power(s), b.substitute_power(t)
         assert_same_bi(a * b, reference_bimul(a, b))
