@@ -315,6 +315,20 @@ class TestProductKernel:
             b = a if a_is_b else b.substitute_power(step)
         assert_same_product(a * b, reference_mul(a, b))
 
+    @pytest.mark.parametrize("den", [1, 2])
+    @pytest.mark.parametrize(
+        "length, a_bits, b_bits", [(3, 6, 7), (3, 1000, 1005), (255, 7, 8), (255, 1000, 999)]
+    )
+    def test_width_bound_without_slack(self, length, a_bits, b_bits, den):
+        # the digit width k = a_bits + b_bits + bits(length) + 1 is a whole
+        # number of bytes, and the middle coefficient
+        # -length * (2^a_bits - 1) * (2^b_bits - 1) lies below -2^(k-2): it
+        # fits only with the bias at exactly 2^(k-1)
+        assert (a_bits + b_bits + length.bit_length() + 1) % 8 == 0
+        a = UniSeries({e: Fraction(2**a_bits - 1, den) for e in range(length)}, 0, length - 1)
+        b = UniSeries({e: 1 - 2**b_bits for e in range(length)}, 0, length - 1)
+        assert_same_product(a * b, reference_mul(a, b))
+
     def test_fraction_factors_divide_back(self):
         a = UniSeries({0: Fraction(1, 2), 1: Fraction(2, 3)}, 0, 3)
         b = UniSeries({0: 4, 2: Fraction(3, 4)}, 0, 3)
