@@ -59,8 +59,7 @@ print()
 generators = BiSeries(
     {(m, n): c.coeff(m + n - 1) for m in range(1, 5) for n in range(1, 5)},
     4,
-    0,
     4,
 )
-oracle_bad = dimension_product(dims).mismatches(BiSeries.one(4, 0, 4) - generators)
+oracle_bad = dimension_product(dims).mismatches(BiSeries.one(4, 4) - generators)
 print("independent product oracle disagreements:", oracle_bad)

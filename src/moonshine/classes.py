@@ -303,9 +303,7 @@ class CoefficientFamily(NamedTuple):
         missing = [(name, n) for n in range(1, hi + 1) if n not in vals]
         if missing:
             raise MissingCoefficients(missing)
-        return UniSeries(
-            {n: v for n, v in vals.items() if -1 <= n <= hi}, -1, hi
-        )
+        return UniSeries({n: v for n, v in vals.items() if -1 <= n <= hi}, hi)
 
 
 def load_family(table: ClassTable, order: int) -> CoefficientFamily:
@@ -379,7 +377,6 @@ def algebra_series(
             for n in range(1, jmax + 1)
         },
         imax,
-        0,
         jmax,
     )
 
@@ -403,7 +400,6 @@ def generator_series(
             for n in range(1, jmax + 1)
         },
         imax,
-        0,
         jmax,
     )
 
@@ -414,13 +410,13 @@ def adams_trace(
     """Trace of g on the k-th Adams operation of the algebra trace series.
 
     At trace level the Adams operation swaps in the g^k coefficient column
-    and substitutes p -> p^k, q -> q^k.  Window floors widen on the way:
+    and substitutes p -> p^k, q -> q^k.  The ceilings rise on the way:
     exponents that are not multiples of k are provably zero.
     """
     if k < 1:
         raise ValueError("Adams index must be >= 1")
     if imax // k < 1 or jmax // k < 1:
-        return BiSeries.zero(imax, 0, jmax)
+        return BiSeries.zero(imax, jmax)
     powered = family.table.power_of(name, k)
     inner = algebra_series(family, powered, imax // k, jmax // k)
     return inner.substitute_power(k).truncated(pmax=imax, qmax=jmax)
@@ -434,7 +430,7 @@ def adams_log_series(
     Terms with k > min(imax, jmax) have no support inside the window, so
     the infinite sum is exactly the displayed finite one.
     """
-    total = BiSeries.zero(imax, 0, jmax)
+    total = BiSeries.zero(imax, jmax)
     for k in range(1, min(imax, jmax) + 1):
         term = adams_trace(family, name, k, imax, jmax)
         total = total + term * Fraction(1, k)

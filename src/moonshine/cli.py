@@ -190,7 +190,6 @@ def _cmd_witt(args) -> int:
             for n in range(1, args.nmax + 1)
         },
         args.mmax,
-        0,
         args.nmax,
     )
     dims = witt_dims_from_char(generators)
@@ -210,7 +209,7 @@ def _cmd_witt(args) -> int:
         print("\t".join(row))
     for m, n, got, expected in mismatches:
         print(f"mismatch\t({m},{n})\t{got}\t{expected}")
-    one = BiSeries.one(args.mmax, 0, args.nmax)
+    one = BiSeries.one(args.mmax, args.nmax)
     oracle_bad = dimension_product(dims).mismatches(one - generators)
     for i, j, lhs, rhs in oracle_bad:
         print(f"oracle mismatch\t({i},{j})\t{format_coeff(lhs)}\t{format_coeff(rhs)}")

@@ -211,7 +211,7 @@ def witt_dims_from_char(u: BiSeries) -> GradedDims:
     if u._pslo < 1 or u._qslo < 1:
         raise ValueError("character must be supported on m, n >= 1")
     mmax, nmax = u.pmax, u.qmax
-    total = BiSeries.zero(mmax, 0, nmax)
+    total = BiSeries.zero(mmax, nmax)
     for k in range(1, min(mmax, nmax) + 1):
         mu = mobius(k)
         if mu == 0:
@@ -246,7 +246,6 @@ def witt_dims(mmax: int, nmax: int, c: UniSeries) -> GradedDims:
             for n in range(1, nmax + 1)
         },
         mmax,
-        0,
         nmax,
     )
     return witt_dims_from_char(u)
@@ -260,7 +259,7 @@ class ProductReport(NamedTuple):
     """Coefficient-wise comparison of the two sides of the product formula."""
 
     pmax: int
-    qmin: int
+    qmin: int  # -pmax: the q floor verify-product prints, part of its stdout contract
     qmax: int
     mismatches: tuple[tuple[int, int, Coeff, Coeff], ...]
 
@@ -271,7 +270,10 @@ class ProductReport(NamedTuple):
 
 def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of  p(J(p) - J(q)) = (1 - pq^-1) prod (1-p^i q^j)^c(ij)
-    on the window [0..pmax] x [-pmax..qmax].
+    up to p^pmax and q^qmax.
+
+    Both sides reach below q^0 only through their p q^-1 term, which is
+    stored like any other; the window is the two ceilings.
 
     The product over i,j >= 1 is expanded factor by factor with
     ``dimension_product``, in integer binomials: factors with i > pmax or
@@ -283,7 +285,6 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
         raise ValueError("window bounds must be >= 1")
     order = max(pmax * (qmax + 1), qmax, pmax - 1)
     c = normalized_j(order)
-    qmin = -pmax
 
     cells: dict[tuple[int, int], Coeff] = {}
     for n in range(-1, pmax):  # p J(p) = sum c(n) p^{n+1}
@@ -294,7 +295,7 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
         value = int(c.coeff(n))
         if value:
             cells[(1, n)] = cells.get((1, n), 0) - value
-    lhs = BiSeries(cells, pmax, qmin, qmax)
+    lhs = BiSeries(cells, pmax, qmax)
 
     mults = {
         (i, j): int(c.coeff(i * j))
@@ -302,7 +303,7 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
         for j in range(1, qmax + 2)
     }
     expanded = dimension_product(GradedDims(mults, pmax, qmax + 1))
-    prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, qmin, qmax + 1)
+    prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, qmax + 1)
     rhs = prefactor * expanded
     return lhs, rhs
 
@@ -342,4 +343,4 @@ def dimension_product(dims: GradedDims) -> BiSeries:
                 if key[0] > pmax or key[1] > qmax:
                     break
                 out[key] = out.get(key, 0) + b * v
-    return BiSeries(out, pmax, 0, qmax)
+    return BiSeries(out, pmax, qmax)

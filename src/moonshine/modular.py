@@ -47,7 +47,7 @@ def euler_product(order: int) -> UniSeries:
             if e <= order:
                 data[e] = data.get(e, 0) + (-1) ** k
         k += 1
-    return UniSeries(data, 0, order)
+    return UniSeries(data, order)
 
 
 def dedekind_eta_power(
@@ -93,7 +93,7 @@ def eisenstein(weight: int, order: int) -> UniSeries:
     data: dict[int, Coeff] = {0: 1}
     for n in range(1, order + 1):
         data[n] = scale * sigma[n]
-    return UniSeries(data, 0, order)
+    return UniSeries(data, order)
 
 
 def delta(order: int) -> UniSeries:
@@ -199,7 +199,7 @@ def expand_recipe(recipe: EtaRecipe, order: int) -> UniSeries:
         term = (body * mono.coeff).shift(shift)
         total = term if total is None else total + term
     if total is None:
-        total = UniSeries.zero(0, order)
+        total = UniSeries.zero(order)
     if recipe.normalize:
         total = total - total.coeff(0)
     return total

@@ -1,12 +1,17 @@
 """Exact truncated Laurent series in one and two formal variables.
 
 Every series stores rational coefficients (plain ``int`` whenever the value
-is integral, ``fractions.Fraction`` otherwise) together with an explicit
-exponent window recording what is actually known:
+is integral, ``fractions.Fraction`` otherwise) sparsely, together with a
+precision: one ceiling per variable, as in the usual O(q^n) model.
 
-* exponents below the window are guaranteed zero (a support bound),
-* exponents inside the window are stored sparsely,
-* exponents above the window are untracked, and asking for them raises.
+* exponents up to the ceiling are known: a coefficient that is not stored
+  there is zero, so the support is read from the stored terms,
+* exponents above the ceiling are untracked, and asking for them raises.
+
+Exponents may be negative: a Laurent term such as q^-1 in the modular
+invariant, or p q^-1 in the prefactor of the two-variable product identity,
+is ordinary data.  Only ``BiSeries.log1m`` refuses negative q exponents, and
+p exponents are always nonnegative.
 
 Products in both classes run through one dense integer kernel: the
 denominators of each factor are cleared, and the two factors are multiplied
@@ -15,15 +20,13 @@ per exponent step, wide enough that no carry crosses from one coefficient
 to the next (see ``_mul_low`` for the step and the width bound).  Factors
 with fewer term pairs than product digits are multiplied pair by pair.  A
 two-variable term p^i q^j is first flattened to one exponent (``_bimul``).
-Negative q exponents exist only for the ``1 - p q^-1`` prefactor of the
-two-variable product identity; ``BiSeries.log1m`` refuses them.
 
-Arithmetic propagates windows so that every reported coefficient is exact.
+Arithmetic propagates ceilings so that every reported coefficient is exact.
 A truncated product, for instance, can only be trusted up to
-``min(a.hi + b.lo, b.hi + a.lo)``; the implementation sharpens that bound
-using the lowest exponent that actually occurs in each factor.  Nothing is
-ever padded with fabricated zeros, which is what makes the identity checks
-built on top of this module trustworthy.
+``min(a.hi + b.support_lo, b.hi + a.support_lo)``, where ``support_lo`` is
+the lowest exponent that actually occurs in a factor.  Nothing is ever
+padded with fabricated zeros, which is what makes the identity checks built
+on top of this module trustworthy.
 
 All series are immutable by convention: operations return fresh objects.
 """
@@ -153,32 +156,29 @@ def _mul_exact(a: dict[int, Coeff], b: dict[int, Coeff], n: int) -> dict[int, Co
 
 
 class UniSeries:
-    """A univariate Laurent series known exactly on the window ``[lo, hi]``.
+    """A univariate Laurent series known exactly up to ``q^hi``.
 
-    ``lo`` is a proven support bound (all lower coefficients are zero) and
-    ``hi`` is the truncation order (higher coefficients are untracked).
+    ``hi`` is the truncation order: higher coefficients are untracked.  Up to
+    it, a coefficient that is not stored is zero; the lowest stored exponent
+    is the support (:attr:`support_lo`).
     """
 
-    __slots__ = ("lo", "hi", "_c")
+    __slots__ = ("hi", "_c")
 
     def __init__(
         self,
         coeffs: Mapping[int, Coeff] | Iterable[tuple[int, Coeff]] = (),
-        lo: int = 0,
         hi: int = 0,
     ):
-        if lo > hi:
-            raise ValueError(f"empty window [{lo}, {hi}]")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         data: dict[int, Coeff] = {}
         for exponent, value in items:
             value = _norm(value)
             if value == 0:
                 continue
-            if not lo <= exponent <= hi:
-                raise ValueError(f"exponent {exponent} outside window [{lo}, {hi}]")
+            if exponent > hi:
+                raise ValueError(f"exponent {exponent} outside window: above q^{hi}")
             data[int(exponent)] = value
-        self.lo = lo
         self.hi = hi
         self._c = data
 
@@ -186,12 +186,12 @@ class UniSeries:
     # constructors
 
     @classmethod
-    def zero(cls, lo: int = 0, hi: int = 0) -> "UniSeries":
-        return cls((), lo, hi)
+    def zero(cls, hi: int = 0) -> "UniSeries":
+        return cls((), hi)
 
     @classmethod
     def one(cls, hi: int) -> "UniSeries":
-        return cls({0: 1}, 0, hi)
+        return cls({0: 1}, hi)
 
     # ------------------------------------------------------------------
     # inspection
@@ -199,7 +199,7 @@ class UniSeries:
     def coeff(self, exponent: int) -> Coeff:
         if exponent > self.hi:
             raise ValueError(
-                f"coefficient at q^{exponent} is beyond the window [{self.lo}, {self.hi}]"
+                f"coefficient at q^{exponent} is beyond the window: known up to q^{self.hi}"
             )
         return self._c.get(exponent, 0)
 
@@ -220,8 +220,8 @@ class UniSeries:
     def mismatches(self, other: "UniSeries") -> list[tuple[int, Coeff, Coeff]]:
         """Exponents where the two series provably disagree.
 
-        The comparable region is every exponent up to ``min(hi, other.hi)``:
-        below each window floor the coefficients are known to vanish.
+        The comparable region is every exponent up to ``min(hi, other.hi)``,
+        where a coefficient that is not stored is zero.
         """
         hi = min(self.hi, other.hi)
         exps = {e for e in self._c if e <= hi} | {e for e in other._c if e <= hi}
@@ -247,28 +247,23 @@ class UniSeries:
         else:
             shown = [f"{v}*q^{e}" for e, v in terms[:8]]
             body = " + ".join(shown) + (" + ..." if len(terms) > 8 else "")
-        return f"UniSeries[{self.lo}..{self.hi}]({body})"
+        return f"UniSeries[..{self.hi}]({body})"
 
     # ------------------------------------------------------------------
     # ring operations
 
     def __add__(self, other):
+        """Sum with a scalar or another series, exact up to the lower ceiling."""
         if isinstance(other, (int, Fraction)):
             return self._add_scalar(other)
         if not isinstance(other, UniSeries):
             return NotImplemented
-        if max(self.lo, other.lo) > min(self.hi, other.hi):
-            raise ValueError(
-                "incompatible windows: "
-                f"[{self.lo}, {self.hi}] and [{other.lo}, {other.hi}] do not overlap"
-            )
-        lo = min(self.lo, other.lo)
         hi = min(self.hi, other.hi)
         data = {e: v for e, v in self._c.items() if e <= hi}
         for e, v in other._c.items():
             if e <= hi:
                 data[e] = data.get(e, 0) + v
-        return UniSeries(data, lo, hi)
+        return UniSeries(data, hi)
 
     __radd__ = __add__
 
@@ -278,14 +273,14 @@ class UniSeries:
             return self
         if self.hi < 0:
             raise ValueError(
-                f"incompatible windows: constant term lies above the window [{self.lo}, {self.hi}]"
+                f"incompatible windows: constant term lies above q^{self.hi}"
             )
         data = dict(self._c)
         data[0] = data.get(0, 0) + value
-        return UniSeries(data, min(self.lo, 0), self.hi)
+        return UniSeries(data, self.hi)
 
     def __neg__(self) -> "UniSeries":
-        return UniSeries({e: -v for e, v in self._c.items()}, self.lo, self.hi)
+        return UniSeries({e: -v for e, v in self._c.items()}, self.hi)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -308,15 +303,9 @@ class UniSeries:
         are multiplied by one Kronecker product (:func:`_mul_exact`).
         """
         if isinstance(other, (int, Fraction)):
-            other = _norm(other)
-            if other == 0:
-                return UniSeries((), self.lo, self.hi)
-            return UniSeries(
-                {e: v * other for e, v in self._c.items()}, self.lo, self.hi
-            )
+            return UniSeries({e: v * other for e, v in self._c.items()}, self.hi)
         if not isinstance(other, UniSeries):
             return NotImplemented
-        lo = self.lo + other.lo
         a_slo, b_slo = self.support_lo, other.support_lo
         hi = min(self.hi + b_slo, other.hi + a_slo)
         # offsets from each support floor that can land at or below hi
@@ -326,7 +315,7 @@ class UniSeries:
             e - b_slo: v for e, v in other._c.items() if e - b_slo < n
         }
         floor = a_slo + b_slo
-        return UniSeries({floor + t: v for t, v in _mul_exact(a, b, n).items()}, lo, hi)
+        return UniSeries({floor + t: v for t, v in _mul_exact(a, b, n).items()}, hi)
 
     __rmul__ = __mul__
 
@@ -335,8 +324,8 @@ class UniSeries:
             raise ValueError("series power must be a nonnegative integer")
         if n == 0:
             return UniSeries.one(self.hi)
-        # start from self, not from one: a product with one would clip a
-        # Laurent window to one's
+        # start from self, not from one: a product with one would lower a
+        # Laurent series' ceiling
         result = None
         base = self
         while True:
@@ -354,17 +343,17 @@ class UniSeries:
         """Multiplicative inverse by long division, exact up to ``q^order``.
 
         The leading (lowest nonzero) coefficient must be nonzero; the result
-        window starts at the negated leading exponent and is clipped to what
-        the input window can support.
+        starts at the negated leading exponent, which must not lie above
+        ``order``, and its ceiling is clipped to what the input's ceiling
+        supports.
         """
         e0 = self.support_lo
         if not self._c:
             raise ValueError("non-invertible series: zero leading coefficient")
         hi = min(order, self.hi - 2 * e0)
-        lo = -e0
-        if hi < lo:
+        if hi < -e0:
             raise ValueError(
-                f"empty window [{lo}, {hi}] for inverse to order {order}"
+                f"inverse to order {order} is empty: its leading term is q^{-e0}"
             )
         depth = hi + e0  # degree of the unit-part inverse
         a = [self._c.get(e0 + t, 0) for t in range(depth + 1)]
@@ -375,36 +364,27 @@ class UniSeries:
                 if a[t]:
                     s += a[t] * b[d - t]
             b.append(_div(-s, a[0]) if s else 0)
-        return UniSeries({lo + d: b[d] for d in range(depth + 1)}, lo, hi)
+        return UniSeries({d - e0: b[d] for d in range(depth + 1)}, hi)
 
     def substitute_power(self, k: int) -> "UniSeries":
         """Replace q by q^k.
 
         Exponents strictly between multiples of k are known to vanish, so the
-        window widens to ``k*hi + k - 1``.
+        ceiling rises to ``k*hi + k - 1``.
         """
         if not isinstance(k, int) or k < 1:
             raise ValueError("substitution power must be a positive integer")
-        return UniSeries(
-            {e * k: v for e, v in self._c.items()},
-            self.lo * k,
-            self.hi * k + k - 1,
-        )
+        return UniSeries({e * k: v for e, v in self._c.items()}, self.hi * k + k - 1)
 
     def shift(self, d: int) -> "UniSeries":
         """Multiply by q^d."""
-        return UniSeries({e + d: v for e, v in self._c.items()}, self.lo + d, self.hi + d)
+        return UniSeries({e + d: v for e, v in self._c.items()}, self.hi + d)
 
-    def restrict(self, lo: int | None = None, hi: int | None = None) -> "UniSeries":
-        """Clip to a smaller window (never extends past tracked terms)."""
-        new_lo = self.lo if lo is None else lo
-        new_hi = self.hi if hi is None else hi
-        if new_hi > self.hi:
+    def restrict(self, hi: int) -> "UniSeries":
+        """Lower the ceiling to ``hi`` (never raises it past tracked terms)."""
+        if hi > self.hi:
             raise ValueError("cannot extend a window upward; recompute instead")
-        if new_lo > self.lo and any(e < new_lo and v for e, v in self._c.items()):
-            raise ValueError("cannot raise window floor past nonzero terms")
-        data = {e: v for e, v in self._c.items() if new_lo <= e <= new_hi}
-        return UniSeries(data, new_lo, new_hi)
+        return UniSeries({e: v for e, v in self._c.items() if e <= hi}, hi)
 
 
 def _bimul(
@@ -448,28 +428,24 @@ def _bimul(
 
 
 class BiSeries:
-    """A series in two variables p, q on the window ``[0..pmax] x [qmin..qmax]``.
+    """A series in two variables p, q known exactly up to p^pmax and q^qmax.
 
-    p exponents are always nonnegative; q exponents may go negative down to
-    ``qmin``, which only the ``1 - p q^-1`` prefactor of the two-variable
-    product identity needs (``log1m`` refuses them).  As in
-    :class:`UniSeries`, window floors are support bounds and window ceilings
-    are truncation orders.
+    p exponents are always nonnegative.  q exponents may be negative, as in
+    the ``1 - p q^-1`` prefactor of the two-variable product identity; only
+    ``log1m`` refuses them.  As in :class:`UniSeries`, the ceilings are
+    truncation orders and the support is read from the stored terms.
     """
 
-    __slots__ = ("pmax", "qmin", "qmax", "_c")
+    __slots__ = ("pmax", "qmax", "_c")
 
     def __init__(
         self,
         coeffs: Mapping[tuple[int, int], Coeff] | Iterable[tuple[tuple[int, int], Coeff]] = (),
         pmax: int = 0,
-        qmin: int = 0,
         qmax: int = 0,
     ):
         if pmax < 0:
             raise ValueError("pmax must be >= 0")
-        if qmin > qmax:
-            raise ValueError(f"empty q window [{qmin}, {qmax}]")
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         data: dict[tuple[int, int], Coeff] = {}
         for (i, j), value in items:
@@ -478,14 +454,12 @@ class BiSeries:
                 continue
             if i < 0:
                 raise ValueError("p exponents must be >= 0")
-            if i > pmax or not qmin <= j <= qmax:
+            if i > pmax or j > qmax:
                 raise ValueError(
-                    f"exponent pair ({i}, {j}) outside window "
-                    f"[0..{pmax}] x [{qmin}..{qmax}]"
+                    f"exponent pair ({i}, {j}) outside window: above p^{pmax} or q^{qmax}"
                 )
             data[(int(i), int(j))] = value
         self.pmax = pmax
-        self.qmin = qmin
         self.qmax = qmax
         self._c = data
 
@@ -493,12 +467,12 @@ class BiSeries:
     # constructors
 
     @classmethod
-    def zero(cls, pmax: int, qmin: int, qmax: int) -> "BiSeries":
-        return cls((), pmax, qmin, qmax)
+    def zero(cls, pmax: int, qmax: int) -> "BiSeries":
+        return cls((), pmax, qmax)
 
     @classmethod
-    def one(cls, pmax: int, qmin: int, qmax: int) -> "BiSeries":
-        return cls({(0, 0): 1}, pmax, qmin, qmax)
+    def one(cls, pmax: int, qmax: int) -> "BiSeries":
+        return cls({(0, 0): 1}, pmax, qmax)
 
     # ------------------------------------------------------------------
     # inspection
@@ -506,11 +480,9 @@ class BiSeries:
     def coeff(self, i: int, j: int) -> Coeff:
         if i > self.pmax or j > self.qmax:
             raise ValueError(
-                f"coefficient at p^{i} q^{j} is beyond the window "
-                f"[0..{self.pmax}] x [{self.qmin}..{self.qmax}]"
+                f"coefficient at p^{i} q^{j} is beyond the window: known up to "
+                f"p^{self.pmax} and q^{self.qmax}"
             )
-        if i < 0 or j < self.qmin:
-            return 0
         return self._c.get((i, j), 0)
 
     def items(self) -> list[tuple[tuple[int, int], Coeff]]:
@@ -559,31 +531,24 @@ class BiSeries:
         else:
             shown = [f"{v}*p^{i}q^{j}" for (i, j), v in terms[:6]]
             body = " + ".join(shown) + (" + ..." if len(terms) > 6 else "")
-        return (
-            f"BiSeries[0..{self.pmax}][{self.qmin}..{self.qmax}]({body})"
-        )
+        return f"BiSeries[..{self.pmax}][..{self.qmax}]({body})"
 
     # ------------------------------------------------------------------
     # ring operations
 
     def __add__(self, other):
+        """Sum with a scalar or another series, exact up to the lower ceilings."""
         if isinstance(other, (int, Fraction)):
             return self._add_scalar(other)
         if not isinstance(other, BiSeries):
             return NotImplemented
-        if max(self.qmin, other.qmin) > min(self.qmax, other.qmax):
-            raise ValueError(
-                "incompatible windows: q ranges "
-                f"[{self.qmin}, {self.qmax}] and [{other.qmin}, {other.qmax}] do not overlap"
-            )
         pmax = min(self.pmax, other.pmax)
-        qmin = min(self.qmin, other.qmin)
         qmax = min(self.qmax, other.qmax)
         data = {k: v for k, v in self._c.items() if k[0] <= pmax and k[1] <= qmax}
         for k, v in other._c.items():
             if k[0] <= pmax and k[1] <= qmax:
                 data[k] = data.get(k, 0) + v
-        return BiSeries(data, pmax, qmin, qmax)
+        return BiSeries(data, pmax, qmax)
 
     __radd__ = __add__
 
@@ -595,12 +560,10 @@ class BiSeries:
             raise ValueError("incompatible windows: constant term lies above the q window")
         data = dict(self._c)
         data[(0, 0)] = data.get((0, 0), 0) + value
-        return BiSeries(data, self.pmax, min(self.qmin, 0), self.qmax)
+        return BiSeries(data, self.pmax, self.qmax)
 
     def __neg__(self) -> "BiSeries":
-        return BiSeries(
-            {k: -v for k, v in self._c.items()}, self.pmax, self.qmin, self.qmax
-        )
+        return BiSeries({k: -v for k, v in self._c.items()}, self.pmax, self.qmax)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -616,21 +579,14 @@ class BiSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _norm(other)
-            if other == 0:
-                return BiSeries((), self.pmax, self.qmin, self.qmax)
             return BiSeries(
-                {k: v * other for k, v in self._c.items()},
-                self.pmax,
-                self.qmin,
-                self.qmax,
+                {k: v * other for k, v in self._c.items()}, self.pmax, self.qmax
             )
         if not isinstance(other, BiSeries):
             return NotImplemented
         pmax = min(self.pmax + other._pslo, other.pmax + self._pslo)
         qmax = min(self.qmax + other._qslo, other.qmax + self._qslo)
-        qmin = self.qmin + other.qmin
-        return BiSeries(_bimul(self._c, other._c, pmax, qmax), pmax, qmin, qmax)
+        return BiSeries(_bimul(self._c, other._c, pmax, qmax), pmax, qmax)
 
     __rmul__ = __mul__
 
@@ -643,14 +599,12 @@ class BiSeries:
         The p constraint makes the sum over powers finite.  The q constraint
         covers the untracked terms too (they sit at q >= qmax + 1, so qmax
         must be >= -1): no factor of a power then lowers q, so the result is
-        exact on the input window, from the lowest known q up to qmax.
+        exact up to the input's ceilings.
         """
         if self._c and self._pslo < 1:
             raise ValueError("log of non-unit: a term has p exponent 0")
         if (self._c and self._qslo < 0) or self.qmax < -1:
             raise ValueError("log1m needs q exponents >= 0, known and untracked")
-        if not self._c:
-            return BiSeries((), self.pmax, self.qmin, self.qmax)
         acc: dict[tuple[int, int], Coeff] = {}
         power = self._c
         for k in range(1, self.pmax // self._pslo + 1):
@@ -658,7 +612,7 @@ class BiSeries:
                 power = _bimul(power, self._c, self.pmax, self.qmax)
             for key, v in power.items():
                 acc[key] = acc.get(key, 0) + v * Fraction(-1, k)
-        return BiSeries(acc, self.pmax, self._qslo, self.qmax)
+        return BiSeries(acc, self.pmax, self.qmax)
 
     def substitute_power(self, k: int) -> "BiSeries":
         """Replace p, q by p^k, q^k; in-between exponents are known zero."""
@@ -667,23 +621,14 @@ class BiSeries:
         return BiSeries(
             {(i * k, j * k): v for (i, j), v in self._c.items()},
             self.pmax * k + k - 1,
-            self.qmin * k,
             self.qmax * k + k - 1,
         )
 
-    def truncated(
-        self,
-        pmax: int | None = None,
-        qmin: int | None = None,
-        qmax: int | None = None,
-    ) -> "BiSeries":
-        """Clip to a smaller window (never extends past tracked terms)."""
+    def truncated(self, pmax: int | None = None, qmax: int | None = None) -> "BiSeries":
+        """Lower the ceilings (never raises them past tracked terms)."""
         np_ = self.pmax if pmax is None else pmax
-        nqmin = self.qmin if qmin is None else qmin
         nqmax = self.qmax if qmax is None else qmax
         if np_ > self.pmax or nqmax > self.qmax:
             raise ValueError("cannot extend a window upward; recompute instead")
-        if nqmin > self.qmin and any(j < nqmin for _, j in self._c):
-            raise ValueError("cannot raise q floor past nonzero terms")
         data = {k: v for k, v in self._c.items() if k[0] <= np_ and k[1] <= nqmax}
-        return BiSeries(data, np_, nqmin, nqmax)
+        return BiSeries(data, np_, nqmax)

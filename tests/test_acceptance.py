@@ -128,10 +128,9 @@ def test_criterion_7_free_dims_match_multiplicities():
     generators = BiSeries(
         {(m, n): c.coeff(m + n - 1) for m in range(1, 6) for n in range(1, 6)},
         5,
-        0,
         5,
     )
-    oracle = BiSeries.one(5, 0, 5) - generators
+    oracle = BiSeries.one(5, 5) - generators
     assert dimension_product(dims).mismatches(oracle) == []
 
 
@@ -187,10 +186,9 @@ def test_criterion_9_negative_controls(tmp_path, catalog_text, capsys):
     generators = BiSeries(
         {(m, n): c.coeff(m + n - 1) for m in range(1, 4) for n in range(1, 4)},
         3,
-        0,
         3,
     )
-    oracle = BiSeries.one(3, 0, 3) - generators
+    oracle = BiSeries.one(3, 3) - generators
     bad = dimension_product(tampered).mismatches(oracle)
     assert bad
     assert bad[0][:2] == (2, 2)

@@ -189,7 +189,7 @@ class TestWittDims:
             dims.dim(3, 1)
 
     def test_character_must_avoid_axes(self):
-        u = BiSeries({(0, 1): 1}, 3, 0, 3)
+        u = BiSeries({(0, 1): 1}, 3, 3)
         with pytest.raises(ValueError, match="supported on"):
             witt_dims_from_char(u)
 
@@ -198,10 +198,9 @@ class TestWittDims:
         u = BiSeries(
             {(m, n): c25.coeff(m + n - 1) for m in range(1, 5) for n in range(1, 5)},
             4,
-            0,
             4,
         )
-        assert not dimension_product(dims).mismatches(BiSeries.one(4, 0, 4) - u)
+        assert not dimension_product(dims).mismatches(BiSeries.one(4, 4) - u)
 
     @given(
         st.dictionaries(
@@ -212,9 +211,9 @@ class TestWittDims:
     )
     @settings(deadline=None, max_examples=40)
     def test_product_oracle_on_random_dims(self, raw):
-        u = BiSeries({k: v for k, v in raw.items() if v}, 3, 0, 3)
+        u = BiSeries({k: v for k, v in raw.items() if v}, 3, 3)
         dims = witt_dims_from_char(u)
-        assert not dimension_product(dims).mismatches(BiSeries.one(3, 0, 3) - u)
+        assert not dimension_product(dims).mismatches(BiSeries.one(3, 3) - u)
 
     def test_lyndon_word_count_oracle(self):
         # alphabet: two letters of degree (1,1), one of (1,2), one of (2,1);
@@ -233,7 +232,7 @@ class TestWittDims:
                 if m <= 3 and n <= 3 and is_lyndon(word):
                     counts[(m, n)] = counts.get((m, n), 0) + 1
 
-        u = BiSeries({(1, 1): 2, (1, 2): 1, (2, 1): 1}, 3, 0, 3)
+        u = BiSeries({(1, 1): 2, (1, 2): 1, (2, 1): 1}, 3, 3)
         dims = witt_dims_from_char(u)
         for m in range(1, 4):
             for n in range(1, 4):
@@ -255,8 +254,11 @@ class TestDenominatorIdentity:
 
     def test_spot_cells(self):
         lhs, rhs = denominator_sides(4, 4)
-        assert (lhs.pmax, lhs.qmin, lhs.qmax) == (4, -4, 4)
-        assert (rhs.pmax, rhs.qmin, rhs.qmax) == (4, -4, 4)
+        assert (lhs.pmax, lhs.qmax) == (4, 4)
+        assert (rhs.pmax, rhs.qmax) == (4, 4)
+        # each side's lowest q is its -p q^-1 term
+        assert min(j for (_, j), _ in lhs.items()) == -1
+        assert min(j for (_, j), _ in rhs.items()) == -1
         assert lhs.coeff(2, 0) == 196884 == rhs.coeff(2, 0)
         assert lhs.coeff(1, -1) == -1 == rhs.coeff(1, -1)
         assert lhs.coeff(0, 0) == 1 == rhs.coeff(0, 0)
@@ -272,7 +274,7 @@ class TestDenominatorIdentity:
         # c(4) off by one enters both sides; the first cell it breaks is
         # p^2 q^2, where the product sees c(4) through (1 - p^2 q^2)^c(4)
         def corrupted(order):
-            return normalized_j(order) + UniSeries({4: 1}, 4, order)
+            return normalized_j(order) + UniSeries({4: 1}, order)
 
         monkeypatch.setattr(lattice, "normalized_j", corrupted)
         report = denominator_identity_report(6, 6)

@@ -25,7 +25,7 @@ def brute_euler(order: int, scale: int = 1) -> UniSeries:
     out = UniSeries.one(order)
     n = scale
     while n <= order:
-        out = out * UniSeries({0: 1, n: -1}, 0, order)
+        out = out * UniSeries({0: 1, n: -1}, order)
         n += scale
     return out
 

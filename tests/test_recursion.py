@@ -96,7 +96,7 @@ class TestPartitionEnumeration:
         # [p^i q^j] of prod over cells 1/(1 - p^r q^s), computed by
         # multiplying truncated geometric factors -- a route with no
         # recursion in common with the enumerator.
-        prod = BiSeries.one(i, 0, j)
+        prod = BiSeries.one(i, j)
         for r in range(1, i + 1):
             for s in range(1, j + 1):
                 factor = BiSeries(
@@ -105,7 +105,6 @@ class TestPartitionEnumeration:
                         for t in range(0, min(i // r, j // s) + 1)
                     },
                     i,
-                    0,
                     j,
                 )
                 prod = prod * factor

@@ -22,7 +22,6 @@ def reference_mul(a: UniSeries, b: UniSeries) -> UniSeries:
     This is the definition the dense Kronecker kernel in ``UniSeries.__mul__``
     must reproduce, items and window alike.
     """
-    lo = a.lo + b.lo
     hi = min(a.hi + b.support_lo, b.hi + a.support_lo)
     data = {}
     b_slo = b.support_lo
@@ -34,7 +33,7 @@ def reference_mul(a: UniSeries, b: UniSeries) -> UniSeries:
             if e > hi:
                 continue
             data[e] = data.get(e, 0) + v1 * v2
-    return UniSeries(data, lo, hi)
+    return UniSeries(data, hi)
 
 
 def reference_bimul(a: BiSeries, b: BiSeries) -> BiSeries:
@@ -51,7 +50,7 @@ def reference_bimul(a: BiSeries, b: BiSeries) -> BiSeries:
             i, j = i1 + i2, j1 + j2
             if i <= pmax and j <= qmax:
                 data[(i, j)] = data.get((i, j), 0) + v1 * v2
-    return BiSeries(data, pmax, a.qmin + b.qmin, qmax)
+    return BiSeries(data, pmax, qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +73,7 @@ def uni_series(draw, lo_min=-3, hi_max=8):
     for _ in range(n_terms):
         e = draw(st.integers(min_value=lo, max_value=hi))
         data[e] = draw(coeffs())
-    return UniSeries(data, lo, hi)
+    return UniSeries(data, hi)
 
 
 def wide_coeffs():
@@ -95,25 +94,25 @@ def kernel_series(draw):
     lo = draw(st.integers(min_value=-6, max_value=4))
     hi = draw(st.integers(min_value=lo, max_value=lo + 40))
     exps = draw(st.lists(st.integers(min_value=lo, max_value=hi), max_size=12))
-    return UniSeries({e: draw(wide_coeffs()) for e in exps}, lo, hi)
+    return UniSeries({e: draw(wide_coeffs()) for e in exps}, hi)
 
 
 @st.composite
 def kernel_bi_series(draw):
     """Two-variable series with gaps and wide coefficients; q may go negative."""
     pmax = draw(st.integers(min_value=0, max_value=6))
-    qmin = draw(st.integers(min_value=-3, max_value=2))
-    qmax = draw(st.integers(min_value=qmin, max_value=qmin + 10))
+    qlo = draw(st.integers(min_value=-3, max_value=2))
+    qmax = draw(st.integers(min_value=qlo, max_value=qlo + 10))
     keys = draw(
         st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=pmax),
-                st.integers(min_value=qmin, max_value=qmax),
+                st.integers(min_value=qlo, max_value=qmax),
             ),
             max_size=10,
         )
     )
-    return BiSeries({k: draw(wide_coeffs()) for k in keys}, pmax, qmin, qmax)
+    return BiSeries({k: draw(wide_coeffs()) for k in keys}, pmax, qmax)
 
 
 @st.composite
@@ -125,21 +124,21 @@ def positive_uni(draw):
     for _ in range(n_terms):
         e = draw(st.integers(min_value=1, max_value=hi))
         data[e] = draw(coeffs())
-    return UniSeries(data, 0, hi)
+    return UniSeries(data, hi)
 
 
 @st.composite
 def bi_series(draw):
     pmax = draw(st.integers(min_value=0, max_value=5))
-    qmin = draw(st.integers(min_value=-2, max_value=1))
-    qmax = draw(st.integers(min_value=qmin, max_value=5))
+    qlo = draw(st.integers(min_value=-2, max_value=1))
+    qmax = draw(st.integers(min_value=qlo, max_value=5))
     n_terms = draw(st.integers(min_value=0, max_value=5))
     data = {}
     for _ in range(n_terms):
         i = draw(st.integers(min_value=0, max_value=pmax))
-        j = draw(st.integers(min_value=qmin, max_value=qmax))
+        j = draw(st.integers(min_value=qlo, max_value=qmax))
         data[(i, j)] = draw(coeffs())
-    return BiSeries(data, pmax, qmin, qmax)
+    return BiSeries(data, pmax, qmax)
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +148,30 @@ def bi_series(draw):
 class TestConstruction:
     def test_rejects_floats(self):
         with pytest.raises(TypeError, match="exact coefficient"):
-            UniSeries({1: 0.5}, 0, 2)
+            UniSeries({1: 0.5}, 2)
 
     def test_rejects_out_of_window_exponent(self):
         with pytest.raises(ValueError, match="outside window"):
-            UniSeries({3: 1}, 0, 2)
-
-    def test_rejects_empty_window(self):
-        with pytest.raises(ValueError, match="empty window"):
-            UniSeries((), 2, 1)
+            UniSeries({3: 1}, 2)
 
     def test_drops_zeros_and_collapses_fractions(self):
-        s = UniSeries({0: Fraction(0, 3), 1: Fraction(4, 2)}, 0, 2)
+        s = UniSeries({0: Fraction(0, 3), 1: Fraction(4, 2)}, 2)
         assert s.items() == [(1, 2)]
         assert isinstance(s.coeff(1), int)
 
     def test_coeff_below_floor_is_zero(self):
-        s = UniSeries({2: 5}, 1, 4)
+        s = UniSeries({2: 5}, 4)
         assert s.coeff(0) == 0
         assert s.coeff(-7) == 0
 
     def test_coeff_above_ceiling_raises(self):
-        s = UniSeries({2: 5}, 1, 4)
+        s = UniSeries({2: 5}, 4)
         with pytest.raises(ValueError, match="beyond the window"):
             s.coeff(5)
 
     def test_bi_rejects_negative_p(self):
         with pytest.raises(ValueError, match="p exponents"):
-            BiSeries({(-1, 0): 1}, 2, 0, 2)
+            BiSeries({(-1, 0): 1}, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -184,28 +179,31 @@ class TestConstruction:
 
 
 class TestAddition:
-    def test_disjoint_windows_raise(self):
-        a = UniSeries({1: 1}, 0, 2)
-        b = UniSeries({5: 1}, 5, 9)
-        with pytest.raises(ValueError, match="incompatible windows"):
-            a + b
+    def test_disjoint_supports_add_exactly(self):
+        # below its support a series is zero, so the sum is exact up to the
+        # lower ceiling even where the two supports do not meet
+        a = UniSeries({1: 1}, 2)
+        b = UniSeries({5: 1}, 9)
+        for s in (a + b, b + a):
+            assert s.hi == 2
+            assert s.items() == [(1, 1)]
 
     def test_result_window_keeps_lower_floor(self):
-        # the floor is a support bound, so the sum is known from min(lo)
-        a = UniSeries({-2: 3}, -2, 4)
-        b = UniSeries({1: 7}, 0, 6)
+        # the support of the sum reaches down to the lower of the supports
+        a = UniSeries({-2: 3}, 4)
+        b = UniSeries({1: 7}, 6)
         s = a + b
-        assert (s.lo, s.hi) == (-2, 4)
-        assert s.coeff(-2) == 3 and s.coeff(1) == 7
+        assert s.hi == 4 and s.support_lo == -2
+        assert s.items() == [(-2, 3), (1, 7)]
 
     def test_scalar_addition(self):
-        s = UniSeries({1: 2}, 1, 3) + 5
-        assert (s.lo, s.hi) == (0, 3)
-        assert s.coeff(0) == 5
-        assert (3 - UniSeries({0: 1}, 0, 2)).coeff(0) == 2
+        s = UniSeries({1: 2}, 3) + 5
+        assert s.hi == 3
+        assert s.items() == [(0, 5), (1, 2)]
+        assert (3 - UniSeries({0: 1}, 2)).coeff(0) == 2
 
     def test_scalar_beyond_window_raises(self):
-        neg = UniSeries({-2: 1}, -3, -1)
+        neg = UniSeries({-2: 1}, -1)
         with pytest.raises(ValueError, match="incompatible windows"):
             neg + 1
 
@@ -216,38 +214,38 @@ class TestAddition:
 
 class TestMultiplication:
     def test_polynomial_product(self):
-        a = UniSeries({0: 1, 1: 2}, 0, 10)
-        b = UniSeries({0: 3, 2: -1}, 0, 10)
+        a = UniSeries({0: 1, 1: 2}, 10)
+        b = UniSeries({0: 3, 2: -1}, 10)
         p = a * b
         assert p.items() == [(0, 3), (1, 6), (2, -1), (3, -2)]
 
     def test_window_uses_actual_support(self):
         # a is only known to order 3, but b starts at q^2, so the product
         # is still exact through q^5
-        a = UniSeries({0: 1, 1: 1}, 0, 3)
-        b = UniSeries({2: 1}, 0, 9)
+        a = UniSeries({0: 1, 1: 1}, 3)
+        b = UniSeries({2: 1}, 9)
         assert (a * b).hi == 5
 
     def test_zero_scalar_keeps_window(self):
-        a = UniSeries({1: 4}, 1, 6)
+        a = UniSeries({1: 4}, 6)
         z = a * 0
-        assert z.is_zero() and (z.lo, z.hi) == (1, 6)
+        assert z.is_zero() and z.hi == 6
 
     def test_pow_matches_repeated_multiplication(self):
-        a = UniSeries({0: 1, 1: -1, 2: 2}, 0, 8)
+        a = UniSeries({0: 1, 1: -1, 2: 2}, 8)
         by_mul = a * a * a * a * a
         assert not (a**5).mismatches(by_mul)
 
     def test_pow_zero_is_one(self):
-        a = UniSeries({1: 3}, 0, 4)
+        a = UniSeries({1: 3}, 4)
         assert (a**0).items() == [(0, 1)]
 
     @pytest.mark.parametrize(
         "s",
         [
-            UniSeries({-1: 1, 0: 2, 1: 3}, -1, 5),
-            UniSeries({-2: 1}, -2, -1),
-            UniSeries({-3: 2, -1: -1}, -4, 0),
+            UniSeries({-1: 1, 0: 2, 1: 3}, 5),
+            UniSeries({-2: 1}, -1),
+            UniSeries({-3: 2, -1: -1}, 0),
         ],
         ids=["laurent", "below-zero", "gap"],
     )
@@ -257,7 +255,7 @@ class TestMultiplication:
         for _ in range(n - 1):
             by_mul = by_mul * s
         power = s**n
-        assert (power.lo, power.hi) == (by_mul.lo, by_mul.hi)
+        assert power.hi == by_mul.hi
         assert power.items() == by_mul.items()
 
 
@@ -266,7 +264,7 @@ class TestMultiplication:
 
 
 def assert_same_product(got: UniSeries, want: UniSeries):
-    assert (got.lo, got.hi) == (want.lo, want.hi)
+    assert got.hi == want.hi
     assert got.items() == want.items()
 
 
@@ -308,8 +306,8 @@ class TestProductKernel:
         # the digit width; at length 255 with bits a multiple of 4 the width
         # bound has no byte of slack
         value = {"max": 2**bits - 1, "-max": 1 - 2**bits, "-pow": -(2**bits)}[kind]
-        a = UniSeries({e: value for e in range(-1, length - 1)}, -1, length - 2)
-        b = a if a_is_b else UniSeries({e: -value for e in range(length)}, 0, length - 1)
+        a = UniSeries({e: value for e in range(-1, length - 1)}, length - 2)
+        b = a if a_is_b else UniSeries({e: -value for e in range(length)}, length - 1)
         if step > 1:
             a = a.substitute_power(step)
             b = a if a_is_b else b.substitute_power(step)
@@ -325,13 +323,13 @@ class TestProductKernel:
         # -length * (2^a_bits - 1) * (2^b_bits - 1) lies below -2^(k-2): it
         # fits only with the bias at exactly 2^(k-1)
         assert (a_bits + b_bits + length.bit_length() + 1) % 8 == 0
-        a = UniSeries({e: Fraction(2**a_bits - 1, den) for e in range(length)}, 0, length - 1)
-        b = UniSeries({e: 1 - 2**b_bits for e in range(length)}, 0, length - 1)
+        a = UniSeries({e: Fraction(2**a_bits - 1, den) for e in range(length)}, length - 1)
+        b = UniSeries({e: 1 - 2**b_bits for e in range(length)}, length - 1)
         assert_same_product(a * b, reference_mul(a, b))
 
     def test_fraction_factors_divide_back(self):
-        a = UniSeries({0: Fraction(1, 2), 1: Fraction(2, 3)}, 0, 3)
-        b = UniSeries({0: 4, 2: Fraction(3, 4)}, 0, 3)
+        a = UniSeries({0: Fraction(1, 2), 1: Fraction(2, 3)}, 3)
+        b = UniSeries({0: 4, 2: Fraction(3, 4)}, 3)
         p = a * b
         assert p.items() == [(0, 2), (1, Fraction(8, 3)), (2, Fraction(3, 8)), (3, Fraction(1, 2))]
         assert isinstance(p.coeff(0), int)
@@ -343,22 +341,27 @@ class TestProductKernel:
 
 class TestInverse:
     def test_geometric(self):
-        g = UniSeries({0: 1, 1: -1}, 0, 6)
+        g = UniSeries({0: 1, 1: -1}, 6)
         assert g.inverse(6).items() == [(e, 1) for e in range(7)]
 
     def test_laurent_leading_term(self):
         # (q - 24 q^2 + 252 q^3 - 1472 q^4)^-1 opens with q^-1 + 24 + 324 q
-        d = UniSeries({1: 1, 2: -24, 3: 252, 4: -1472}, 1, 4)
+        d = UniSeries({1: 1, 2: -24, 3: 252, 4: -1472}, 4)
         inv = d.inverse(1)
-        assert (inv.lo, inv.hi) == (-1, 1)
+        assert inv.hi == 1 and inv.support_lo == -1
         assert inv.items() == [(-1, 1), (0, 24), (1, 324)]
 
     def test_zero_series_raises(self):
         with pytest.raises(ValueError, match="non-invertible series"):
-            UniSeries.zero(0, 5).inverse(3)
+            UniSeries.zero(5).inverse(3)
+
+    def test_order_below_leading_term_raises(self):
+        # 1/q starts at q^-1: an inverse to order -2 would hold no term
+        with pytest.raises(ValueError, match="is empty"):
+            UniSeries({1: 1}, 4).inverse(-2)
 
     def test_round_trip(self):
-        a = UniSeries({0: 2, 1: 5, 3: -1}, 0, 9)
+        a = UniSeries({0: 2, 1: 5, 3: -1}, 9)
         prod = a * a.inverse(9)
         assert prod.coeff(0) == 1
         assert all(prod.coeff(e) == 0 for e in range(1, prod.hi + 1))
@@ -371,26 +374,21 @@ class TestInverse:
 class TestReindexing:
     def test_substitute_power_widens_window(self):
         # q -> q^3 leaves provable zeros between multiples of 3
-        s = UniSeries({1: 1, 2: 4}, 0, 2)
+        s = UniSeries({1: 1, 2: 4}, 2)
         t = s.substitute_power(3)
-        assert (t.lo, t.hi) == (0, 8)
+        assert t.hi == 8
         assert t.items() == [(3, 1), (6, 4)]
         assert t.coeff(7) == 0
 
     def test_shift(self):
-        s = UniSeries({0: 1, 1: 2}, 0, 3).shift(-2)
-        assert (s.lo, s.hi) == (-2, 1)
-        assert s.coeff(-2) == 1
+        s = UniSeries({0: 1, 1: 2}, 3).shift(-2)
+        assert s.hi == 1
+        assert s.items() == [(-2, 1), (-1, 2)]
 
     def test_restrict_cannot_extend(self):
-        s = UniSeries({1: 1}, 0, 4)
+        s = UniSeries({1: 1}, 4)
         with pytest.raises(ValueError, match="cannot extend"):
             s.restrict(hi=9)
-
-    def test_restrict_cannot_hide_support(self):
-        s = UniSeries({1: 1}, 0, 4)
-        with pytest.raises(ValueError, match="window floor"):
-            s.restrict(lo=2)
 
 
 # ---------------------------------------------------------------------------
@@ -399,23 +397,29 @@ class TestReindexing:
 
 class TestComparison:
     def test_zero_extension_below_floors(self):
-        a = UniSeries({2: 5}, 2, 6)
-        b = UniSeries({2: 5}, 0, 6)
+        a = UniSeries({2: 5}, 6)
+        b = UniSeries({0: 0, 2: 5}, 6)
         assert a == b
 
     def test_mismatches_are_localized(self):
-        a = UniSeries({1: 1, 2: 2, 3: 3}, 0, 5)
-        b = UniSeries({1: 1, 2: 7}, 0, 4)
+        a = UniSeries({1: 1, 2: 2, 3: 3}, 5)
+        b = UniSeries({1: 1, 2: 7}, 4)
         assert a.mismatches(b) == [(2, 2, 7), (3, 3, 0)]
 
     def test_comparison_ignores_uncertified_tail(self):
-        a = UniSeries({1: 1, 4: 9}, 0, 6)
-        b = UniSeries({1: 1}, 0, 2)
+        a = UniSeries({1: 1, 4: 9}, 6)
+        b = UniSeries({1: 1}, 2)
         assert a == b  # q^4 term lies above b's window
 
 
 # ---------------------------------------------------------------------------
 # property tests
+
+
+def assert_sound(short: UniSeries, full: UniSeries):
+    """A result computed from a cut input: no higher ceiling, the same terms."""
+    assert short.hi <= full.hi
+    assert not short.mismatches(full)
 
 
 class TestRingLaws:
@@ -455,9 +459,7 @@ class TestRingLaws:
     @given(kernel_series(), kernel_series(), st.integers(min_value=0, max_value=40))
     def test_mul_is_sound_under_truncation(self, a, b, cut):
         # every coefficient certified from a truncated factor is the true one
-        if a.lo + cut > a.hi:
-            return
-        short = a.restrict(hi=a.lo + cut) * b
+        short = a.restrict(hi=a.hi - cut) * b
         full = a * b
         assert short.hi <= full.hi
         assert not short.mismatches(full)
@@ -472,13 +474,30 @@ class TestRingLaws:
         assert short.hi <= full.hi
         assert not short.mismatches(full)
 
+    @given(uni_series(), uni_series(), st.integers(min_value=0, max_value=12))
+    def test_add_is_sound_under_truncation(self, a, b, cut):
+        assert_sound(a.restrict(hi=a.hi - cut) + b, a + b)
+
+    @given(uni_series(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=12))
+    def test_substitute_power_is_sound_under_truncation(self, s, k, cut):
+        assert_sound(s.restrict(hi=s.hi - cut).substitute_power(k), s.substitute_power(k))
+
+    @given(uni_series(), st.integers(min_value=-5, max_value=5), st.integers(min_value=0, max_value=12))
+    def test_shift_is_sound_under_truncation(self, s, d, cut):
+        assert_sound(s.restrict(hi=s.hi - cut).shift(d), s.shift(d))
+
+    @given(uni_series(), st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
+    def test_restrict_is_sound_under_truncation(self, s, cut, lower):
+        short = s.restrict(hi=s.hi - cut)
+        assert_sound(short, s)
+        hi = short.hi - lower
+        assert_sound(short.restrict(hi=hi), s.restrict(hi=hi))
+
     @given(uni_series(lo_min=0))
     def test_inverse_round_trip(self, s):
         if s.is_zero():
             return
         inv = s.inverse(s.hi)
-        if inv.hi < inv.lo + 1 and inv.is_zero():
-            return
         prod = s * inv
         assert prod.coeff(0) == 1
         assert all(v == 0 for e, v in prod.items() if e != 0)
@@ -490,26 +509,24 @@ class TestRingLaws:
 
 @st.composite
 def log_input_with_cut(draw):
-    """A log1m input (p-support >= 1, q-support >= 0; the q floor may still
-    sit below 0) and a q ceiling >= -1 to truncate it to."""
+    """A log1m input (p-support >= 1, q-support >= 0) and a q ceiling >= -1
+    to truncate it to."""
     pmax = draw(st.integers(min_value=1, max_value=5))
-    qmin = draw(st.integers(min_value=-3, max_value=1))
-    qmax = draw(st.integers(min_value=max(qmin, 0), max_value=5))
+    qlo = draw(st.integers(min_value=-3, max_value=1))
+    qmax = draw(st.integers(min_value=max(qlo, 0), max_value=5))
     n_terms = draw(st.integers(min_value=0, max_value=5))
     data = {}
     for _ in range(n_terms):
         i = draw(st.integers(min_value=1, max_value=pmax))
-        j = draw(st.integers(min_value=max(qmin, 0), max_value=qmax))
+        j = draw(st.integers(min_value=max(qlo, 0), max_value=qmax))
         data[(i, j)] = draw(coeffs())
-    cut = draw(st.integers(min_value=max(qmin, -1), max_value=qmax))
-    return BiSeries(data, pmax, qmin, qmax), cut
+    cut = draw(st.integers(min_value=max(qlo, -1), max_value=qmax))
+    return BiSeries(data, pmax, qmax), cut
 
 
 def reference_log1m(u: BiSeries) -> BiSeries:
     """-sum_k u^k / k over the powers that reach p^pmax, by the dict product."""
-    # a floor <= 0 stays at or below the ceiling when the powers scale it
-    u = BiSeries(u.items(), u.pmax, min(u.qmin, 0), u.qmax)
-    total = BiSeries.zero(u.pmax, u.qmin, u.qmax)
+    total = BiSeries.zero(u.pmax, u.qmax)
     power = u
     for k in range(1, u.pmax + 1):
         total = total + power * Fraction(-1, k)
@@ -517,47 +534,64 @@ def reference_log1m(u: BiSeries) -> BiSeries:
     return total
 
 
+def bi_cut(u: BiSeries, dp: int, dq: int) -> BiSeries:
+    """``u`` with its ceilings lowered by ``dp`` and ``dq`` (p stays >= 0)."""
+    return u.truncated(pmax=max(u.pmax - dp, 0), qmax=u.qmax - dq)
+
+
+def assert_bi_sound(short: BiSeries, full: BiSeries):
+    """A result computed from a cut input: no higher ceilings, the same terms."""
+    assert short.pmax <= full.pmax and short.qmax <= full.qmax
+    assert not short.mismatches(full)
+
+
+cuts = st.integers(min_value=0, max_value=6)
+
+
 class TestBiSeries:
     def test_mul_window_sharpening(self):
-        u = BiSeries({(1, 1): 2, (1, 2): 3}, 3, 0, 4)
+        u = BiSeries({(1, 1): 2, (1, 2): 3}, 3, 4)
         sq = u * u
-        assert (sq.pmax, sq.qmin, sq.qmax) == (4, 0, 5)
+        assert (sq.pmax, sq.qmax) == (4, 5)
         assert sq.items() == [((2, 2), 4), ((2, 3), 12), ((2, 4), 9)]
 
     def test_coeff_semantics(self):
-        u = BiSeries({(1, 1): 2}, 3, 0, 4)
-        assert u.coeff(0, -5) == 0  # below the q floor: provably zero
+        u = BiSeries({(1, 1): 2}, 3, 4)
+        assert u.coeff(0, -5) == 0  # below the q support: provably zero
         with pytest.raises(ValueError, match="beyond the window"):
             u.coeff(4, 0)
 
-    def test_add_incompatible_q_windows(self):
-        a = BiSeries({(0, 0): 1}, 2, 0, 1)
-        b = BiSeries({(0, 5): 1}, 2, 4, 6)
-        with pytest.raises(ValueError, match="incompatible windows"):
-            a + b
+    def test_add_disjoint_q_supports(self):
+        # b is zero below q^5, so the sum is exact up to a's ceiling q^1
+        a = BiSeries({(0, 0): 1}, 2, 1)
+        b = BiSeries({(0, 5): 1}, 2, 6)
+        for s in (a + b, b + a):
+            assert (s.pmax, s.qmax) == (2, 1)
+            assert s.items() == [((0, 0), 1)]
 
     def test_log1m_matches_power_sum(self):
         # u^5 starts at p^5, so -sum_{k<=4} u^k / k is exact on the window;
         # the p^2 term mixes powers of different k into the same cells
-        u = BiSeries({(1, 1): 2, (1, 2): 3, (2, 1): -1}, 4, 0, 5)
-        total = BiSeries.zero(4, 0, 5)
-        power = BiSeries.one(4, 0, 5)
+        u = BiSeries({(1, 1): 2, (1, 2): 3, (2, 1): -1}, 4, 5)
+        total = BiSeries.zero(4, 5)
+        power = BiSeries.one(4, 5)
         for k in range(1, 5):
             power = power * u
             total = total + power * Fraction(-1, k)
         lu = u.log1m()
-        assert (lu.pmax, lu.qmin, lu.qmax) == (4, 1, 5)
+        assert (lu.pmax, lu.qmax) == (4, 5)
+        assert min(j for (_, j), _ in lu.items()) == 1
         assert not lu.mismatches(total)
 
     @pytest.mark.parametrize(
         "u",
         [
             # known terms below q^0: p/q + p q
-            BiSeries({(1, -1): 1, (1, 1): 1}, 3, -1, 2),
-            BiSeries({(3, -1): 3, (1, 6): 3, (2, -2): 1}, 3, -2, 40).truncated(qmax=4),
+            BiSeries({(1, -1): 1, (1, 1): 1}, 3, 2),
+            BiSeries({(3, -1): 3, (1, 6): 3, (2, -2): 1}, 3, 40).truncated(qmax=4),
             # a ceiling of -2: untracked terms may sit at q^-1
-            BiSeries({(1, -1): 1}, 2, -2, 0).truncated(qmax=-2),
-            BiSeries({(1, -1): 1, (2, -2): 1}, 2, -2, 0).truncated(qmax=-2),
+            BiSeries({(1, -1): 1}, 2, 0).truncated(qmax=-2),
+            BiSeries({(1, -1): 1, (2, -2): 1}, 2, 0).truncated(qmax=-2),
         ],
         ids=[
             "negative-q-support",
@@ -571,17 +605,18 @@ class TestBiSeries:
             u.log1m()
 
     def test_log1m_keeps_floor_and_ceiling(self):
-        # an empty input keeps its floor; otherwise the floor is the
-        # lowest known q; the ceiling is the input's, even at -1
-        empty = BiSeries((), 2, -3, -1).log1m()
-        assert empty.is_zero() and (empty.pmax, empty.qmin, empty.qmax) == (2, -3, -1)
-        lu = BiSeries({(1, 2): 1}, 3, -2, 4).log1m()
-        assert (lu.pmax, lu.qmin, lu.qmax) == (3, 2, 4)
+        # the ceilings are the input's, even at q^-1; the support starts at
+        # the lowest known q
+        empty = BiSeries((), 2, -1).log1m()
+        assert empty.is_zero() and (empty.pmax, empty.qmax) == (2, -1)
+        lu = BiSeries({(1, 2): 1}, 3, 4).log1m()
+        assert (lu.pmax, lu.qmax) == (3, 4)
+        assert lu.items() == [((1, 2), -1), ((2, 4), Fraction(-1, 2))]
 
     def test_log1m_feeds_integral_fractions_back(self):
         # u^2 cut at q^3 is p^2 q^2 + p^2 q^3, all integral although u is
         # not; the kernel must hand those back as ints before u^3
-        u = BiSeries({(1, 1): 1, (1, 2): Fraction(1, 2)}, 3, 0, 3)
+        u = BiSeries({(1, 1): 1, (1, 2): Fraction(1, 2)}, 3, 3)
         assert dict(u.log1m().items()) == {
             (1, 1): -1,
             (1, 2): Fraction(-1, 2),
@@ -602,18 +637,51 @@ class TestBiSeries:
         u, t = case
         assert not u.truncated(qmax=t).log1m().mismatches(u.log1m())
 
+    @given(bi_series(), bi_series(), cuts, cuts)
+    def test_add_is_sound_under_truncation(self, a, b, dp, dq):
+        assert_bi_sound(bi_cut(a, dp, dq) + b, a + b)
+
+    @given(bi_series(), bi_series(), cuts, cuts)
+    # the q cut removes a's only p^0 term, so the lowest stored p rises to 1
+    # and the cut product is exact up to p^1, where the full one stops at p^0
+    @example(BiSeries({(0, 1): 1, (1, 0): 1}, 1, 1), BiSeries({(0, 0): 1}, 0, 5), 0, 1)
+    def test_mul_is_sound_under_truncation(self, a, b, dp, dq):
+        # in two variables a cut can raise the lowest stored exponent of the
+        # other variable, and the product window grows with it; so the cut
+        # product's window is checked against the exact product of the
+        # stored terms, not against the full product's window
+        short = bi_cut(a, dp, dq) * b
+        assert not short.mismatches(a * b)
+        exact: dict[tuple[int, int], Fraction] = {}
+        for (i1, j1), v1 in a.items():
+            for (i2, j2), v2 in b.items():
+                if i1 + i2 <= short.pmax and j1 + j2 <= short.qmax:
+                    exact[(i1 + i2, j1 + j2)] = exact.get((i1 + i2, j1 + j2), 0) + v1 * v2
+        assert not short.mismatches(BiSeries(exact, short.pmax, short.qmax))
+
+    @given(bi_series(), st.integers(min_value=1, max_value=3), cuts, cuts)
+    def test_substitute_power_is_sound_under_truncation(self, u, k, dp, dq):
+        assert_bi_sound(bi_cut(u, dp, dq).substitute_power(k), u.substitute_power(k))
+
+    @given(bi_series(), cuts, cuts, cuts, cuts)
+    def test_truncated_is_sound_under_truncation(self, u, dp, dq, ep, eq):
+        short = bi_cut(u, dp, dq)
+        assert_bi_sound(short, u)
+        pmax, qmax = max(short.pmax - ep, 0), short.qmax - eq
+        assert_bi_sound(short.truncated(pmax, qmax), u.truncated(pmax, qmax))
+
     def test_log_rejects_p_constant(self):
         with pytest.raises(ValueError, match="log of non-unit"):
-            BiSeries({(0, 1): 1}, 2, 0, 2).log1m()
+            BiSeries({(0, 1): 1}, 2, 2).log1m()
 
     def test_substitute_power(self):
-        u = BiSeries({(1, 1): 5}, 2, 0, 2)
+        u = BiSeries({(1, 1): 5}, 2, 2)
         t = u.substitute_power(2)
-        assert (t.pmax, t.qmin, t.qmax) == (5, 0, 5)
+        assert (t.pmax, t.qmax) == (5, 5)
         assert t.coeff(2, 2) == 5 and t.coeff(3, 3) == 0
 
     def test_truncated_clips(self):
-        u = BiSeries({(1, 1): 5, (2, 3): 7}, 2, 0, 3)
+        u = BiSeries({(1, 1): 5, (2, 3): 7}, 2, 3)
         t = u.truncated(pmax=1, qmax=2)
         assert t.items() == [((1, 1), 5)]
         with pytest.raises(ValueError, match="cannot extend"):
@@ -646,7 +714,7 @@ class TestBiSeries:
 
 
 def assert_same_bi(got: BiSeries, want: BiSeries):
-    assert (got.pmax, got.qmin, got.qmax) == (want.pmax, want.qmin, want.qmax)
+    assert (got.pmax, got.qmax) == (want.pmax, want.qmax)
     assert got.items() == want.items()
 
 
@@ -685,8 +753,8 @@ class TestBiProductKernel:
     # two terms each, one 2001 bits wide: the products span hundreds of
     # digits, which the kernel must not pack for four term pairs
     @example(
-        BiSeries({(3, 10): 1, (5, 5): 2**2000}, 6, 0, 10),
-        BiSeries({(2, 0): -1, (5, 1): 1}, 6, -1, 9),
+        BiSeries({(3, 10): 1, (5, 5): 2**2000}, 6, 10),
+        BiSeries({(2, 0): -1, (5, 1): 1}, 6, 9),
         3,
         2,
     )
@@ -699,7 +767,7 @@ class TestBiProductKernel:
     def test_prefactor_with_negative_q(self, a):
         # the product identity's 1 - p q^-1 is the one factor below q^0
         pmax = max(a.pmax, 1)
-        prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, -pmax, max(a.qmax + 1, 0))
+        prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, max(a.qmax + 1, 0))
         assert_same_bi(prefactor * a, reference_bimul(prefactor, a))
 
     @settings(max_examples=60, deadline=None)
@@ -709,13 +777,12 @@ class TestBiProductKernel:
     @example(GradedDims({(1, 1): 3, (2, 2): 1}, 4, 4))
     def test_dimension_product_matches_reference(self, dims):
         pmax, qmax = dims.mmax, dims.nmax
-        want = BiSeries.one(pmax, 0, qmax)
+        want = BiSeries.one(pmax, qmax)
         for (m, n), d in dims.dims.items():
             top = min(pmax // m, qmax // n)
             factor = BiSeries(
                 {(m * t, n * t): (-1) ** t * math.comb(d, t) for t in range(top + 1)},
                 pmax,
-                0,
                 qmax,
             )
             want = reference_bimul(want, factor)
