@@ -278,8 +278,10 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
     The product over i,j >= 1 is expanded factor by factor with
     ``dimension_product``, in integer binomials: factors with i > pmax or
     j > qmax + 1 cannot touch the window, so the finite product is exact
-    there.  The extra q-row (qmax + 1) is carried because the 1 - pq^-1
-    prefactor pulls one row back down.
+    there.  The 1 - pq^-1 prefactor is then applied in place: every term
+    also subtracts itself one step along (1, -1).  That step pulls the
+    extra q-row (qmax + 1) of the product back into the window; the sum
+    keeps the lower ceiling qmax, so the row itself drops out.
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("window bounds must be >= 1")
@@ -303,9 +305,8 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
         for j in range(1, qmax + 2)
     }
     expanded = dimension_product(GradedDims(mults, pmax, qmax + 1))
-    prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, qmax + 1)
-    rhs = prefactor * expanded
-    return lhs, rhs
+    moved = {(i + 1, j - 1): -v for (i, j), v in expanded.items() if i < pmax}
+    return lhs, expanded + BiSeries(moved, pmax, qmax)
 
 
 def denominator_identity_report(pmax: int, qmax: int) -> ProductReport:

@@ -11,9 +11,9 @@ Relations are stored compressed: the right side is grouped by the multiset
 of index values r+s-1, with the count of cell-level decompositions folded
 into one weight.  This keeps relation sizes around the partition count of
 i+j instead of the (vastly larger) count of cell matrices, while remaining
-term-for-term equivalent to the brute enumeration, which is kept alongside
-as an oracle.  The multisets come from one depth-first walk over the
-partitions of i+j (see ``_weight_terms``).
+term-for-term equivalent to the brute enumeration of those matrices, which
+the tests keep as the oracle.  The multisets come from one depth-first walk
+over the partitions of i+j (see ``_weight_terms``).
 
 Every relation is stored multiplied by ``scale`` = gcd(i,j), and then all
 its weights are integers.  On the left, 1/k has k | gcd(i,j).  On the
@@ -63,11 +63,8 @@ from .series import format_coeff
 
 __all__ = [
     "mobius",
-    "PartitionMatrix",
-    "vector_partitions",
     "Relation",
     "coefficient_relation",
-    "relation_from_partitions",
     "coefficient_recursion",
     "CrossCheckReport",
     "recursion_cross_check",
@@ -95,64 +92,6 @@ def mobius(k: int) -> int:
     if k > 1:
         result = -result
     return result
-
-
-# ---------------------------------------------------------------------------
-# partition matrices (brute enumeration, kept as the oracle route)
-
-
-class PartitionMatrix(NamedTuple):
-    """A multiset of cells (r,s) >= (1,1) with multiplicities, by target.
-
-    ``entries`` is a sorted tuple of ((r, s), multiplicity).
-    """
-
-    entries: tuple[tuple[tuple[int, int], int], ...]
-
-    def size(self) -> int:
-        return sum(mult for _, mult in self.entries)
-
-    def weight(self) -> Fraction:
-        """(|a| - 1)! / a!"""
-        denom = 1
-        for _, mult in self.entries:
-            denom *= factorial(mult)
-        return Fraction(factorial(self.size() - 1), denom)
-
-    def index_monomial(self) -> tuple[tuple[int, int], ...]:
-        """Exponents of c(r+s-1) contributed by each cell, aggregated."""
-        agg: dict[int, int] = {}
-        for (r, s), mult in self.entries:
-            v = r + s - 1
-            agg[v] = agg.get(v, 0) + mult
-        return tuple(sorted(agg.items()))
-
-
-def vector_partitions(i: int, j: int) -> list[PartitionMatrix]:
-    """All decompositions of (i,j) into cells (r,s) >= (1,1) with multiplicity."""
-    if i < 1 or j < 1:
-        raise ValueError("target components must be >= 1")
-    cells = [(r, s) for r in range(1, i + 1) for s in range(1, j + 1)]
-    out: list[PartitionMatrix] = []
-    chosen: list[tuple[tuple[int, int], int]] = []
-
-    def rec(idx: int, ri: int, rj: int) -> None:
-        if ri == 0 and rj == 0:
-            out.append(PartitionMatrix(tuple(chosen)))
-            return
-        if idx == len(cells):
-            return
-        r, s = cells[idx]
-        top = min(ri // r, rj // s)
-        rec(idx + 1, ri, rj)
-        for mult in range(1, top + 1):
-            chosen.append(((r, s), mult))
-            rec(idx + 1, ri - mult * r, rj - mult * s)
-            chosen.pop()
-
-    rec(0, i, j)
-    out.sort(key=lambda pm: pm.entries)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +189,6 @@ def coefficient_relation(i: int, j: int) -> Relation:
     """The relation at target (i,j); (i,j) and (j,i) canonicalize equal."""
     target, scale, lhs = _target_and_lhs(i, j)
     return Relation(target, scale, lhs, _weight_terms(*target, scale))
-
-
-def relation_from_partitions(i: int, j: int) -> Relation:
-    """Same relation assembled from the brute cell enumeration (oracle);
-    its weights stay ``Fraction``, so a non-integral one compares unequal."""
-    target, scale, lhs = _target_and_lhs(i, j)
-    grouped: dict[tuple[tuple[int, int], ...], Fraction] = {}
-    for pm in vector_partitions(*target):
-        key = pm.index_monomial()
-        grouped[key] = grouped.get(key, Fraction(0)) + pm.weight() * scale
-    rhs = tuple(
-        sorted(((w, mono) for mono, w in grouped.items() if w), key=lambda t: t[1])
-    )
-    return Relation(target, scale, lhs, rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,18 @@ invariant, or p q^-1 in the prefactor of the two-variable product identity,
 is ordinary data.  Only ``BiSeries.log1m`` refuses negative q exponents, and
 p exponents are always nonnegative.
 
-Products in both classes run through one dense integer kernel: the
+``UniSeries`` products run through one dense integer kernel: the
 denominators of each factor are cleared, and the two factors are multiplied
 by Kronecker substitution, as a single big-integer product with one digit
 per exponent step, wide enough that no carry crosses from one coefficient
 to the next (see ``_mul_low`` for the step and the width bound).  Factors
-with fewer term pairs than product digits are multiplied pair by pair.  A
-two-variable term p^i q^j is first flattened to one exponent (``_bimul``).
+with fewer term pairs than product digits are multiplied pair by pair.
+``BiSeries`` has no series product; the kernel serves it only inside
+``log1m``, where a term p^i q^j is first flattened to one exponent
+(``_bimul``).
 
 Arithmetic propagates ceilings so that every reported coefficient is exact.
-A truncated product, for instance, can only be trusted up to
+A truncated ``UniSeries`` product, for instance, can only be trusted up to
 ``min(a.hi + b.support_lo, b.hi + a.support_lo)``, where ``support_lo`` is
 the lowest exponent that actually occurs in a factor.  Nothing is ever
 padded with fabricated zeros, which is what makes the identity checks built
@@ -431,9 +433,13 @@ class BiSeries:
     """A series in two variables p, q known exactly up to p^pmax and q^qmax.
 
     p exponents are always nonnegative.  q exponents may be negative, as in
-    the ``1 - p q^-1`` prefactor of the two-variable product identity; only
-    ``log1m`` refuses them.  As in :class:`UniSeries`, the ceilings are
-    truncation orders and the support is read from the stored terms.
+    the ``p q^-1`` term of the two-variable product identity; only ``log1m``
+    refuses them.  As in :class:`UniSeries`, the ceilings are truncation
+    orders and the support is read from the stored terms.
+
+    The operations are sums, differences, scalar multiples, ``log1m``,
+    ``substitute_power`` and ``truncated``.  There is no series product and
+    no constant-term arithmetic (see ``__mul__``).
     """
 
     __slots__ = ("pmax", "qmax", "_c")
@@ -537,9 +543,7 @@ class BiSeries:
     # ring operations
 
     def __add__(self, other):
-        """Sum with a scalar or another series, exact up to the lower ceilings."""
-        if isinstance(other, (int, Fraction)):
-            return self._add_scalar(other)
+        """Sum with another series, exact up to the lower ceilings."""
         if not isinstance(other, BiSeries):
             return NotImplemented
         pmax = min(self.pmax, other.pmax)
@@ -550,43 +554,28 @@ class BiSeries:
                 data[k] = data.get(k, 0) + v
         return BiSeries(data, pmax, qmax)
 
-    __radd__ = __add__
-
-    def _add_scalar(self, value: Coeff) -> "BiSeries":
-        value = _norm(value)
-        if value == 0:
-            return self
-        if self.qmax < 0:
-            raise ValueError("incompatible windows: constant term lies above the q window")
-        data = dict(self._c)
-        data[(0, 0)] = data.get((0, 0), 0) + value
-        return BiSeries(data, self.pmax, self.qmax)
-
     def __neg__(self) -> "BiSeries":
         return BiSeries({k: -v for k, v in self._c.items()}, self.pmax, self.qmax)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._add_scalar(-other)
         if not isinstance(other, BiSeries):
             return NotImplemented
         return self.__add__(-other)
 
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self)._add_scalar(other)
-        return NotImplemented
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return BiSeries(
-                {k: v * other for k, v in self._c.items()}, self.pmax, self.qmax
-            )
-        if not isinstance(other, BiSeries):
+        """Product with a scalar.
+
+        There is no series product.  The untracked terms of a truncated
+        two-variable series fill an L-shaped region, p above pmax at any q
+        or q above qmax at any p, so the lowest stored exponents of a factor
+        do not bound what its untracked terms contribute, and no window read
+        from the stored terms is sound.
+        """
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        pmax = min(self.pmax + other._pslo, other.pmax + self._pslo)
-        qmax = min(self.qmax + other._qslo, other.qmax + self._qslo)
-        return BiSeries(_bimul(self._c, other._c, pmax, qmax), pmax, qmax)
+        return BiSeries(
+            {k: v * other for k, v in self._c.items()}, self.pmax, self.qmax
+        )
 
     __rmul__ = __mul__
 

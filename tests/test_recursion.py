@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import factorial, gcd
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -14,21 +15,96 @@ from moonshine.modular import normalized_j
 from moonshine.recursion import (
     AuditReport,
     ContradictionError,
+    Relation,
     _evaluate,
     _horn_clauses,
     _instances,
     _relation_targets,
+    _target_and_lhs,
     coefficient_recursion,
     coefficient_relation,
     determinacy_audit,
     mobius,
     recursion_cross_check,
-    relation_from_partitions,
     solve_from_seeds,
-    vector_partitions,
 )
 from moonshine.series import BiSeries
 from moonshine.series import format_coeff as _show
+from test_series import reference_bimul
+
+# ---------------------------------------------------------------------------
+# partition matrices: the brute enumeration, the oracle for the compressed
+# relations
+
+
+class PartitionMatrix(NamedTuple):
+    """A multiset of cells (r,s) >= (1,1) with multiplicities, by target.
+
+    ``entries`` is a sorted tuple of ((r, s), multiplicity).
+    """
+
+    entries: tuple[tuple[tuple[int, int], int], ...]
+
+    def size(self) -> int:
+        return sum(mult for _, mult in self.entries)
+
+    def weight(self) -> Fraction:
+        """(|a| - 1)! / a!"""
+        denom = 1
+        for _, mult in self.entries:
+            denom *= factorial(mult)
+        return Fraction(factorial(self.size() - 1), denom)
+
+    def index_monomial(self) -> tuple[tuple[int, int], ...]:
+        """Exponents of c(r+s-1) contributed by each cell, aggregated."""
+        agg: dict[int, int] = {}
+        for (r, s), mult in self.entries:
+            v = r + s - 1
+            agg[v] = agg.get(v, 0) + mult
+        return tuple(sorted(agg.items()))
+
+
+def vector_partitions(i: int, j: int) -> list[PartitionMatrix]:
+    """All decompositions of (i,j) into cells (r,s) >= (1,1) with multiplicity."""
+    if i < 1 or j < 1:
+        raise ValueError("target components must be >= 1")
+    cells = [(r, s) for r in range(1, i + 1) for s in range(1, j + 1)]
+    out: list[PartitionMatrix] = []
+    chosen: list[tuple[tuple[int, int], int]] = []
+
+    def rec(idx: int, ri: int, rj: int) -> None:
+        if ri == 0 and rj == 0:
+            out.append(PartitionMatrix(tuple(chosen)))
+            return
+        if idx == len(cells):
+            return
+        r, s = cells[idx]
+        top = min(ri // r, rj // s)
+        rec(idx + 1, ri, rj)
+        for mult in range(1, top + 1):
+            chosen.append(((r, s), mult))
+            rec(idx + 1, ri - mult * r, rj - mult * s)
+            chosen.pop()
+
+    rec(0, i, j)
+    out.sort(key=lambda pm: pm.entries)
+    return out
+
+
+def relation_from_partitions(i: int, j: int) -> Relation:
+    """``coefficient_relation(i, j)`` assembled from the brute cell
+    enumeration; its weights stay ``Fraction``, so a non-integral one
+    compares unequal."""
+    target, scale, lhs = _target_and_lhs(i, j)
+    grouped: dict[tuple[tuple[int, int], ...], Fraction] = {}
+    for pm in vector_partitions(*target):
+        key = pm.index_monomial()
+        grouped[key] = grouped.get(key, Fraction(0)) + pm.weight() * scale
+    rhs = tuple(
+        sorted(((w, mono) for mono, w in grouped.items() if w), key=lambda t: t[1])
+    )
+    return Relation(target, scale, lhs, rhs)
+
 
 J_SEEDS = {
     ("1A", 1): 196884,
@@ -107,7 +183,7 @@ class TestPartitionEnumeration:
                     i,
                     j,
                 )
-                prod = prod * factor
+                prod = reference_bimul(prod, factor, i, j)
         assert prod.coeff(i, j) == len(vector_partitions(i, j))
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moonshine.lattice import GradedDims, dimension_product
-from moonshine.series import BiSeries, UniSeries
+from moonshine.lattice import GradedDims, denominator_sides, dimension_product
+from moonshine.modular import normalized_j
+from moonshine.series import BiSeries, UniSeries, _bimul
 
 # ---------------------------------------------------------------------------
 # reference product
@@ -36,14 +37,15 @@ def reference_mul(a: UniSeries, b: UniSeries) -> UniSeries:
     return UniSeries(data, hi)
 
 
-def reference_bimul(a: BiSeries, b: BiSeries) -> BiSeries:
-    """The two-variable product by the sparse double loop over both factors.
+def reference_bimul(a: BiSeries, b: BiSeries, pmax: int, qmax: int) -> BiSeries:
+    """The product of two series' stored terms by the sparse double loop,
+    cut at p^pmax q^qmax.
 
-    This is the definition the Kronecker kernel in ``BiSeries.__mul__`` must
-    reproduce, items and window alike.
+    This is the definition the Kronecker kernel ``_bimul`` must reproduce.
+    The cut is the caller's: the untracked terms of a truncated two-variable
+    series fill an L-shaped region, so no product window can be read from
+    the factors' stored terms.
     """
-    pmax = min(a.pmax + b._pslo, b.pmax + a._pslo)
-    qmax = min(a.qmax + b._qslo, b.qmax + a._qslo)
     data = {}
     for (i1, j1), v1 in a.items():
         for (i2, j2), v2 in b.items():
@@ -530,7 +532,7 @@ def reference_log1m(u: BiSeries) -> BiSeries:
     power = u
     for k in range(1, u.pmax + 1):
         total = total + power * Fraction(-1, k)
-        power = reference_bimul(power, u).truncated(pmax=u.pmax, qmax=u.qmax)
+        power = reference_bimul(power, u, u.pmax, u.qmax)
     return total
 
 
@@ -549,12 +551,6 @@ cuts = st.integers(min_value=0, max_value=6)
 
 
 class TestBiSeries:
-    def test_mul_window_sharpening(self):
-        u = BiSeries({(1, 1): 2, (1, 2): 3}, 3, 4)
-        sq = u * u
-        assert (sq.pmax, sq.qmax) == (4, 5)
-        assert sq.items() == [((2, 2), 4), ((2, 3), 12), ((2, 4), 9)]
-
     def test_coeff_semantics(self):
         u = BiSeries({(1, 1): 2}, 3, 4)
         assert u.coeff(0, -5) == 0  # below the q support: provably zero
@@ -576,7 +572,7 @@ class TestBiSeries:
         total = BiSeries.zero(4, 5)
         power = BiSeries.one(4, 5)
         for k in range(1, 5):
-            power = power * u
+            power = reference_bimul(power, u, 4, 5)
             total = total + power * Fraction(-1, k)
         lu = u.log1m()
         assert (lu.pmax, lu.qmax) == (4, 5)
@@ -641,24 +637,6 @@ class TestBiSeries:
     def test_add_is_sound_under_truncation(self, a, b, dp, dq):
         assert_bi_sound(bi_cut(a, dp, dq) + b, a + b)
 
-    @given(bi_series(), bi_series(), cuts, cuts)
-    # the q cut removes a's only p^0 term, so the lowest stored p rises to 1
-    # and the cut product is exact up to p^1, where the full one stops at p^0
-    @example(BiSeries({(0, 1): 1, (1, 0): 1}, 1, 1), BiSeries({(0, 0): 1}, 0, 5), 0, 1)
-    def test_mul_is_sound_under_truncation(self, a, b, dp, dq):
-        # in two variables a cut can raise the lowest stored exponent of the
-        # other variable, and the product window grows with it; so the cut
-        # product's window is checked against the exact product of the
-        # stored terms, not against the full product's window
-        short = bi_cut(a, dp, dq) * b
-        assert not short.mismatches(a * b)
-        exact: dict[tuple[int, int], Fraction] = {}
-        for (i1, j1), v1 in a.items():
-            for (i2, j2), v2 in b.items():
-                if i1 + i2 <= short.pmax and j1 + j2 <= short.qmax:
-                    exact[(i1 + i2, j1 + j2)] = exact.get((i1 + i2, j1 + j2), 0) + v1 * v2
-        assert not short.mismatches(BiSeries(exact, short.pmax, short.qmax))
-
     @given(bi_series(), st.integers(min_value=1, max_value=3), cuts, cuts)
     def test_substitute_power_is_sound_under_truncation(self, u, k, dp, dq):
         assert_bi_sound(bi_cut(u, dp, dq).substitute_power(k), u.substitute_power(k))
@@ -687,26 +665,37 @@ class TestBiSeries:
         with pytest.raises(ValueError, match="cannot extend"):
             u.truncated(pmax=9)
 
-    @given(bi_series(), bi_series())
-    def test_mul_commutes(self, a, b):
-        assert not (a * b).mismatches(b * a)
-
-    @given(bi_series(), bi_series(), bi_series())
-    def test_mul_distributes(self, a, b, c):
-        try:
-            lhs = a * (b + c)
-            rhs = a * b + a * c
-        except ValueError:
-            return
-        assert not lhs.mismatches(rhs)
-
     @settings(max_examples=50)
     @given(bi_series(), st.integers(min_value=1, max_value=3))
     def test_substitute_power_is_multiplicative(self, a, k):
-        sq = a * a
-        assert not sq.substitute_power(k).mismatches(
-            a.substitute_power(k) * a.substitute_power(k)
-        )
+        sq = reference_bimul(a, a, a.pmax, a.qmax)
+        ak = a.substitute_power(k)
+        assert_same_bi(sq.substitute_power(k), reference_bimul(ak, ak, ak.pmax, ak.qmax))
+
+    # p times q, each cut to p^0 q^0: both cuts are empty, so a window read
+    # from the stored terms would certify a zero product up to p^1 q^1,
+    # where the uncut product has p^1 q^1 = 1
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda p, q: p * q,
+            lambda p, q: p * p,
+            lambda p, q: p + 1,
+            lambda p, q: 1 + p,
+            lambda p, q: p - 1,
+            lambda p, q: 1 - p,
+            lambda p, q: p - Fraction(1, 2),
+        ],
+        ids=[
+            "series-product", "square", "add-1", "radd-1",
+            "sub-1", "rsub-1", "sub-fraction",
+        ],
+    )
+    def test_no_series_product_or_constant_arithmetic(self, operation):
+        p = BiSeries({(1, 0): 1}, 1, 1).truncated(pmax=0, qmax=0)
+        q = BiSeries({(0, 1): 1}, 1, 1).truncated(pmax=0, qmax=0)
+        with pytest.raises(TypeError):
+            operation(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -732,16 +721,26 @@ def graded_dims(draw):
     return GradedDims({cell: draw(dim) for cell in cells}, mmax, nmax)
 
 
+# cuts for the kernel, from below every product term to above all of them
+kernel_pcuts = st.integers(min_value=0, max_value=14)
+kernel_qcuts = st.integers(min_value=-8, max_value=26)
+
+
+def assert_kernel_matches(a: BiSeries, b: BiSeries, pmax: int, qmax: int):
+    got = _bimul(a._c, b._c, pmax, qmax)
+    assert sorted(got.items()) == reference_bimul(a, b, pmax, qmax).items()
+
+
 class TestBiProductKernel:
     @settings(max_examples=300)
-    @given(kernel_bi_series(), kernel_bi_series())
-    def test_matches_reference(self, a, b):
-        assert_same_bi(a * b, reference_bimul(a, b))
+    @given(kernel_bi_series(), kernel_bi_series(), kernel_pcuts, kernel_qcuts)
+    def test_matches_reference(self, a, b, pmax, qmax):
+        assert_kernel_matches(a, b, pmax, qmax)
 
     @settings(max_examples=100)
-    @given(kernel_bi_series())
-    def test_square_matches_reference(self, a):
-        assert_same_bi(a * a, reference_bimul(a, a))
+    @given(kernel_bi_series(), kernel_pcuts, kernel_qcuts)
+    def test_square_matches_reference(self, a, pmax, qmax):
+        assert_kernel_matches(a, a, pmax, qmax)
 
     @settings(max_examples=100)
     @given(
@@ -749,6 +748,8 @@ class TestBiProductKernel:
         kernel_bi_series(),
         st.integers(min_value=1, max_value=3),
         st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=-20, max_value=80),
     )
     # two terms each, one 2001 bits wide: the products span hundreds of
     # digits, which the kernel must not pack for four term pairs
@@ -757,18 +758,30 @@ class TestBiProductKernel:
         BiSeries({(2, 0): -1, (5, 1): 1}, 6, 9),
         3,
         2,
+        22,
+        32,
     )
-    def test_substituted_factors_match_reference(self, a, b, s, t):
+    def test_substituted_factors_match_reference(self, a, b, s, t, pmax, qmax):
         a, b = a.substitute_power(s), b.substitute_power(t)
-        assert_same_bi(a * b, reference_bimul(a, b))
-        assert_same_bi(a * a, reference_bimul(a, a))
+        assert_kernel_matches(a, b, pmax, qmax)
+        assert_kernel_matches(a, a, pmax, qmax)
 
-    @given(kernel_bi_series())
-    def test_prefactor_with_negative_q(self, a):
-        # the product identity's 1 - p q^-1 is the one factor below q^0
-        pmax = max(a.pmax, 1)
-        prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, max(a.qmax + 1, 0))
-        assert_same_bi(prefactor * a, reference_bimul(prefactor, a))
+    def test_prefactor_with_negative_q(self):
+        # denominator_sides applies the identity's 1 - p q^-1, the one factor
+        # below q^0, in place; that must equal the product of the prefactor
+        # and the expanded product cut to the window, ceilings included
+        windows = [(p, q) for p in range(1, 9) for q in range(1, 9)] + [(24, 24)]
+        for pmax, qmax in windows:
+            c = normalized_j(pmax * (qmax + 1))
+            mults = {
+                (i, j): int(c.coeff(i * j))
+                for i in range(1, pmax + 1)
+                for j in range(1, qmax + 2)
+            }
+            expanded = dimension_product(GradedDims(mults, pmax, qmax + 1))
+            prefactor = BiSeries({(0, 0): 1, (1, -1): -1}, pmax, qmax + 1)
+            want = reference_bimul(prefactor, expanded, pmax, qmax)
+            assert_same_bi(denominator_sides(pmax, qmax)[1], want)
 
     @settings(max_examples=60, deadline=None)
     @given(graded_dims())
@@ -785,5 +798,5 @@ class TestBiProductKernel:
                 pmax,
                 qmax,
             )
-            want = reference_bimul(want, factor)
+            want = reference_bimul(want, factor, pmax, qmax)
         assert_same_bi(dimension_product(dims), want)
