@@ -31,7 +31,7 @@ from .lattice import (
     denominator_identity_report,
     dimension_product,
     simple_roots,
-    witt_dims_from_char,
+    witt_dims,
 )
 from .modular import normalized_j
 from .recursion import ContradictionError, determinacy_audit, solve_from_seeds
@@ -183,6 +183,8 @@ def _cmd_witt(args) -> int:
     if args.mmax < 1 or args.nmax < 1:
         raise CommandError("window bounds must be >= 1")
     c = normalized_j(args.mmax * args.nmax)
+    dims = witt_dims(args.mmax, args.nmax, c)
+    # the generator character, for the product oracle below
     generators = BiSeries(
         {
             (m, n): int(c.coeff(m + n - 1))
@@ -192,7 +194,6 @@ def _cmd_witt(args) -> int:
         args.mmax,
         args.nmax,
     )
-    dims = witt_dims_from_char(generators)
     print(f"command: witt --mmax {args.mmax} --nmax {args.nmax}")
     print("free Lie algebra dimensions:")
     for m in range(1, args.mmax + 1):

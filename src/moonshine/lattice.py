@@ -207,17 +207,20 @@ def witt_dims_from_char(u: BiSeries) -> GradedDims:
     ``u`` is the generating character sum dim U_{(m,n)} p^m q^n with support
     in m,n >= 1.  The dimensions come from Mobius inversion of the
     denominator product:  sum dims = -sum_{k>=1} (mu(k)/k) log(1 - u(p^k,q^k)).
+    Since log(1 - u(p^k,q^k)) = (log(1 - u))(p^k,q^k), the log is taken once
+    and each term of the sum substitutes into it.
     """
     if u._pslo < 1 or u._qslo < 1:
         raise ValueError("character must be supported on m, n >= 1")
     mmax, nmax = u.pmax, u.qmax
+    log = u.log1m()
     total = BiSeries.zero(mmax, nmax)
     for k in range(1, min(mmax, nmax) + 1):
         mu = mobius(k)
         if mu == 0:
             continue
-        scaled = u.substitute_power(k).truncated(pmax=mmax, qmax=nmax)
-        total = total + scaled.log1m() * Fraction(-mu, k)
+        scaled = log.substitute_power(k).truncated(pmax=mmax, qmax=nmax)
+        total = total + scaled * Fraction(-mu, k)
     dims: dict[tuple[int, int], int] = {}
     for (m, n), value in total.items():
         if not isinstance(value, int):

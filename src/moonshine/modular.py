@@ -1,12 +1,12 @@
 """Exact q-expansions of the classical modular objects.
 
 This module supplies every coefficient source used elsewhere: the Euler
-product (via the pentagonal-number theorem), Dedekind eta powers with their
-fractional exponent offsets tracked in units of 1/24, the Eisenstein series
-E4 and E6 by divisor sums, the discriminant form, and the modular invariant
-j.  The invariant is computed along two independent routes and compared on
-every call, so a bug in either route surfaces as a hard failure rather than
-a wrong answer.
+product (via the pentagonal-number theorem), Dedekind eta powers (the eta
+monomials track their fractional exponent offsets, in units of 1/24), the
+Eisenstein series E4 and E6 by divisor sums, the discriminant form, and the
+modular invariant j.  The invariant is computed along two independent
+routes and compared on every call, so a bug in either route surfaces as a
+hard failure rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -50,29 +50,23 @@ def euler_product(order: int) -> UniSeries:
     return UniSeries(data, order)
 
 
-def dedekind_eta_power(
-    scale: int, exponent: int, order: int
-) -> tuple[UniSeries, Fraction]:
-    """(q^{scale/24} prod (1 - q^{scale n}))^exponent, split into parts.
+def dedekind_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
+    """prod (1 - q^{scale n})^exponent, exactly through q^order.
 
-    Returns the expansion of prod (1 - q^{scale n})^exponent exactly through
-    q^order, together with the leading-exponent offset scale*exponent/24.
-    The offset stays fractional here; recipes resolve it once the sum over
-    their monomials makes it integral.
+    This is eta(scale*tau)^exponent without its leading factor
+    q^{scale*exponent/24}, whose fractional exponent
+    :meth:`EtaMonomial.offset` tracks.  With P(q) = prod (1 - q^n), the
+    identity P(q^k)^e = (P^e)(q^k) lets the power and the inverse run on P
+    itself through q^(order // scale); q -> q^scale is the last step.
     """
     if scale < 1:
         raise ValueError("eta scale must be a positive integer")
     if order < 0:
         raise ValueError("order must be >= 0")
-    offset = Fraction(scale * exponent, 24)
-    if exponent == 0:
-        return UniSeries.one(order), offset
-    base = euler_product(order // scale + 1).substitute_power(scale)
-    base = base.restrict(hi=order)
-    power = base ** abs(exponent)
+    power = euler_product(order // scale) ** abs(exponent)
     if exponent < 0:
-        power = power.inverse(order)
-    return power, offset
+        power = power.inverse(order // scale)
+    return power.substitute_power(scale).restrict(hi=order)
 
 
 def eisenstein(weight: int, order: int) -> UniSeries:
@@ -100,8 +94,7 @@ def delta(order: int) -> UniSeries:
     """The discriminant form q prod (1 - q^n)^24, truncated at q^order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    body, _ = dedekind_eta_power(1, 24, order - 1)
-    return body.shift(1)
+    return dedekind_eta_power(1, 24, order - 1).shift(1)
 
 
 def j_series(order: int) -> UniSeries:
@@ -194,8 +187,7 @@ def expand_recipe(recipe: EtaRecipe, order: int) -> UniSeries:
         shift = int(off)
         body = UniSeries.one(order - shift)
         for scale, exponent in mono.factors:
-            part, _ = dedekind_eta_power(scale, exponent, order - shift)
-            body = body * part
+            body = body * dedekind_eta_power(scale, exponent, order - shift)
         term = (body * mono.coeff).shift(shift)
         total = term if total is None else total + term
     if total is None:

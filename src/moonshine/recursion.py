@@ -167,11 +167,13 @@ def _weight_terms(
     return tuple(terms)
 
 
-def _target_and_lhs(
-    i: int, j: int
-) -> tuple[tuple[int, int], int, tuple[tuple[int, int, int], ...]]:
-    """Canonical target (i <= j), its scale gcd(i,j), and its left side, one
-    term per common divisor k: (k, ij/k^2, scale // k)."""
+@lru_cache(maxsize=None)
+def coefficient_relation(i: int, j: int) -> Relation:
+    """The relation at target (i,j); (i,j) and (j,i) canonicalize equal.
+
+    The canonical target has i <= j, its scale is gcd(i,j), and its left
+    side has one term per common divisor k: (k, ij/k^2, scale // k).
+    """
     if i < 1 or j < 1:
         raise ValueError("target components must be >= 1")
     i, j = min(i, j), max(i, j)
@@ -181,14 +183,7 @@ def _target_and_lhs(
         for k in range(1, scale + 1)
         if scale % k == 0
     )
-    return (i, j), scale, lhs
-
-
-@lru_cache(maxsize=None)
-def coefficient_relation(i: int, j: int) -> Relation:
-    """The relation at target (i,j); (i,j) and (j,i) canonicalize equal."""
-    target, scale, lhs = _target_and_lhs(i, j)
-    return Relation(target, scale, lhs, _weight_terms(*target, scale))
+    return Relation((i, j), scale, lhs, _weight_terms(i, j, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ p exponents are always nonnegative.
 ``UniSeries`` products run through one dense integer kernel: the
 denominators of each factor are cleared, and the two factors are multiplied
 by Kronecker substitution, as a single big-integer product with one digit
-per exponent step, wide enough that no carry crosses from one coefficient
-to the next (see ``_mul_low`` for the step and the width bound).  Factors
-with fewer term pairs than product digits are multiplied pair by pair.
+per exponent, wide enough that no carry crosses from one coefficient to the
+next (see ``_mul_low`` for the width bound).  Factors with fewer term pairs
+than product digits are multiplied pair by pair.
 ``BiSeries`` has no series product; the kernel serves it only inside
 ``log1m``, where a term p^i q^j is first flattened to one exponent
 (``_bimul``).
@@ -36,7 +36,7 @@ All series are immutable by convention: operations return fresh objects.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Mapping
 
 Coeff = int | Fraction
@@ -64,21 +64,15 @@ def _norm(value: Coeff) -> Coeff:
     )
 
 
-def _div(x: Coeff, y: Coeff) -> Coeff:
-    return _norm(Fraction(x) / Fraction(y))
-
-
 def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
     """The nonzero coefficients below offset ``n`` of the product ``a * b``.
 
     ``a`` and ``b`` map offsets in ``[0, n)`` to nonzero integers.
     Kronecker substitution: each factor becomes one integer with one k-bit
-    digit per multiple of ``step``, the gcd of all offsets (so a series in
-    ``q^s`` costs what a series in ``q`` of 1/s the length costs), the two
-    integers are multiplied once (squared when ``a is b``), and the digits
-    of the product are the coefficients.  A digit is stored biased by
-    ``2^(k-1)``, so a signed value ``v`` with ``|v| < 2^(k-1)`` is the
-    unsigned digit ``v + 2^(k-1)``.
+    digit per offset, the two integers are multiplied once (squared when
+    ``a is b``), and the digits of the product are the coefficients.  A
+    digit is stored biased by ``2^(k-1)``, so a signed value ``v`` with
+    ``|v| < 2^(k-1)`` is the unsigned digit ``v + 2^(k-1)``.
 
     Width bound: a product coefficient ``c_t`` is a sum of at most
     ``m = min(len(a), len(b))`` nonzero products, so ``|c_t| <= m * max|a|
@@ -87,13 +81,11 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
     of the product lies in ``[0, 2^k)`` and no carry crosses a digit.
     Digits are written into and read from byte buffers, never shifted.
 
-    When ``len(a) * len(b)`` is at most the digit count the term pairs are
-    multiplied directly instead: packing a few wide terms into hundreds of
-    wide digits costs far more than the pairs themselves.
+    When ``len(a) * len(b)`` is at most the digit count ``n`` the term
+    pairs are multiplied directly instead: packing a few wide terms into
+    hundreds of wide digits costs far more than the pairs themselves.
     """
-    step = gcd(*a, *b) or 1  # gcd is 0 when every offset is 0
-    digits = (n - 1) // step + 1
-    if len(a) * len(b) <= digits:
+    if len(a) * len(b) <= n:
         out: dict[int, int] = {}
         for s, u in a.items():
             for t, v in b.items():
@@ -109,26 +101,25 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
     width = (bits + 7) // 8  # bytes per digit
     bias = 1 << (8 * width - 1)
     zero = bias.to_bytes(width, "little")
-    biases = int.from_bytes(zero * digits, "little")
+    biases = int.from_bytes(zero * n, "little")
 
     def pack(terms: dict[int, int]) -> int:
-        raw = bytearray(zero * digits)
+        raw = bytearray(zero * n)
         for t, v in terms.items():
-            i = t // step * width
-            raw[i : i + width] = (v + bias).to_bytes(width, "little")
+            raw[t * width : (t + 1) * width] = (v + bias).to_bytes(width, "little")
         return int.from_bytes(raw, "little") - biases
 
     x = pack(a)
     product = x * x if a is b else x * pack(b)
     # biasing the low digits makes each one nonnegative, so the mask keeps
     # exactly those digits
-    low = (product + biases) & ((1 << (8 * width * digits)) - 1)
-    raw = low.to_bytes(width * digits, "little")
+    low = (product + biases) & ((1 << (8 * width * n)) - 1)
+    raw = low.to_bytes(width * n, "little")
     values = [
         int.from_bytes(raw[i : i + width], "little")
-        for i in range(0, width * digits, width)
+        for i in range(0, width * n, width)
     ]
-    return {d * step: v - bias for d, v in enumerate(values) if v != bias}
+    return {t: v - bias for t, v in enumerate(values) if v != bias}
 
 
 def _mul_exact(a: dict[int, Coeff], b: dict[int, Coeff], n: int) -> dict[int, Coeff]:
@@ -359,13 +350,14 @@ class UniSeries:
             )
         depth = hi + e0  # degree of the unit-part inverse
         a = [self._c.get(e0 + t, 0) for t in range(depth + 1)]
-        b: list[Coeff] = [_div(1, a[0])]
+        r = _norm(1 / Fraction(a[0]))
+        b: list[Coeff] = [r]
         for d in range(1, depth + 1):
             s: Coeff = 0
             for t in range(1, d + 1):
                 if a[t]:
                     s += a[t] * b[d - t]
-            b.append(_div(-s, a[0]) if s else 0)
+            b.append(-s * r)
         return UniSeries({d - e0: b[d] for d in range(depth + 1)}, hi)
 
     def substitute_power(self, k: int) -> "UniSeries":

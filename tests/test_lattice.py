@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moonshine import lattice
@@ -25,6 +26,7 @@ from moonshine.lattice import (
     witt_dims_from_char,
 )
 from moonshine.modular import normalized_j
+from moonshine.recursion import mobius
 from moonshine.series import BiSeries, UniSeries
 
 
@@ -161,7 +163,69 @@ class TestRootMultiplicity:
             root_multiplicity(5, 6, normalized_j(10))
 
 
+def reference_witt_dims(u: BiSeries) -> lattice.GradedDims:
+    """The generalized Witt formula with a fresh log per Mobius term: each
+    squarefree k substitutes p^k, q^k into ``u`` first and then takes
+    log(1 - u(p^k, q^k)) on the window."""
+    mmax, nmax = u.pmax, u.qmax
+    total = BiSeries.zero(mmax, nmax)
+    for k in range(1, min(mmax, nmax) + 1):
+        if mobius(k):
+            scaled = u.substitute_power(k).truncated(pmax=mmax, qmax=nmax)
+            total = total + scaled.log1m() * Fraction(-mobius(k), k)
+    dims = {}
+    for (m, n), value in total.items():
+        if not isinstance(value, int):
+            raise RuntimeError(
+                f"generalized Witt formula produced non-integer {value} at ({m},{n})"
+            )
+        dims[(m, n)] = value
+    return lattice.GradedDims(dims, mmax, nmax)
+
+
+@st.composite
+def witt_characters(draw):
+    """Characters on m, n >= 1 with zeros, parity-sparse supports (only
+    cells with m and n divisible by 2 or 3, or with m + n even), unequal
+    window sides, and the odd fraction."""
+    mmax = draw(st.integers(1, 7))
+    nmax = draw(st.integers(1, 7))
+    keep = draw(
+        st.sampled_from(
+            [
+                lambda m, n: True,
+                lambda m, n: m % 2 == 0 and n % 2 == 0,
+                lambda m, n: m % 3 == 0 and n % 3 == 0,
+                lambda m, n: (m + n) % 2 == 0,
+            ]
+        )
+    )
+    value = st.one_of(
+        st.just(0),
+        st.integers(-3, 5),
+        st.fractions(min_value=-2, max_value=2, max_denominator=4),
+    )
+    cells = [(m, n) for m in range(1, mmax + 1) for n in range(1, nmax + 1)]
+    return BiSeries({cell: draw(value) for cell in cells if keep(*cell)}, mmax, nmax)
+
+
+def witt_outcome(route, u):
+    try:
+        return route(u)
+    except RuntimeError as err:
+        return str(err)
+
+
 class TestWittDims:
+    @settings(deadline=None, max_examples=150)
+    @given(witt_characters())
+    @example(BiSeries({(2, 2): 1, (2, 4): 3, (4, 2): -1}, 5, 7))
+    @example(BiSeries({(1, 1): Fraction(1, 2)}, 3, 2))
+    @example(BiSeries({}, 2, 6))
+    def test_matches_log_per_term_route(self, u):
+        assert witt_outcome(witt_dims_from_char, u) == witt_outcome(reference_witt_dims, u)
+
+
     def test_equals_root_multiplicities_5x5(self, c25):
         dims = witt_dims(5, 5, c25)
         for m in range(1, 6):

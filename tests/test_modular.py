@@ -40,25 +40,50 @@ class TestEulerProduct:
         ]
 
 
+def reference_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
+    """prod (1 - q^{scale n})^exponent by substituting first: the product is
+    expanded in q^scale through q^order, then powered and inverted there."""
+    base = euler_product(order // scale + 1).substitute_power(scale).restrict(hi=order)
+    power = base ** abs(exponent)
+    if exponent < 0:
+        power = power.inverse(order)
+    return power
+
+
+ETA_EXPONENTS = (1, 2, 3, 4, 6, 8, 12, 24)
+
+
 class TestEtaPowers:
     def test_partition_generating_function(self):
-        series, offset = dedekind_eta_power(1, -1, 5)
+        series = dedekind_eta_power(1, -1, 5)
         assert series.items() == [(0, 1), (1, 1), (2, 2), (3, 3), (4, 5), (5, 7)]
-        assert offset == Fraction(-1, 24)
+        assert EtaMonomial.from_factors(1, {1: -1}).offset() == Fraction(-1, 24)
 
     def test_positive_power_matches_brute(self):
-        series, offset = dedekind_eta_power(2, 3, 12)
-        assert offset == Fraction(6, 24)
+        series = dedekind_eta_power(2, 3, 12)
+        assert EtaMonomial.from_factors(1, {2: 3}).offset() == Fraction(6, 24)
         assert not series.mismatches(brute_euler(12, scale=2) ** 3)
 
     def test_zero_power(self):
-        series, offset = dedekind_eta_power(2, 0, 4)
-        assert series.items() == [(0, 1)] and offset == 0
+        series = dedekind_eta_power(2, 0, 4)
+        assert series.items() == [(0, 1)] and series.hi == 4
+        assert EtaMonomial.from_factors(1, {2: 0}).offset() == 0
 
     def test_inverse_power_round_trip(self):
-        pos, _ = dedekind_eta_power(3, 2, 10)
-        neg, _ = dedekind_eta_power(3, -2, 10)
+        pos = dedekind_eta_power(3, 2, 10)
+        neg = dedekind_eta_power(3, -2, 10)
+        assert EtaMonomial.from_factors(1, {3: 2}).offset() == Fraction(1, 4)
         assert not (pos * neg).mismatches(UniSeries.one(10))
+
+    @pytest.mark.parametrize("exponent", [s * e for e in ETA_EXPONENTS for s in (1, -1)])
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4, 5])
+    def test_matches_substitute_first_route(self, scale, exponent):
+        # orders below the scale and orders that are not multiples of it
+        # cut the plain-variable work at order // scale
+        for order in range(61):
+            got = dedekind_eta_power(scale, exponent, order)
+            want = reference_eta_power(scale, exponent, order)
+            assert (got.hi, got.items()) == (want.hi, want.items()), order
 
 
 class TestDelta:

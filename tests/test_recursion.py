@@ -20,7 +20,6 @@ from moonshine.recursion import (
     _horn_clauses,
     _instances,
     _relation_targets,
-    _target_and_lhs,
     coefficient_recursion,
     coefficient_relation,
     determinacy_audit,
@@ -94,8 +93,14 @@ def vector_partitions(i: int, j: int) -> list[PartitionMatrix]:
 def relation_from_partitions(i: int, j: int) -> Relation:
     """``coefficient_relation(i, j)`` assembled from the brute cell
     enumeration; its weights stay ``Fraction``, so a non-integral one
-    compares unequal."""
-    target, scale, lhs = _target_and_lhs(i, j)
+    compares unequal.  Its canonical target, scale and left side come from
+    the list of common divisors, not from the code under test."""
+    if i < 1 or j < 1:
+        raise ValueError("target components must be >= 1")
+    target = tuple(sorted((i, j)))
+    divisors = [k for k in range(1, i + 1) if i % k == 0 and j % k == 0]
+    scale = divisors[-1]
+    lhs = tuple((k, i * j // (k * k), scale // k) for k in divisors)
     grouped: dict[tuple[tuple[int, int], ...], Fraction] = {}
     for pm in vector_partitions(*target):
         key = pm.index_monomial()
@@ -246,6 +251,8 @@ class TestRelations:
     def test_rejects_nonpositive_targets(self):
         with pytest.raises(ValueError):
             coefficient_relation(0, 3)
+        with pytest.raises(ValueError):
+            coefficient_relation(3, 0)
         with pytest.raises(ValueError):
             vector_partitions(2, 0)
 

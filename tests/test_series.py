@@ -290,8 +290,8 @@ class TestProductKernel:
         st.integers(min_value=-3, max_value=3),
     )
     def test_stepped_factors_match_reference(self, a, b, s, t, shift):
-        # a factor in q^s packs one digit per multiple of the gcd of all
-        # offsets; unequal steps fall back to their gcd
+        # factors in q^s are sparse: one digit per offset leaves the gaps
+        # as zero digits, and few term pairs take the pair loop
         a = a.substitute_power(s).shift(shift)
         b = b.substitute_power(t)
         assert_same_product(a * b, reference_mul(a, b))
@@ -367,6 +367,17 @@ class TestInverse:
         prod = a * a.inverse(9)
         assert prod.coeff(0) == 1
         assert all(prod.coeff(e) == 0 for e in range(1, prod.hi + 1))
+
+    def test_fraction_leading_coefficient(self):
+        # 1 / (2/3 - q/5) = (3/2) * sum (3q/10)^n
+        a = UniSeries({0: Fraction(2, 3), 1: Fraction(-1, 5)}, 3)
+        assert a.inverse(3).items() == [
+            (n, Fraction(3, 2) * Fraction(3, 10) ** n) for n in range(4)
+        ]
+        # 1 / ((1 + q^2) / 2) = 2 - 2 q^2 + 2 q^4: integral values come back as int
+        inv = UniSeries({0: Fraction(1, 2), 2: Fraction(1, 2)}, 4).inverse(4)
+        assert inv.items() == [(0, 2), (2, -2), (4, 2)]
+        assert all(type(v) is int for _, v in inv.items())
 
 
 # ---------------------------------------------------------------------------
@@ -726,6 +737,9 @@ kernel_pcuts = st.integers(min_value=0, max_value=14)
 kernel_qcuts = st.integers(min_value=-8, max_value=26)
 
 
+GRID_5X6 = [(i, j) for i in range(5) for j in range(6)]
+
+
 def assert_kernel_matches(a: BiSeries, b: BiSeries, pmax: int, qmax: int):
     got = _bimul(a._c, b._c, pmax, qmax)
     assert sorted(got.items()) == reference_bimul(a, b, pmax, qmax).items()
@@ -760,6 +774,17 @@ class TestBiProductKernel:
         2,
         22,
         32,
+    )
+    # 30 terms each in p^3 q^3 and p^2 q^2: 20 and 30 of them land inside
+    # the cut, whose 263 digits are fewer than the term pairs (a * a and
+    # a * b), so both products are packed with zero digits in the gaps
+    @example(
+        BiSeries({(i, j): (-1) ** (i + j) * (i + 2 * j + 1) for i, j in GRID_5X6}, 4, 5),
+        BiSeries({(i, j): 2**100 * i - j - 1 for i, j in GRID_5X6}, 4, 5),
+        3,
+        2,
+        10,
+        12,
     )
     def test_substituted_factors_match_reference(self, a, b, s, t, pmax, qmax):
         a, b = a.substitute_power(s), b.substitute_power(t)
