@@ -7,8 +7,10 @@ a mismatch or contradiction, 2 on input errors (bad flags, unreadable or
 malformed tables, missing coefficients), 3 on an internal error (a failed
 self-check or a bug; no verdict is printed).  Verification commands end
 with a greppable ``VERDICT: PASS`` or ``VERDICT: FAIL`` line.  Warnings
-about a table's power maps go to stderr as ``warning:`` lines.  A closed
-stdout (``| head``) ends the command silently on SIGPIPE, like any filter.
+about a table's power maps go to stderr as ``warning:`` lines.  A series
+command whose size needs q-expansions past :data:`MAX_Q_ORDER` is refused
+with exit 2 before any work.  A closed stdout (``| head``) ends the
+command silently on SIGPIPE, like any filter.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .lattice import (
     build_matrix,
     cartan_conditions,
     denominator_identity_report,
+    denominator_order,
     dimension_product,
     simple_roots,
     witt_dims,
@@ -42,9 +45,26 @@ __all__ = ["main", "entry"]
 PASS_LINE = "VERDICT: PASS"
 FAIL_LINE = "VERDICT: FAIL"
 
+# Largest q-order a series command may expand.  On a 2-core machine
+# ``jexpand --order 2000`` takes about 0.8 s, 3000 about 2 s and 5000 about
+# 7 s, and the time grows faster than the square of the order; a 24x24
+# window expands through q^600.  The limit bounds the order only: a
+# two-variable window's cost also grows with its cells, and
+# ``witt --mmax 70 --nmax 70`` (q^4900) runs for about 100 s.
+MAX_Q_ORDER = 5000
+
 
 class CommandError(Exception):
     """Input problem: bad bounds, unreadable table, missing data.  Exit 2."""
+
+
+def _check_order(order: int) -> None:
+    """Refuse, before any series work, an expansion past :data:`MAX_Q_ORDER`."""
+    if order > MAX_Q_ORDER:
+        raise CommandError(
+            f"the command needs q-expansions to order {order}, "
+            f"above the limit {MAX_Q_ORDER}"
+        )
 
 
 def _load_table(path: str | None) -> ClassTable:
@@ -81,6 +101,7 @@ def _family(table: ClassTable, order: int):
 def _cmd_jexpand(args) -> int:
     if args.order < -1:
         raise CommandError("order must be >= -1")
+    _check_order(args.order)
     c = normalized_j(args.order)
     for n in range(-1, args.order + 1):
         print(f"{n}\t{format_coeff(c.coeff(n))}")
@@ -90,6 +111,7 @@ def _cmd_jexpand(args) -> int:
 def _cmd_verify_product(args) -> int:
     if args.pmax < 1 or args.qmax < 1:
         raise CommandError("window bounds must be >= 1")
+    _check_order(denominator_order(args.pmax, args.qmax))
     report = denominator_identity_report(args.pmax, args.qmax)
     print(f"command: verify-product --pmax {args.pmax} --qmax {args.qmax}")
     print(f"window: p 0..{report.pmax}, q {report.qmin}..{report.qmax}")
@@ -102,6 +124,7 @@ def _cmd_verify_product(args) -> int:
 def _cmd_verify_ep(args) -> int:
     if args.imax < 1 or args.jmax < 1:
         raise CommandError("window bounds must be >= 1")
+    _check_order(args.imax * args.jmax)
     table = _load_table(args.table)
     if args.klass not in table.names:
         raise CommandError(f"unknown class {args.klass!r}")
@@ -182,6 +205,7 @@ def _cmd_compare(args) -> int:
 def _cmd_witt(args) -> int:
     if args.mmax < 1 or args.nmax < 1:
         raise CommandError("window bounds must be >= 1")
+    _check_order(args.mmax * args.nmax)
     c = normalized_j(args.mmax * args.nmax)
     dims = witt_dims(args.mmax, args.nmax, c)
     # the generator character, for the product oracle below
@@ -242,6 +266,7 @@ def _cmd_bmatrix(args) -> int:
 def _cmd_simple_roots(args) -> int:
     if args.nmax < -1:
         raise CommandError("nmax must be >= -1")
+    _check_order(args.nmax)
     c = normalized_j(max(args.nmax, 1))
     roots = simple_roots(args.nmax, c)
     for vector, mult in roots.entries:

@@ -37,6 +37,7 @@ __all__ = [
     "witt_dims_from_char",
     "dimension_product",
     "ProductReport",
+    "denominator_order",
     "denominator_sides",
     "denominator_identity_report",
 ]
@@ -271,6 +272,11 @@ class ProductReport(NamedTuple):
         return not self.mismatches
 
 
+def denominator_order(pmax: int, qmax: int) -> int:
+    """The q-order of J that :func:`denominator_sides` expands."""
+    return max(pmax * (qmax + 1), qmax, pmax - 1)
+
+
 def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
     """Both sides of  p(J(p) - J(q)) = (1 - pq^-1) prod (1-p^i q^j)^c(ij)
     up to p^pmax and q^qmax.
@@ -288,8 +294,7 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("window bounds must be >= 1")
-    order = max(pmax * (qmax + 1), qmax, pmax - 1)
-    c = normalized_j(order)
+    c = normalized_j(denominator_order(pmax, qmax))
 
     cells: dict[tuple[int, int], Coeff] = {}
     for n in range(-1, pmax):  # p J(p) = sum c(n) p^{n+1}

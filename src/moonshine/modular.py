@@ -4,9 +4,11 @@ This module supplies every coefficient source used elsewhere: the Euler
 product (via the pentagonal-number theorem), Dedekind eta powers (the eta
 monomials track their fractional exponent offsets, in units of 1/24), the
 Eisenstein series E4 and E6 by divisor sums, the discriminant form, and the
-modular invariant j.  The invariant is computed along two independent
-routes and compared on every call, so a bug in either route surfaces as a
-hard failure rather than a wrong answer.
+modular invariant j.  Eta powers of any sign come from Miller's power
+recurrence over the pentagonal series, in O(n^1.5) small-by-big integer
+steps, so 1/delta needs no series inverse.  The invariant is computed along
+two independent routes and compared on every call, so a bug in either route
+surfaces as a hard failure rather than a wrong answer.
 """
 
 from __future__ import annotations
@@ -55,18 +57,40 @@ def dedekind_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
 
     This is eta(scale*tau)^exponent without its leading factor
     q^{scale*exponent/24}, whose fractional exponent
-    :meth:`EtaMonomial.offset` tracks.  With P(q) = prod (1 - q^n), the
-    identity P(q^k)^e = (P^e)(q^k) lets the power and the inverse run on P
+    :meth:`EtaMonomial.offset` tracks.  With P(q) = prod (1 - q^n) =
+    sum a_k q^k, the identity P(q^k)^e = (P^e)(q^k) lets the power run on P
     itself through q^(order // scale); q -> q^scale is the last step.
+
+    P^e = sum b_n q^n comes from J. C. P. Miller's power recurrence (Knuth,
+    TAOCP vol. 2, 4.7), valid for any integer e since a_0 = 1:
+    b_0 = 1 and n b_n = sum_{k=1..n} ((e+1)k - n) a_k b_{n-k}.  By the
+    pentagonal-number theorem a_k is +-1 at the generalized pentagonal k
+    and 0 elsewhere, so step n adds O(sqrt n) terms with small multipliers
+    and a negative exponent needs no series inverse.  Each b_n is an
+    integer, so a remainder in the division by n is an internal fault.
     """
     if scale < 1:
         raise ValueError("eta scale must be a positive integer")
     if order < 0:
         raise ValueError("order must be >= 0")
-    power = euler_product(order // scale) ** abs(exponent)
-    if exponent < 0:
-        power = power.inverse(order // scale)
-    return power.substitute_power(scale).restrict(hi=order)
+    top = order // scale
+    # (k, a_k, (e+1) k a_k) for the pentagonal k >= 1, in increasing k
+    pentagonal = euler_product(top).items()[1:]
+    terms = [(k, a, (exponent + 1) * k * a) for k, a in pentagonal]
+    b = [1]
+    for n in range(1, top + 1):
+        total = 0
+        for k, a, w in terms:
+            if k > n:
+                break
+            total += (w - n * a) * b[n - k]
+        value, rest = divmod(total, n)
+        if rest:
+            raise RuntimeError(
+                f"internal cross-check failed: eta power not integral at q^{n}"
+            )
+        b.append(value)
+    return UniSeries(enumerate(b), top).substitute_power(scale).restrict(hi=order)
 
 
 def eisenstein(weight: int, order: int) -> UniSeries:
@@ -103,12 +127,13 @@ def j_series(order: int) -> UniSeries:
     Computed as E4^3 / delta and, independently, as E6^2 / delta + 1728;
     the two expansions must agree coefficient-for-coefficient and must be
     integral, otherwise the computation itself is broken and we refuse to
-    return anything.
+    return anything.  Both routes share 1/delta = q^-1 prod (1 - q^n)^-24
+    from :func:`dedekind_eta_power`.
     """
     if order < -1:
         raise ValueError("order must be >= -1")
     work = max(order, 0)
-    dinv = delta(work + 2).inverse(work)
+    dinv = dedekind_eta_power(1, -24, work + 1).shift(-1)
     route_a = eisenstein(4, work + 1) ** 3 * dinv
     route_b = eisenstein(6, work + 1) ** 2 * dinv + 1728
     bad = route_a.mismatches(route_b)

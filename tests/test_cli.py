@@ -5,12 +5,14 @@ from __future__ import annotations
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from moonshine import cli
 from moonshine.cli import main
+from moonshine.lattice import denominator_order
 
 SEEDLESS = "class 1A order 1\nidentity 1A\n"
 DATA = Path(__file__).resolve().parent / "data"
@@ -414,6 +416,68 @@ class TestSimpleRoots:
         code, _, err = run("simple-roots", "--nmax", "-2")
         assert code == 2
         assert err.startswith("error:")
+
+
+# each needs q-expansions far past the limit, to order 10^7 or about 2.5 * 10^7
+HOSTILE = [
+    ("jexpand", "--order", "10000000"),
+    ("simple-roots", "--nmax", "10000000"),
+    ("verify-product", "--pmax", "5000", "--qmax", "5000"),
+    ("verify-ep", "--imax", "5000", "--jmax", "5000"),
+    ("witt", "--mmax", "5000", "--nmax", "5000"),
+]
+
+
+class TestSizeGuard:
+    @pytest.mark.parametrize("argv", HOSTILE, ids=lambda argv: argv[0])
+    def test_refused_before_any_series_work(self, run, monkeypatch, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("series work started")
+
+        for callee in ("normalized_j", "denominator_identity_report", "load_family"):
+            monkeypatch.setattr(cli, callee, fail)
+        code, out, err = run(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.rstrip().endswith(f"above the limit {cli.MAX_Q_ORDER}")
+
+    @pytest.mark.parametrize(
+        "argv, size",
+        [
+            (("jexpand", "--order"), 12),
+            (("simple-roots", "--nmax"), 12),
+            (("verify-product", "--qmax", "1", "--pmax"), 6),  # J to q^(2 pmax)
+            (("verify-ep", "--jmax", "1", "--imax"), 12),
+            (("witt", "--nmax", "1", "--mmax"), 12),
+        ],
+        ids=lambda value: value[0] if isinstance(value, tuple) else str(value),
+    )
+    def test_limit_is_inclusive(self, run, monkeypatch, argv, size):
+        monkeypatch.setattr(cli, "MAX_Q_ORDER", 12)
+        assert run(*argv, str(size))[0] == 0
+        code, _, err = run(*argv, str(size + 1))
+        assert code == 2
+        assert err.rstrip().endswith("above the limit 12")
+
+    def test_limit_admits_the_documented_stress_sizes(self):
+        # jexpand --order 2000 and 3000 (README), and 24x24 windows
+        assert cli.MAX_Q_ORDER >= max(3000, denominator_order(24, 24), 24 * 24)
+
+    @pytest.mark.parametrize("argv", [HOSTILE[0], HOSTILE[2]], ids=lambda argv: argv[0])
+    def test_fresh_process_exits_2_within_a_second(self, argv):
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "moonshine", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert elapsed < 1.0
 
 
 class TestDeterminism:

@@ -5,7 +5,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from moonshine import modular
 from moonshine.modular import (
     EtaMonomial,
     EtaRecipe,
@@ -50,7 +53,22 @@ def reference_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
     return power
 
 
-ETA_EXPONENTS = (1, 2, 3, 4, 6, 8, 12, 24)
+def plain_variable_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
+    """prod (1 - q^{scale n})^exponent by powering the Euler product in the
+    plain variable through q^(order // scale), inverting it there by long
+    division if the exponent is negative, and substituting q -> q^scale."""
+    top = order // scale
+    power = euler_product(top) ** abs(exponent)
+    if exponent < 0:
+        power = power.inverse(top)
+    return power.substitute_power(scale).restrict(hi=order)
+
+
+def window(series: UniSeries) -> tuple[int, list]:
+    return series.hi, series.items()
+
+
+ETA_EXPONENTS = [s * e for e in (1, 2, 3, 4, 6, 8, 12, 24) for s in (1, -1)]
 
 
 class TestEtaPowers:
@@ -75,7 +93,7 @@ class TestEtaPowers:
         assert EtaMonomial.from_factors(1, {3: 2}).offset() == Fraction(1, 4)
         assert not (pos * neg).mismatches(UniSeries.one(10))
 
-    @pytest.mark.parametrize("exponent", [s * e for e in ETA_EXPONENTS for s in (1, -1)])
+    @pytest.mark.parametrize("exponent", ETA_EXPONENTS)
     @pytest.mark.parametrize("scale", [1, 2, 3, 4, 5])
     def test_matches_substitute_first_route(self, scale, exponent):
         # orders below the scale and orders that are not multiples of it
@@ -84,6 +102,33 @@ class TestEtaPowers:
             got = dedekind_eta_power(scale, exponent, order)
             want = reference_eta_power(scale, exponent, order)
             assert (got.hi, got.items()) == (want.hi, want.items()), order
+
+    @pytest.mark.parametrize("exponent", ETA_EXPONENTS)
+    @pytest.mark.parametrize("scale", [1, 2, 3, 4, 5])
+    def test_matches_power_and_inverse_route(self, scale, exponent):
+        deep = [400] if abs(exponent) in (8, 12, 24) else []
+        for order in list(range(61)) + deep:
+            got = dedekind_eta_power(scale, exponent, order)
+            want = plain_variable_eta_power(scale, exponent, order)
+            assert window(got) == window(want), order
+
+    @settings(deadline=None)
+    @given(st.integers(-60, 60), st.integers(0, 150), st.integers(1, 5))
+    def test_recurrence_property(self, exponent, order, scale):
+        got = dedekind_eta_power(scale, exponent, order)
+        assert window(got) == window(plain_variable_eta_power(scale, exponent, order))
+        back = dedekind_eta_power(scale, -exponent, order)
+        assert window(got * back) == (order, [(0, 1)])
+
+    def test_inexact_division_is_an_internal_fault(self, monkeypatch):
+        # every division by n is exact for an integral series with constant
+        # term 1, so a remainder needs a broken input: here 1 + q/2
+        def broken(order):
+            return UniSeries({0: 1, 1: Fraction(1, 2)}, order)
+
+        monkeypatch.setattr(modular, "euler_product", broken)
+        with pytest.raises(RuntimeError, match="internal cross-check failed"):
+            dedekind_eta_power(1, 1, 1)
 
 
 class TestDelta:
@@ -146,6 +191,16 @@ class TestJInvariant:
 
     def test_negative_one_order(self):
         assert j_series(-1).items() == [(-1, 1)]
+
+    @pytest.mark.parametrize("order", list(range(-1, 61)) + [600])
+    def test_reciprocal_matches_long_division(self, order):
+        # j_series takes 1/delta from the eta recurrence; the long division
+        # of delta is the oracle, for the reciprocal and for j itself
+        work = max(order, 0)
+        want = delta(work + 2).inverse(work)
+        assert window(dedekind_eta_power(1, -24, work + 1).shift(-1)) == window(want)
+        j = (eisenstein(4, work + 1) ** 3 * want).restrict(hi=order)
+        assert window(j_series(order)) == window(j)
 
     def test_normalized_negative_one_order(self):
         assert normalized_j(-1).items() == [(-1, 1)]
