@@ -8,9 +8,10 @@ malformed tables, missing coefficients), 3 on an internal error (a failed
 self-check or a bug; no verdict is printed).  Verification commands end
 with a greppable ``VERDICT: PASS`` or ``VERDICT: FAIL`` line.  Warnings
 about a table's power maps go to stderr as ``warning:`` lines.  A series
-command whose size needs q-expansions past :data:`MAX_Q_ORDER` is refused
-with exit 2 before any work.  A closed stdout (``| head``) ends the
-command silently on SIGPIPE, like any filter.
+command whose size needs q-expansions past :data:`MAX_Q_ORDER`, and a
+``derive`` or ``compare`` whose ``--max`` exceeds :data:`MAX_DERIVE_INDEX`,
+is refused with exit 2 before any work.  A closed stdout (``| head``) ends
+the command silently on SIGPIPE, like any filter.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .lattice import (
     denominator_order,
     dimension_product,
     simple_roots,
-    witt_dims,
+    witt_dims_from_char,
 )
 from .modular import normalized_j
 from .recursion import ContradictionError, determinacy_audit, solve_from_seeds
@@ -53,6 +54,13 @@ FAIL_LINE = "VERDICT: FAIL"
 # ``witt --mmax 70 --nmax 70`` (q^4900) runs for about 100 s.
 MAX_Q_ORDER = 5000
 
+# Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
+# The relations grow about fourfold per 100 indices: ``derive --max 100``
+# takes about 1 s and 42 MB, ``derive --max 200`` (with or without
+# ``--audit``) about 40 s and 770 MB.
+# It also bounds the q-order ``compare`` expands, far below MAX_Q_ORDER.
+MAX_DERIVE_INDEX = 200
+
 
 class CommandError(Exception):
     """Input problem: bad bounds, unreadable table, missing data.  Exit 2."""
@@ -64,6 +72,15 @@ def _check_order(order: int) -> None:
         raise CommandError(
             f"the command needs q-expansions to order {order}, "
             f"above the limit {MAX_Q_ORDER}"
+        )
+
+
+def _check_index(index: int) -> None:
+    """Refuse, before any work, a ``--max`` past :data:`MAX_DERIVE_INDEX`."""
+    if index > MAX_DERIVE_INDEX:
+        raise CommandError(
+            f"the command derives coefficients to index {index}, "
+            f"above the limit {MAX_DERIVE_INDEX}"
         )
 
 
@@ -147,6 +164,7 @@ def _cmd_verify_ep(args) -> int:
 def _cmd_derive(args) -> int:
     if args.max < 1:
         raise CommandError("--max must be >= 1")
+    _check_index(args.max)
     table = _load_table(args.table)
     if args.audit:
         report = determinacy_audit(table, args.max)
@@ -173,6 +191,7 @@ def _cmd_derive(args) -> int:
 def _cmd_compare(args) -> int:
     if args.max < 1:
         raise CommandError("--max must be >= 1")
+    _check_index(args.max)
     table = _load_table(args.table)
     family = _family(table, args.max)
     print(f"command: compare --max {args.max}")
@@ -207,17 +226,18 @@ def _cmd_witt(args) -> int:
         raise CommandError("window bounds must be >= 1")
     _check_order(args.mmax * args.nmax)
     c = normalized_j(args.mmax * args.nmax)
-    dims = witt_dims(args.mmax, args.nmax, c)
-    # the generator character, for the product oracle below
+    # the generator character: the Witt dimensions come from its log, and
+    # the product oracle below compares against 1 minus it
     generators = BiSeries(
         {
-            (m, n): int(c.coeff(m + n - 1))
+            (m, n): c.coeff(m + n - 1)
             for m in range(1, args.mmax + 1)
             for n in range(1, args.nmax + 1)
         },
         args.mmax,
         args.nmax,
     )
+    dims = witt_dims_from_char(generators)
     print(f"command: witt --mmax {args.mmax} --nmax {args.nmax}")
     print("free Lie algebra dimensions:")
     for m in range(1, args.mmax + 1):

@@ -19,9 +19,8 @@ by Kronecker substitution, as a single big-integer product with one digit
 per exponent, wide enough that no carry crosses from one coefficient to the
 next (see ``_mul_low`` for the width bound).  Factors with fewer term pairs
 than product digits are multiplied pair by pair.
-``BiSeries`` has no series product; the kernel serves it only inside
-``log1m``, where a term p^i q^j is first flattened to one exponent
-(``_bimul``).
+``BiSeries`` has no series product; ``log1m`` runs a recurrence on its
+q-rows, which multiplies them as ``UniSeries``.
 
 Arithmetic propagates ceilings so that every reported coefficient is exact.
 A truncated ``UniSeries`` product, for instance, can only be trusted up to
@@ -381,46 +380,6 @@ class UniSeries:
         return UniSeries({e: v for e, v in self._c.items() if e <= hi}, hi)
 
 
-def _bimul(
-    a: dict[tuple[int, int], Coeff],
-    b: dict[tuple[int, int], Coeff],
-    pmax: int,
-    qmax: int,
-) -> dict[tuple[int, int], Coeff]:
-    """The product of two ``{(i, j): value}`` term dicts, cut at p^pmax q^qmax.
-
-    Each factor's p^i q^j becomes the single offset ``(i - pa) * w + (j -
-    qa)``, where ``pa`` and ``qa`` are its lowest p and q exponents, and the
-    two are multiplied by one Kronecker product (:func:`_mul_exact`).  Only
-    terms with ``i - pa <= rows`` and ``j - qa <= span`` can land inside the
-    cut.  Two q offsets sum to at most ``2 * span``, so with ``w = 2 * span
-    + 1`` no q sum reaches the next row; product digits whose q offset
-    exceeds ``span`` lie above ``qmax`` and are dropped.
-    """
-    if not a or not b:
-        return {}
-    pa, qa = min(i for i, _ in a), min(j for _, j in a)
-    pb, qb = min(i for i, _ in b), min(j for _, j in b)
-    rows, span = pmax - pa - pb, qmax - qa - qb
-    w = 2 * span + 1
-
-    def pack(terms, p0, q0):
-        return {
-            (i - p0) * w + j - q0: v
-            for (i, j), v in terms.items()
-            if i - p0 <= rows and j - q0 <= span
-        }
-
-    x = pack(a, pa, qa)
-    y = x if b is a else pack(b, pb, qb)
-    out = {}
-    for t, v in _mul_exact(x, y, rows * w + span + 1).items():
-        di, dj = divmod(t, w)
-        if dj <= span:
-            out[(pa + pb + di, qa + qb + dj)] = v
-    return out
-
-
 class BiSeries:
     """A series in two variables p, q known exactly up to p^pmax and q^qmax.
 
@@ -431,7 +390,8 @@ class BiSeries:
 
     The operations are sums, differences, scalar multiples, ``log1m``,
     ``substitute_power`` and ``truncated``.  There is no series product and
-    no constant-term arithmetic (see ``__mul__``).
+    no constant-term arithmetic (see ``__mul__``); ``log1m`` multiplies the
+    q-rows, the coefficients of each p^m, as :class:`UniSeries`.
     """
 
     __slots__ = ("pmax", "qmax", "_c")
@@ -577,23 +537,39 @@ class BiSeries:
     def log1m(self) -> "BiSeries":
         """log(1 - self); every term must have p exponent >= 1 and q >= 0.
 
-        The p constraint makes the sum over powers finite.  The q constraint
-        covers the untracked terms too (they sit at q >= qmax + 1, so qmax
-        must be >= -1): no factor of a power then lowers q, so the result is
-        exact up to the input's ceilings.
+        Row by row in p: with self = sum u_m(q) p^m and log(1 - self) =
+        sum L_m(q) p^m, the p-derivative gives (1 - self) * sum m L_m p^m =
+        -sum m u_m p^m, so M_m = m L_m satisfies
+
+            M_m = -m u_m + sum_{k=1}^{m-1} u_k M_{m-k}.
+
+        Every row product is a :class:`UniSeries` product, and M_m is
+        integral when self is, so the only division is the one by m.
+
+        The p constraint makes each row depend on lower rows only.  The q
+        constraint covers the untracked terms too (they sit at q >= qmax + 1,
+        so qmax must be >= -1): no factor then lowers q, every row product is
+        exact up to q^qmax, and the result is exact up to the input's
+        ceilings.
         """
         if self._c and self._pslo < 1:
             raise ValueError("log of non-unit: a term has p exponent 0")
         if (self._c and self._qslo < 0) or self.qmax < -1:
             raise ValueError("log1m needs q exponents >= 0, known and untracked")
-        acc: dict[tuple[int, int], Coeff] = {}
-        power = self._c
-        for k in range(1, self.pmax // self._pslo + 1):
-            if k > 1:
-                power = _bimul(power, self._c, self.pmax, self.qmax)
-            for key, v in power.items():
-                acc[key] = acc.get(key, 0) + v * Fraction(-1, k)
-        return BiSeries(acc, self.pmax, self.qmax)
+        qmax = self.qmax
+        rows: list[dict[int, Coeff]] = [{} for _ in range(self.pmax + 1)]
+        for (i, j), v in self._c.items():
+            rows[i][j] = v
+        u = [UniSeries(row, qmax) for row in rows]
+        big_m = [u[0]]  # M_0 = 0
+        out: dict[tuple[int, int], Coeff] = {}
+        for m in range(1, self.pmax + 1):
+            row = u[m] * -m
+            for k in range(1, m):
+                row = row + u[k] * big_m[m - k]
+            big_m.append(row)
+            out.update({(m, j): Fraction(v, m) for j, v in row._c.items()})
+        return BiSeries(out, self.pmax, qmax)
 
     def substitute_power(self, k: int) -> "BiSeries":
         """Replace p, q by p^k, q^k; in-between exponents are known zero."""

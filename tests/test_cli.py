@@ -418,29 +418,47 @@ class TestSimpleRoots:
         assert err.startswith("error:")
 
 
-# each needs q-expansions far past the limit, to order 10^7 or about 2.5 * 10^7
+# the series commands need q-expansions far past the limit, to order 10^7 or
+# about 2.5 * 10^7; derive and compare would build relations to index 10^5
 HOSTILE = [
     ("jexpand", "--order", "10000000"),
     ("simple-roots", "--nmax", "10000000"),
     ("verify-product", "--pmax", "5000", "--qmax", "5000"),
     ("verify-ep", "--imax", "5000", "--jmax", "5000"),
     ("witt", "--mmax", "5000", "--nmax", "5000"),
+    ("derive", "--max", "100000"),
+    ("derive", "--audit", "--max", "100000"),
+    ("compare", "--max", "100000"),
 ]
 
 
+def hostile_id(argv):
+    return argv[0] + ("-audit" if "--audit" in argv else "")
+
+
+def limit_of(argv):
+    return cli.MAX_DERIVE_INDEX if argv[0] in ("derive", "compare") else cli.MAX_Q_ORDER
+
+
 class TestSizeGuard:
-    @pytest.mark.parametrize("argv", HOSTILE, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", HOSTILE, ids=hostile_id)
     def test_refused_before_any_series_work(self, run, monkeypatch, argv):
         def fail(*args, **kwargs):
             raise AssertionError("series work started")
 
-        for callee in ("normalized_j", "denominator_identity_report", "load_family"):
+        for callee in (
+            "normalized_j",
+            "denominator_identity_report",
+            "load_family",
+            "solve_from_seeds",
+            "determinacy_audit",
+        ):
             monkeypatch.setattr(cli, callee, fail)
         code, out, err = run(*argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
-        assert err.rstrip().endswith(f"above the limit {cli.MAX_Q_ORDER}")
+        assert err.rstrip().endswith(f"above the limit {limit_of(argv)}")
 
     @pytest.mark.parametrize(
         "argv, size",
@@ -460,11 +478,30 @@ class TestSizeGuard:
         assert code == 2
         assert err.rstrip().endswith("above the limit 12")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("derive", "--max"), ("derive", "--audit", "--max"), ("compare", "--max")],
+        ids=hostile_id,
+    )
+    def test_derive_limit_is_inclusive(self, run, monkeypatch, argv):
+        monkeypatch.setattr(cli, "MAX_DERIVE_INDEX", 6)
+        assert run(*argv, "6")[0] == 0
+        code, _, err = run(*argv, "7")
+        assert code == 2
+        assert err.rstrip().endswith("above the limit 6")
+
     def test_limit_admits_the_documented_stress_sizes(self):
         # jexpand --order 2000 and 3000 (README), and 24x24 windows
         assert cli.MAX_Q_ORDER >= max(3000, denominator_order(24, 24), 24 * 24)
 
-    @pytest.mark.parametrize("argv", [HOSTILE[0], HOSTILE[2]], ids=lambda argv: argv[0])
+    def test_derive_limit_admits_the_documented_stress_sizes(self):
+        # derive --max 200 and derive --audit --max 120 (ROADMAP); compare
+        # expands to q^--max, so the order limit must cover it too
+        assert 200 <= cli.MAX_DERIVE_INDEX <= cli.MAX_Q_ORDER
+
+    @pytest.mark.parametrize(
+        "argv", [HOSTILE[0], HOSTILE[2], *HOSTILE[5:]], ids=hostile_id
+    )
     def test_fresh_process_exits_2_within_a_second(self, argv):
         start = time.monotonic()
         proc = subprocess.run(

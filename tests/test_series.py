@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moonshine.classes import generator_series, load_family, parse_table_text
 from moonshine.lattice import GradedDims, denominator_sides, dimension_product
 from moonshine.modular import normalized_j
-from moonshine.series import BiSeries, UniSeries, _bimul
+from moonshine.series import BiSeries, UniSeries
 
 # ---------------------------------------------------------------------------
 # reference product
@@ -41,10 +43,10 @@ def reference_bimul(a: BiSeries, b: BiSeries, pmax: int, qmax: int) -> BiSeries:
     """The product of two series' stored terms by the sparse double loop,
     cut at p^pmax q^qmax.
 
-    This is the definition the Kronecker kernel ``_bimul`` must reproduce.
-    The cut is the caller's: the untracked terms of a truncated two-variable
-    series fill an L-shaped region, so no product window can be read from
-    the factors' stored terms.
+    This is the definition the in-place two-variable products and the power
+    sum of ``log1m`` are checked against.  The cut is the caller's: the
+    untracked terms of a truncated two-variable series fill an L-shaped
+    region, so no product window can be read from the factors' stored terms.
     """
     data = {}
     for (i1, j1), v1 in a.items():
@@ -97,24 +99,6 @@ def kernel_series(draw):
     hi = draw(st.integers(min_value=lo, max_value=lo + 40))
     exps = draw(st.lists(st.integers(min_value=lo, max_value=hi), max_size=12))
     return UniSeries({e: draw(wide_coeffs()) for e in exps}, hi)
-
-
-@st.composite
-def kernel_bi_series(draw):
-    """Two-variable series with gaps and wide coefficients; q may go negative."""
-    pmax = draw(st.integers(min_value=0, max_value=6))
-    qlo = draw(st.integers(min_value=-3, max_value=2))
-    qmax = draw(st.integers(min_value=qlo, max_value=qlo + 10))
-    keys = draw(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=pmax),
-                st.integers(min_value=qlo, max_value=qmax),
-            ),
-            max_size=10,
-        )
-    )
-    return BiSeries({k: draw(wide_coeffs()) for k in keys}, pmax, qmax)
 
 
 @st.composite
@@ -547,6 +531,23 @@ def reference_log1m(u: BiSeries) -> BiSeries:
     return total
 
 
+def j_character(size: int) -> BiSeries:
+    """sum c(mn) p^m q^n over 1 <= m, n <= size, the exponents of the
+    product identity; its coefficients pass 100 bits at size 10."""
+    c = normalized_j(size * size)
+    cells = [(m, n) for m in range(1, size + 1) for n in range(1, size + 1)]
+    return BiSeries({(m, n): c.coeff(m * n) for m, n in cells}, size, size)
+
+
+# the catalog's expansions, enough for the 8x8 generator series
+CATALOG_FAMILY = load_family(
+    parse_table_text(
+        resources.files("moonshine").joinpath("data/catalog.mtf").read_text()
+    ),
+    15,
+)
+
+
 def bi_cut(u: BiSeries, dp: int, dq: int) -> BiSeries:
     """``u`` with its ceilings lowered by ``dp`` and ``dq`` (p stays >= 0)."""
     return u.truncated(pmax=max(u.pmax - dp, 0), qmax=u.qmax - dq)
@@ -634,6 +635,29 @@ class TestBiSeries:
 
     @settings(max_examples=200)
     @given(log_input_with_cut())
+    # shipped sizes: the j character, whose wide rows take the packed kernel
+    # path, and the Euler-Poincare generator series at 8x8
+    @example((j_character(10), 10))
+    @example((generator_series(CATALOG_FAMILY, "2B", 8, 8), 8))
+    @example((generator_series(CATALOG_FAMILY, "3B", 8, 8), 8))
+    @example((generator_series(CATALOG_FAMILY, "4C", 8, 8), 8))
+    # p-support from p^2 with an empty p^3 row; Fraction coefficients
+    @example((BiSeries({(2, 0): 3, (2, 1): -1, (4, 2): 5, (5, 0): 2}, 6, 4), 4))
+    @example(
+        (
+            BiSeries(
+                {
+                    (1, 0): Fraction(1, 2),
+                    (1, 2): Fraction(-3, 4),
+                    (2, 1): Fraction(5, 3),
+                    (3, 0): 7,
+                },
+                5,
+                4,
+            ),
+            4,
+        )
+    )
     def test_log1m_matches_reference_power_sum(self, case):
         u, _ = case
         assert u.log1m().items() == reference_log1m(u).items()
@@ -732,64 +756,8 @@ def graded_dims(draw):
     return GradedDims({cell: draw(dim) for cell in cells}, mmax, nmax)
 
 
-# cuts for the kernel, from below every product term to above all of them
-kernel_pcuts = st.integers(min_value=0, max_value=14)
-kernel_qcuts = st.integers(min_value=-8, max_value=26)
-
-
-GRID_5X6 = [(i, j) for i in range(5) for j in range(6)]
-
-
-def assert_kernel_matches(a: BiSeries, b: BiSeries, pmax: int, qmax: int):
-    got = _bimul(a._c, b._c, pmax, qmax)
-    assert sorted(got.items()) == reference_bimul(a, b, pmax, qmax).items()
-
-
 class TestBiProductKernel:
-    @settings(max_examples=300)
-    @given(kernel_bi_series(), kernel_bi_series(), kernel_pcuts, kernel_qcuts)
-    def test_matches_reference(self, a, b, pmax, qmax):
-        assert_kernel_matches(a, b, pmax, qmax)
-
-    @settings(max_examples=100)
-    @given(kernel_bi_series(), kernel_pcuts, kernel_qcuts)
-    def test_square_matches_reference(self, a, pmax, qmax):
-        assert_kernel_matches(a, a, pmax, qmax)
-
-    @settings(max_examples=100)
-    @given(
-        kernel_bi_series(),
-        kernel_bi_series(),
-        st.integers(min_value=1, max_value=3),
-        st.integers(min_value=1, max_value=3),
-        st.integers(min_value=0, max_value=40),
-        st.integers(min_value=-20, max_value=80),
-    )
-    # two terms each, one 2001 bits wide: the products span hundreds of
-    # digits, which the kernel must not pack for four term pairs
-    @example(
-        BiSeries({(3, 10): 1, (5, 5): 2**2000}, 6, 10),
-        BiSeries({(2, 0): -1, (5, 1): 1}, 6, 9),
-        3,
-        2,
-        22,
-        32,
-    )
-    # 30 terms each in p^3 q^3 and p^2 q^2: 20 and 30 of them land inside
-    # the cut, whose 263 digits are fewer than the term pairs (a * a and
-    # a * b), so both products are packed with zero digits in the gaps
-    @example(
-        BiSeries({(i, j): (-1) ** (i + j) * (i + 2 * j + 1) for i, j in GRID_5X6}, 4, 5),
-        BiSeries({(i, j): 2**100 * i - j - 1 for i, j in GRID_5X6}, 4, 5),
-        3,
-        2,
-        10,
-        12,
-    )
-    def test_substituted_factors_match_reference(self, a, b, s, t, pmax, qmax):
-        a, b = a.substitute_power(s), b.substitute_power(t)
-        assert_kernel_matches(a, b, pmax, qmax)
-        assert_kernel_matches(a, a, pmax, qmax)
+    """The in-place two-variable products against the dict product."""
 
     def test_prefactor_with_negative_q(self):
         # denominator_sides applies the identity's 1 - p q^-1, the one factor
