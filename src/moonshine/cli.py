@@ -56,8 +56,8 @@ MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
 # The relations grow about fourfold per 100 indices: ``derive --max 100``
-# takes about 1 s and 42 MB, ``derive --max 200`` (with or without
-# ``--audit``) about 40 s and 770 MB.
+# takes about 1 s and 42 MB, ``derive --max 200`` about 40 s and 770 MB.
+# ``derive --audit`` builds no relation and takes about 1 s at 200.
 # It also bounds the q-order ``compare`` expands, far below MAX_Q_ORDER.
 MAX_DERIVE_INDEX = 200
 

@@ -210,6 +210,8 @@ def expand_recipe(recipe: EtaRecipe, order: int) -> UniSeries:
                 "exponents must combine to a multiple of 24"
             )
         shift = int(off)
+        if shift > order:
+            continue  # the whole term lies above q^order
         body = UniSeries.one(order - shift)
         for scale, exponent in mono.factors:
             body = body * dedekind_eta_power(scale, exponent, order - shift)

@@ -27,10 +27,10 @@ from seed data (every derived value carries the relation that produced it,
 and disagreeing derivations are a hard error), and a structural
 determinacy audit that finds which indices are genuinely underivable.
 
-The solver and the audit share each cached relation across classes: it
-reads the same at every class g, and only its columns change, c_g on the
-right and c_{g^k} on the left.  An instance is a class, the relation and
-the classes g^k of its left terms; known values live in one {index: value}
+The solver shares each cached relation across classes: it reads the same
+at every class g, and only its columns change, c_g on the right and
+c_{g^k} on the left.  An instance is a class, the relation and the
+classes g^k of its left terms; known values live in one {index: value}
 dict per class.  Terms are read one by one, never combined, which is exact
 term by term.  A key has two lone linear occurrences only when g^k = g
 (k >= 2) and ij/k^2 = i+j-1, the lone right-side c_g(i+j-1) (1A and 3B at
@@ -38,17 +38,22 @@ term by term.  A key has two lone linear occurrences only when g^k = g
 scale*(1/k - 1) != 0, so such a key never cancels.  The solver's early
 exit is exact as well (see ``_evaluate``).
 
-The audit needs no values at all.  Without seeds every coefficient it
-knows is an opaque symbol or a nonconstant polynomial in such symbols, and
-a product of nonconstant polynomials is never constant.  So a relation
-whose other keys are all known pins key u exactly when every occurrence
-of u is a lone c(u)^1 monomial (left terms always are), since those never
-cancel; any monomial sharing u with another key would put a symbol in u's
-coefficient.  That static test turns each relation into Horn
+The audit needs neither values nor relations.  Without seeds every
+coefficient it knows is an opaque symbol or a nonconstant polynomial in
+such symbols, and a product of nonconstant polynomials is never constant.
+So a relation whose other keys are all known pins key u exactly when every
+occurrence of u is a lone c(u)^1 monomial (left terms always are): those
+never cancel, and a monomial shared with another key puts a symbol in u's
+coefficient.  At a target (i,j), 2 <= i <= j, the right side's monomials
+are the partitions of i+j into at most i parts >= 2 (part p reads c(p-1)),
+each with a positive weight: with M <= i parts, [x^i] prod (x+...+x^(p-1))
+spans degrees M..i+j-M, which contain i.  So each part p <= i+j-2 occurs
+beside the single part i+j-p, no part is i+j-1 (it would leave 1), and
+i+j occurs alone: the right side reads c_g(1..i+j-3) inside products and
+c_g(i+j-1) as a lone monomial.  That shape turns each relation into Horn
 clauses "other keys known => u known", and forward chaining to a fixpoint
 (Dowling & Gallier 1984) gives the same closure in any firing order.  The
-one case this misses is a derived polynomial that cancels to a constant;
-none occurs on the tested tables.
+one case this misses is a derived polynomial that cancels to a constant.
 """
 
 from __future__ import annotations
@@ -477,59 +482,45 @@ class AuditReport(NamedTuple):
         return tuple(n for g, n in self.introduced if g == name)
 
 
-@lru_cache(maxsize=None)
-def _right_indices(i: int, j: int) -> tuple[frozenset[int], frozenset[int]]:
-    """The right-side indices of the relation at (i,j), and those among
-    them that occur outside a lone c(v)^1 monomial; the same at every class."""
-    rhs = coefficient_relation(i, j).rhs
-    indices = frozenset(v for _, mono in rhs for v, _ in mono)
-    tangled = frozenset(
-        v for _, mono in rhs if len(mono) > 1 or mono[0][1] > 1 for v, _ in mono
-    )
-    return indices, tangled
-
-
 def _horn_clauses(
-    name: str, relation: Relation, powers: tuple[str, ...]
+    table: ClassTable, name: str, i: int, j: int
 ) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]]]:
-    """All keys of the relation at class ``name``, and the keys it pins
-    once the rest are known.
-
-    A key is pinned when every occurrence is a lone c(u)^1 monomial (left
-    terms always are); two such occurrences never cancel (see the module
-    docstring).
-    """
-    indices, tangled = _right_indices(*relation.target)
-    keys = {(name, v) for v in indices}
-    pinned = {(name, v) for v in indices - tangled}
-    for (_, n, _), g in zip(relation.lhs, powers):
-        keys.add((g, n))
-        if g != name or n not in tangled:
-            pinned.add((g, n))
-    return frozenset(keys), frozenset(pinned)
+    """All keys of the relation at target (i,j), 2 <= i <= j, at class
+    ``name``, and the keys it pins once the rest are known: c_g(1..i+j-3)
+    occur inside products, c_g(i+j-1) and the left keys alone (see the
+    module docstring)."""
+    scale = gcd(i, j)
+    tangled = {(name, v) for v in range(1, i + j - 2)}
+    lone = {(name, i + j - 1)} | {
+        (table.power_of(name, k), (i // k) * (j // k))
+        for k in range(1, scale + 1)
+        if scale % k == 0
+    }
+    return frozenset(tangled | lone), frozenset(lone - tangled)
 
 
 def determinacy_audit(table: ClassTable, nmax: int) -> AuditReport:
     """Find the indices the relations cannot determine from no data at all.
 
-    Forward chaining runs the Horn clauses of every instance (see
-    ``_horn_clauses``) to a fixpoint; the smallest still-unknown index
-    (ties broken by class declaration order) is then introduced as an
-    opaque symbol and chaining resumes.  For the modular-invariant data the
-    introduced indices come out to {1, 2, 3, 5}.
+    Forward chaining runs the Horn clauses of every relation target at
+    every class (see ``_horn_clauses``; no relation is built) to a
+    fixpoint; the smallest still-unknown index (ties broken by class
+    declaration order) is then introduced as an opaque symbol and chaining
+    resumes.  For the modular-invariant data the introduced indices come
+    out to {1, 2, 3, 5}.
 
-    This is exact for symbolic values: with no seeds each known value is a
-    nonconstant polynomial in the symbols, and products of those are never
-    constant, so an unknown's coefficient involves a symbol exactly when
-    it shares a monomial with another key.  The clauses are monotone, so
-    firing order and ties do not matter.  Only a derived sum cancelling to
-    a constant could differ; none does on 1A to 30, the catalog to 14, or
-    its subsets {1A,2B}, {1A,3B}, {1A,2B,4C} to 16.
+    The module docstring shows this exact for symbolic values, but for a
+    derived sum cancelling to a constant; none does on 1A to 30, the
+    catalog to 14, or its subsets {1A,2B}, {1A,3B}, {1A,2B,4C} to 16.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     order = {name: idx for idx, name in enumerate(table.names)}
-    clauses = [_horn_clauses(*inst) for inst in _instances(table, nmax)]
+    clauses = [
+        _horn_clauses(table, name, i, j)
+        for name in table.names
+        for i, j in _relation_targets(nmax)
+    ]
     known: set[tuple[str, int]] = set()
     introduced: list[tuple[str, int]] = []
     while True:

@@ -495,9 +495,23 @@ class TestSizeGuard:
         assert cli.MAX_Q_ORDER >= max(3000, denominator_order(24, 24), 24 * 24)
 
     def test_derive_limit_admits_the_documented_stress_sizes(self):
-        # derive --max 200 and derive --audit --max 120 (ROADMAP); compare
+        # derive --max 200 and derive --audit --max 200 (ROADMAP); compare
         # expands to q^--max, so the order limit must cover it too
         assert 200 <= cli.MAX_DERIVE_INDEX <= cli.MAX_Q_ORDER
+
+    def test_audit_at_200_runs_as_a_fresh_process(self):
+        # the audit builds no relation, so the largest admitted --max takes
+        # about a second; the timeout leaves room for a slow machine
+        proc = subprocess.run(
+            [sys.executable, "-m", "moonshine", "derive", "--audit", "--max", "200"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"unresolved {name}: 1 2 3 5" for name in ("1A", "2B", "3B", "4C")
+        ]
 
     @pytest.mark.parametrize(
         "argv", [HOSTILE[0], HOSTILE[2], *HOSTILE[5:]], ids=hostile_id

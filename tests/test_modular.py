@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moonshine import modular
+from moonshine.classes import parse_table_text
 from moonshine.modular import (
     EtaMonomial,
     EtaRecipe,
@@ -21,6 +24,18 @@ from moonshine.modular import (
     normalized_j,
 )
 from moonshine.series import UniSeries
+
+DATA = Path(__file__).resolve().parent / "data"
+ETA_TABLES = ("eta5.mtf", "eta5_badpower.mtf", "eta7_13.mtf")
+
+# Conway-Norton's 2A Hauptmodul as a table: t + 24 + 4096/t with
+# t = (eta(tau)/eta(2 tau))^24, the constant dropped by normalization
+TABLE_2A = """class 1A order 1
+class 2A order 2
+identity 1A
+eta 2A 1 1:24 2:-24
+eta 2A 4096 2:24 1:-24
+"""
 
 
 def brute_euler(order: int, scale: int = 1) -> UniSeries:
@@ -259,3 +274,30 @@ class TestRecipes:
     def test_factor_merging(self):
         mono = EtaMonomial.from_factors(1, [(2, 5), (2, -5), (1, 24)])
         assert mono.factors == ((1, 24),)
+
+    def test_conway_norton_2a(self):
+        # the second monomial starts at q^1, above the window at order 0
+        table = parse_table_text(TABLE_2A)
+        assert expand_recipe(table.recipes["2A"], 0).items() == [(-1, 1)]
+        assert expand_recipe(table.recipes["2A"], 3).items() == [
+            (-1, 1), (1, 4372), (2, 96256), (3, 1240002),
+        ]
+
+    def test_lower_order_is_a_restriction(self):
+        # expanding to o is the expansion to N cut to q^o, for every recipe
+        # the tables ship or test, a 2A table and a monomial starting at q^2
+        texts = [resources.files("moonshine").joinpath("data/catalog.mtf").read_text()]
+        texts += [(DATA / f).read_text() for f in ETA_TABLES]
+        recipes = [r for text in texts for r in parse_table_text(text).recipes.values()]
+        recipes += [
+            parse_table_text(TABLE_2A).recipes["2A"],
+            EtaRecipe((EtaMonomial.from_factors(3, {2: 24}),), normalize=False),
+        ]
+        top = 12
+        for recipe in recipes:
+            full = expand_recipe(recipe, top)
+            for order in range(top + 1):
+                got = expand_recipe(recipe, order)
+                want = full.restrict(order)
+                assert got.hi == want.hi == order
+                assert got.items() == want.items()

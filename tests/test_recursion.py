@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial, gcd
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moonshine.classes import ClassTable, load_family
+from moonshine.classes import ClassTable, load_family, parse_table_text
 from moonshine.modular import normalized_j
 from moonshine.recursion import (
     AuditReport,
@@ -561,6 +562,19 @@ def catalog_family(catalog_table):
     return load_family(catalog_table, 60)
 
 
+DATA = Path(__file__).resolve().parent / "data"
+AUDIT_TABLES = ("catalog", "eta5", "eta5_badpower", "eta7_13")
+
+
+@pytest.fixture(scope="module")
+def audit_tables(catalog_table):
+    """The catalog and the eta tables of tests/data, by name."""
+    tables = {"catalog": catalog_table}
+    for name in AUDIT_TABLES[1:]:
+        tables[name] = parse_table_text((DATA / f"{name}.mtf").read_text())
+    return tables
+
+
 def _columns(table, values):
     """Keyed values as the solver holds them: one {index: value} dict per class."""
     columns = {name: {} for name in table.names}
@@ -654,8 +668,60 @@ class TestCompiledInstances:
                 "but sides differ by 10",
             )
 
-    def test_horn_clauses_match_two_sided_reference(self, catalog_table):
-        for name, relation, powers in _instances(catalog_table, 30):
-            assert _horn_clauses(name, relation, powers) == reference_horn_clauses(
-                catalog_table, name, relation
-            )
+    def test_horn_clauses_match_two_sided_reference(self, audit_tables):
+        # the audit's clauses come from the relations' shape; read them from
+        # every relation instead, on every table the tests carry
+        for table in audit_tables.values():
+            for name, relation, _ in _instances(table, 30):
+                assert _horn_clauses(table, name, *relation.target) == (
+                    reference_horn_clauses(table, name, relation)
+                )
+
+
+# ---------------------------------------------------------------------------
+# the whole audit over clauses read from the relations themselves
+
+
+def reference_audit(table, nmax):
+    """The determinacy audit over clauses read from every built relation:
+    fire any clause with one unknown key that it pins, else introduce the
+    smallest unknown index (ties by class declaration order)."""
+    clauses = [
+        reference_horn_clauses(table, name, relation)
+        for name, relation, _ in _instances(table, nmax)
+    ]
+    wanted = [(name, n) for n in range(1, nmax + 1) for name in table.names]
+    known: set = set()
+    introduced = []
+    while True:
+        fire = next(
+            (
+                rest
+                for keys, pinned in clauses
+                if len(rest := keys - known) == 1 and rest <= pinned
+            ),
+            None,
+        )
+        if fire is not None:
+            known |= fire
+            continue
+        missing = [key for key in wanted if key not in known]
+        if not missing:
+            break
+        introduced.append(missing[0])
+        known.add(missing[0])
+    rank = {name: idx for idx, name in enumerate(table.names)}
+    return AuditReport(nmax, tuple(sorted(introduced, key=lambda t: (rank[t[0]], t[1]))))
+
+
+class TestAuditClauses:
+    @pytest.mark.parametrize("nmax", [1, 2, 5, 12, 30])
+    @pytest.mark.parametrize("table", AUDIT_TABLES)
+    def test_audit_matches_relation_built_clauses(self, audit_tables, table, nmax):
+        table = audit_tables[table]
+        assert determinacy_audit(table, nmax) == reference_audit(table, nmax)
+
+    def test_audit_builds_no_relation(self, catalog_table):
+        coefficient_relation.cache_clear()
+        determinacy_audit(catalog_table, 60)
+        assert coefficient_relation.cache_info().currsize == 0
