@@ -15,10 +15,14 @@ p exponents are always nonnegative.
 
 ``UniSeries`` products run through one dense integer kernel: the
 denominators of each factor are cleared, and the two factors are multiplied
-by Kronecker substitution, as a single big-integer product with one digit
+by Kronecker substitution, as a single big-number product with one digit
 per exponent, wide enough that no carry crosses from one coefficient to the
-next (see ``_mul_low`` for the width bound).  Factors with fewer term pairs
-than product digits are multiplied pair by pair.
+next (see ``_mul_low`` for the width bounds).  The digits are binary, in an
+``int``, unless the product has at least 50,000 decimal digits: then they
+are base-10^k slots of a ``decimal`` number, whose exact number-theoretic
+transform multiplies such operands faster than ``int``'s Karatsuba (about
+three times at 250,000 digits).  Factors with fewer term pairs than product
+digits are multiplied pair by pair.
 ``BiSeries`` has no series product; ``log1m`` runs a recurrence on its
 q-rows, which multiplies them as ``UniSeries``.
 
@@ -34,11 +38,25 @@ All series are immutable by convention: operations return fresh objects.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping
 
+try:
+    import _decimal  # the C decimal module; its pure-Python fallback is slower than int
+except ImportError:
+    _decimal = None
+
 Coeff = int | Fraction
+
+# Products of at least this many decimal digits (slot width times slots) go
+# through ``decimal``, whose number-theoretic transform beats int's Karatsuba
+# there; below it the binary kernel is faster.
+_DECIMAL_MIN_DIGITS = 50_000
+# Widest decimal slot: every slot is converted to and from a str, which
+# CPython refuses past its int/str limit (4,300 digits unless lowered).
+_DECIMAL_MAX_SLOT = 4_000
 
 __all__ = ["Coeff", "format_coeff", "UniSeries", "BiSeries"]
 
@@ -80,6 +98,14 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
     of the product lies in ``[0, 2^k)`` and no carry crosses a digit.
     Digits are written into and read from byte buffers, never shifted.
 
+    Wide products take decimal slots instead (:func:`_mul_decimal`): with
+    ``k`` the digit count of ``2 * m * max|a| * max|b|``, ``10^k > 2 *
+    |c_t|``, so every ``c_t`` fits a base-10^k slot biased by ``10^k / 2``.
+    They run when the product has at least ``_DECIMAL_MIN_DIGITS`` decimal
+    digits (``k * n``), every slot at most ``_DECIMAL_MAX_SLOT`` digits and
+    within the interpreter's int/str digit limit, and the C ``decimal``
+    module is present.
+
     When ``len(a) * len(b)`` is at most the digit count ``n`` the term
     pairs are multiplied directly instead: packing a few wide terms into
     hundreds of wide digits costs far more than the pairs themselves.
@@ -91,12 +117,15 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
                 if s + t < n:
                     out[s + t] = out.get(s + t, 0) + u * v
         return {t: v for t, v in out.items() if v}
-    bits = (
-        max(map(abs, a.values())).bit_length()
-        + max(map(abs, b.values())).bit_length()
-        + min(len(a), len(b)).bit_length()
-        + 1
-    )
+    a_max = max(map(abs, a.values()))
+    b_max = max(map(abs, b.values()))
+    m = min(len(a), len(b))
+    if _decimal is not None:
+        k = _digit_count(2 * m * a_max * b_max)
+        cap = min(_DECIMAL_MAX_SLOT, sys.get_int_max_str_digits() or _DECIMAL_MAX_SLOT)
+        if k <= cap and k * n >= _DECIMAL_MIN_DIGITS:
+            return _mul_decimal(a, b, n, k)
+    bits = a_max.bit_length() + b_max.bit_length() + m.bit_length() + 1
     width = (bits + 7) // 8  # bytes per digit
     bias = 1 << (8 * width - 1)
     zero = bias.to_bytes(width, "little")
@@ -119,6 +148,56 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
         for i in range(0, width * n, width)
     ]
     return {t: v - bias for t, v in enumerate(values) if v != bias}
+
+
+def _digit_count(value: int) -> int:
+    """The number of decimal digits of ``value`` > 0, without ``str``."""
+    k = (value.bit_length() - 1) * 30102 // 100000 + 1  # 10^(k-1) <= value
+    while 10**k <= value:
+        k += 1
+    return k
+
+
+def _mul_decimal(a: dict[int, int], b: dict[int, int], n: int, k: int) -> dict[int, int]:
+    """:func:`_mul_low` by Kronecker substitution in base ``10^k``.
+
+    Slot ``t`` of a factor holds ``a_t + 10^k / 2`` as ``k`` decimal digits,
+    highest offset first; the biases are subtracted, the two decimals
+    multiplied once (squared when ``a is b``), and the biases added back to
+    the low ``n`` slots of the product.  Every operation is exact: the local
+    context has the largest precision and traps ``Inexact``, ``Rounded``
+    and ``InvalidOperation``, and the global context is never touched.
+    ``k`` must meet the decimal width bound of :func:`_mul_low`.
+    """
+    dec = _decimal
+    ctx = dec.Context(
+        prec=dec.MAX_PREC,
+        Emax=dec.MAX_EMAX,
+        Emin=dec.MIN_EMIN,
+        traps=[dec.Inexact, dec.Rounded, dec.InvalidOperation],
+    )
+    half = 5 * 10 ** (k - 1)
+    zero = str(half)
+    biases = dec.Decimal(zero * n)
+
+    def pack(terms: dict[int, int]) -> _decimal.Decimal:
+        slots = (
+            "%0*d" % (k, terms[t] + half) if t in terms else zero
+            for t in range(n - 1, -1, -1)
+        )
+        return ctx.subtract(dec.Decimal("".join(slots)), biases)
+
+    x = pack(a)
+    product = ctx.multiply(x, x if a is b else pack(b))
+    # adding 10^top, above every digit of the product, makes the sum positive
+    # without changing its low k*n digits, which are the biased low slots
+    top = max(product.adjusted(), k * n) + 2
+    raw = str(ctx.add(ctx.add(product, biases), ctx.scaleb(1, top)))[-k * n :]
+    return {
+        n - 1 - i: v - half
+        for i, v in enumerate(int(raw[j : j + k]) for j in range(0, k * n, k))
+        if v != half
+    }
 
 
 def _mul_exact(a: dict[int, Coeff], b: dict[int, Coeff], n: int) -> dict[int, Coeff]:

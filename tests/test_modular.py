@@ -23,7 +23,7 @@ from moonshine.modular import (
     j_series,
     normalized_j,
 )
-from moonshine.series import UniSeries
+from moonshine.series import UniSeries, _mul_decimal
 
 DATA = Path(__file__).resolve().parent / "data"
 ETA_TABLES = ("eta5.mtf", "eta5_badpower.mtf", "eta7_13.mtf")
@@ -219,6 +219,29 @@ class TestJInvariant:
 
     def test_normalized_negative_one_order(self):
         assert normalized_j(-1).items() == [(-1, 1)]
+
+    def test_lehner_congruences(self, monkeypatch):
+        # Lehner (1949): for n = p^a m with p not dividing m and a >= 1,
+        # c(n) is divisible by 2^(3a+8), 3^(2a+3), 5^(a+1), 7^a and 11^a.
+        # At order 2000 both routes' products with 1/delta are decimal
+        # ones, so this checks them against arithmetic, not against the
+        # other route.
+        widths = []
+
+        def spy(a, b, n, k):
+            widths.append(k * n)
+            return _mul_decimal(a, b, n, k)
+
+        monkeypatch.setattr("moonshine.series._mul_decimal", spy)
+        j = normalized_j(2000)
+        assert len(widths) >= 2
+        exponents = {2: (3, 8), 3: (2, 3), 5: (1, 1), 7: (1, 0), 11: (1, 0)}
+        for p, (slope, base) in exponents.items():
+            for n in range(p, 2001, p):
+                a, m = 0, n
+                while m % p == 0:
+                    a, m = a + 1, m // p
+                assert j.coeff(n) % p ** (slope * a + base) == 0, (p, n)
 
 
 class TestRecipes:

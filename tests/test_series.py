@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import decimal
+import itertools
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
 
@@ -10,10 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moonshine import series
 from moonshine.classes import generator_series, load_family, parse_table_text
 from moonshine.lattice import GradedDims, denominator_sides, dimension_product
 from moonshine.modular import normalized_j
-from moonshine.series import BiSeries, UniSeries
+from moonshine.series import BiSeries, UniSeries, _digit_count, _mul_decimal, _mul_low
 
 # ---------------------------------------------------------------------------
 # reference product
@@ -254,6 +259,54 @@ def assert_same_product(got: UniSeries, want: UniSeries):
     assert got.items() == want.items()
 
 
+@contextmanager
+def packing(route: str):
+    """Send every packed product through one packing: ``"decimal"`` lowers
+    the decimal threshold to 0, ``"binary"`` hides the C decimal module."""
+    with pytest.MonkeyPatch.context() as mp:
+        if route == "decimal":
+            mp.setattr(series, "_DECIMAL_MIN_DIGITS", 0)
+        else:
+            mp.setattr(series, "_decimal", None)
+        yield
+
+
+extreme_shapes = pytest.mark.parametrize(
+    "kind, bits, length, a_is_b, step",
+    list(
+        itertools.product(
+            ["max", "-max", "-pow"], [1, 3, 4, 8, 64], [1, 2, 255, 256, 257], [True, False], [1, 3]
+        )
+    ),
+)
+
+
+def extreme_factors(kind, bits, length, a_is_b, step):
+    """Every coefficient at the top of its bit length (or -2^b, one bit
+    more): every low coefficient of the product is at the edge of the width
+    bound."""
+    value = {"max": 2**bits - 1, "-max": 1 - 2**bits, "-pow": -(2**bits)}[kind]
+    a = UniSeries({e: value for e in range(-1, length - 1)}, length - 2)
+    b = a if a_is_b else UniSeries({e: -value for e in range(length)}, length - 1)
+    if step > 1:
+        a = a.substitute_power(step)
+        b = a if a_is_b else b.substitute_power(step)
+    return a, b
+
+
+width_bound_shapes = pytest.mark.parametrize(
+    "length, a_bits, b_bits", [(3, 6, 7), (3, 1000, 1005), (255, 7, 8), (255, 1000, 999)]
+)
+
+
+def width_bound_factors(length, a_bits, b_bits, den):
+    """The middle product coefficient is -length * (2^a_bits - 1) *
+    (2^b_bits - 1), before the denominator is cleared."""
+    a = UniSeries({e: Fraction(2**a_bits - 1, den) for e in range(length)}, length - 1)
+    b = UniSeries({e: 1 - 2**b_bits for e in range(length)}, length - 1)
+    return a, b
+
+
 class TestProductKernel:
     @settings(max_examples=300)
     @given(kernel_series(), kernel_series())
@@ -281,37 +334,24 @@ class TestProductKernel:
         assert_same_product(a * b, reference_mul(a, b))
         assert_same_product(a * a, reference_mul(a, a))
 
-    @pytest.mark.parametrize("step", [1, 3])
-    @pytest.mark.parametrize("a_is_b", [True, False])
-    @pytest.mark.parametrize("length", [1, 2, 255, 256, 257])
-    @pytest.mark.parametrize("bits", [1, 3, 4, 8, 64])
-    @pytest.mark.parametrize("kind", ["max", "-max", "-pow"])
+    @extreme_shapes
     def test_extreme_coefficients(self, kind, bits, length, a_is_b, step):
-        # every coefficient at the top of its bit length (or -2^b, one bit
-        # more) drives every low coefficient of the product to the edge of
-        # the digit width; at length 255 with bits a multiple of 4 the width
-        # bound has no byte of slack
-        value = {"max": 2**bits - 1, "-max": 1 - 2**bits, "-pow": -(2**bits)}[kind]
-        a = UniSeries({e: value for e in range(-1, length - 1)}, length - 2)
-        b = a if a_is_b else UniSeries({e: -value for e in range(length)}, length - 1)
-        if step > 1:
-            a = a.substitute_power(step)
-            b = a if a_is_b else b.substitute_power(step)
-        assert_same_product(a * b, reference_mul(a, b))
+        # at length 255 with bits a multiple of 4 the binary width bound
+        # has no byte of slack
+        a, b = extreme_factors(kind, bits, length, a_is_b, step)
+        with packing("binary"):
+            assert_same_product(a * b, reference_mul(a, b))
 
     @pytest.mark.parametrize("den", [1, 2])
-    @pytest.mark.parametrize(
-        "length, a_bits, b_bits", [(3, 6, 7), (3, 1000, 1005), (255, 7, 8), (255, 1000, 999)]
-    )
+    @width_bound_shapes
     def test_width_bound_without_slack(self, length, a_bits, b_bits, den):
         # the digit width k = a_bits + b_bits + bits(length) + 1 is a whole
-        # number of bytes, and the middle coefficient
-        # -length * (2^a_bits - 1) * (2^b_bits - 1) lies below -2^(k-2): it
-        # fits only with the bias at exactly 2^(k-1)
+        # number of bytes, and the middle coefficient lies below -2^(k-2):
+        # it fits only with the bias at exactly 2^(k-1)
         assert (a_bits + b_bits + length.bit_length() + 1) % 8 == 0
-        a = UniSeries({e: Fraction(2**a_bits - 1, den) for e in range(length)}, length - 1)
-        b = UniSeries({e: 1 - 2**b_bits for e in range(length)}, length - 1)
-        assert_same_product(a * b, reference_mul(a, b))
+        a, b = width_bound_factors(length, a_bits, b_bits, den)
+        with packing("binary"):
+            assert_same_product(a * b, reference_mul(a, b))
 
     def test_fraction_factors_divide_back(self):
         a = UniSeries({0: Fraction(1, 2), 1: Fraction(2, 3)}, 3)
@@ -319,6 +359,163 @@ class TestProductKernel:
         p = a * b
         assert p.items() == [(0, 2), (1, Fraction(8, 3)), (2, Fraction(3, 8)), (3, Fraction(1, 2))]
         assert isinstance(p.coeff(0), int)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Offset maps for ``_mul_low``, dense or with gaps, and a digit count."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    big = 2**2000
+    value = st.one_of(
+        st.integers(min_value=-big, max_value=big),
+        st.sampled_from([big, -big, 1, -1]),
+    ).filter(bool)
+    terms = st.dictionaries(st.integers(min_value=0, max_value=n - 1), value, min_size=1)
+    a = draw(terms)
+    b = a if draw(st.booleans()) else draw(terms)
+    return a, b, n
+
+
+class TestDecimalKernel:
+    """The base-10^k packing against the binary one and the double loop.
+
+    Most products here are far below the decimal threshold, so ``packing``
+    chooses their route.
+    """
+
+    @settings(max_examples=300)
+    @given(kernel_series(), kernel_series())
+    def test_matches_binary(self, a, b):
+        # Fraction factors are cleared by _mul_exact; a * a is a square
+        with packing("binary"):
+            want = a * b, a * a
+        with packing("decimal"):
+            got = a * b, a * a
+        for g, w in zip(got, want):
+            assert_same_product(g, w)
+        assert_same_product(got[0], reference_mul(a, b))
+
+    @settings(max_examples=300)
+    @given(kernel_operands())
+    def test_kernel_matches_binary(self, operands):
+        a, b, n = operands
+        with packing("binary"):
+            want = _mul_low(a, b, n)
+        with packing("decimal"):
+            assert _mul_low(a, b, n) == want
+
+    @extreme_shapes
+    def test_extreme_coefficients(self, kind, bits, length, a_is_b, step):
+        a, b = extreme_factors(kind, bits, length, a_is_b, step)
+        with packing("decimal"):
+            assert_same_product(a * b, reference_mul(a, b))
+
+    @pytest.mark.parametrize("den", [1, 2])
+    @width_bound_shapes
+    def test_width_bound_shapes(self, length, a_bits, b_bits, den):
+        a, b = width_bound_factors(length, a_bits, b_bits, den)
+        with packing("decimal"):
+            assert_same_product(a * b, reference_mul(a, b))
+
+    @pytest.mark.parametrize(
+        "m, a_max, b_max",
+        [(3, 9, 9), (5, 10**3, 10**4), (4, 25 * 10**9, 10**10), (255, 2**1000 - 1, 3**600)],
+        ids=["9x9", "1e3x1e4", "25e9x1e10", "2^1000x3^600"],
+    )
+    def test_width_bound_without_slack(self, m, a_max, b_max):
+        # with every coefficient at its maximum the middle coefficient is
+        # c = m * a_max * b_max, exactly the bound: k, the digit count of
+        # 2c, gives 10^k > 2c, while the bias 10^(k-1) / 2 <= c one digit
+        # short pushes c's slot to 10^(k-1) or more, a carry.  At
+        # 2c = 10^(k-1) the slot is exactly 10^(k-1).
+        a = dict.fromkeys(range(m), a_max)
+        b = dict.fromkeys(range(m), b_max)
+        n = 2 * m - 1
+        want = {t: (min(t, n - 1 - t) + 1) * a_max * b_max for t in range(n)}
+        k = _digit_count(2 * m * a_max * b_max)
+        assert _mul_decimal(a, b, n, k) == want
+        assert _mul_decimal(a, b, n, k - 1) != want
+        with packing("decimal"):
+            assert _mul_low(a, b, n) == want
+
+    @pytest.mark.parametrize("value", [1, 9, 10, 99, 10**40, 10**40 - 1, 2**5000 + 1, 3**9000])
+    def test_digit_count(self, value):
+        assert _digit_count(value) == len(str(value))
+
+    @pytest.mark.parametrize("slot, route", [(4000, "decimal"), (4001, "binary")])
+    def test_slot_cap(self, slot, route):
+        # 2 * m * a_max * b_max = 24 * 10^(slot - 2) has `slot` digits
+        a = UniSeries({0: 3 * 10**1999, 1: -(10**1999)}, 1)
+        b = UniSeries({0: 2 * 10 ** (slot - 2001), 1: 1}, 1)
+        widths = []
+
+        def spy(a, b, n, k):
+            widths.append(k)
+            return _mul_decimal(a, b, n, k)
+
+        with packing("decimal"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_mul_decimal", spy)
+            assert_same_product(a * b, reference_mul(a, b))
+        assert widths == ([slot] if route == "decimal" else [])
+
+    def test_lowered_int_str_limit_takes_the_binary_kernel(self):
+        # 640 digits is the lowest limit CPython accepts; these slots have
+        # about 1,000 digits
+        a = UniSeries({e: 3**1000 + e for e in range(30)}, 29)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with packing("decimal"):
+                got = a * a
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert_same_product(got, reference_mul(a, a))
+
+    def test_slots_past_the_cap_take_the_binary_kernel(self):
+        # 2^14000 squared has about 8,400 digits, more than CPython
+        # converts to a str
+        big = 2**14000
+        a = UniSeries({e: big - e for e in range(6)}, 5)
+        b = UniSeries({e: (-1) ** e * (big + e) for e in range(6)}, 5)
+
+        def refuse(*args):
+            raise AssertionError("decimal kernel called past the slot cap")
+
+        with packing("decimal"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_mul_decimal", refuse)
+            assert_same_product(a * b, reference_mul(a, b))
+            assert_same_product(a * a, reference_mul(a, a))
+
+    @pytest.mark.parametrize("prec", [None, 5])
+    def test_global_state_untouched(self, prec):
+        # a product past the real threshold: 400 slots of about 380 digits
+        a = UniSeries({e: (-1) ** e * (2**620 + e) for e in range(400)}, 399)
+        b = UniSeries({e: 2**600 - 7 * e for e in range(400)}, 399)
+        widths = []
+
+        def spy(a, b, n, k):
+            widths.append(k * n)
+            return _mul_decimal(a, b, n, k)
+
+        def state(ctx):
+            return (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, ctx.capitals,
+                    ctx.clamp, dict(ctx.traps), dict(ctx.flags))
+
+        limit = sys.get_int_max_str_digits()
+        with decimal.localcontext() as ctx, pytest.MonkeyPatch.context() as mp:
+            if prec is not None:
+                # a narrow context that would round any wide product
+                ctx.prec = prec
+                ctx.traps[decimal.Inexact] = True
+                ctx.flags[decimal.Clamped] = True
+            before = state(ctx)
+            mp.setattr(series, "_mul_decimal", spy)
+            got = a * b
+            assert decimal.getcontext() is ctx
+            assert state(ctx) == before
+        assert widths and widths[0] >= series._DECIMAL_MIN_DIGITS
+        assert sys.get_int_max_str_digits() == limit
+        assert_same_product(got, reference_mul(a, b))
 
 
 # ---------------------------------------------------------------------------
