@@ -18,7 +18,7 @@ denominators of each factor are cleared, and the two factors are multiplied
 by Kronecker substitution, as a single big-number product with one digit
 per exponent, wide enough that no carry crosses from one coefficient to the
 next (see ``_mul_low`` for the width bounds).  The digits are binary, in an
-``int``, unless the product has at least 50,000 decimal digits: then they
+``int``, unless the product has at least 30,000 decimal digits: then they
 are base-10^k slots of a ``decimal`` number, whose exact number-theoretic
 transform multiplies such operands faster than ``int``'s Karatsuba (about
 three times at 250,000 digits).  Factors with fewer term pairs than product
@@ -51,12 +51,15 @@ except ImportError:
 Coeff = int | Fraction
 
 # Products of at least this many decimal digits (slot width times slots) go
-# through ``decimal``, whose number-theoretic transform beats int's Karatsuba
-# there; below it the binary kernel is faster.
-_DECIMAL_MIN_DIGITS = 50_000
-# Widest decimal slot: every slot is converted to and from a str, which
-# CPython refuses past its int/str limit (4,300 digits unless lowered).
-_DECIMAL_MAX_SLOT = 4_000
+# through ``decimal``.  Timed on the operands the perfbench workloads send
+# (Python 3.11.7, libmpdec 2.5.1, x86_64), the binary kernel was faster on
+# 1,811 of 1,812 shapes below 15,000 digits and on 17 of 17 of 20,000 to
+# 30,000; the two split 14 to 17 in between.  Decimal was faster on 34 of
+# 37 shapes of 30,000 to 50,000 digits (BENCH_16.json ``crossover``).
+_DECIMAL_MIN_DIGITS = 30_000
+# The interpreter's int/str digit limit (0 when off), read at each product;
+# Python before 3.10.7 has no limit and no function to read it.
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 __all__ = ["Coeff", "format_coeff", "UniSeries", "BiSeries"]
 
@@ -98,13 +101,13 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
     of the product lies in ``[0, 2^k)`` and no carry crosses a digit.
     Digits are written into and read from byte buffers, never shifted.
 
-    Wide products take decimal slots instead (:func:`_mul_decimal`): with
-    ``k`` the digit count of ``2 * m * max|a| * max|b|``, ``10^k > 2 *
-    |c_t|``, so every ``c_t`` fits a base-10^k slot biased by ``10^k / 2``.
-    They run when the product has at least ``_DECIMAL_MIN_DIGITS`` decimal
-    digits (``k * n``), every slot at most ``_DECIMAL_MAX_SLOT`` digits and
-    within the interpreter's int/str digit limit, and the C ``decimal``
-    module is present.
+    Wide products take decimal slots instead (:func:`_mul_decimal`): the
+    same ``bits`` gives ``2^bits > 2 * |c_t|``, and ``k = bits * 30103 //
+    100000 + 1`` decimal digits give ``10^k > 2^bits``, so every ``c_t``
+    fits a base-10^k slot biased by ``10^k / 2``.  They run when the
+    product has at least ``_DECIMAL_MIN_DIGITS`` decimal digits (``k *
+    n``), a slot is within the interpreter's int/str digit limit (4,300
+    digits when the limit is off), and the C ``decimal`` module is present.
 
     When ``len(a) * len(b)`` is at most the digit count ``n`` the term
     pairs are multiplied directly instead: packing a few wide terms into
@@ -120,12 +123,12 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
     a_max = max(map(abs, a.values()))
     b_max = max(map(abs, b.values()))
     m = min(len(a), len(b))
-    if _decimal is not None:
-        k = _digit_count(2 * m * a_max * b_max)
-        cap = min(_DECIMAL_MAX_SLOT, sys.get_int_max_str_digits() or _DECIMAL_MAX_SLOT)
-        if k <= cap and k * n >= _DECIMAL_MIN_DIGITS:
-            return _mul_decimal(a, b, n, k)
     bits = a_max.bit_length() + b_max.bit_length() + m.bit_length() + 1
+    if _decimal is not None:
+        k = bits * 30103 // 100000 + 1  # 10^k > 2^bits, as log10(2) < 0.30103
+        # slots pass through str, refused past the int/str limit
+        if k * n >= _DECIMAL_MIN_DIGITS and k <= (_int_str_limit() or 4_300):
+            return _mul_decimal(a, b, n, k)
     width = (bits + 7) // 8  # bytes per digit
     bias = 1 << (8 * width - 1)
     zero = bias.to_bytes(width, "little")
@@ -148,14 +151,6 @@ def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
         for i in range(0, width * n, width)
     ]
     return {t: v - bias for t, v in enumerate(values) if v != bias}
-
-
-def _digit_count(value: int) -> int:
-    """The number of decimal digits of ``value`` > 0, without ``str``."""
-    k = (value.bit_length() - 1) * 30102 // 100000 + 1  # 10^(k-1) <= value
-    while 10**k <= value:
-        k += 1
-    return k
 
 
 def _mul_decimal(a: dict[int, int], b: dict[int, int], n: int, k: int) -> dict[int, int]:

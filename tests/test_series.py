@@ -18,7 +18,7 @@ from moonshine import series
 from moonshine.classes import generator_series, load_family, parse_table_text
 from moonshine.lattice import GradedDims, denominator_sides, dimension_product
 from moonshine.modular import normalized_j
-from moonshine.series import BiSeries, UniSeries, _digit_count, _mul_decimal, _mul_low
+from moonshine.series import BiSeries, UniSeries, _mul_decimal, _mul_low
 
 # ---------------------------------------------------------------------------
 # reference product
@@ -419,34 +419,21 @@ class TestDecimalKernel:
 
     @pytest.mark.parametrize(
         "m, a_max, b_max",
-        [(3, 9, 9), (5, 10**3, 10**4), (4, 25 * 10**9, 10**10), (255, 2**1000 - 1, 3**600)],
-        ids=["9x9", "1e3x1e4", "25e9x1e10", "2^1000x3^600"],
+        [(3, 7, 7), (5, 10**3, 10**4), (4, 25 * 10**9, 10**10), (3, 2**64 - 1, 2**64 - 1),
+         (255, 2**1000 - 1, 3**600)],
+        ids=["7x7", "1e3x1e4", "25e9x1e10", "2^64x2^64", "2^1000x3^600"],
     )
     def test_width_bound_without_slack(self, m, a_max, b_max):
         # with every coefficient at its maximum the middle coefficient is
-        # c = m * a_max * b_max, exactly the bound: k, the digit count of
-        # 2c, gives 10^k > 2c, while the bias 10^(k-1) / 2 <= c one digit
-        # short pushes c's slot to 10^(k-1) or more, a carry.  At
-        # 2c = 10^(k-1) the slot is exactly 10^(k-1).
+        # c = m * a_max * b_max, exactly the bound.  For these shapes the
+        # slot width k the gate derives from the bit lengths is the digit
+        # count of 2c, the fewest digits that hold c: one digit short, the
+        # bias 10^(k-1) / 2 <= c pushes c's slot to 10^(k-1) or more, a
+        # carry.
         a = dict.fromkeys(range(m), a_max)
         b = dict.fromkeys(range(m), b_max)
         n = 2 * m - 1
         want = {t: (min(t, n - 1 - t) + 1) * a_max * b_max for t in range(n)}
-        k = _digit_count(2 * m * a_max * b_max)
-        assert _mul_decimal(a, b, n, k) == want
-        assert _mul_decimal(a, b, n, k - 1) != want
-        with packing("decimal"):
-            assert _mul_low(a, b, n) == want
-
-    @pytest.mark.parametrize("value", [1, 9, 10, 99, 10**40, 10**40 - 1, 2**5000 + 1, 3**9000])
-    def test_digit_count(self, value):
-        assert _digit_count(value) == len(str(value))
-
-    @pytest.mark.parametrize("slot, route", [(4000, "decimal"), (4001, "binary")])
-    def test_slot_cap(self, slot, route):
-        # 2 * m * a_max * b_max = 24 * 10^(slot - 2) has `slot` digits
-        a = UniSeries({0: 3 * 10**1999, 1: -(10**1999)}, 1)
-        b = UniSeries({0: 2 * 10 ** (slot - 2001), 1: 1}, 1)
         widths = []
 
         def spy(a, b, n, k):
@@ -455,9 +442,39 @@ class TestDecimalKernel:
 
         with packing("decimal"), pytest.MonkeyPatch.context() as mp:
             mp.setattr(series, "_mul_decimal", spy)
-            assert_same_product(a * b, reference_mul(a, b))
-        assert widths == ([slot] if route == "decimal" else [])
+            assert _mul_low(a, b, n) == want
+        [k] = widths
+        assert k == len(str(2 * m * a_max * b_max))
+        assert _mul_decimal(a, b, n, k - 1) != want
 
+    def test_slot_cap(self):
+        # the slots of (2^bits - 1 - q) * (1 + q) widen by a digit every
+        # few bits; the decimal kernel takes them up to the interpreter's
+        # int/str limit (4,300 digits when it is off) and no wider
+        cap = series._int_str_limit() or 4300
+        b = UniSeries({0: 1, 1: 1}, 1)
+        widths = []
+
+        def spy(a, b, n, k):
+            widths.append(k)
+            return _mul_decimal(a, b, n, k)
+
+        decimal_route = []
+        with packing("decimal"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_mul_decimal", spy)
+            middle = round(cap / 0.30103)
+            for bits in range(middle - 20, middle + 10):
+                a = UniSeries({0: 2**bits - 1, 1: -1}, 1)
+                calls = len(widths)
+                assert_same_product(a * b, reference_mul(a, b))
+                decimal_route.append(len(widths) > calls)
+        assert max(widths) == cap
+        assert decimal_route == sorted(decimal_route, reverse=True)
+        assert decimal_route[0] and not decimal_route[-1]
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit"
+    )
     def test_lowered_int_str_limit_takes_the_binary_kernel(self):
         # 640 digits is the lowest limit CPython accepts; these slots have
         # about 1,000 digits
@@ -501,7 +518,7 @@ class TestDecimalKernel:
             return (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, ctx.capitals,
                     ctx.clamp, dict(ctx.traps), dict(ctx.flags))
 
-        limit = sys.get_int_max_str_digits()
+        limit = series._int_str_limit()
         with decimal.localcontext() as ctx, pytest.MonkeyPatch.context() as mp:
             if prec is not None:
                 # a narrow context that would round any wide product
@@ -514,7 +531,7 @@ class TestDecimalKernel:
             assert decimal.getcontext() is ctx
             assert state(ctx) == before
         assert widths and widths[0] >= series._DECIMAL_MIN_DIGITS
-        assert sys.get_int_max_str_digits() == limit
+        assert series._int_str_limit() == limit
         assert_same_product(got, reference_mul(a, b))
 
 
