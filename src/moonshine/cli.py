@@ -47,11 +47,11 @@ PASS_LINE = "VERDICT: PASS"
 FAIL_LINE = "VERDICT: FAIL"
 
 # Largest q-order a series command may expand.  On a 2-core machine
-# ``jexpand --order 2000`` takes about 0.4 s, 3000 about 0.6 s and 5000
+# ``jexpand --order 1200`` takes about 0.15 s, 2000 about 0.3 s and 5000
 # about 1.2 s, and the time grows a little faster than the order; a 24x24
 # window expands through q^600.  The limit bounds the order only: a
 # two-variable window's cost also grows with its cells, and
-# ``witt --mmax 70 --nmax 70`` (q^4900) runs for about 18 s.
+# ``witt --mmax 70 --nmax 70`` (q^4900) runs for about 20 s.
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
