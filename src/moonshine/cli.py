@@ -55,8 +55,9 @@ FAIL_LINE = "VERDICT: FAIL"
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
-# The relations grow about fourfold per 100 indices: ``derive --max 100``
-# takes about 1 s and 42 MB, ``derive --max 200`` about 40 s and 770 MB.
+# The solver compiles the replication rows (i <= 4) alone: ``derive --max
+# 100`` takes about 0.5 s and 23 MB, ``derive --max 200`` about 5.5 s and
+# 94 MB.
 # ``derive --audit`` builds no relation and takes about 1 s at 200.
 # It also bounds the q-order ``compare`` expands, far below MAX_Q_ORDER.
 MAX_DERIVE_INDEX = 200

@@ -27,6 +27,14 @@ from seed data (every derived value carries the relation that produced it,
 and disagreeing derivations are a hard error), and a structural
 determinacy audit that finds which indices are genuinely underivable.
 
+The solver compiles the replication rows i = 2, 3, 4 alone: they determine
+every coefficient from c(1), c(2), c(3), c(5) (Norton 1984).  The right
+side of (i,j) is [p^i q^j] -log(1 - U_g), U_g = sum c_g(m+n-1) p^m q^n, so
+once the rows have run, one log(1 - U_g) per class (``log1m_rows``)
+evaluates every relation i >= 5 whose right side is known (``_sweep``): it
+checks those whose left keys are known and derives a lone unknown left key,
+which no replication row may reach (c_g(35) at nmax 30).
+
 The solver shares each cached relation across classes: it reads the same
 at every class g, and only its columns change, c_g on the right and
 c_{g^k} on the left.  An instance is a class, the relation and the
@@ -60,11 +68,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from typing import NamedTuple
 
 from .classes import ClassTable, CoefficientFamily, MissingCoefficients
-from .series import format_coeff
+from .series import UniSeries, format_coeff, log1m_rows
 
 __all__ = [
     "mobius",
@@ -370,7 +378,9 @@ def _relation_targets(nmax: int) -> list[tuple[int, int]]:
 
     Products run up to twice the requested bound because odd indices are
     only reachable through larger targets (c(7) needs the (2,6) relation,
-    whose own left side needs c(12) from (3,4), and so on).
+    whose own left side needs c(12) from (3,4), and so on).  The audit
+    reads every target.  The solver compiles the replication rows i <= 4
+    alone (see ``_instances``); ``_sweep`` checks the rows i >= 5.
     """
     out = []
     i = 2
@@ -384,12 +394,14 @@ def _relation_targets(nmax: int) -> list[tuple[int, int]]:
 def _instances(
     table: ClassTable, nmax: int
 ) -> list[tuple[str, Relation, tuple[str, ...]]]:
-    """Every relation target for ``nmax`` at every class, as (class,
-    relation, the class g^k of each left term).  Each relation comes from
-    the cache, so all classes share one copy."""
+    """The replication-row targets (i <= 4) for ``nmax`` at every class, as
+    (class, relation, the class g^k of each left term).  Each relation
+    comes from the cache, so all classes share one copy."""
     instances = []
     for name in table.names:
         for i, j in _relation_targets(nmax):
+            if i > 4:
+                break
             relation = coefficient_relation(i, j)
             powers = tuple(table.power_of(name, k) for k, _, _ in relation.lhs)
             instances.append((name, relation, powers))
@@ -437,6 +449,66 @@ def _run_passes(instances: list, values: dict, provenance: dict) -> int:
         pending = keep
 
 
+def _sweep(
+    table: ClassTable, nmax: int, values: dict, provenance: dict, passno: int
+) -> set[tuple[str, int]]:
+    """Evaluate every relation (i,j), 5 <= i <= j, i*j <= 2*nmax, whose
+    right side c_g(1..i+j-1) is known.  With u_m[n] = c_g(m+n-1) that side
+    is -M_i[j]/i (``log1m_rows``), row m cut at q <= min(2*nmax // max(m,
+    5), K-m+1) for c_g(1..K) known.  In class, then i, then j order, each
+    relation checks its left keys or derives a lone unknown one as pass
+    ``passno``.  Returns the derived keys another relation may read: those
+    the replication rows read (index <= nmax+1, or divisible by 2 or 3) and
+    those a relation here waits on beside another unknown.
+    """
+    top = 2 * nmax
+    derived: list[tuple[str, int]] = []
+    waiting: set[tuple[str, int]] = set()
+    for name in table.names:
+        column = values[name]
+        known = 0
+        while known + 1 in column:
+            known += 1
+        ceilings = [min(top // max(m, 5), known - m + 1) for m in range(isqrt(top) + 1)]
+        rows = [m for m in range(5, len(ceilings)) if ceilings[m] >= m]
+        if not rows:
+            continue
+        u = [None] + [
+            UniSeries({n: column[m + n - 1] for n in range(1, ceilings[m] + 1)}, ceilings[m])
+            for m in range(1, rows[-1] + 1)
+        ]
+        big_m = log1m_rows(u, ceilings)
+        for i in rows:
+            for j in range(i, ceilings[i] + 1):
+                scale = gcd(i, j)
+                const = scale * big_m[i].coeff(j)  # i*scale*(LHS - RHS)
+                unknown = []
+                for k in range(1, scale + 1):
+                    if scale % k == 0:
+                        g, n = table.power_of(name, k), (i // k) * (j // k)
+                        if n in values[g]:
+                            const += i * (scale // k) * values[g][n]
+                        else:
+                            unknown.append(((g, n), i * (scale // k)))
+                if len(unknown) > 1:
+                    waiting.update(key for key, _ in unknown)
+                elif unknown:
+                    ((g, n), weight), = unknown
+                    solved = Fraction(-const, weight)
+                    values[g][n] = solved.numerator if solved.denominator == 1 else solved
+                    provenance[(g, n)] = (name, (i, j), passno)
+                    derived.append((g, n))
+                elif const != 0:
+                    raise ContradictionError(
+                        f"relation ({i},{j}) at class {name} is violated: sides "
+                        f"differ by {format_coeff(Fraction(const, i * scale))}"
+                    )
+    return {
+        (g, n) for g, n in derived
+        if n <= nmax + 1 or gcd(n, 6) > 1 or (g, n) in waiting
+    }
+
+
 def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
     """Derive coefficients from seed data by monotone propagation.
 
@@ -444,7 +516,9 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
     linearly with a nonzero constant coefficient; the solved value must be
     an integer.  Relations whose terms are all known act as consistency
     checks; any violation, tie disagreement, or non-integer answer raises
-    ContradictionError rather than guessing.
+    ContradictionError rather than guessing.  The replication rows run to
+    a fixpoint, then ``_sweep`` evaluates the rows i >= 5; the two
+    alternate while the sweep derives a key the other rows read.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -454,7 +528,19 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
             raise ValueError(f"seed for undeclared class {name!r}")
         values[name][n] = value
     provenance: dict[tuple[str, int], tuple[str, tuple[int, int], int]] = {}
-    passes = _run_passes(_instances(table, nmax), values, provenance)
+    instances = _instances(table, nmax)
+    passes = _run_passes(instances, values, provenance)
+    while True:  # until the sweep derives nothing another relation reads
+        count = len(provenance)
+        unblocked = _sweep(table, nmax, values, provenance, passes + 1)
+        if len(provenance) > count:
+            passes += 1
+        if not unblocked:
+            break
+        later: dict = {}  # passes numbered from 1 again
+        rounds = _run_passes(instances, values, later)
+        provenance.update({key: (g, t, passes + p) for key, (g, t, p) in later.items()})
+        passes += rounds
     clean: dict[tuple[str, int], int] = {}
     for name, n in [*table.seeds, *provenance]:  # seeds, then derivation order
         value = values[name][n]

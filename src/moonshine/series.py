@@ -611,19 +611,9 @@ class BiSeries:
     def log1m(self) -> "BiSeries":
         """log(1 - self); every term must have p exponent >= 1 and q >= 0.
 
-        Row by row in p: with self = sum u_m(q) p^m and log(1 - self) =
-        sum L_m(q) p^m, the p-derivative gives (1 - self) * sum m L_m p^m =
-        -sum m u_m p^m, so M_m = m L_m satisfies
-
-            M_m = -m u_m + sum_{k=1}^{m-1} u_k M_{m-k}.
-
-        Every row product is a :class:`UniSeries` product, and M_m is
-        integral when self is, so the only division is the one by m.
-
-        The p constraint makes each row depend on lower rows only.  The q
+        The rows come from :func:`log1m_rows` at one ceiling, qmax.  The q
         constraint covers the untracked terms too (they sit at q >= qmax + 1,
-        so qmax must be >= -1): no factor then lowers q, every row product is
-        exact up to q^qmax, and the result is exact up to the input's
+        so qmax must be >= -1), and the result is exact up to the input's
         ceilings.
         """
         if self._c and self._pslo < 1:
@@ -634,15 +624,10 @@ class BiSeries:
         rows: list[dict[int, Coeff]] = [{} for _ in range(self.pmax + 1)]
         for (i, j), v in self._c.items():
             rows[i][j] = v
-        u = [UniSeries(row, qmax) for row in rows]
-        big_m = [u[0]]  # M_0 = 0
+        big_m = log1m_rows([UniSeries(row, qmax) for row in rows], [qmax] * len(rows))
         out: dict[tuple[int, int], Coeff] = {}
         for m in range(1, self.pmax + 1):
-            row = u[m] * -m
-            for k in range(1, m):
-                row = row + u[k] * big_m[m - k]
-            big_m.append(row)
-            out.update({(m, j): Fraction(v, m) for j, v in row._c.items()})
+            out.update({(m, j): Fraction(v, m) for j, v in big_m[m]._c.items()})
         return BiSeries(out, self.pmax, qmax)
 
     def substitute_power(self, k: int) -> "BiSeries":
@@ -663,3 +648,33 @@ class BiSeries:
             raise ValueError("cannot extend a window upward; recompute instead")
         data = {k: v for k, v in self._c.items() if k[0] <= np_ and k[1] <= nqmax}
         return BiSeries(data, np_, nqmax)
+
+
+def log1m_rows(u: list[UniSeries], ceilings: list[int]) -> list[UniSeries]:
+    """The rows M_m = m L_m of log(1 - sum_m u_m p^m) = sum_m L_m p^m.
+
+    ``u[m]`` is the q-row of p^m for m >= 1 (``u[0]`` is ignored), with
+    q exponents >= 0, known and untracked, and known up to ``ceilings[m]``.
+    The p-derivative gives (1 - sum u_m p^m) * sum m L_m p^m = -sum m u_m
+    p^m, so
+
+        M_m = -m u_m + sum_{k=1}^{m-1} u_k M_{m-k},
+
+    each row depends on lower rows only, and M_m is integral when the u_m
+    are.  Row m is returned cut at ``ceilings[m]``.  The ceilings must be
+    nonincreasing in m: row m then reads lower rows at ceilings no lower
+    than its own, no factor lowers q, and every row is exact.  Each factor
+    is cut to the row's ceiling first, so no product runs past it.
+    """
+    big_m: list[UniSeries | None] = [None]  # M_0 = 0 is never read
+    for m in range(1, len(u)):
+        hi = ceilings[m]
+        row = _cut(u[m], hi) * -m
+        for k in range(1, m):
+            row = row + _cut(u[k], hi) * _cut(big_m[m - k], hi)
+        big_m.append(row)
+    return big_m
+
+
+def _cut(s: UniSeries, hi: int) -> UniSeries:
+    return s.restrict(hi) if s.hi > hi else s

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -294,9 +296,8 @@ class TestOrderFivePowerMap:
         code, out, err = run(command, "--table", table, "--max", "30")
         assert code == 1
         assert (
-            "contradiction: 5B(23) derived twice with different values: -16180 "
-            "from relation (2,22) at class 5B vs -20555 from relation (2,24) "
-            "at class 5B"
+            "contradiction: relation (5,5) at class 5B is violated: sides "
+            "differ by -39375"
         ) in out.splitlines()
         assert out.splitlines()[-1] == "VERDICT: FAIL"
         assert "warning: order(5B^5) = 5, expected 1" in err.splitlines()
@@ -512,6 +513,33 @@ class TestSizeGuard:
         assert proc.stdout.splitlines() == [
             f"unresolved {name}: 1 2 3 5" for name in ("1A", "2B", "3B", "4C")
         ]
+
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="no os.wait4")
+    def test_derive_at_200_stays_small(self, tmp_path):
+        # the solver compiles the replication rows alone, so the largest
+        # admitted --max takes a few seconds and under 100 MB (it took 743 MB
+        # when every relation was compiled); a timer kills a regression
+        # instead of letting it hang
+        with open(tmp_path / "out.txt", "w+") as out:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "moonshine", "derive", "--max", "200"],
+                stdout=out,
+                stderr=subprocess.PIPE,
+            )
+            timer = threading.Timer(60, proc.kill)
+            timer.start()
+            _, status, usage = os.wait4(proc.pid, 0)
+            timer.cancel()
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            out.seek(0)
+            lines = out.read().splitlines()
+        assert proc.returncode == 0, proc.stderr.read()
+        proc.stderr.close()
+        assert len(lines) == 4 * 200
+        peak_mb = usage.ru_maxrss / 1024  # KiB on Linux
+        if sys.platform == "darwin":
+            peak_mb /= 1024  # bytes on macOS
+        assert peak_mb < 150
 
     @pytest.mark.parametrize(
         "argv", [HOSTILE[0], HOSTILE[2], *HOSTILE[5:]], ids=hostile_id

@@ -2,16 +2,23 @@
 
 from __future__ import annotations
 
+import io
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from importlib import resources
 from math import factorial, gcd
 from pathlib import Path
 from typing import NamedTuple
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moonshine import recursion
 from moonshine.classes import ClassTable, load_family, parse_table_text
+from moonshine.cli import main
 from moonshine.modular import normalized_j
 from moonshine.recursion import (
     AuditReport,
@@ -21,6 +28,7 @@ from moonshine.recursion import (
     _horn_clauses,
     _instances,
     _relation_targets,
+    _sweep,
     coefficient_recursion,
     coefficient_relation,
     determinacy_audit,
@@ -539,6 +547,18 @@ def _outcome(evaluate, *args):
         return "contradiction", str(err)
 
 
+def full_instances(table, nmax):
+    """Every relation target (i,j), 2 <= i <= j, i*j <= 2*nmax, at every
+    class, built from ``coefficient_relation``: the full set of which the
+    solver compiles the rows i <= 4 alone.  The oracle for the thin rows and
+    the sweep."""
+    return [
+        (name, relation, tuple(table.power_of(name, k) for k, _, _ in relation.lhs))
+        for name in table.names
+        for relation in (coefficient_relation(i, j) for i, j in _relation_targets(nmax))
+    ]
+
+
 def _meets_lone_right(inst):
     """A left term at g^k = g whose key is the lone right-side c_g(i+j-1)."""
     name, relation, powers = inst
@@ -553,8 +573,8 @@ def catalog_instances(catalog_table):
     """Every catalog instance to nmax 12, plus those to nmax 30 where a
     left-side key is also the lone right-side monomial (1A and 3B at
     (6,10): g^2 is in the class of g, and c_g(60/2^2) = c_g(6+10-1))."""
-    extra = [inst for inst in _instances(catalog_table, 30) if _meets_lone_right(inst)]
-    return _instances(catalog_table, 12) + extra
+    extra = [inst for inst in full_instances(catalog_table, 30) if _meets_lone_right(inst)]
+    return full_instances(catalog_table, 12) + extra
 
 
 @pytest.fixture(scope="module")
@@ -585,7 +605,7 @@ def _columns(table, values):
 
 class TestCompiledInstances:
     def test_classes_share_one_relation(self, catalog_table):
-        instances = _instances(catalog_table, 12)
+        instances = full_instances(catalog_table, 12)
         per_class = len(instances) // len(catalog_table.names)
         for idx, (_, relation, powers) in enumerate(instances):
             assert relation is instances[idx % per_class][1]
@@ -672,7 +692,7 @@ class TestCompiledInstances:
         # the audit's clauses come from the relations' shape; read them from
         # every relation instead, on every table the tests carry
         for table in audit_tables.values():
-            for name, relation, _ in _instances(table, 30):
+            for name, relation, _ in full_instances(table, 30):
                 assert _horn_clauses(table, name, *relation.target) == (
                     reference_horn_clauses(table, name, relation)
                 )
@@ -688,7 +708,7 @@ def reference_audit(table, nmax):
     smallest unknown index (ties by class declaration order)."""
     clauses = [
         reference_horn_clauses(table, name, relation)
-        for name, relation, _ in _instances(table, nmax)
+        for name, relation, _ in full_instances(table, nmax)
     ]
     wanted = [(name, n) for n in range(1, nmax + 1) for name in table.names]
     known: set = set()
@@ -725,3 +745,222 @@ class TestAuditClauses:
         coefficient_relation.cache_clear()
         determinacy_audit(catalog_table, 60)
         assert coefficient_relation.cache_info().currsize == 0
+
+
+# ---------------------------------------------------------------------------
+# the replication rows and the sweep against the full relation set
+
+
+def reference_sweep(table, nmax, columns):
+    """The sweep read from the built relations: the rows i >= 5 in class,
+    then i, then j order, each in scope when c_g(1..i+j-1) were known as
+    its class began.  A fired key is committed at once.  Returns the first
+    contradiction, or None."""
+    instances = [inst for inst in full_instances(table, nmax) if inst[1].target[0] >= 5]
+    for name in table.names:
+        known = 1
+        while known in columns[name]:
+            known += 1
+        for inst in instances:
+            i, j = inst[1].target
+            if inst[0] != name or i + j > known:
+                continue
+            outcome = _outcome(_evaluate, *inst, columns)
+            if outcome[0] == "contradiction":
+                return outcome
+            if outcome[0] == "fire":
+                (g, n), value = outcome[1]
+                columns[g][n] = value
+    return None
+
+
+class TestSweep:
+    def test_solver_compiles_replication_rows_only(self, catalog_table):
+        coefficient_relation.cache_clear()
+        solve_from_seeds(catalog_table, 60)
+        thin = [(i, j) for i, j in _relation_targets(60) if i <= 4]
+        compiled = coefficient_relation.cache_info()
+        for i, j in thin:
+            coefficient_relation(i, j)
+        after = coefficient_relation.cache_info()
+        # every thin target was compiled, and nothing else was
+        assert (after.misses, after.hits) == (compiled.misses, compiled.hits + len(thin))
+        assert compiled.currsize == len(thin)
+        assert _instances(catalog_table, 60) == [
+            inst for inst in full_instances(catalog_table, 60) if inst[1].target[0] <= 4
+        ]
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_sweep_matches_built_relations(self, data, catalog_table, catalog_family):
+        names = catalog_table.names
+        values = {(g, n): catalog_family.value(g, n) for g in names for n in range(1, 61)}
+        for key in data.draw(st.sets(st.sampled_from(sorted(values)), max_size=3)):
+            del values[key]
+        for key in data.draw(st.sets(st.sampled_from(sorted(values)), max_size=2)):
+            values[key] += data.draw(st.sampled_from([1, -2, 48, Fraction(1, 3)]))
+        nmax = data.draw(st.sampled_from([12, 13, 20, 30]))
+        got, want = _columns(catalog_table, values), _columns(catalog_table, values)
+        provenance = {}
+        outcome = _outcome(_sweep, catalog_table, nmax, got, provenance, 9)
+        expected = reference_sweep(catalog_table, nmax, want)
+        if isinstance(outcome, tuple):
+            assert outcome == expected
+        else:
+            assert expected is None
+            assert got == want
+            assert all(passno == 9 for _, _, passno in provenance.values())
+
+
+CATALOG_SUBSETS = (
+    ("1A",),
+    ("1A", "2B"),
+    ("1A", "3B"),
+    ("1A", "2B", "3B"),
+    ("1A", "2B", "4C"),
+    ("1A", "2B", "3B", "4C"),
+)
+NAMED_RELATION = re.compile(r"relation \((\d+),(\d+)\)")
+
+
+def _differential_bases():
+    """Seedless table text, classes, declared power maps, seeds and the
+    recipe values c_g(1..9) of every catalog subset, eta5 and eta7_13."""
+    catalog = resources.files("moonshine").joinpath("data/catalog.mtf").read_text()
+    texts = {name: (DATA / f"{name}.mtf").read_text() for name in ("eta5", "eta7_13")}
+    for subset in CATALOG_SUBSETS:
+        kept = []
+        for raw in catalog.splitlines():
+            tokens = raw.split("#", 1)[0].split()
+            named = {tokens[1], tokens[-1]} if tokens[:1] == ["power"] else set(tokens[1:2])
+            if tokens[:1] in (["class"], ["power"], ["eta"], ["seed"]) and not named <= set(subset):
+                continue
+            kept.append(raw)
+        texts["-".join(subset)] = "\n".join(kept) + "\n"
+    bases = {}
+    for name, text in texts.items():
+        table = parse_table_text(text)
+        family = load_family(table, 9)
+        seedless = [raw for raw in text.splitlines() if not raw.startswith("seed ")]
+        truth = {(g, n): family.value(g, n) for g in table.names for n in range(1, 10)}
+        bases[name] = ("\n".join(seedless), table.names, set(table.power), table.seeds, truth)
+    return bases
+
+
+DIFFERENTIAL_BASES = _differential_bases()
+
+
+@st.composite
+def broken_tables(draw):
+    """A table text from a differential base: some classes seeded at other
+    indices, wrong seeds and extra power lines, each drawn or not."""
+    text, names, declared, seeds, truth = DIFFERENTIAL_BASES[
+        draw(st.sampled_from(sorted(DIFFERENTIAL_BASES)))
+    ]
+    seeds = dict(seeds)
+    for g in draw(st.sets(st.sampled_from(names))):
+        indices = draw(st.sets(st.integers(1, 9), max_size=5))
+        seeds = {key: v for key, v in seeds.items() if key[0] != g}
+        seeds.update({(g, n): truth[(g, n)] for n in indices})
+    key = st.tuples(st.sampled_from(names), st.integers(1, 9))
+    for g, n in draw(st.lists(key, max_size=3)):
+        seeds[(g, n)] = truth[(g, n)] + draw(st.sampled_from([1, -1, 2, -7, 100]))
+    power = st.tuples(st.sampled_from(names), st.integers(2, 13), st.sampled_from(names))
+    extra = [
+        f"power {g} {k} {h}"
+        for g, k, h in draw(st.lists(power, max_size=2, unique_by=lambda t: t[:2]))
+        if (g, k) not in declared
+    ]
+    lines = [text, *extra, *(f"seed {g} {n} {v}" for (g, n), v in seeds.items())]
+    return "\n".join(lines) + "\n"
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def thin_against_full(path, command, nmax):
+    """Run ``command`` on the thin rows and on the full relation set.
+
+    The exit codes must agree.  So must stdout and stderr, unless the full
+    set's contradiction rests on a row i >= 5: it names such a relation,
+    or a pass committed before it derived a key from one.  Returns the
+    full set's (exit code, stdout, stderr) and the rows it derived from.
+    """
+    argv = [command, "--table", str(path), "--max", str(nmax)]
+    got = _run_cli(argv)
+    run_passes = recursion._run_passes
+    rows = set()
+
+    def recorded(instances, values, provenance):
+        try:
+            return run_passes(instances, values, provenance)
+        finally:
+            rows.update(target[0] for _, target, _ in provenance.values())
+
+    with mock.patch.multiple(recursion, _instances=full_instances, _run_passes=recorded):
+        want = _run_cli(argv)
+    assert got[0] == want[0], (got, want)
+    first = next((l for l in want[1].splitlines() if l.startswith("contradiction: ")), None)
+    if first is None or max(rows | {int(i) for i, _ in NAMED_RELATION.findall(first)}) <= 4:
+        assert got == want
+    return want, rows
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential")
+
+
+class TestThinRowsAgainstFullSet:
+    @given(
+        text=broken_tables(),
+        command=st.sampled_from(["derive", "compare"]),
+        nmax=st.sampled_from([12, 20, 30, 45]),
+    )
+    @settings(deadline=None, max_examples=120)
+    def test_cli_outcomes_agree(self, table_dir, text, command, nmax):
+        path = table_dir / "table.mtf"
+        path.write_text(text)
+        thin_against_full(path, command, nmax)
+
+    def test_badpower_fails_first_in_the_sweep(self):
+        # the table maps 5B^5 to 5B; the full set derives through rows
+        # i >= 5 and then fails in row 2, while the thin rows pass and the
+        # sweep finds (5,5) violated
+        path = DATA / "eta5_badpower.mtf"
+        (code, out, _), rows = thin_against_full(path, "derive", 30)
+        assert code == 1 and max(rows) >= 5
+        assert out.splitlines()[0].startswith("contradiction: 5B(23) derived twice")
+        assert _run_cli(["derive", "--table", str(path), "--max", "30"])[1].splitlines()[0] == (
+            "contradiction: relation (5,5) at class 5B is violated: sides differ by -39375"
+        )
+
+    def test_sweep_derives_what_only_row_five_reaches(self, table_dir):
+        # without c_1A(1) every replication row at 1A waits on it; (5,5) at
+        # 5B reads it alone, in the left term (1/5) c_{5B^5}(1), and the
+        # replication rows run again once the sweep has derived it
+        path = table_dir / "eta5_without_1a1.mtf"
+        lines = (DATA / "eta5.mtf").read_text().splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith("seed 1A 1 ")))
+        (code, out, _), _ = thin_against_full(path, "compare", 30)
+        assert (code, out.splitlines()[-1]) == (0, "VERDICT: PASS")
+        result = solve_from_seeds(parse_table_text(path.read_text()), 30)
+        name, target, passno = result.provenance[("1A", 1)]
+        assert (name, target) == ("5B", (5, 5))
+        assert result.provenance[("1A", 4)][2] > passno
+
+    def test_sweep_derivation_must_be_integral(self, table_dir, catalog_text):
+        # 3B^7 declared as 2B: (7,7) at 3B derives c_3B(49), which no
+        # replication row reads, from (1/7) c_2B(1)
+        path = table_dir / "catalog_3b7.mtf"
+        path.write_text(catalog_text + "power 3B 7 2B\n")
+        (code, out, _), rows = thin_against_full(path, "derive", 30)
+        assert (code, max(rows)) == (1, 7)
+        assert _run_cli(["derive", "--table", str(path), "--max", "30"])[1].splitlines() == [
+            "contradiction: 3B(49) solved to non-integer 1651706266044/7",
+            "VERDICT: FAIL",
+        ]
