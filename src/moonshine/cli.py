@@ -55,10 +55,9 @@ FAIL_LINE = "VERDICT: FAIL"
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
-# The solver compiles the replication rows (i <= 4) alone: ``derive --max
-# 100`` takes about 0.5 s and 23 MB, ``derive --max 200`` about 5.5 s and
-# 94 MB.
-# ``derive --audit`` builds no relation and takes about 1 s at 200.
+# The solver builds no relation: ``derive --max 100`` takes about 0.4 s and
+# 18 MB, ``derive --max 200`` about 1.6 s and 18 MB.
+# ``derive --audit`` builds none either and takes about 1 s at 200.
 # It also bounds the q-order ``compare`` expands, far below MAX_Q_ORDER.
 MAX_DERIVE_INDEX = 200
 

@@ -13,8 +13,9 @@ surfaces as a hard failure rather than a wrong answer.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 from .series import Coeff, UniSeries
 

@@ -26,40 +26,41 @@ form for c_g(ij), a monotone propagation solver that derives coefficients
 from seed data (every derived value carries the relation that produced it,
 and disagreeing derivations are a hard error), and a structural
 determinacy audit that finds which indices are genuinely underivable.
+The solver and the audit build no relation; they read its shape.
 
-The solver compiles the replication rows i = 2, 3, 4 alone: they determine
-every coefficient from c(1), c(2), c(3), c(5) (Norton 1984).  The right
-side of (i,j) is [p^i q^j] -log(1 - U_g), U_g = sum c_g(m+n-1) p^m q^n, so
-once the rows have run, one log(1 - U_g) per class (``log1m_rows``)
-evaluates every relation i >= 5 whose right side is known (``_sweep``): it
-checks those whose left keys are known and derives a lone unknown left key,
-which no replication row may reach (c_g(35) at nmax 30).
-
-The solver shares each cached relation across classes: it reads the same
-at every class g, and only its columns change, c_g on the right and
-c_{g^k} on the left.  An instance is a class, the relation and the
-classes g^k of its left terms; known values live in one {index: value}
-dict per class.  Terms are read one by one, never combined, which is exact
-term by term.  A key has two lone linear occurrences only when g^k = g
-(k >= 2) and ij/k^2 = i+j-1, the lone right-side c_g(i+j-1) (1A and 3B at
-(6,10) in the catalog); their weights scale/k and -scale add up to
-scale*(1/k - 1) != 0, so such a key never cancels.  The solver's early
-exit is exact as well (see ``_evaluate``).
-
-The audit needs neither values nor relations.  Without seeds every
-coefficient it knows is an opaque symbol or a nonconstant polynomial in
-such symbols, and a product of nonconstant polynomials is never constant.
-So a relation whose other keys are all known pins key u exactly when every
-occurrence of u is a lone c(u)^1 monomial (left terms always are): those
-never cancel, and a monomial shared with another key puts a symbol in u's
-coefficient.  At a target (i,j), 2 <= i <= j, the right side's monomials
-are the partitions of i+j into at most i parts >= 2 (part p reads c(p-1)),
-each with a positive weight: with M <= i parts, [x^i] prod (x+...+x^(p-1))
+At a target (i,j), 2 <= i <= j, the right side's monomials are the
+partitions of i+j into at most i parts >= 2 (part p reads c(p-1)), each
+with a positive weight: with M <= i parts, [x^i] prod (x+...+x^(p-1))
 spans degrees M..i+j-M, which contain i.  So each part p <= i+j-2 occurs
 beside the single part i+j-p, no part is i+j-1 (it would leave 1), and
-i+j occurs alone: the right side reads c_g(1..i+j-3) inside products and
-c_g(i+j-1) as a lone monomial.  That shape turns each relation into Horn
-clauses "other keys known => u known", and forward chaining to a fixpoint
+i+j occurs alone, as the one cell (i,j) of weight 1: the right side reads
+c_g(1..i+j-3) inside products and c_g(i+j-1) as a lone monomial of scaled
+weight ``scale``.  Part p occurs twice, and c(p-1) squared, when the rest
+i+j-2p is 0, or is at least 2 and a third part is allowed (i >= 3).
+
+The right side of (i,j) is [p^i q^j] -log(1 - U_g), U_g = sum c_g(m+n-1)
+p^m q^n, so one ``log1m_rows`` run per class gives every right side at
+once.  The solver classifies each relation from the shape and takes its
+values from those rows (``_state``).  The replication rows i = 2, 3, 4
+determine every coefficient from c(1), c(2), c(3), c(5) (Norton 1984):
+they run pass by pass to a fixpoint, with the rows of each class rebuilt
+per pass.  Then one sweep evaluates every relation i >= 5 whose right side
+is known (``_sweep``): it checks those whose left keys are known and
+derives a lone unknown left key, which no replication row may reach
+(c_g(35) at nmax 30).  The two alternate until the sweep derives nothing.
+A key has two lone linear occurrences only when g^k = g (k >= 2) and
+ij/k^2 = i+j-1, the lone right-side c_g(i+j-1) (1A and 3B at (6,10) in
+the catalog); their weights scale/k and -scale add up to scale*(1/k - 1)
+!= 0, so such a key never cancels.
+
+The audit needs no values at all.  Without seeds every coefficient it
+knows is an opaque symbol or a nonconstant polynomial in such symbols,
+and a product of nonconstant polynomials is never constant.  So a
+relation whose other keys are all known pins key u exactly when every
+occurrence of u is a lone c(u)^1 monomial (left terms always are): those
+never cancel, and a monomial shared with another key puts a symbol in u's
+coefficient.  By the shape, that turns each relation into Horn clauses
+"other keys known => u known", and forward chaining to a fixpoint
 (Dowling & Gallier 1984) gives the same closure in any firing order.  The
 one case this misses is a derived polynomial that cancels to a constant.
 """
@@ -67,12 +68,13 @@ one case this misses is a derived polynomial that cancels to a constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
+from itertools import count, islice
 from math import factorial, gcd, isqrt
 from typing import NamedTuple
 
 from .classes import ClassTable, CoefficientFamily, MissingCoefficients
-from .series import UniSeries, format_coeff, log1m_rows
+from .series import format_coeff, log1m_rows
 
 __all__ = [
     "mobius",
@@ -296,72 +298,99 @@ class ContradictionError(Exception):
     """Two derivations (or a seed and a derivation) disagree."""
 
 
-def _describe(name: str, relation: Relation) -> str:
-    i, j = relation.target
-    return f"relation ({i},{j}) at class {name}"
+def _squared(i: int, j: int, v: int) -> bool:
+    """Whether c_g(v), v <= i+j-3, occurs squared in the relation at target
+    (i,j), 2 <= i <= j: part v+1 occurs twice (see the module docstring)."""
+    rest = i + j - 2 * (v + 1)
+    return rest == 0 or (rest >= 2 and i >= 3)
 
 
-def _evaluate(name: str, relation: Relation, powers: tuple[str, ...], values: dict):
-    """Classify the relation at class ``name`` against current knowledge.
+def _log_rows(column: dict, top: int, first: int, last: int, cut: int):
+    """One class's gaps and rows: the three smallest indices missing from
+    its {index: value} ``column``, and ``rows(x)``, the rows M_0..M_last of
+    log(1 - U_g) (``log1m_rows``) with u_m[n] = c_g(m+n-1), c_g(gaps[0])
+    read as x and every other unknown as 0.  Row m >= ``first`` is cut at
+    q <= min(top // m, gaps[cut] - m), and the rows below it at row
+    ``first``'s ceiling.  Each run is made once, when first asked for."""
+    gaps = tuple(islice((n for n in count(1) if n not in column), 3))
+    ceilings = [min(top // max(m, first), gaps[cut] - max(m, first)) for m in range(last + 1)]
+    v = gaps[0]
 
-    ``powers`` names the class g^k of each left term, and ``values`` holds
-    one {index: value} dict per class.  Returns ("verified", None),
-    ("pending", None), or ("fire", (key, solved_value)), the value an
-    ``int`` when integral; a violated relation raises ContradictionError.
-    One loop over the left terms with weight +w, then one over the right
-    with weight -w, accumulates the known part and the unknown's
-    coefficient, both scaled by ``relation.scale``.  It returns pending at
-    the first monomial with two unknowns, an unknown squared or a second
-    distinct unknown: each of those leaves the relation pending whatever
-    the other terms hold, so stopping early changes no outcome.  A key met
-    twice is one unknown whose two weights add (see the module docstring).
+    @cache
+    def rows(x: int) -> list[dict]:
+        u = [{}] + [
+            {n: c for n in range(1, ceilings[m] + 1) if (c := column.get(m + n - 1))}
+            for m in range(1, last + 1)
+        ]
+        if x:
+            for m in range(1, min(v, last) + 1):
+                if v - m + 1 <= ceilings[m]:
+                    u[m][v - m + 1] = x
+        return log1m_rows(u, ceilings)
+
+    return gaps, rows
+
+
+def _state(table: ClassTable, name: str, i: int, j: int, values: dict, gaps, rows):
+    """Classify the relation at target (i,j), 2 <= i <= j, at class ``name``.
+
+    ``values`` holds one {index: value} dict per class; ``gaps`` and
+    ``rows`` come from ``_log_rows`` of class ``name``, and row i must reach
+    q^j whenever i+j-1 < gaps[2].  Returns ("verified", None), ("pending",
+    None), or ("fire", (key, solved_value)), the value an ``int`` when
+    integral; a violated relation raises ContradictionError.
+
+    The relation reads the left keys c_{g^k}(ij/k^2), c_g(1..i+j-3) inside
+    products and c_g(i+j-1) alone (see the module docstring), so the gaps
+    name every unknown right key of a relation with fewer than two.  It is
+    pending with two distinct unknown keys, or with one unknown c_g(v), v
+    <= i+j-3, that occurs squared (``_squared``).  Otherwise i*scale*(LHS -
+    RHS) = i * sum_k (scale/k) c_{g^k}(ij/k^2) + scale*M_i[j] is linear in
+    its unknown, read as 0 in ``rows(0)``.  The lone c_g(i+j-1) has the
+    coefficient -i*scale.  An unknown inside products is the smallest gap,
+    as every index below it is a known key; its coefficient is scale times
+    M_i[j] at c_g(v) = 1 minus at 0.  Both add to the left term's i*scale/k
+    when that term reads the same key.
     """
-    const = 0  # known part of scale * (LHS - RHS)
-    coeff = 0  # scaled coefficient of the one linear unknown
-    unknown = None
-    for (_, n, weight), g in zip(relation.lhs, powers):
-        column = values[g]
-        if n in column:
-            const += weight * column[n]
-        elif unknown is not None:  # left keys are distinct: n differs per k
-            return "pending", None
-        else:
-            unknown = (g, n)
-            coeff += weight
-    column = values[name]
-    for weight, monomial in relation.rhs:
-        prod = -weight
-        here = None
-        for v, exp in monomial:
-            if v in column:
-                prod *= column[v] ** exp
-            elif here is not None or exp > 1 or unknown not in (None, (name, v)):
-                return "pending", None
+    top = i + j - 1
+    unknown = {(name, v) for v in gaps if v <= top and v != top - 1}
+    if len(unknown) > 1:
+        return "pending", None
+    scale = gcd(i, j)
+    const = 0  # known part of i*scale*(LHS - RHS)
+    coeff = 0  # the one unknown's coefficient in it
+    for k in range(1, scale + 1):
+        if scale % k == 0:
+            g, n = table.power_of(name, k), (i // k) * (j // k)
+            column = values[g]
+            if n in column:
+                const += i * (scale // k) * column[n]
             else:
-                here = v
-        if here is None:
-            const += prod
-        else:
-            unknown = (name, here)
-            coeff += prod
-
-    if unknown is None:
+                unknown.add((g, n))
+                coeff += i * (scale // k)
+    if len(unknown) > 1:
+        return "pending", None
+    key = next(iter(unknown), None)
+    inside = key is not None and key[0] == name and key[1] < top - 1
+    if inside and _squared(i, j, key[1]):
+        return "pending", None
+    at_zero = rows(0)[i].get(j, 0)
+    const += scale * at_zero
+    if key == (name, top):
+        coeff -= i * scale
+    elif inside:
+        coeff += scale * (rows(1)[i].get(j, 0) - at_zero)
+    if coeff == 0:  # no unknown, or one that cancels
         if const != 0:
+            broken = "is violated:" if key is None else f"cannot hold: {key} cancels but"
             raise ContradictionError(
-                f"{_describe(name, relation)} is violated: sides differ by "
-                f"{format_coeff(Fraction(const, relation.scale))}"
+                f"relation ({i},{j}) at class {name} {broken} sides differ by "
+                f"{format_coeff(Fraction(const, i * scale))}"
             )
         return "verified", None
-    if coeff == 0:
-        if const != 0:
-            raise ContradictionError(
-                f"{_describe(name, relation)} cannot hold: {unknown} cancels but "
-                f"sides differ by {format_coeff(Fraction(const, relation.scale))}"
-            )
-        return "verified", None  # tautology on this unknown
     # const + coeff * unknown = 0
     solved = Fraction(-const, coeff)
-    return "fire", (unknown, solved.numerator if solved.denominator == 1 else solved)
+    return "fire", (key, solved.numerator if solved.denominator == 1 else solved)
 
 
 class SolveResult(NamedTuple):
@@ -379,8 +408,8 @@ def _relation_targets(nmax: int) -> list[tuple[int, int]]:
     Products run up to twice the requested bound because odd indices are
     only reachable through larger targets (c(7) needs the (2,6) relation,
     whose own left side needs c(12) from (3,4), and so on).  The audit
-    reads every target.  The solver compiles the replication rows i <= 4
-    alone (see ``_instances``); ``_sweep`` checks the rows i >= 5.
+    reads every target.  The solver runs the replication rows i <= 4 pass
+    by pass (``_run_passes``) and sweeps the rows i >= 5 (``_sweep``).
     """
     out = []
     i = 2
@@ -391,122 +420,74 @@ def _relation_targets(nmax: int) -> list[tuple[int, int]]:
     return out
 
 
-def _instances(
-    table: ClassTable, nmax: int
-) -> list[tuple[str, Relation, tuple[str, ...]]]:
-    """The replication-row targets (i <= 4) for ``nmax`` at every class, as
-    (class, relation, the class g^k of each left term).  Each relation
-    comes from the cache, so all classes share one copy."""
-    instances = []
-    for name in table.names:
-        for i, j in _relation_targets(nmax):
-            if i > 4:
-                break
-            relation = coefficient_relation(i, j)
-            powers = tuple(table.power_of(name, k) for k, _, _ in relation.lhs)
-            instances.append((name, relation, powers))
-    return instances
-
-
-def _run_passes(instances: list, values: dict, provenance: dict) -> int:
-    """Fixpoint loop; returns the number of passes that derived something.
+def _run_passes(
+    table: ClassTable, nmax: int, pending: list, values: dict, provenance: dict, passno: int
+) -> tuple[list, int]:
+    """Run the replication-row targets ``pending``, (class, i, j) with i <=
+    4, to a fixpoint, numbering passes on from ``passno``.  Returns the
+    targets still pending and the last pass number.
 
     All firings in a pass are evaluated against the values the pass started
     with, then committed together; two relations firing the same key must
-    agree.
+    agree.  A pass reads the rows of each class from one ``_log_rows``, cut
+    where a relation with fewer than two unknowns reaches: row m at q <=
+    min(2*nmax // m, gaps[2] - m).
     """
-    pending = list(instances)
-    passno = 0
+    top = 2 * nmax
     while True:
-        passno += 1
+        rows = {name: _log_rows(values[name], top, 2, 4, 2) for name in table.names}
         fired: dict[tuple[str, int], tuple] = {}
         keep = []
-        for inst in pending:
-            state, payload = _evaluate(*inst, values)
+        for target in pending:
+            name, i, j = target
+            state, payload = _state(table, name, i, j, values, *rows[name])
             if state == "verified":
                 continue
             if state == "fire":
                 key, solved = payload
-                name, relation, _ = inst
                 if key in fired:
-                    prior_value, prior_name, prior_relation = fired[key]
+                    prior_value, prior_name, (pi, pj) = fired[key]
                     if prior_value != solved:
                         raise ContradictionError(
                             f"{key[0]}({key[1]}) derived twice with different "
-                            f"values: {format_coeff(prior_value)} from "
-                            f"{_describe(prior_name, prior_relation)} vs "
-                            f"{format_coeff(solved)} from {_describe(name, relation)}"
+                            f"values: {format_coeff(prior_value)} from relation "
+                            f"({pi},{pj}) at class {prior_name} vs "
+                            f"{format_coeff(solved)} from relation ({i},{j}) at "
+                            f"class {name}"
                         )
                 else:
-                    fired[key] = (solved, name, relation)
+                    fired[key] = (solved, name, (i, j))
                 continue  # satisfied by the value it just produced
-            keep.append(inst)
+            keep.append(target)
         if not fired:
-            return passno - 1
-        for (g, n), (solved, name, relation) in fired.items():
+            return keep, passno
+        passno += 1
+        for (g, n), (solved, name, ij) in fired.items():
             values[g][n] = solved
-            provenance[(g, n)] = (name, relation.target, passno)
+            provenance[(g, n)] = (name, ij, passno)
         pending = keep
 
 
-def _sweep(
-    table: ClassTable, nmax: int, values: dict, provenance: dict, passno: int
-) -> set[tuple[str, int]]:
+def _sweep(table: ClassTable, nmax: int, values: dict, provenance: dict, passno: int) -> bool:
     """Evaluate every relation (i,j), 5 <= i <= j, i*j <= 2*nmax, whose
-    right side c_g(1..i+j-1) is known.  With u_m[n] = c_g(m+n-1) that side
-    is -M_i[j]/i (``log1m_rows``), row m cut at q <= min(2*nmax // max(m,
-    5), K-m+1) for c_g(1..K) known.  In class, then i, then j order, each
-    relation checks its left keys or derives a lone unknown one as pass
-    ``passno``.  Returns the derived keys another relation may read: those
-    the replication rows read (index <= nmax+1, or divisible by 2 or 3) and
-    those a relation here waits on beside another unknown.
+    right side c_g(1..i+j-1) is known as its class begins.  In class, then
+    i, then j order, each checks its left keys or derives a lone unknown
+    one as pass ``passno``, committed at once.  Row m is cut at q <=
+    min(2*nmax // m, gaps[0] - m).  Returns whether it derived anything.
     """
     top = 2 * nmax
-    derived: list[tuple[str, int]] = []
-    waiting: set[tuple[str, int]] = set()
+    derived = False
     for name in table.names:
-        column = values[name]
-        known = 0
-        while known + 1 in column:
-            known += 1
-        ceilings = [min(top // max(m, 5), known - m + 1) for m in range(isqrt(top) + 1)]
-        rows = [m for m in range(5, len(ceilings)) if ceilings[m] >= m]
-        if not rows:
-            continue
-        u = [None] + [
-            UniSeries({n: column[m + n - 1] for n in range(1, ceilings[m] + 1)}, ceilings[m])
-            for m in range(1, rows[-1] + 1)
-        ]
-        big_m = log1m_rows(u, ceilings)
-        for i in rows:
-            for j in range(i, ceilings[i] + 1):
-                scale = gcd(i, j)
-                const = scale * big_m[i].coeff(j)  # i*scale*(LHS - RHS)
-                unknown = []
-                for k in range(1, scale + 1):
-                    if scale % k == 0:
-                        g, n = table.power_of(name, k), (i // k) * (j // k)
-                        if n in values[g]:
-                            const += i * (scale // k) * values[g][n]
-                        else:
-                            unknown.append(((g, n), i * (scale // k)))
-                if len(unknown) > 1:
-                    waiting.update(key for key, _ in unknown)
-                elif unknown:
-                    ((g, n), weight), = unknown
-                    solved = Fraction(-const, weight)
-                    values[g][n] = solved.numerator if solved.denominator == 1 else solved
+        gaps, rows = _log_rows(values[name], top, 5, isqrt(top), 0)
+        for i in range(5, isqrt(top) + 1):
+            for j in range(i, min(top // i, gaps[0] - i) + 1):
+                state, payload = _state(table, name, i, j, values, gaps, rows)
+                if state == "fire":
+                    (g, n), solved = payload
+                    values[g][n] = solved
                     provenance[(g, n)] = (name, (i, j), passno)
-                    derived.append((g, n))
-                elif const != 0:
-                    raise ContradictionError(
-                        f"relation ({i},{j}) at class {name} is violated: sides "
-                        f"differ by {format_coeff(Fraction(const, i * scale))}"
-                    )
-    return {
-        (g, n) for g, n in derived
-        if n <= nmax + 1 or gcd(n, 6) > 1 or (g, n) in waiting
-    }
+                    derived = True
+    return derived
 
 
 def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
@@ -518,7 +499,7 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
     checks; any violation, tie disagreement, or non-integer answer raises
     ContradictionError rather than guessing.  The replication rows run to
     a fixpoint, then ``_sweep`` evaluates the rows i >= 5; the two
-    alternate while the sweep derives a key the other rows read.
+    alternate until the sweep derives nothing.  No relation is built.
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
@@ -526,21 +507,18 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
     for (name, n), value in table.seeds.items():
         if name not in values:
             raise ValueError(f"seed for undeclared class {name!r}")
-        values[name][n] = value
+        value = Fraction(value)  # the rows multiply normalized values
+        values[name][n] = value.numerator if value.denominator == 1 else value
     provenance: dict[tuple[str, int], tuple[str, tuple[int, int], int]] = {}
-    instances = _instances(table, nmax)
-    passes = _run_passes(instances, values, provenance)
-    while True:  # until the sweep derives nothing another relation reads
-        count = len(provenance)
-        unblocked = _sweep(table, nmax, values, provenance, passes + 1)
-        if len(provenance) > count:
-            passes += 1
-        if not unblocked:
+    pending = [
+        (name, i, j) for name in table.names for i, j in _relation_targets(nmax) if i <= 4
+    ]
+    passes = 0
+    while True:
+        pending, passes = _run_passes(table, nmax, pending, values, provenance, passes)
+        if not _sweep(table, nmax, values, provenance, passes + 1):
             break
-        later: dict = {}  # passes numbered from 1 again
-        rounds = _run_passes(instances, values, later)
-        provenance.update({key: (g, t, passes + p) for key, (g, t, p) in later.items()})
-        passes += rounds
+        passes += 1
     clean: dict[tuple[str, int], int] = {}
     for name, n in [*table.seeds, *provenance]:  # seeds, then derivation order
         value = values[name][n]

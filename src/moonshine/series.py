@@ -24,7 +24,7 @@ transform multiplies such operands faster than ``int``'s Karatsuba (about
 three times at 250,000 digits).  Factors with fewer term pairs than product
 digits are multiplied pair by pair.
 ``BiSeries`` has no series product; ``log1m`` runs a recurrence on its
-q-rows, which multiplies them as ``UniSeries``.
+q-rows (``log1m_rows``), which multiplies them through the same kernel.
 
 Arithmetic propagates ceilings so that every reported coefficient is exact.
 A truncated ``UniSeries`` product, for instance, can only be trusted up to
@@ -39,9 +39,9 @@ All series are immutable by convention: operations return fresh objects.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping
 
 try:
     import _decimal  # the C decimal module; its pure-Python fallback is slower than int
@@ -465,7 +465,7 @@ class BiSeries:
     The operations are sums, differences, scalar multiples, ``log1m``,
     ``substitute_power`` and ``truncated``.  There is no series product and
     no constant-term arithmetic (see ``__mul__``); ``log1m`` multiplies the
-    q-rows, the coefficients of each p^m, as :class:`UniSeries`.
+    q-rows, the coefficients of each p^m, through :func:`log1m_rows`.
     """
 
     __slots__ = ("pmax", "qmax", "_c")
@@ -624,10 +624,10 @@ class BiSeries:
         rows: list[dict[int, Coeff]] = [{} for _ in range(self.pmax + 1)]
         for (i, j), v in self._c.items():
             rows[i][j] = v
-        big_m = log1m_rows([UniSeries(row, qmax) for row in rows], [qmax] * len(rows))
+        big_m = log1m_rows(rows, [qmax] * len(rows))
         out: dict[tuple[int, int], Coeff] = {}
         for m in range(1, self.pmax + 1):
-            out.update({(m, j): Fraction(v, m) for j, v in big_m[m]._c.items()})
+            out.update({(m, j): Fraction(v, m) for j, v in big_m[m].items()})
         return BiSeries(out, self.pmax, qmax)
 
     def substitute_power(self, k: int) -> "BiSeries":
@@ -650,31 +650,32 @@ class BiSeries:
         return BiSeries(data, np_, nqmax)
 
 
-def log1m_rows(u: list[UniSeries], ceilings: list[int]) -> list[UniSeries]:
+def log1m_rows(u: list[dict[int, Coeff]], ceilings: list[int]) -> list[dict[int, Coeff]]:
     """The rows M_m = m L_m of log(1 - sum_m u_m p^m) = sum_m L_m p^m.
 
-    ``u[m]`` is the q-row of p^m for m >= 1 (``u[0]`` is ignored), with
-    q exponents >= 0, known and untracked, and known up to ``ceilings[m]``.
-    The p-derivative gives (1 - sum u_m p^m) * sum m L_m p^m = -sum m u_m
-    p^m, so
+    ``u[m]`` is the q-row of p^m for m >= 1 (``u[0]`` is ignored), a
+    {q: coefficient} dict with q >= 0 and coefficients normalized (``int``
+    when integral), known up to ``ceilings[m]``; the untracked terms lie at
+    q above it.  The p-derivative gives (1 - sum u_m p^m) * sum m L_m p^m =
+    -sum m u_m p^m, so
 
         M_m = -m u_m + sum_{k=1}^{m-1} u_k M_{m-k},
 
     each row depends on lower rows only, and M_m is integral when the u_m
-    are.  Row m is returned cut at ``ceilings[m]``.  The ceilings must be
-    nonincreasing in m: row m then reads lower rows at ceilings no lower
-    than its own, no factor lowers q, and every row is exact.  Each factor
-    is cut to the row's ceiling first, so no product runs past it.
+    are.  Row m is returned as a dict of its nonzero coefficients at q <=
+    ``ceilings[m]``.  The ceilings must be nonincreasing in m: row m then
+    reads lower rows at ceilings no lower than its own, no factor lowers q,
+    and every row is exact.  Each factor is cut to the row's ceiling, and
+    the products run through :func:`_mul_exact`, so none runs past it.
     """
-    big_m: list[UniSeries | None] = [None]  # M_0 = 0 is never read
+    big_m: list[dict[int, Coeff]] = [{}]  # M_0 = 0 is never read
     for m in range(1, len(u)):
-        hi = ceilings[m]
-        row = _cut(u[m], hi) * -m
+        n = ceilings[m] + 1  # offsets q = 0 .. ceiling
+        row = {q: -m * v for q, v in u[m].items() if q < n}
         for k in range(1, m):
-            row = row + _cut(u[k], hi) * _cut(big_m[m - k], hi)
-        big_m.append(row)
+            a = {q: v for q, v in u[k].items() if q < n}
+            b = {q: v for q, v in big_m[m - k].items() if q < n}
+            for q, v in _mul_exact(a, b, n).items():
+                row[q] = row.get(q, 0) + v
+        big_m.append({q: _norm(v) for q, v in row.items() if v})
     return big_m
-
-
-def _cut(s: UniSeries, hi: int) -> UniSeries:
-    return s.restrict(hi) if s.hi > hi else s

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moonshine import recursion
+from moonshine import cli
 from moonshine.classes import ClassTable, load_family, parse_table_text
 from moonshine.cli import main
 from moonshine.modular import normalized_j
@@ -24,10 +24,12 @@ from moonshine.recursion import (
     AuditReport,
     ContradictionError,
     Relation,
-    _evaluate,
+    SolveResult,
     _horn_clauses,
-    _instances,
+    _log_rows,
     _relation_targets,
+    _squared,
+    _state,
     _sweep,
     coefficient_recursion,
     coefficient_relation,
@@ -382,6 +384,12 @@ class TestSolver:
             solve_from_seeds(table_1a(seeds=seeds), 4)
         assert str(excinfo.value) == "1A(3) solved to non-integer 1/3"
 
+    def test_integral_fraction_seeds_solve_as_ints(self):
+        # the rows take normalized values, so a Fraction seed with
+        # denominator 1 is read as the int it equals
+        seeds = {key: Fraction(value) for key, value in J_SEEDS.items()}
+        assert solve_from_seeds(table_1a(seeds=seeds), 40) == solve_from_seeds(table_1a(), 40)
+
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
             solve_from_seeds(table_1a(), 0)
@@ -550,13 +558,85 @@ def _outcome(evaluate, *args):
 def full_instances(table, nmax):
     """Every relation target (i,j), 2 <= i <= j, i*j <= 2*nmax, at every
     class, built from ``coefficient_relation``: the full set of which the
-    solver compiles the rows i <= 4 alone.  The oracle for the thin rows and
-    the sweep."""
+    solver runs the rows i <= 4 pass by pass and sweeps the rest.  The
+    oracle for the thin rows and the sweep."""
     return [
         (name, relation, tuple(table.power_of(name, k) for k, _, _ in relation.lhs))
         for name in table.names
         for relation in (coefficient_relation(i, j) for i, j in _relation_targets(nmax))
     ]
+
+
+def compiled_evaluate(name, relation, powers, values):
+    """Classify a built relation at class ``name`` monomial by monomial: the
+    solver's evaluator before it read the relations' shape, kept as its
+    oracle.
+
+    ``powers`` names the class g^k of each left term, and ``values`` holds
+    one {index: value} dict per class.  Returns ("verified", None),
+    ("pending", None), or ("fire", (key, solved_value)), the value an
+    ``int`` when integral; a violated relation raises ContradictionError.
+    One loop over the left terms with weight +w, then one over the right
+    with weight -w, accumulates the known part and the unknown's
+    coefficient, both scaled by ``relation.scale``.  It returns pending at
+    the first monomial with two unknowns, an unknown squared or a second
+    distinct unknown: each of those leaves the relation pending whatever
+    the other terms hold, so stopping early changes no outcome.  A key met
+    twice is one unknown whose two weights add.
+    """
+    i, j = relation.target
+    const = 0  # known part of scale * (LHS - RHS)
+    coeff = 0  # scaled coefficient of the one linear unknown
+    unknown = None
+    for (_, n, weight), g in zip(relation.lhs, powers):
+        column = values[g]
+        if n in column:
+            const += weight * column[n]
+        elif unknown is not None:  # left keys are distinct: n differs per k
+            return "pending", None
+        else:
+            unknown = (g, n)
+            coeff += weight
+    column = values[name]
+    for weight, monomial in relation.rhs:
+        prod = -weight
+        here = None
+        for v, exp in monomial:
+            if v in column:
+                prod *= column[v] ** exp
+            elif here is not None or exp > 1 or unknown not in (None, (name, v)):
+                return "pending", None
+            else:
+                here = v
+        if here is None:
+            const += prod
+        else:
+            unknown = (name, here)
+            coeff += prod
+    differ = _show(Fraction(const, relation.scale))
+    if unknown is None:
+        if const != 0:
+            raise ContradictionError(
+                f"relation ({i},{j}) at class {name} is violated: sides differ by {differ}"
+            )
+        return "verified", None
+    if coeff == 0:
+        if const != 0:
+            raise ContradictionError(
+                f"relation ({i},{j}) at class {name} cannot hold: {unknown} cancels but "
+                f"sides differ by {differ}"
+            )
+        return "verified", None
+    solved = Fraction(-const, coeff)
+    return "fire", (unknown, solved.numerator if solved.denominator == 1 else solved)
+
+
+def state_of(table, name, relation, values):
+    """``_state`` on keyed values, with the gaps and rows the replication
+    passes would give it, row i cut at q^j."""
+    i, j = relation.target
+    columns = _columns(table, values)
+    return _state(table, name, i, j, columns, *_log_rows(columns[name], i * j, i, i, 2))
 
 
 def _meets_lone_right(inst):
@@ -626,8 +706,9 @@ class TestCompiledInstances:
             assert Fraction(left - right, relation.scale) == Fraction(1, 2) - 1
             keys = reference_horn_clauses(catalog_table, name, relation)[0]
             values = {k: catalog_family.value(*k) for k in keys if k != (name, 15)}
-            got = _evaluate(name, relation, powers, _columns(catalog_table, values))
-            assert got == ("fire", ((name, 15), catalog_family.value(name, 15)))
+            want = ("fire", ((name, 15), catalog_family.value(name, 15)))
+            assert state_of(catalog_table, name, relation, values) == want
+            assert reference_evaluate(catalog_table, name, relation, values) == want
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=300)
@@ -646,9 +727,10 @@ class TestCompiledInstances:
             v = catalog_family.value(*key)
             choices = [v] if exact else [v, v, v, v + 1, v - 3, v + Fraction(1, 2), 0]
             values[key] = data.draw(st.sampled_from(choices))
-        got = _outcome(_evaluate, *inst, _columns(catalog_table, values))
+        got = _outcome(state_of, catalog_table, name, relation, values)
         want = _outcome(reference_evaluate, catalog_table, name, relation, values)
         assert got == want
+        assert _outcome(compiled_evaluate, *inst, _columns(catalog_table, values)) == want
 
     def test_unknown_left_terms_stay_pending(
         self, catalog_table, catalog_instances, catalog_family
@@ -662,7 +744,7 @@ class TestCompiledInstances:
                 continue
             keys = reference_horn_clauses(catalog_table, name, relation)[0]
             values = {k: catalog_family.value(*k) for k in keys - left}
-            got = _outcome(_evaluate, name, relation, powers, _columns(catalog_table, values))
+            got = _outcome(state_of, catalog_table, name, relation, values)
             want = _outcome(reference_evaluate, catalog_table, name, relation, values)
             assert got == want == ("pending", None)
             checked += 1
@@ -676,7 +758,7 @@ class TestCompiledInstances:
             i for i in catalog_instances if (i[0], i[1].target) == ("1A", (2, 3))
         ]
         values = {("1A", 6): c6, ("1A", 4): -3, ("1A", 1): 0}
-        got = _outcome(_evaluate, *inst, _columns(catalog_table, values))
+        got = _outcome(state_of, catalog_table, "1A", inst[1], values)
         want = _outcome(reference_evaluate, catalog_table, "1A", inst[1], values)
         assert got == want
         if c6 == -3:
@@ -687,6 +769,26 @@ class TestCompiledInstances:
                 "relation (2,3) at class 1A cannot hold: ('1A', 2) cancels "
                 "but sides differ by 10",
             )
+
+    def test_shape_matches_built_relations(self):
+        # the facts ``_state`` and the audit read instead of the relations:
+        # every weight is positive, c(i+j-1) occurs once, alone, with weight
+        # ``scale``, c(i+j-2) never, and each c(v), v <= i+j-3, only inside
+        # products, squared exactly where ``_squared`` says
+        for i, j in _relation_targets(30):
+            relation = coefficient_relation(i, j)
+            assert all(weight > 0 for *_, weight in relation.lhs)
+            assert all(weight > 0 for weight, _ in relation.rhs)
+            reading = {}
+            for weight, monomial in relation.rhs:
+                for v, _ in monomial:
+                    reading.setdefault(v, []).append((weight, monomial))
+            assert reading.pop(i + j - 1) == [(relation.scale, ((i + j - 1, 1),))]
+            assert sorted(reading) == list(range(1, i + j - 2))
+            for v, terms in reading.items():
+                assert all(sum(e for _, e in monomial) >= 2 for _, monomial in terms)
+                squared = any(dict(monomial)[v] >= 2 for _, monomial in terms)
+                assert squared == _squared(i, j, v), (i, j, v)
 
     def test_horn_clauses_match_two_sided_reference(self, audit_tables):
         # the audit's clauses come from the relations' shape; read them from
@@ -748,15 +850,60 @@ class TestAuditClauses:
 
 
 # ---------------------------------------------------------------------------
-# the replication rows and the sweep against the full relation set
+# the compiled-relation solver, kept as the oracle of the solver: the
+# replication rows built as relations and run pass by pass, the rows i >= 5
+# evaluated one built relation at a time, and the two alternated as before
+# the solver read the relations' shape
 
 
-def reference_sweep(table, nmax, columns):
-    """The sweep read from the built relations: the rows i >= 5 in class,
-    then i, then j order, each in scope when c_g(1..i+j-1) were known as
-    its class began.  A fired key is committed at once.  Returns the first
-    contradiction, or None."""
+def compiled_passes(instances, values, provenance, passno=0):
+    """Run ``instances`` to a fixpoint, numbering passes on from
+    ``passno``; returns the last pass that derived something.  All firings
+    in a pass are evaluated against the values the pass started with, then
+    committed together; two relations firing the same key must agree."""
+    pending = list(instances)
+    while True:
+        fired = {}
+        keep = []
+        for inst in pending:
+            state, payload = compiled_evaluate(*inst, values)
+            if state == "verified":
+                continue
+            if state == "fire":
+                key, solved = payload
+                name, relation, _ = inst
+                if key in fired:
+                    prior_value, prior_name, prior_relation = fired[key]
+                    if prior_value != solved:
+                        (pi, pj), (i, j) = prior_relation.target, relation.target
+                        raise ContradictionError(
+                            f"{key[0]}({key[1]}) derived twice with different "
+                            f"values: {_show(prior_value)} from relation ({pi},{pj}) "
+                            f"at class {prior_name} vs {_show(solved)} from "
+                            f"relation ({i},{j}) at class {name}"
+                        )
+                else:
+                    fired[key] = (solved, name, relation)
+                continue
+            keep.append(inst)
+        if not fired:
+            return passno
+        passno += 1
+        for (g, n), (solved, name, relation) in fired.items():
+            values[g][n] = solved
+            provenance[(g, n)] = (name, relation.target, passno)
+        pending = keep
+
+
+def compiled_sweep(table, nmax, columns, provenance, passno):
+    """The rows i >= 5 read from the built relations in class, then i, then
+    j order, each in scope when c_g(1..i+j-1) were known as its class
+    began.  A fired key is committed at once as pass ``passno``.  Returns
+    the derived keys another relation may read: those the replication rows
+    read (index <= nmax+1, or divisible by 2 or 3) and those a relation
+    here waits on beside another unknown."""
     instances = [inst for inst in full_instances(table, nmax) if inst[1].target[0] >= 5]
+    derived, waiting = [], set()
     for name in table.names:
         known = 1
         while known in columns[name]:
@@ -765,30 +912,61 @@ def reference_sweep(table, nmax, columns):
             i, j = inst[1].target
             if inst[0] != name or i + j > known:
                 continue
-            outcome = _outcome(_evaluate, *inst, columns)
-            if outcome[0] == "contradiction":
-                return outcome
-            if outcome[0] == "fire":
-                (g, n), value = outcome[1]
+            state, payload = compiled_evaluate(*inst, columns)
+            if state == "fire":
+                (g, n), value = payload
                 columns[g][n] = value
-    return None
+                provenance[(g, n)] = (name, (i, j), passno)
+                derived.append((g, n))
+            elif state == "pending":
+                waiting.update(
+                    (g, n) for (_, n, _), g in zip(inst[1].lhs, inst[2]) if n not in columns[g]
+                )
+    return {(g, n) for g, n in derived if n <= nmax + 1 or gcd(n, 6) > 1 or (g, n) in waiting}
+
+
+def compiled_solve(table, nmax, instances=None, provenance=None):
+    """``solve_from_seeds`` from built relations: ``instances`` (the
+    replication rows by default) run to a fixpoint, then the sweep, and the
+    two again, from every instance, while the sweep derives a key another
+    relation may read.  ``provenance`` collects the derivations, also those
+    committed before a contradiction."""
+    values = {name: {} for name in table.orders}
+    for (name, n), value in table.seeds.items():
+        values[name][n] = value
+    provenance = {} if provenance is None else provenance
+    if instances is None:
+        instances = [inst for inst in full_instances(table, nmax) if inst[1].target[0] <= 4]
+    passes = compiled_passes(instances, values, provenance)
+    while True:
+        count = len(provenance)
+        unblocked = compiled_sweep(table, nmax, values, provenance, passes + 1)
+        if len(provenance) > count:
+            passes += 1
+        if not unblocked:
+            break
+        passes = compiled_passes(instances, values, provenance, passes)
+    clean = {}
+    for name, n in [*table.seeds, *provenance]:
+        value = values[name][n]
+        if Fraction(value).denominator != 1:
+            raise ContradictionError(f"{name}({n}) solved to non-integer {_show(value)}")
+        clean[(name, n)] = int(value)
+    unresolved = tuple(
+        (name, n) for name in table.names for n in range(1, nmax + 1) if (name, n) not in clean
+    )
+    return SolveResult(clean, unresolved, dict(provenance), passes)
 
 
 class TestSweep:
-    def test_solver_compiles_replication_rows_only(self, catalog_table):
+    def test_solver_builds_no_relation(self, catalog_table):
         coefficient_relation.cache_clear()
         solve_from_seeds(catalog_table, 60)
-        thin = [(i, j) for i, j in _relation_targets(60) if i <= 4]
-        compiled = coefficient_relation.cache_info()
-        for i, j in thin:
-            coefficient_relation(i, j)
-        after = coefficient_relation.cache_info()
-        # every thin target was compiled, and nothing else was
-        assert (after.misses, after.hits) == (compiled.misses, compiled.hits + len(thin))
-        assert compiled.currsize == len(thin)
-        assert _instances(catalog_table, 60) == [
-            inst for inst in full_instances(catalog_table, 60) if inst[1].target[0] <= 4
-        ]
+        assert coefficient_relation.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("nmax", [1, 4, 30, 60])
+    def test_catalog_solve_matches_compiled_solve(self, catalog_table, nmax):
+        assert solve_from_seeds(catalog_table, nmax) == compiled_solve(catalog_table, nmax)
 
     @given(data=st.data())
     @settings(deadline=None, max_examples=150)
@@ -801,15 +979,15 @@ class TestSweep:
             values[key] += data.draw(st.sampled_from([1, -2, 48, Fraction(1, 3)]))
         nmax = data.draw(st.sampled_from([12, 13, 20, 30]))
         got, want = _columns(catalog_table, values), _columns(catalog_table, values)
-        provenance = {}
+        provenance, expected = {}, {}
         outcome = _outcome(_sweep, catalog_table, nmax, got, provenance, 9)
-        expected = reference_sweep(catalog_table, nmax, want)
-        if isinstance(outcome, tuple):
-            assert outcome == expected
+        reference = _outcome(compiled_sweep, catalog_table, nmax, want, expected, 9)
+        if isinstance(outcome, tuple) or isinstance(reference, tuple):
+            assert outcome == reference
         else:
-            assert expected is None
             assert got == want
-            assert all(passno == 9 for _, _, passno in provenance.values())
+            assert provenance == expected
+            assert outcome == bool(expected)
 
 
 CATALOG_SUBSETS = (
@@ -892,17 +1070,14 @@ def thin_against_full(path, command, nmax):
     """
     argv = [command, "--table", str(path), "--max", str(nmax)]
     got = _run_cli(argv)
-    run_passes = recursion._run_passes
-    rows = set()
+    provenance = {}
 
-    def recorded(instances, values, provenance):
-        try:
-            return run_passes(instances, values, provenance)
-        finally:
-            rows.update(target[0] for _, target, _ in provenance.values())
+    def full_set(table, nmax):
+        return compiled_solve(table, nmax, full_instances(table, nmax), provenance)
 
-    with mock.patch.multiple(recursion, _instances=full_instances, _run_passes=recorded):
+    with mock.patch.object(cli, "solve_from_seeds", full_set):
         want = _run_cli(argv)
+    rows = {target[0] for _, target, _ in provenance.values()}
     assert got[0] == want[0], (got, want)
     first = next((l for l in want[1].splitlines() if l.startswith("contradiction: ")), None)
     if first is None or max(rows | {int(i) for i, _ in NAMED_RELATION.findall(first)}) <= 4:
@@ -926,6 +1101,9 @@ class TestThinRowsAgainstFullSet:
         path = table_dir / "table.mtf"
         path.write_text(text)
         thin_against_full(path, command, nmax)
+        table = parse_table_text(text)
+        got = _outcome(solve_from_seeds, table, nmax)
+        assert got == _outcome(compiled_solve, table, nmax)
 
     def test_badpower_fails_first_in_the_sweep(self):
         # the table maps 5B^5 to 5B; the full set derives through rows

@@ -735,6 +735,22 @@ def log_input_with_cut(draw):
     return BiSeries(data, pmax, qmax), cut
 
 
+@st.composite
+def log_rows_input(draw):
+    """Rows u[1..pmax] for ``log1m_rows``: {q: coefficient} dicts with q >= 0,
+    some empty, some with terms above their own ceiling (untracked, so the
+    function must not read them), and nonincreasing ceilings >= -1."""
+    pmax = draw(st.integers(min_value=1, max_value=5))
+    qmax = draw(st.integers(min_value=0, max_value=7))
+    terms = st.dictionaries(st.integers(min_value=0, max_value=qmax), coeffs(), max_size=6)
+    rows = [{}] + [
+        {q: series._norm(v) for q, v in draw(terms).items() if v} for _ in range(pmax)
+    ]
+    ceiling = st.integers(min_value=-1, max_value=qmax)
+    ceilings = draw(st.lists(ceiling, min_size=pmax + 1, max_size=pmax + 1))
+    return rows, sorted(ceilings, reverse=True), qmax
+
+
 def reference_log1m(u: BiSeries) -> BiSeries:
     """-sum_k u^k / k over the powers that reach p^pmax, by the dict product."""
     total = BiSeries.zero(u.pmax, u.qmax)
@@ -875,6 +891,23 @@ class TestBiSeries:
     def test_log1m_matches_reference_power_sum(self, case):
         u, _ = case
         assert u.log1m().items() == reference_log1m(u).items()
+
+    @settings(max_examples=300)
+    @given(log_rows_input())
+    @example(([{}, {1: 196884, 2: 21493760}, {}, {0: Fraction(1, 2), 3: -7}], [9, 4, 4, 2], 4))
+    def test_log1m_rows_matches_reference_power_sum(self, case):
+        # row m is m times the coefficient of p^m in -sum_k u^k / k, cut at
+        # its own ceiling; terms of lower rows above that ceiling cannot reach it
+        rows, ceilings, qmax = case
+        terms = {(m, q): v for m, row in enumerate(rows) for q, v in row.items()}
+        u = BiSeries(terms, len(rows) - 1, qmax)
+        want = reference_log1m(u)
+        got = series.log1m_rows(rows, ceilings)
+        assert len(got) == len(rows)
+        for m in range(1, len(rows)):
+            expected = {q: m * v for (p, q), v in want.items() if p == m and q <= ceilings[m]}
+            assert got[m] == expected
+            assert all(type(v) is int or v.denominator > 1 for v in got[m].values())
 
     @settings(max_examples=300)
     @given(log_input_with_cut())
