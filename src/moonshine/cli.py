@@ -51,7 +51,7 @@ FAIL_LINE = "VERDICT: FAIL"
 # about 1.2 s, and the time grows a little faster than the order; a 24x24
 # window expands through q^600.  The limit bounds the order only: a
 # two-variable window's cost also grows with its cells, and
-# ``witt --mmax 70 --nmax 70`` (q^4900) runs for about 20 s.
+# ``witt --mmax 70 --nmax 70`` (q^4900) runs for about 9 s.
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).

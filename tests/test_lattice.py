@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 
 from moonshine import lattice
 from moonshine.lattice import (
+    GradedDims,
     LatticeVector,
     build_matrix,
     cartan_conditions,
     denominator_identity_report,
+    denominator_order,
     denominator_sides,
     dimension_product,
     expanded_root,
@@ -187,9 +190,10 @@ def reference_witt_dims(u: BiSeries) -> lattice.GradedDims:
 def witt_characters(draw):
     """Characters on m, n >= 1 with zeros, parity-sparse supports (only
     cells with m and n divisible by 2 or 3, or with m + n even), unequal
-    window sides, and the odd fraction."""
-    mmax = draw(st.integers(1, 7))
-    nmax = draw(st.integers(1, 7))
+    window sides up to 12, where the Mobius terms k = 6 and 10 occur, and
+    the odd fraction."""
+    mmax = draw(st.integers(1, 12))
+    nmax = draw(st.integers(1, 12))
     keep = draw(
         st.sampled_from(
             [
@@ -222,9 +226,12 @@ class TestWittDims:
     @example(BiSeries({(2, 2): 1, (2, 4): 3, (4, 2): -1}, 5, 7))
     @example(BiSeries({(1, 1): Fraction(1, 2)}, 3, 2))
     @example(BiSeries({}, 2, 6))
+    # gcd 10 at (10, 10): the k = 10 term reads M_1[1], the k = 6 term of
+    # (12, 12) reads M_2[2]
+    @example(BiSeries({(1, 1): Fraction(3, 2), (2, 2): -1, (5, 5): 2}, 12, 12))
+    @example(BiSeries({(1, 1): 1, (2, 2): 1, (6, 6): 1}, 12, 11))
     def test_matches_log_per_term_route(self, u):
         assert witt_outcome(witt_dims_from_char, u) == witt_outcome(reference_witt_dims, u)
-
 
     def test_equals_root_multiplicities_5x5(self, c25):
         dims = witt_dims(5, 5, c25)
@@ -304,10 +311,93 @@ class TestWittDims:
                     assert dims.dim(m, n) == counts.get((m, n), 0), (m, n)
 
     def test_negative_dimension_rejected_by_product(self, c25):
-        from moonshine.lattice import GradedDims
-
         with pytest.raises(ValueError, match="negative"):
             dimension_product(GradedDims({(1, 1): -1}, 2, 2))
+        # the factors expand largest first, which would reach (2,1) first;
+        # every dimension is checked before any expansion
+        dims = GradedDims({(1, 1): 2, (1, 2): -1, (2, 1): -3, (2, 2): 0}, 3, 3)
+        with pytest.raises(ValueError, match=r"^negative dimension -1 at \(1,2\)$"):
+            dimension_product(dims)
+
+
+def reference_dimension_product(dims: GradedDims) -> BiSeries:
+    """The binomial product expanded smallest (m, n) first in a dict of
+    (i, j) keys: each factor snapshots the terms it moves and adds
+    (-1)^t C(d, t) times each at t steps of (m, n), inside the window."""
+    pmax, qmax = dims.mmax, dims.nmax
+    out = {(0, 0): 1}
+    for (m, n), d in sorted(dims.dims.items()):
+        if d == 0:
+            continue
+        if d < 0:
+            raise ValueError(f"negative dimension {d} at ({m},{n})")
+        top = min(pmax // m, qmax // n)
+        binomials = [(-1) ** t * math.comb(d, t) for t in range(1, top + 1)]
+        moving = [
+            (i, j, v) for (i, j), v in out.items() if i + m <= pmax and j + n <= qmax
+        ]
+        for i, j, v in moving:
+            for t, b in enumerate(binomials, 1):
+                key = (i + m * t, j + n * t)
+                if key[0] > pmax or key[1] > qmax:
+                    break
+                out[key] = out.get(key, 0) + b * v
+    return BiSeries(out, pmax, qmax)
+
+
+@st.composite
+def dimension_grids(draw):
+    """Dimension grids up to 12x12 with zeros, small and 300-bit entries."""
+    mmax = draw(st.integers(1, 12))
+    nmax = draw(st.integers(1, 12))
+    dim = st.one_of(
+        st.just(0),
+        st.integers(1, 5),
+        st.integers(2**299, 2**300),
+    )
+    cells = [(m, n) for m in range(1, mmax + 1) for n in range(1, nmax + 1)]
+    return GradedDims({cell: draw(dim) for cell in cells}, mmax, nmax)
+
+
+def product_grid(pmax: int, qmax: int) -> GradedDims:
+    """The exponents c(ij) that ``denominator_sides`` expands."""
+    c = normalized_j(denominator_order(pmax, qmax))
+    mults = {
+        (i, j): int(c.coeff(i * j))
+        for i in range(1, pmax + 1)
+        for j in range(1, qmax + 2)
+    }
+    return GradedDims(mults, pmax, qmax + 1)
+
+
+def assert_same_product(dims: GradedDims):
+    got = dimension_product(dims)
+    want = reference_dimension_product(dims)
+    assert (got.pmax, got.qmax) == (want.pmax, want.qmax)
+    assert got.items() == want.items()
+
+
+class TestDimensionProduct:
+    """The largest-first flat expansion against the smallest-first dict one."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(dimension_grids())
+    # after (1,1) both 1 and p^2 q^2 are terms; (2,2) moves the constant
+    # onto p^2 q^2 first, then must move p^2 q^2 with its earlier value
+    @example(GradedDims({(1, 1): 3, (2, 2): 1}, 4, 4))
+    # the mirror, where (1,1) runs after (2,2): it moves the constant onto
+    # p^2 q^2 at t = 2, then must move p^2 q^2 with its earlier value; in
+    # the 3x3 window only this order meets the case
+    @example(GradedDims({(1, 1): 3, (2, 2): 1}, 3, 3))
+    def test_matches_ascending_reference(self, dims):
+        assert_same_product(dims)
+
+    @pytest.mark.parametrize("pmax, qmax", [(14, 14), (20, 22), (24, 24)])
+    def test_verify_product_grids(self, pmax, qmax):
+        assert_same_product(product_grid(pmax, qmax))
+
+    def test_witt_dims_18x18(self):
+        assert_same_product(witt_dims(18, 18, normalized_j(18 * 18)))
 
 
 class TestDenominatorIdentity:

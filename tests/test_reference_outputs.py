@@ -8,6 +8,9 @@ verify-product, verify-ep and witt (the product workload), and derive,
 compare and audit.  A change to either series product kernel, the
 two-variable checks, the relations, the solver or the audit that moves a
 single byte of stdout fails here.
+
+The two-variable stress sizes lie outside the benchmark's commands, so
+their exit codes and stdout SHA-256 are pinned here separately.
 """
 
 from __future__ import annotations
@@ -48,3 +51,23 @@ def test_matches_reference(command, reference, table_dir, capsys):
     code = main(command.argv_for(table_dir))
     stdout = capsys.readouterr().out.encode("utf-8")
     assert (code, workloads.digest(stdout)) == reference[command.key]
+
+
+# recorded from a commit whose outputs are known to be right
+STRESS = {
+    "verify-product --pmax 24 --qmax 24": (
+        0,
+        "e5e2cf4338661317d35942a77cadc2d20f61dee0b12f1bf0985243625001a0b2",
+    ),
+    "witt --mmax 24 --nmax 24": (
+        0,
+        "8997e16793bcdd50a421c576b2000d1f60164d631ec7fabc242e9f88811c5eff",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STRESS))
+def test_stress_size_matches_recorded_output(command, capsys):
+    code = main(command.split())
+    stdout = capsys.readouterr().out.encode("utf-8")
+    assert (code, workloads.digest(stdout)) == STRESS[command]
