@@ -44,10 +44,10 @@ once.  The solver classifies each relation from the shape and takes its
 values from those rows (``_state``).  The replication rows i = 2, 3, 4
 determine every coefficient from c(1), c(2), c(3), c(5) (Norton 1984):
 they run pass by pass to a fixpoint, with the rows of each class rebuilt
-per pass.  Then one sweep evaluates every relation i >= 5 whose right side
-is known (``_sweep``): it checks those whose left keys are known and
-derives a lone unknown left key, which no replication row may reach
-(c_g(35) at nmax 30).  The two alternate until the sweep derives nothing.
+per pass.  Then one sweep evaluates every relation i >= 5 with fewer than
+two unknown right keys (``_sweep``): it checks those whose keys are all
+known and derives a lone unknown key, which no replication row may reach
+(c_g(35) at nmax 30, or c_g(25) from (5,5), which skips c_g(8)).  The two alternate until the sweep derives nothing.
 A key has two lone linear occurrences only when g^k = g (k >= 2) and
 ij/k^2 = i+j-1, the lone right-side c_g(i+j-1) (1A and 3B at (6,10) in
 the catalog); their weights scale/k and -scale add up to scale*(1/k - 1)
@@ -469,24 +469,32 @@ def _run_passes(
 
 
 def _sweep(table: ClassTable, nmax: int, values: dict, provenance: dict, passno: int) -> bool:
-    """Evaluate every relation (i,j), 5 <= i <= j, i*j <= 2*nmax, whose
-    right side c_g(1..i+j-1) is known as its class begins.  In class, then
-    i, then j order, each checks its left keys or derives a lone unknown
-    one as pass ``passno``, committed at once.  Row m is cut at q <=
-    min(2*nmax // m, gaps[0] - m).  Returns whether it derived anything.
+    """Evaluate every relation (i,j), 5 <= i <= j, i*j <= 2*nmax, with
+    fewer than two unknown right keys, in class, then i, then j order.
+    Each checks its keys or derives a lone unknown one as pass ``passno``,
+    committed at once, as ``_run_passes`` classifies them.  Row m is cut
+    at q <= min(2*nmax // m, gaps[2] - m), so the rows and the right sides
+    read no index above ``reach``; a class's gaps and rows are rebuilt when
+    it derives one of its two smallest gaps at or below it.  Returns
+    whether it derived anything.
     """
     top = 2 * nmax
+    reach = top // 5 + 4  # c_g(i+j-1) at (5, top // 5)
     derived = False
     for name in table.names:
-        gaps, rows = _log_rows(values[name], top, 5, isqrt(top), 0)
+        gaps, rows = _log_rows(values[name], top, 5, isqrt(top), 2)
         for i in range(5, isqrt(top) + 1):
-            for j in range(i, min(top // i, gaps[0] - i) + 1):
+            j = i
+            while j <= min(top // i, gaps[2] - i):
                 state, payload = _state(table, name, i, j, values, gaps, rows)
                 if state == "fire":
                     (g, n), solved = payload
                     values[g][n] = solved
                     provenance[(g, n)] = (name, (i, j), passno)
                     derived = True
+                    if g == name and n < gaps[2] and n <= reach:
+                        gaps, rows = _log_rows(values[name], top, 5, isqrt(top), 2)
+                j += 1
     return derived
 
 

@@ -897,20 +897,17 @@ def compiled_passes(instances, values, provenance, passno=0):
 
 def compiled_sweep(table, nmax, columns, provenance, passno):
     """The rows i >= 5 read from the built relations in class, then i, then
-    j order, each in scope when c_g(1..i+j-1) were known as its class
-    began.  A fired key is committed at once as pass ``passno``.  Returns
-    the derived keys another relation may read: those the replication rows
-    read (index <= nmax+1, or divisible by 2 or 3) and those a relation
-    here waits on beside another unknown."""
+    j order, each against the values as they stand when it is reached.  A
+    fired key is committed at once as pass ``passno``.  Returns the derived
+    keys another relation may read: those the replication rows read (index
+    <= nmax+1, or divisible by 2 or 3) and those a relation here waits on
+    beside another unknown."""
     instances = [inst for inst in full_instances(table, nmax) if inst[1].target[0] >= 5]
     derived, waiting = [], set()
     for name in table.names:
-        known = 1
-        while known in columns[name]:
-            known += 1
         for inst in instances:
             i, j = inst[1].target
-            if inst[0] != name or i + j > known:
+            if inst[0] != name:
                 continue
             state, payload = compiled_evaluate(*inst, columns)
             if state == "fire":
@@ -1130,6 +1127,20 @@ class TestThinRowsAgainstFullSet:
         name, target, passno = result.provenance[("1A", 1)]
         assert (name, target) == ("5B", (5, 5))
         assert result.provenance[("1A", 4)][2] > passno
+
+    def test_sweep_reads_past_the_skipped_index(self, table_dir, catalog_text):
+        # without 4C, the 3B seeds and c_1A(2), c_1A(5) no relation reaches
+        # c_2B(8); (5,5) at 2B reads c_2B(1..7) and c_2B(9) but skips
+        # c_2B(8), so the sweep still derives c_2B(25) from it
+        path = table_dir / "catalog_without_2b8.mtf"
+        dropped = ("class 4C", "power 4C", "eta 4C", "seed 4C", "seed 3B", "seed 1A 2 ", "seed 1A 5 ")
+        lines = catalog_text.splitlines(keepends=True)
+        path.write_text("".join(l for l in lines if not l.startswith(dropped)))
+        (code, out, _), rows = thin_against_full(path, "compare", 30)
+        assert (code, out.splitlines()[-3], max(rows)) == (1, "differences: 73", 5)
+        result = solve_from_seeds(parse_table_text(path.read_text()), 30)
+        assert ("2B", 8) not in result.values
+        assert result.provenance[("2B", 25)][:2] == ("2B", (5, 5))
 
     def test_sweep_derivation_must_be_integral(self, table_dir, catalog_text):
         # 3B^7 declared as 2B: (7,7) at 3B derives c_3B(49), which no
