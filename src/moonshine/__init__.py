@@ -5,92 +5,82 @@ of identities tying the elliptic modular invariant to the monster Lie
 algebra: the two-variable denominator product, the twisted Euler-Poincare
 identities for the McKay-Thompson series, and the coefficient recursions
 they imply.
+
+Importing the package runs none of its layers.  Each layer module
+(``series``, ``modular``, ``classes``, ``recursion``, ``lattice``) is in
+``sys.modules`` and on the package from the start, but as an
+``importlib.util.LazyLoader`` module that runs its source at its first
+attribute read; the names re-exported here are read through the same
+modules.  So a command compiles and runs only the layers it uses.  The
+first use of a layer from several threads at once is not supported.
 """
 
 from __future__ import annotations
 
-from .classes import (
-    ClassTable,
-    CoefficientFamily,
-    EPReport,
-    MissingCoefficients,
-    euler_poincare_report,
-    load_family,
-    parse_table_text,
-    serialize_table,
-)
-from .lattice import (
-    GradedDims,
-    LatticeVector,
-    ProductReport,
-    cartan_conditions,
-    denominator_identity_report,
-    dimension_product,
-    gram,
-    simple_roots,
-    witt_dims,
-)
-from .modular import (
-    EtaMonomial,
-    EtaRecipe,
-    dedekind_eta_power,
-    delta,
-    eisenstein,
-    euler_product,
-    expand_recipe,
-    j_series,
-    normalized_j,
-)
-from .recursion import (
-    AuditReport,
-    ContradictionError,
-    Relation,
-    SolveResult,
-    coefficient_recursion,
-    coefficient_relation,
-    determinacy_audit,
-    recursion_cross_check,
-    solve_from_seeds,
-)
-from .series import BiSeries, UniSeries
+import sys
+from importlib.machinery import PathFinder
+from importlib.util import LazyLoader, module_from_spec
 
-__all__ = [
-    "UniSeries",
-    "BiSeries",
-    "euler_product",
-    "dedekind_eta_power",
-    "eisenstein",
-    "delta",
-    "j_series",
-    "normalized_j",
-    "EtaMonomial",
-    "EtaRecipe",
-    "expand_recipe",
-    "ClassTable",
-    "CoefficientFamily",
-    "MissingCoefficients",
-    "parse_table_text",
-    "serialize_table",
-    "load_family",
-    "euler_poincare_report",
-    "EPReport",
-    "LatticeVector",
-    "gram",
-    "simple_roots",
-    "cartan_conditions",
-    "witt_dims",
-    "dimension_product",
-    "GradedDims",
-    "ProductReport",
-    "denominator_identity_report",
-    "Relation",
-    "coefficient_relation",
-    "coefficient_recursion",
-    "recursion_cross_check",
-    "ContradictionError",
-    "SolveResult",
-    "solve_from_seeds",
-    "AuditReport",
-    "determinacy_audit",
-]
+_EXPORTS = {
+    "series": ("UniSeries", "BiSeries"),
+    "modular": (
+        "euler_product",
+        "dedekind_eta_power",
+        "eisenstein",
+        "delta",
+        "j_series",
+        "normalized_j",
+        "EtaMonomial",
+        "EtaRecipe",
+        "expand_recipe",
+    ),
+    "classes": (
+        "ClassTable",
+        "CoefficientFamily",
+        "MissingCoefficients",
+        "parse_table_text",
+        "serialize_table",
+        "load_family",
+        "euler_poincare_report",
+        "EPReport",
+    ),
+    "lattice": (
+        "LatticeVector",
+        "gram",
+        "simple_roots",
+        "cartan_conditions",
+        "witt_dims",
+        "dimension_product",
+        "GradedDims",
+        "ProductReport",
+        "denominator_identity_report",
+    ),
+    "recursion": (
+        "Relation",
+        "coefficient_relation",
+        "coefficient_recursion",
+        "recursion_cross_check",
+        "ContradictionError",
+        "SolveResult",
+        "solve_from_seeds",
+        "AuditReport",
+        "determinacy_audit",
+    ),
+}
+_LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}
+__all__ = list(_LAYER_OF)
 __version__ = "0.1.0"
+
+for _layer in _EXPORTS:
+    _spec = PathFinder.find_spec(f"{__name__}.{_layer}", __path__)
+    _spec.loader = LazyLoader(_spec.loader)
+    _module = module_from_spec(_spec)
+    _spec.loader.exec_module(_module)
+    sys.modules[_spec.name] = globals()[_layer] = _module
+del _layer, _spec, _module
+
+
+def __getattr__(name: str):
+    if name not in _LAYER_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_LAYER_OF[name]], name)

@@ -19,27 +19,9 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
-from importlib import resources
 
-from .classes import (
-    ClassTable,
-    MissingCoefficients,
-    euler_poincare_report,
-    load_family,
-    parse_table_text,
-)
-from .lattice import (
-    build_matrix,
-    cartan_conditions,
-    denominator_identity_report,
-    denominator_order,
-    dimension_product,
-    simple_roots,
-    witt_dims_from_char,
-)
-from .modular import normalized_j
-from .recursion import ContradictionError, determinacy_audit, solve_from_seeds
-from .series import BiSeries, format_coeff
+# the layers are read through their modules: a command runs only those it calls
+from . import classes, lattice, modular, recursion, series
 
 __all__ = ["main", "entry"]
 
@@ -84,8 +66,10 @@ def _check_index(index: int) -> None:
         )
 
 
-def _load_table(path: str | None) -> ClassTable:
+def _load_table(path: str | None) -> classes.ClassTable:
     if path is None:
+        from importlib import resources  # only this branch reads package data
+
         text = (
             resources.files("moonshine").joinpath("data/catalog.mtf").read_text()
         )
@@ -96,7 +80,7 @@ def _load_table(path: str | None) -> ClassTable:
         except OSError as err:
             raise CommandError(f"cannot read table file: {err}") from None
     try:
-        table = parse_table_text(text)
+        table = classes.parse_table_text(text)
     except ValueError as err:
         raise CommandError(str(err)) from None
     for warning in table.consistency_warnings():
@@ -104,9 +88,9 @@ def _load_table(path: str | None) -> ClassTable:
     return table
 
 
-def _family(table: ClassTable, order: int):
+def _family(table: classes.ClassTable, order: int):
     try:
-        return load_family(table, order)
+        return classes.load_family(table, order)
     except ValueError as err:
         raise CommandError(str(err)) from None
 
@@ -119,21 +103,23 @@ def _cmd_jexpand(args) -> int:
     if args.order < -1:
         raise CommandError("order must be >= -1")
     _check_order(args.order)
-    c = normalized_j(args.order)
+    c = modular.normalized_j(args.order)
+    fmt = series.format_coeff
     for n in range(-1, args.order + 1):
-        print(f"{n}\t{format_coeff(c.coeff(n))}")
+        print(f"{n}\t{fmt(c.coeff(n))}")
     return 0
 
 
 def _cmd_verify_product(args) -> int:
     if args.pmax < 1 or args.qmax < 1:
         raise CommandError("window bounds must be >= 1")
-    _check_order(denominator_order(args.pmax, args.qmax))
-    report = denominator_identity_report(args.pmax, args.qmax)
+    _check_order(lattice.denominator_order(args.pmax, args.qmax))
+    report = lattice.denominator_identity_report(args.pmax, args.qmax)
     print(f"command: verify-product --pmax {args.pmax} --qmax {args.qmax}")
     print(f"window: p 0..{report.pmax}, q {report.qmin}..{report.qmax}")
+    fmt = series.format_coeff
     for i, j, lhs, rhs in report.mismatches:
-        print(f"mismatch\tp^{i} q^{j}\t{format_coeff(lhs)}\t{format_coeff(rhs)}")
+        print(f"mismatch\tp^{i} q^{j}\t{fmt(lhs)}\t{fmt(rhs)}")
     print(PASS_LINE if report.ok else FAIL_LINE)
     return 0 if report.ok else 1
 
@@ -147,16 +133,17 @@ def _cmd_verify_ep(args) -> int:
         raise CommandError(f"unknown class {args.klass!r}")
     family = _family(table, args.imax * args.jmax)
     try:
-        report = euler_poincare_report(family, args.klass, args.imax, args.jmax)
-    except MissingCoefficients as err:
+        report = classes.euler_poincare_report(family, args.klass, args.imax, args.jmax)
+    except classes.MissingCoefficients as err:
         raise CommandError(str(err)) from None
     print(
         f"command: verify-ep --class {args.klass} "
         f"--imax {args.imax} --jmax {args.jmax}"
     )
     print(f"window: p 1..{args.imax}, q 1..{args.jmax}")
+    fmt = series.format_coeff
     for i, j, lhs, rhs in report.mismatches:
-        print(f"mismatch\t({i},{j})\t{format_coeff(lhs)}\t{format_coeff(rhs)}")
+        print(f"mismatch\t({i},{j})\t{fmt(lhs)}\t{fmt(rhs)}")
     print(PASS_LINE if report.ok else FAIL_LINE)
     return 0 if report.ok else 1
 
@@ -167,15 +154,16 @@ def _cmd_derive(args) -> int:
     _check_index(args.max)
     table = _load_table(args.table)
     if args.audit:
-        report = determinacy_audit(table, args.max)
+        report = recursion.determinacy_audit(table, args.max)
         for name in table.names:
             indices = report.underivable(name)
             label = "unresolved" if len(table.names) == 1 else f"unresolved {name}"
             print(f"{label}: {' '.join(str(n) for n in indices)}")
         return 0
+    solve = recursion.solve_from_seeds  # runs the layer outside the except below
     try:
-        result = solve_from_seeds(table, args.max)
-    except ContradictionError as err:
+        result = solve(table, args.max)
+    except recursion.ContradictionError as err:
         print(f"contradiction: {err}")
         print(FAIL_LINE)
         return 1
@@ -195,9 +183,10 @@ def _cmd_compare(args) -> int:
     table = _load_table(args.table)
     family = _family(table, args.max)
     print(f"command: compare --max {args.max}")
+    solve = recursion.solve_from_seeds  # runs the layer outside the except below
     try:
-        result = solve_from_seeds(table, args.max)
-    except ContradictionError as err:
+        result = solve(table, args.max)
+    except recursion.ContradictionError as err:
         print(f"contradiction: {err}")
         print(FAIL_LINE)
         return 1
@@ -225,10 +214,10 @@ def _cmd_witt(args) -> int:
     if args.mmax < 1 or args.nmax < 1:
         raise CommandError("window bounds must be >= 1")
     _check_order(args.mmax * args.nmax)
-    c = normalized_j(args.mmax * args.nmax)
+    c = modular.normalized_j(args.mmax * args.nmax)
     # the generator character: the Witt dimensions come from its log, and
     # the product oracle below compares against 1 minus it
-    generators = BiSeries(
+    generators = series.BiSeries(
         {
             (m, n): c.coeff(m + n - 1)
             for m in range(1, args.mmax + 1)
@@ -237,7 +226,7 @@ def _cmd_witt(args) -> int:
         args.mmax,
         args.nmax,
     )
-    dims = witt_dims_from_char(generators)
+    dims = lattice.witt_dims_from_char(generators)
     print(f"command: witt --mmax {args.mmax} --nmax {args.nmax}")
     print("free Lie algebra dimensions:")
     for m in range(1, args.mmax + 1):
@@ -254,10 +243,11 @@ def _cmd_witt(args) -> int:
         print("\t".join(row))
     for m, n, got, expected in mismatches:
         print(f"mismatch\t({m},{n})\t{got}\t{expected}")
-    one = BiSeries.one(args.mmax, args.nmax)
-    oracle_bad = dimension_product(dims).mismatches(one - generators)
+    one = series.BiSeries.one(args.mmax, args.nmax)
+    oracle_bad = lattice.dimension_product(dims).mismatches(one - generators)
+    fmt = series.format_coeff
     for i, j, lhs, rhs in oracle_bad:
-        print(f"oracle mismatch\t({i},{j})\t{format_coeff(lhs)}\t{format_coeff(rhs)}")
+        print(f"oracle mismatch\t({i},{j})\t{fmt(lhs)}\t{fmt(rhs)}")
     ok = not mismatches and not oracle_bad
     print(PASS_LINE if ok else FAIL_LINE)
     return 0 if ok else 1
@@ -266,11 +256,11 @@ def _cmd_witt(args) -> int:
 def _cmd_bmatrix(args) -> int:
     if args.size < 1:
         raise CommandError("size must be >= 1")
-    matrix = build_matrix(args.size)
+    matrix = lattice.build_matrix(args.size)
     print(f"command: bmatrix --size {args.size}")
     for row in matrix:
         print("\t".join(str(entry) for entry in row))
-    report = cartan_conditions(matrix)
+    report = lattice.cartan_conditions(matrix)
     print(f"symmetric: {'yes' if report.symmetric else 'no'}")
     print(
         "off-diagonal nonpositive: "
@@ -287,8 +277,8 @@ def _cmd_simple_roots(args) -> int:
     if args.nmax < -1:
         raise CommandError("nmax must be >= -1")
     _check_order(args.nmax)
-    c = normalized_j(max(args.nmax, 1))
-    roots = simple_roots(args.nmax, c)
+    c = modular.normalized_j(max(args.nmax, 1))
+    roots = lattice.simple_roots(args.nmax, c)
     for vector, mult in roots.entries:
         print(f"({vector.m},{vector.n})\t{mult}")
     return 0

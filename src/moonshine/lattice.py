@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .modular import normalized_j
-from .recursion import mobius
-from .series import BiSeries, Coeff, UniSeries, log1m_rows
+from .series import BiSeries, Coeff, UniSeries, log1m_rows, mobius
 
 __all__ = [
     "LatticeVector",

@@ -74,10 +74,9 @@ from math import factorial, gcd, isqrt
 from typing import NamedTuple
 
 from .classes import ClassTable, CoefficientFamily, MissingCoefficients
-from .series import format_coeff, log1m_rows
+from .series import format_coeff, log1m_rows, mobius
 
 __all__ = [
-    "mobius",
     "Relation",
     "coefficient_relation",
     "coefficient_recursion",
@@ -89,24 +88,6 @@ __all__ = [
     "AuditReport",
     "determinacy_audit",
 ]
-
-
-def mobius(k: int) -> int:
-    """The Mobius function: (-1)^#prime-factors, 0 on square divisors."""
-    if k < 1:
-        raise ValueError("mobius is defined for positive integers")
-    result = 1
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            k //= d
-            if k % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if k > 1:
-        result = -result
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ _DECIMAL_MIN_DIGITS = 30_000
 # Python before 3.10.7 has no limit and no function to read it.
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-__all__ = ["Coeff", "format_coeff", "UniSeries", "BiSeries"]
+__all__ = ["Coeff", "format_coeff", "mobius", "UniSeries", "BiSeries"]
 
 
 def format_coeff(value: Coeff) -> str:
@@ -71,6 +71,24 @@ def format_coeff(value: Coeff) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     return str(value)
+
+
+def mobius(k: int) -> int:
+    """The Mobius function: (-1)^#prime-factors, 0 on square divisors."""
+    if k < 1:
+        raise ValueError("mobius is defined for positive integers")
+    result = 1
+    d = 2
+    while d * d <= k:
+        if k % d == 0:
+            k //= d
+            if k % d == 0:
+                return 0
+            result = -result
+        d += 1
+    if k > 1:
+        result = -result
+    return result
 
 
 def _norm(value: Coeff) -> Coeff:

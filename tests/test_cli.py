@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.abc
+import importlib.util
 import os
 import signal
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from moonshine import cli
+from moonshine import classes, cli, lattice, modular, recursion
 from moonshine.cli import main
 from moonshine.lattice import denominator_order
 
@@ -446,14 +448,14 @@ class TestSizeGuard:
         def fail(*args, **kwargs):
             raise AssertionError("series work started")
 
-        for callee in (
-            "normalized_j",
-            "denominator_identity_report",
-            "load_family",
-            "solve_from_seeds",
-            "determinacy_audit",
+        for layer, callee in (
+            (modular, "normalized_j"),
+            (lattice, "denominator_identity_report"),
+            (classes, "load_family"),
+            (recursion, "solve_from_seeds"),
+            (recursion, "determinacy_audit"),
         ):
-            monkeypatch.setattr(cli, callee, fail)
+            monkeypatch.setattr(layer, callee, fail)
         code, out, err = run(*argv)
         assert code == 2
         assert out == ""
@@ -587,11 +589,40 @@ class TestInternalErrors:
         def fail(*args, **kwargs):
             raise RuntimeError("injected fault")
 
-        monkeypatch.setattr(cli, callee, fail)
+        layer = {"normalized_j": modular, "solve_from_seeds": recursion}[callee]
+        monkeypatch.setattr(layer, callee, fail)
         code, out, err = run(*argv)
         assert code == 3
         assert "VERDICT" not in out
         assert err.startswith("internal error: injected fault\n")
+        assert "Traceback" in err
+
+    @pytest.mark.parametrize(
+        "layer, argv",
+        [
+            ("modular", ("jexpand", "--order", "3")),
+            ("lattice", ("verify-product", "--pmax", "2", "--qmax", "2")),
+            ("classes", ("verify-ep", "--imax", "2", "--jmax", "2")),
+            ("recursion", ("derive", "--max", "5")),
+        ],
+    )
+    def test_layer_failing_at_first_use_exits_3(self, run, monkeypatch, layer, argv):
+        # a layer runs its source at its first attribute read, inside main's
+        # try: a fault there (a syntax error, a failed import) is internal
+        class BrokenLoader(importlib.abc.Loader):
+            def exec_module(self, module):
+                raise RuntimeError("injected fault at first use")
+
+        lazy = importlib.util.LazyLoader(BrokenLoader())
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_loader(f"moonshine.{layer}", lazy)
+        )
+        lazy.exec_module(module)
+        monkeypatch.setitem(vars(cli), layer, module)  # setattr would read it
+        code, out, err = run(*argv)
+        assert code == 3
+        assert "VERDICT" not in out
+        assert err.startswith("internal error: injected fault at first use\n")
         assert "Traceback" in err
 
 

@@ -29,8 +29,7 @@ from moonshine.lattice import (
     witt_dims_from_char,
 )
 from moonshine.modular import normalized_j
-from moonshine.recursion import mobius
-from moonshine.series import BiSeries, UniSeries
+from moonshine.series import BiSeries, UniSeries, mobius
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moonshine import cli
+from moonshine import recursion
 from moonshine.classes import ClassTable, load_family, parse_table_text
 from moonshine.cli import main
 from moonshine.modular import normalized_j
@@ -1072,7 +1072,7 @@ def thin_against_full(path, command, nmax):
     def full_set(table, nmax):
         return compiled_solve(table, nmax, full_instances(table, nmax), provenance)
 
-    with mock.patch.object(cli, "solve_from_seeds", full_set):
+    with mock.patch.object(recursion, "solve_from_seeds", full_set):
         want = _run_cli(argv)
     rows = {target[0] for _, target, _ in provenance.values()}
     assert got[0] == want[0], (got, want)

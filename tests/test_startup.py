@@ -1,0 +1,112 @@
+"""What a command runs at start-up: only the layers it uses.
+
+The package registers its layer modules as lazy modules that run their
+source at the first attribute read.  Each probe here starts a fresh
+interpreter, so that no other test has run a layer already.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+LAYERS = ("series", "modular", "classes", "recursion", "lattice", "cli")
+
+SERIES = {"cli", "modular", "series"}
+LATTICE = SERIES | {"lattice"}
+CLASSES = SERIES | {"classes"}
+RECURSION = CLASSES | {"recursion"}
+
+# run the command, then list the moonshine modules whose source has run: an
+# unrun lazy module is an instance of a ModuleType subclass
+RAN_LAYERS = (
+    "import contextlib, io, sys, types\n"
+    "from moonshine import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "print(code, *sorted(\n"
+    "    name.split('.', 1)[1] for name, module in sys.modules.items()\n"
+    "    if name.startswith('moonshine.') and type(module) is types.ModuleType\n"
+    "))\n"
+)
+
+
+def probe(code: str, *argv: str, flags: tuple[str, ...] = ()) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+COMMANDS = {
+    "jexpand --order 3": SERIES,
+    "simple-roots --nmax 3": LATTICE,
+    "verify-product --pmax 3 --qmax 3": LATTICE,
+    "witt --mmax 3 --nmax 3": LATTICE,
+    "bmatrix --size 2": LATTICE,
+    "verify-ep --imax 3 --jmax 3": CLASSES,
+    "derive --max 5": RECURSION,
+    "compare --max 5": RECURSION,
+    "derive --audit --max 5": RECURSION,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_runs_only_its_layers(command):
+    code, *ran = probe(RAN_LAYERS, *command.split())[-1].split()
+    assert code == "0"
+    assert set(ran) == COMMANDS[command]
+
+
+def test_import_registers_every_layer():
+    # a tracer wraps the public callables of all six layers right after
+    # importing the cli: every layer must be in sys.modules by then, and
+    # every name in its __all__ must resolve
+    code = (
+        "import sys\n"
+        "import moonshine.cli\n"
+        f"for layer in {LAYERS!r}:\n"
+        "    module = sys.modules[f'moonshine.{layer}']\n"
+        "    missing = [n for n in module.__all__ if not hasattr(module, n)]\n"
+        "    print(layer, len(module.__all__), *missing)\n"
+    )
+    lines = probe(code)
+    assert [line.split()[0] for line in lines] == list(LAYERS)
+    for line in lines:
+        layer, exported, *missing = line.split()
+        assert int(exported) > 0 and not missing, line
+
+
+RESOURCES_LOADED = (
+    "import sys\n"
+    "loaded = 'importlib.resources' in sys.modules\n"
+    "from moonshine import cli\n"
+    "code = cli.main(sys.argv[1:])\n"
+    "print(code, loaded, 'importlib.resources' in sys.modules)\n"
+)
+
+
+def test_packaged_catalog_alone_imports_resources():
+    # without site (-S) nothing else imports importlib.resources, which
+    # costs about 30 ms there; only reading the packaged catalog needs it
+    code, before, after = probe(
+        RESOURCES_LOADED, "jexpand", "--order", "3", flags=("-S",)
+    )[-1].split()
+    if before == "True":
+        pytest.skip("the interpreter loads importlib.resources at start-up")
+    assert (code, after) == ("0", "False")
+    lines = probe(RESOURCES_LOADED, "derive", "--max", "5", flags=("-S",))
+    assert lines[0] == "1A\t1\t196884"
+    assert lines[-1].split()[0] == "0"
