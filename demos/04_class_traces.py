@@ -10,12 +10,7 @@ exterior powers on one side, a plain logarithm on the other.
 
 from importlib import resources
 
-from moonshine.classes import (
-    adams_trace,
-    euler_poincare_report,
-    load_family,
-    parse_table_text,
-)
+from moonshine.classes import euler_poincare_report, load_family, parse_table_text
 
 text = resources.files("moonshine").joinpath("data/catalog.mtf").read_text()
 table = parse_table_text(text)
@@ -33,13 +28,15 @@ for name in table.names:
     print(f"  {name}^k for k=1..4: {powers}")
 print()
 
-# The Adams column swap, visible in the numbers: squaring an order-2
-# element lands on the identity, so the k=2 Adams trace of the 2B series
-# is built from identity-class data on doubled exponents.
-t = adams_trace(family, "2B", 2, 4, 4)
-print("Adams k=2 trace at class 2B, cells (2,2) and (2,4):")
-print("  ", t.coeff(2, 2), t.coeff(2, 4), "(identity-class values)")
-print("  off the even sublattice:", t.coeff(1, 1), t.coeff(2, 3))
+# The Adams column swap, visible in the numbers: at trace level the k-th
+# Adams operation reads the g^k column at p^k, q^k, so cell (m,n) of the
+# k=2 term at class 2B is c_{2B^2}(mn/4) on the even sublattice and zero
+# off it.  Squaring an order-2 element lands on the identity.
+square = table.power_of("2B", 2)
+print(f"Adams k=2 term at class 2B reads the {square} column:")
+for m, n in [(2, 2), (2, 4), (4, 4)]:
+    print(f"  cell ({m},{n}): c_{square}({m * n // 4}) = {family.value(square, m * n // 4)}")
+print("  cells (1,1) and (2,3): 0, off the even sublattice")
 print()
 
 print("Euler-Poincare comparison, 6x6 window:")

@@ -1,11 +1,13 @@
-"""Conjugacy-class tables and trace-level series.
+"""Conjugacy-class tables, trace coefficients and the Euler-Poincare check.
 
 A class table lists conjugacy classes with their element orders, the power
 maps g -> g^k between them, optional seed coefficients, and optional
 eta-quotient recipes.  From a table we build coefficient families c_g(n)
-(the q-expansions of the per-class trace series), the two-variable trace
-series of the graded algebra and of its generating space, Adams operations
-at the trace level, and the per-class Euler-Poincare identity check.
+(the q-expansions of the per-class trace series) and check the per-class
+Euler-Poincare identity.  The check evaluates both sides of each cell (m,n)
+in integers, m LHS = -M_m[n], where the left side reads the Adams
+operations as the g^k columns of the family and M_m are the rows of
+log(1 - U_g) (see :func:`euler_poincare_report`).
 
 Everything fails loudly: a missing coefficient raises an exception listing
 exactly which (class, index) slots are absent, because silently zero-filling
@@ -19,7 +21,7 @@ from math import gcd
 from typing import Iterable, NamedTuple
 
 from .modular import EtaMonomial, EtaRecipe, expand_recipe, normalized_j
-from .series import BiSeries, Coeff, UniSeries
+from .series import Coeff, _norm, log1m_rows
 
 __all__ = [
     "MissingCoefficients",
@@ -28,11 +30,6 @@ __all__ = [
     "serialize_table",
     "CoefficientFamily",
     "load_family",
-    "algebra_series",
-    "generator_series",
-    "adams_trace",
-    "adams_log_series",
-    "generator_log_series",
     "EPReport",
     "euler_poincare_report",
 ]
@@ -298,13 +295,6 @@ class CoefficientFamily(NamedTuple):
         except KeyError:
             raise MissingCoefficients([(name, n)]) from None
 
-    def series(self, name: str, hi: int) -> UniSeries:
-        vals = self.values[name]
-        missing = [(name, n) for n in range(1, hi + 1) if n not in vals]
-        if missing:
-            raise MissingCoefficients(missing)
-        return UniSeries({n: v for n, v in vals.items() if -1 <= n <= hi}, hi)
-
 
 def load_family(table: ClassTable, order: int) -> CoefficientFamily:
     """Expand recipes (the identity class always expands to J), merge seeds.
@@ -318,7 +308,7 @@ def load_family(table: ClassTable, order: int) -> CoefficientFamily:
     values: dict[str, dict[int, int]] = {}
     for name in table.names:
         vals: dict[int, int] = {-1: 1, 0: 0}
-        expansion: UniSeries | None = None
+        expansion = None
         if name == table.identity:
             expansion = normalized_j(order)
         elif name in table.recipes:
@@ -350,99 +340,7 @@ def load_family(table: ClassTable, order: int) -> CoefficientFamily:
 
 
 # ---------------------------------------------------------------------------
-# trace series
-
-
-def algebra_series(
-    family: CoefficientFamily, name: str, imax: int, jmax: int
-) -> BiSeries:
-    """sum_{m,n >= 1} c_g(m n) p^m q^n: the graded trace of the algebra."""
-    if imax < 1 or jmax < 1:
-        raise ValueError("window bounds must be >= 1")
-    vals = family.values[name]
-    missing = sorted(
-        {
-            (name, m * n)
-            for m in range(1, imax + 1)
-            for n in range(1, jmax + 1)
-            if m * n not in vals
-        }
-    )
-    if missing:
-        raise MissingCoefficients(missing)
-    return BiSeries(
-        {
-            (m, n): vals[m * n]
-            for m in range(1, imax + 1)
-            for n in range(1, jmax + 1)
-        },
-        imax,
-        jmax,
-    )
-
-
-def generator_series(
-    family: CoefficientFamily, name: str, imax: int, jmax: int
-) -> BiSeries:
-    """sum_{m,n >= 1} c_g(m + n - 1) p^m q^n: the trace on the generators."""
-    if imax < 1 or jmax < 1:
-        raise ValueError("window bounds must be >= 1")
-    vals = family.values[name]
-    missing = sorted(
-        {(name, d) for d in range(1, imax + jmax) if d not in vals}
-    )
-    if missing:
-        raise MissingCoefficients(missing)
-    return BiSeries(
-        {
-            (m, n): vals[m + n - 1]
-            for m in range(1, imax + 1)
-            for n in range(1, jmax + 1)
-        },
-        imax,
-        jmax,
-    )
-
-
-def adams_trace(
-    family: CoefficientFamily, name: str, k: int, imax: int, jmax: int
-) -> BiSeries:
-    """Trace of g on the k-th Adams operation of the algebra trace series.
-
-    At trace level the Adams operation swaps in the g^k coefficient column
-    and substitutes p -> p^k, q -> q^k.  The ceilings rise on the way:
-    exponents that are not multiples of k are provably zero.
-    """
-    if k < 1:
-        raise ValueError("Adams index must be >= 1")
-    if imax // k < 1 or jmax // k < 1:
-        return BiSeries.zero(imax, jmax)
-    powered = family.table.power_of(name, k)
-    inner = algebra_series(family, powered, imax // k, jmax // k)
-    return inner.substitute_power(k).truncated(pmax=imax, qmax=jmax)
-
-
-def adams_log_series(
-    family: CoefficientFamily, name: str, imax: int, jmax: int
-) -> BiSeries:
-    """sum_{k>=1} (1/k) * Adams_k of the algebra trace series.
-
-    Terms with k > min(imax, jmax) have no support inside the window, so
-    the infinite sum is exactly the displayed finite one.
-    """
-    total = BiSeries.zero(imax, jmax)
-    for k in range(1, min(imax, jmax) + 1):
-        term = adams_trace(family, name, k, imax, jmax)
-        total = total + term * Fraction(1, k)
-    return total
-
-
-def generator_log_series(
-    family: CoefficientFamily, name: str, imax: int, jmax: int
-) -> BiSeries:
-    """sum_{k>=1} (1/k) * (generator trace series)^k = -log(1 - U)."""
-    u = generator_series(family, name, imax, jmax)
-    return -u.log1m()
+# the Euler-Poincare identity
 
 
 class EPReport(NamedTuple):
@@ -461,8 +359,61 @@ class EPReport(NamedTuple):
 def euler_poincare_report(
     family: CoefficientFamily, name: str, imax: int, jmax: int
 ) -> EPReport:
-    """Compare the two sides of the Euler-Poincare identity on a window."""
-    lhs = adams_log_series(family, name, imax, jmax)
-    rhs = generator_log_series(family, name, imax, jmax)
-    return EPReport(name, imax, jmax, tuple(lhs.mismatches(rhs)))
+    """Compare the two sides of the Euler-Poincare identity on a window.
 
+    At class g the identity reads sum_{k>=1} (1/k) psi^k(A_g) = -log(1 - U_g).
+    A_g = sum c_g(mn) p^m q^n is the trace on the algebra, and its k-th
+    Adams operation psi^k swaps in the g^k column at p^k, q^k.  U_g = sum
+    c_g(m+n-1) p^m q^n is the trace on the generators.  Times m, both sides
+    of cell (m,n) are integers:
+
+        m LHS = sum_{k | gcd(m,n)} (m/k) c_{g^k}(mn/k^2),
+        m RHS = -M_m[n],
+
+    where M_m = m L_m are the rows of log(1 - U_g) (:func:`log1m_rows`).
+    Terms with k > min(imax, jmax) have no cell in the window.  A mismatch
+    reports each side as its exact value, divided by m.
+
+    Every missing coefficient is reported before any arithmetic: first
+    c_{g^k}(mn) for m <= imax//k, n <= jmax//k, for each k in turn (k = 1
+    is the class's own column), then the generators c_g(1..imax+jmax-1).
+    """
+    if imax < 1 or jmax < 1:
+        raise ValueError("window bounds must be >= 1")
+    columns: list[dict[int, int]] = [{}]  # columns[k] holds c_{g^k}
+    for k in range(1, min(imax, jmax) + 1):
+        powered = family.table.power_of(name, k)
+        column = family.values[powered]
+        missing = {
+            (powered, m * n)
+            for m in range(1, imax // k + 1)
+            for n in range(1, jmax // k + 1)
+            if m * n not in column
+        }
+        if missing:
+            raise MissingCoefficients(missing)
+        columns.append(column)
+    own = family.values[name]
+    missing = {(name, d) for d in range(1, imax + jmax) if d not in own}
+    if missing:
+        raise MissingCoefficients(missing)
+    u = [{}] + [
+        {n: c for n in range(1, jmax + 1) if (c := own[m + n - 1])}
+        for m in range(1, imax + 1)
+    ]
+    big_m = log1m_rows(u, [jmax] * (imax + 1))
+    mismatches = []
+    for m in range(1, imax + 1):
+        for n in range(1, jmax + 1):
+            d = gcd(m, n)
+            lhs = sum(
+                (m // k) * columns[k][(m // k) * (n // k)]
+                for k in range(1, d + 1)
+                if d % k == 0
+            )
+            rhs = -big_m[m].get(n, 0)
+            if lhs != rhs:
+                mismatches.append(
+                    (m, n, _norm(Fraction(lhs, m)), _norm(Fraction(rhs, m)))
+                )
+    return EPReport(name, imax, jmax, tuple(mismatches))

@@ -10,8 +10,8 @@ precision: one ceiling per variable, as in the usual O(q^n) model.
 
 Exponents may be negative: a Laurent term such as q^-1 in the modular
 invariant, or p q^-1 in the prefactor of the two-variable product identity,
-is ordinary data.  Only ``BiSeries.log1m`` refuses negative q exponents, and
-p exponents are always nonnegative.
+is ordinary data.  p exponents are always nonnegative, and the rows that
+:func:`log1m_rows` reads start at q^0.
 
 ``UniSeries`` products run through one dense integer kernel: the
 denominators of each factor are cleared, and the two factors are multiplied
@@ -23,8 +23,9 @@ are base-10^k slots of a ``decimal`` number, whose exact number-theoretic
 transform multiplies such operands faster than ``int``'s Karatsuba (about
 three times at 250,000 digits).  Factors with fewer term pairs than product
 digits are multiplied pair by pair.
-``BiSeries`` has no series product; ``log1m`` runs a recurrence on its
-q-rows (``log1m_rows``), which multiplies them through the same kernel.
+``BiSeries`` has no series product.  ``log1m_rows`` takes log(1 - U) of a
+two-variable series by a recurrence on its q-rows, which multiplies them
+through the same kernel.
 
 Arithmetic propagates ceilings so that every reported coefficient is exact.
 A truncated ``UniSeries`` product, for instance, can only be trusted up to
@@ -476,14 +477,17 @@ class BiSeries:
     """A series in two variables p, q known exactly up to p^pmax and q^qmax.
 
     p exponents are always nonnegative.  q exponents may be negative, as in
-    the ``p q^-1`` term of the two-variable product identity; only ``log1m``
-    refuses them.  As in :class:`UniSeries`, the ceilings are truncation
-    orders and the support is read from the stored terms.
+    the ``p q^-1`` term of the two-variable product identity.  As in
+    :class:`UniSeries`, the ceilings are truncation orders and the support
+    is read from the stored terms.
 
-    The operations are sums, differences, scalar multiples, ``log1m``,
-    ``substitute_power`` and ``truncated``.  There is no series product and
-    no constant-term arithmetic (see ``__mul__``); ``log1m`` multiplies the
-    q-rows, the coefficients of each p^m, through :func:`log1m_rows`.
+    The operations are sums, differences and negation.  There is no series
+    product and no constant-term arithmetic.  The untracked terms of a
+    truncated two-variable series fill an L-shaped region, p above pmax at
+    any q or q above qmax at any p, so the lowest stored exponents of a
+    factor do not bound what its untracked terms contribute, and no window
+    read from the stored terms is sound.  A logarithm is taken on q-rows,
+    the coefficients of each p^m, by :func:`log1m_rows`.
     """
 
     __slots__ = ("pmax", "qmax", "_c")
@@ -517,10 +521,6 @@ class BiSeries:
     # constructors
 
     @classmethod
-    def zero(cls, pmax: int, qmax: int) -> "BiSeries":
-        return cls((), pmax, qmax)
-
-    @classmethod
     def one(cls, pmax: int, qmax: int) -> "BiSeries":
         return cls({(0, 0): 1}, pmax, qmax)
 
@@ -545,12 +545,6 @@ class BiSeries:
     @property
     def _qslo(self) -> int:
         return min(j for _, j in self._c) if self._c else self.qmax + 1
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def is_integral(self) -> bool:
-        return all(isinstance(v, int) for v in self._c.values())
 
     def mismatches(
         self, other: "BiSeries"
@@ -605,67 +599,6 @@ class BiSeries:
         if not isinstance(other, BiSeries):
             return NotImplemented
         return self.__add__(-other)
-
-    def __mul__(self, other):
-        """Product with a scalar.
-
-        There is no series product.  The untracked terms of a truncated
-        two-variable series fill an L-shaped region, p above pmax at any q
-        or q above qmax at any p, so the lowest stored exponents of a factor
-        do not bound what its untracked terms contribute, and no window read
-        from the stored terms is sound.
-        """
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return BiSeries(
-            {k: v * other for k, v in self._c.items()}, self.pmax, self.qmax
-        )
-
-    __rmul__ = __mul__
-
-    # ------------------------------------------------------------------
-    # functional operations
-
-    def log1m(self) -> "BiSeries":
-        """log(1 - self); every term must have p exponent >= 1 and q >= 0.
-
-        The rows come from :func:`log1m_rows` at one ceiling, qmax.  The q
-        constraint covers the untracked terms too (they sit at q >= qmax + 1,
-        so qmax must be >= -1), and the result is exact up to the input's
-        ceilings.
-        """
-        if self._c and self._pslo < 1:
-            raise ValueError("log of non-unit: a term has p exponent 0")
-        if (self._c and self._qslo < 0) or self.qmax < -1:
-            raise ValueError("log1m needs q exponents >= 0, known and untracked")
-        qmax = self.qmax
-        rows: list[dict[int, Coeff]] = [{} for _ in range(self.pmax + 1)]
-        for (i, j), v in self._c.items():
-            rows[i][j] = v
-        big_m = log1m_rows(rows, [qmax] * len(rows))
-        out: dict[tuple[int, int], Coeff] = {}
-        for m in range(1, self.pmax + 1):
-            out.update({(m, j): Fraction(v, m) for j, v in big_m[m].items()})
-        return BiSeries(out, self.pmax, qmax)
-
-    def substitute_power(self, k: int) -> "BiSeries":
-        """Replace p, q by p^k, q^k; in-between exponents are known zero."""
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("substitution power must be a positive integer")
-        return BiSeries(
-            {(i * k, j * k): v for (i, j), v in self._c.items()},
-            self.pmax * k + k - 1,
-            self.qmax * k + k - 1,
-        )
-
-    def truncated(self, pmax: int | None = None, qmax: int | None = None) -> "BiSeries":
-        """Lower the ceilings (never raises them past tracked terms)."""
-        np_ = self.pmax if pmax is None else pmax
-        nqmax = self.qmax if qmax is None else qmax
-        if np_ > self.pmax or nqmax > self.qmax:
-            raise ValueError("cannot extend a window upward; recompute instead")
-        data = {k: v for k, v in self._c.items() if k[0] <= np_ and k[1] <= nqmax}
-        return BiSeries(data, np_, nqmax)
 
 
 def log1m_rows(u: list[dict[int, Coeff]], ceilings: list[int]) -> list[dict[int, Coeff]]:

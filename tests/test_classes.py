@@ -3,29 +3,30 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from moonshine import series
 from moonshine.classes import (
     ClassTable,
     CoefficientFamily,
+    EPReport,
     MissingCoefficients,
-    adams_trace,
-    algebra_series,
     euler_poincare_report,
-    generator_log_series,
-    generator_series,
     load_family,
     parse_table_text,
     serialize_table,
 )
 from moonshine.modular import EtaMonomial, EtaRecipe, normalized_j
 from moonshine.series import BiSeries
-from test_series import reference_bimul
+from test_recursion import broken_tables
+from test_series import reference_bimul, reference_log1m
 
 MINIMAL = "class 1A order 1\nidentity 1A\n"
+BADPOWER = parse_table_text((Path(__file__).parent / "data" / "eta5_badpower.mtf").read_text())
 
 SEEDS_ONLY = """
 class 1A order 1
@@ -198,10 +199,9 @@ class TestLoadFamily:
     def test_series_reports_every_gap(self):
         family = load_family(parse_table_text(SEEDS_ONLY), 6)
         with pytest.raises(MissingCoefficients) as exc:
-            family.series("5X", 3)
+            euler_poincare_report(family, "5X", 1, 3)
         assert exc.value.indices == [("5X", 2), ("5X", 3)]
-        s = family.series("5X", 1)
-        assert s.coeff(-1) == 1 and s.coeff(1) == 9
+        assert euler_poincare_report(family, "5X", 1, 1).ok
 
     def test_unknown_class_value(self, catalog_table):
         family = load_family(catalog_table, 2)
@@ -252,54 +252,100 @@ def family(catalog_table):
     return load_family(catalog_table, 36)
 
 
+# ---------------------------------------------------------------------------
+# the Fraction route: the oracle of euler_poincare_report
+
+
+def adams_term(family, name, k, imax, jmax):
+    """The cells of psi^k of the algebra trace sum c_g(mn) p^m q^n: the g^k
+    column at p^k, q^k, c_{g^k}(mn/k^2) at (m,n) when k divides both."""
+    powered = family.table.power_of(name, k)
+    window = [(m, n) for m in range(1, imax // k + 1) for n in range(1, jmax // k + 1)]
+    missing = [(powered, m * n) for m, n in window if not family.known(powered, m * n)]
+    if missing:
+        raise MissingCoefficients(missing)
+    return {(k * m, k * n): family.value(powered, m * n) for m, n in window}
+
+
+def generator_cells(family, name, imax, jmax):
+    """The cells c_g(m+n-1) of the generator trace U_g."""
+    missing = [(name, d) for d in range(1, imax + jmax) if not family.known(name, d)]
+    if missing:
+        raise MissingCoefficients(missing)
+    window = [(m, n) for m in range(1, imax + 1) for n in range(1, jmax + 1)]
+    return {(m, n): family.value(name, m + n - 1) for m, n in window}
+
+
+def fraction_report(family, name, imax, jmax):
+    """sum_k (1/k) psi^k(A_g) against -log(1 - U_g), each side a Fraction
+    per cell: the left side the direct sum of the Adams terms, the right
+    side the power sum ``reference_log1m``."""
+    if imax < 1 or jmax < 1:
+        raise ValueError("window bounds must be >= 1")
+    lhs = {}
+    for k in range(1, min(imax, jmax) + 1):
+        for cell, value in adams_term(family, name, k, imax, jmax).items():
+            lhs[cell] = lhs.get(cell, 0) + Fraction(value, k)
+    u = BiSeries(generator_cells(family, name, imax, jmax), imax, jmax)
+    rhs = -reference_log1m(u)
+    return EPReport(name, imax, jmax, tuple(BiSeries(lhs, imax, jmax).mismatches(rhs)))
+
+
 class TestTraceSeries:
     def test_algebra_cells(self, family):
-        s = algebra_series(family, "1A", 3, 3)
-        assert s.coeff(1, 1) == 196884
-        assert s.coeff(2, 2) == 20245856256
-        assert s.coeff(3, 2) == s.coeff(2, 3) == 4252023300096
-        assert s.coeff(1, 0) == 0
+        s = adams_term(family, "1A", 1, 3, 3)
+        assert s[(1, 1)] == 196884
+        assert s[(2, 2)] == 20245856256
+        assert s[(3, 2)] == s[(2, 3)] == 4252023300096
 
     def test_generator_cells(self, family):
-        s = generator_series(family, "2B", 3, 3)
-        assert s.coeff(1, 1) == 276
-        assert s.coeff(2, 2) == 11202
-        assert s.coeff(3, 1) == s.coeff(1, 3) == 11202
+        s = generator_cells(family, "2B", 3, 3)
+        assert s[(1, 1)] == 276
+        assert s[(2, 2)] == 11202
+        assert s[(3, 1)] == s[(1, 3)] == 11202
 
     def test_missing_coefficient_listing(self, catalog_table):
         small = load_family(catalog_table, 3)
         with pytest.raises(MissingCoefficients) as exc:
-            algebra_series(small, "1A", 2, 2)
+            euler_poincare_report(small, "1A", 2, 2)
         assert exc.value.indices == [("1A", 4)]
 
     def test_window_validation(self, family):
         with pytest.raises(ValueError, match=">= 1"):
-            algebra_series(family, "1A", 0, 3)
+            euler_poincare_report(family, "1A", 0, 3)
         with pytest.raises(ValueError, match=">= 1"):
-            generator_series(family, "1A", 3, 0)
+            euler_poincare_report(family, "1A", 3, 0)
 
 
 class TestAdams:
     def test_k1_is_identity(self, family):
-        assert adams_trace(family, "1A", 1, 4, 4) == algebra_series(
-            family, "1A", 4, 4
-        )
+        assert adams_term(family, "1A", 1, 4, 4) == {
+            (m, n): family.value("1A", m * n) for m in range(1, 5) for n in range(1, 5)
+        }
 
     def test_k2_swaps_in_the_powered_class(self, family):
-        t = adams_trace(family, "2B", 2, 4, 4)
+        t = adams_term(family, "2B", 2, 4, 4)
         # 2B squares to the identity, so cells carry identity data at doubled
         # exponents and vanish off the even sublattice
-        assert t.coeff(2, 2) == 196884
-        assert t.coeff(2, 4) == t.coeff(4, 2) == 21493760
-        assert t.coeff(1, 1) == 0
-        assert t.coeff(2, 3) == 0
+        assert t == {(2, 2): 196884, (2, 4): 21493760, (4, 2): 21493760, (4, 4): 20245856256}
 
     def test_window_floor_gives_zero(self, family):
-        assert adams_trace(family, "1A", 5, 4, 4).is_zero()
+        assert adams_term(family, "1A", 5, 4, 4) == {}
 
     def test_bad_index(self, family):
         with pytest.raises(ValueError, match=">= 1"):
-            adams_trace(family, "1A", 0, 4, 4)
+            adams_term(family, "1A", 0, 4, 4)
+
+    def test_powered_column_reaches_the_report(self, family):
+        # 2B^2 = 2B^4 = 1A: c_1A(1) sits at (2,2) of the k = 2 term at 2B,
+        # weighted 1/2, and at (4,4) of the k = 4 term, weighted 1/4
+        broken = family._replace(values={**family.values, "1A": dict(family.values["1A"])})
+        broken.values["1A"][1] += 1
+        report = euler_poincare_report(broken, "2B", 4, 4)
+        assert [(m, n, lhs - rhs) for m, n, lhs, rhs in report.mismatches] == [
+            (2, 2, Fraction(1, 2)),
+            (4, 4, Fraction(1, 4)),
+        ]
 
 
 class TestEulerPoincare:
@@ -319,11 +365,85 @@ class TestEulerPoincare:
         assert not report.ok
         assert report.mismatches[0][:2] == (2, 2)
 
+    @pytest.mark.parametrize(
+        "dropped, message",
+        [
+            ([("2B", 9), ("1A", 4), ("2B", 5)], "2B(9)"),
+            ([("1A", 4), ("2B", 5)], "1A(4)"),
+            ([("2B", 5), ("2B", 7)], "2B(5), 2B(7)"),
+        ],
+        ids=["own-column-first", "powered-column-next", "generators-last"],
+    )
+    def test_missing_coefficients_in_order(self, family, dropped, message):
+        # at 2B on 4x4 the own column reads c_2B(mn), the k = 2 and 4 terms
+        # c_1A(1..4), and the generators c_2B(1..7); 5 and 7 are no m*n
+        values = {g: dict(column) for g, column in family.values.items()}
+        for g, n in dropped:
+            del values[g][n]
+        with pytest.raises(MissingCoefficients) as exc:
+            euler_poincare_report(family._replace(values=values), "2B", 4, 4)
+        assert str(exc.value) == f"unknown coefficients: {message}"
+
     def test_generator_log_matches_direct_expansion(self, family):
-        u = generator_series(family, "1A", 3, 3)
-        total = BiSeries.zero(3, 3)
+        u = BiSeries(generator_cells(family, "1A", 3, 3), 3, 3)
+        total = {}
         power = BiSeries.one(3, 3)
         for k in range(1, 4):
             power = reference_bimul(power, u, 3, 3)
-            total = total + power * Fraction(1, k)
-        assert generator_log_series(family, "1A", 3, 3) == total
+            for cell, value in power.items():
+                total[cell] = total.get(cell, 0) + Fraction(value, k)
+        rows = [{}] + [{n: u.coeff(m, n) for n in range(1, 4)} for m in range(1, 4)]
+        big_m = series.log1m_rows(rows, [3] * 4)
+        assert {(m, n): Fraction(-v, m) for m in range(1, 4) for n, v in big_m[m].items()} == total
+
+
+@st.composite
+def broken_families(draw):
+    """A family from a drawn broken table (``broken_tables``) and one of its
+    classes.  The recipes are expanded to 144 and the seeds laid over them
+    (a wrong seed corrupts its slot); each class is cut at a drawn order,
+    with up to two slots below 30 dropped."""
+    table = parse_table_text(draw(broken_tables()))
+    full = load_family(table._replace(seeds={}), 144)
+    values = {}
+    for g in table.names:
+        cut = draw(st.sampled_from([144, 144, 40, 12, 5]))
+        holes = draw(st.sets(st.integers(1, 30), max_size=2))
+        values[g] = {n: v for n, v in full.values[g].items() if n <= cut and n not in holes}
+        values[g].update({n: v for (h, n), v in table.seeds.items() if h == g})
+    return CoefficientFamily(table, values, 144), draw(st.sampled_from(table.names))
+
+
+def ep_outcome(route, family, name, imax, jmax):
+    """The report with the types of its mismatch values, or the message of
+    the MissingCoefficients raised."""
+    try:
+        report = route(family, name, imax, jmax)
+    except MissingCoefficients as err:
+        return str(err)
+    return report, [tuple(map(type, t)) for t in report.mismatches]
+
+
+class TestFractionRoute:
+    """euler_poincare_report's integer cells against the Fraction route."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(case=broken_families(), imax=st.integers(1, 12), jmax=st.integers(1, 12))
+    @example(case=(load_family(parse_table_text(SEEDS_ONLY), 6), "5X"), imax=1, jmax=1)
+    # 5B^5 declared 5B: Fraction mismatches on the cells divisible by (5,5)
+    @example(case=(load_family(BADPOWER, 100), "5B"), imax=10, jmax=10)
+    def test_reports_agree(self, case, imax, jmax):
+        family, name = case
+        got = ep_outcome(euler_poincare_report, family, name, imax, jmax)
+        assert got == ep_outcome(fraction_report, family, name, imax, jmax)
+
+    @pytest.mark.parametrize(
+        "window",
+        [(1, 1), (1, 7), (7, 1), (3, 5), (6, 6), (12, 12)],
+        ids=lambda w: f"{w[0]}x{w[1]}",
+    )
+    def test_catalog_classes_agree(self, catalog_table, window):
+        family = load_family(catalog_table, 144)
+        for name in family.table.names:
+            got = ep_outcome(euler_poincare_report, family, name, *window)
+            assert got == ep_outcome(fraction_report, family, name, *window)

@@ -304,6 +304,24 @@ class TestOrderFivePowerMap:
         assert "warning: order(5B^5) = 5, expected 1" in err.splitlines()
         assert all(line.startswith("warning: ") for line in err.splitlines())
 
+    def test_fifth_power_in_its_own_class_fails_the_trace_identity(self, run):
+        # k = 5 reads c_5B(mn/25) where c_1A belongs: the mismatches sit on
+        # the cells divisible by (5,5), and the left side keeps its 1/5
+        table = str(DATA / "eta5_badpower.mtf")
+        code, out, _ = run(
+            "verify-ep", "--table", table, "--class", "5B", "--imax", "10", "--jmax", "10"
+        )
+        assert code == 1
+        assert out.splitlines() == [
+            "command: verify-ep --class 5B --imax 10 --jmax 10",
+            "window: p 1..10, q 1..10",
+            "mismatch\t(5,5)\t-39366/5\t157509/5",
+            "mismatch\t(5,10)\t-859748\t3439002",
+            "mismatch\t(10,5)\t-859748\t3439002",
+            "mismatch\t(10,10)\t-8098184979/10\t32393527521/10",
+            "VERDICT: FAIL",
+        ]
+
 
 class TestOrderSevenAndThirteen:
     """7B = eta(tau)^4/eta(7 tau)^4 and 13B = eta(tau)^2/eta(13 tau)^2."""

@@ -30,6 +30,7 @@ from moonshine.lattice import (
 )
 from moonshine.modular import normalized_j
 from moonshine.series import BiSeries, UniSeries, mobius
+from test_series import log1m_via_rows
 
 
 @pytest.fixture(scope="module")
@@ -170,13 +171,18 @@ def reference_witt_dims(u: BiSeries) -> lattice.GradedDims:
     squarefree k substitutes p^k, q^k into ``u`` first and then takes
     log(1 - u(p^k, q^k)) on the window."""
     mmax, nmax = u.pmax, u.qmax
-    total = BiSeries.zero(mmax, nmax)
+    total = {}
     for k in range(1, min(mmax, nmax) + 1):
         if mobius(k):
-            scaled = u.substitute_power(k).truncated(pmax=mmax, qmax=nmax)
-            total = total + scaled.log1m() * Fraction(-mobius(k), k)
+            scaled = BiSeries(
+                {(i * k, j * k): v for (i, j), v in u.items() if i * k <= mmax and j * k <= nmax},
+                mmax,
+                nmax,
+            )
+            for cell, value in log1m_via_rows(scaled).items():
+                total[cell] = total.get(cell, 0) - Fraction(mobius(k) * value, k)
     dims = {}
-    for (m, n), value in total.items():
+    for (m, n), value in BiSeries(total, mmax, nmax).items():
         if not isinstance(value, int):
             raise RuntimeError(
                 f"generalized Witt formula produced non-integer {value} at ({m},{n})"

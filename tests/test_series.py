@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moonshine import series
-from moonshine.classes import generator_series, load_family, parse_table_text
+from moonshine.classes import load_family, parse_table_text
 from moonshine.lattice import GradedDims, denominator_sides, dimension_product
 from moonshine.modular import normalized_j
 from moonshine.series import BiSeries, UniSeries, _mul_decimal, _mul_low
@@ -49,9 +49,10 @@ def reference_bimul(a: BiSeries, b: BiSeries, pmax: int, qmax: int) -> BiSeries:
     cut at p^pmax q^qmax.
 
     This is the definition the in-place two-variable products and the power
-    sum of ``log1m`` are checked against.  The cut is the caller's: the
-    untracked terms of a truncated two-variable series fill an L-shaped
-    region, so no product window can be read from the factors' stored terms.
+    sum of the log(1 - U) rows are checked against.  The cut is the
+    caller's: the untracked terms of a truncated two-variable series fill an
+    L-shaped region, so no product window can be read from the factors'
+    stored terms.
     """
     data = {}
     for (i1, j1), v1 in a.items():
@@ -753,12 +754,31 @@ def log_rows_input(draw):
 
 def reference_log1m(u: BiSeries) -> BiSeries:
     """-sum_k u^k / k over the powers that reach p^pmax, by the dict product."""
-    total = BiSeries.zero(u.pmax, u.qmax)
+    total = {}
     power = u
     for k in range(1, u.pmax + 1):
-        total = total + power * Fraction(-1, k)
+        for cell, value in power.items():
+            total[cell] = total.get(cell, 0) - Fraction(value, k)
         power = reference_bimul(power, u, u.pmax, u.qmax)
-    return total
+    return BiSeries(total, u.pmax, u.qmax)
+
+
+def log1m_via_rows(u: BiSeries) -> BiSeries:
+    """log(1 - u) read from the rows of ``log1m_rows`` at one ceiling, qmax:
+    cell (m,n) is M_m[n] / m.  ``u`` has p exponents >= 1 and q >= 0."""
+    rows = [{} for _ in range(u.pmax + 1)]
+    for (i, j), v in u.items():
+        rows[i][j] = v
+    big_m = series.log1m_rows(rows, [u.qmax] * len(rows))
+    cells = {(m, j): Fraction(v, m) for m, row in enumerate(big_m) for j, v in row.items()}
+    return BiSeries(cells, u.pmax, u.qmax)
+
+
+def generator_series(family, name: str, size: int) -> BiSeries:
+    """sum c_g(m+n-1) p^m q^n over 1 <= m, n <= size: the generator trace
+    whose log the Euler-Poincare check takes."""
+    cells = [(m, n) for m in range(1, size + 1) for n in range(1, size + 1)]
+    return BiSeries({(m, n): family.value(name, m + n - 1) for m, n in cells}, size, size)
 
 
 def j_character(size: int) -> BiSeries:
@@ -780,7 +800,8 @@ CATALOG_FAMILY = load_family(
 
 def bi_cut(u: BiSeries, dp: int, dq: int) -> BiSeries:
     """``u`` with its ceilings lowered by ``dp`` and ``dq`` (p stays >= 0)."""
-    return u.truncated(pmax=max(u.pmax - dp, 0), qmax=u.qmax - dq)
+    pmax, qmax = max(u.pmax - dp, 0), u.qmax - dq
+    return BiSeries({(i, j): v for (i, j), v in u.items() if i <= pmax and j <= qmax}, pmax, qmax)
 
 
 def assert_bi_sound(short: BiSeries, full: BiSeries):
@@ -811,43 +832,24 @@ class TestBiSeries:
         # u^5 starts at p^5, so -sum_{k<=4} u^k / k is exact on the window;
         # the p^2 term mixes powers of different k into the same cells
         u = BiSeries({(1, 1): 2, (1, 2): 3, (2, 1): -1}, 4, 5)
-        total = BiSeries.zero(4, 5)
+        total = {}
         power = BiSeries.one(4, 5)
         for k in range(1, 5):
             power = reference_bimul(power, u, 4, 5)
-            total = total + power * Fraction(-1, k)
-        lu = u.log1m()
+            for cell, value in power.items():
+                total[cell] = total.get(cell, 0) - Fraction(value, k)
+        total = BiSeries(total, 4, 5)
+        lu = log1m_via_rows(u)
         assert (lu.pmax, lu.qmax) == (4, 5)
         assert min(j for (_, j), _ in lu.items()) == 1
         assert not lu.mismatches(total)
 
-    @pytest.mark.parametrize(
-        "u",
-        [
-            # known terms below q^0: p/q + p q
-            BiSeries({(1, -1): 1, (1, 1): 1}, 3, 2),
-            BiSeries({(3, -1): 3, (1, 6): 3, (2, -2): 1}, 3, 40).truncated(qmax=4),
-            # a ceiling of -2: untracked terms may sit at q^-1
-            BiSeries({(1, -1): 1}, 2, 0).truncated(qmax=-2),
-            BiSeries({(1, -1): 1, (2, -2): 1}, 2, 0).truncated(qmax=-2),
-        ],
-        ids=[
-            "negative-q-support",
-            "untracked-terms",
-            "ceiling-below-zero-known0",
-            "ceiling-below-zero-known1",
-        ],
-    )
-    def test_log1m_refuses_negative_q(self, u):
-        with pytest.raises(ValueError, match="q exponents >= 0"):
-            u.log1m()
-
     def test_log1m_keeps_floor_and_ceiling(self):
         # the ceilings are the input's, even at q^-1; the support starts at
         # the lowest known q
-        empty = BiSeries((), 2, -1).log1m()
-        assert empty.is_zero() and (empty.pmax, empty.qmax) == (2, -1)
-        lu = BiSeries({(1, 2): 1}, 3, 4).log1m()
+        empty = log1m_via_rows(BiSeries((), 2, -1))
+        assert empty.items() == [] and (empty.pmax, empty.qmax) == (2, -1)
+        lu = log1m_via_rows(BiSeries({(1, 2): 1}, 3, 4))
         assert (lu.pmax, lu.qmax) == (3, 4)
         assert lu.items() == [((1, 2), -1), ((2, 4), Fraction(-1, 2))]
 
@@ -855,7 +857,7 @@ class TestBiSeries:
         # u^2 cut at q^3 is p^2 q^2 + p^2 q^3, all integral although u is
         # not; the kernel must hand those back as ints before u^3
         u = BiSeries({(1, 1): 1, (1, 2): Fraction(1, 2)}, 3, 3)
-        assert dict(u.log1m().items()) == {
+        assert dict(log1m_via_rows(u).items()) == {
             (1, 1): -1,
             (1, 2): Fraction(-1, 2),
             (2, 2): Fraction(-1, 2),
@@ -868,9 +870,9 @@ class TestBiSeries:
     # shipped sizes: the j character, whose wide rows take the packed kernel
     # path, and the Euler-Poincare generator series at 8x8
     @example((j_character(10), 10))
-    @example((generator_series(CATALOG_FAMILY, "2B", 8, 8), 8))
-    @example((generator_series(CATALOG_FAMILY, "3B", 8, 8), 8))
-    @example((generator_series(CATALOG_FAMILY, "4C", 8, 8), 8))
+    @example((generator_series(CATALOG_FAMILY, "2B", 8), 8))
+    @example((generator_series(CATALOG_FAMILY, "3B", 8), 8))
+    @example((generator_series(CATALOG_FAMILY, "4C", 8), 8))
     # p-support from p^2 with an empty p^3 row; Fraction coefficients
     @example((BiSeries({(2, 0): 3, (2, 1): -1, (4, 2): 5, (5, 0): 2}, 6, 4), 4))
     @example(
@@ -890,7 +892,7 @@ class TestBiSeries:
     )
     def test_log1m_matches_reference_power_sum(self, case):
         u, _ = case
-        assert u.log1m().items() == reference_log1m(u).items()
+        assert log1m_via_rows(u).items() == reference_log1m(u).items()
 
     @settings(max_examples=300)
     @given(log_rows_input())
@@ -913,46 +915,11 @@ class TestBiSeries:
     @given(log_input_with_cut())
     def test_log1m_window_is_sound_under_truncation(self, case):
         u, t = case
-        assert not u.truncated(qmax=t).log1m().mismatches(u.log1m())
+        assert not log1m_via_rows(bi_cut(u, 0, u.qmax - t)).mismatches(log1m_via_rows(u))
 
     @given(bi_series(), bi_series(), cuts, cuts)
     def test_add_is_sound_under_truncation(self, a, b, dp, dq):
         assert_bi_sound(bi_cut(a, dp, dq) + b, a + b)
-
-    @given(bi_series(), st.integers(min_value=1, max_value=3), cuts, cuts)
-    def test_substitute_power_is_sound_under_truncation(self, u, k, dp, dq):
-        assert_bi_sound(bi_cut(u, dp, dq).substitute_power(k), u.substitute_power(k))
-
-    @given(bi_series(), cuts, cuts, cuts, cuts)
-    def test_truncated_is_sound_under_truncation(self, u, dp, dq, ep, eq):
-        short = bi_cut(u, dp, dq)
-        assert_bi_sound(short, u)
-        pmax, qmax = max(short.pmax - ep, 0), short.qmax - eq
-        assert_bi_sound(short.truncated(pmax, qmax), u.truncated(pmax, qmax))
-
-    def test_log_rejects_p_constant(self):
-        with pytest.raises(ValueError, match="log of non-unit"):
-            BiSeries({(0, 1): 1}, 2, 2).log1m()
-
-    def test_substitute_power(self):
-        u = BiSeries({(1, 1): 5}, 2, 2)
-        t = u.substitute_power(2)
-        assert (t.pmax, t.qmax) == (5, 5)
-        assert t.coeff(2, 2) == 5 and t.coeff(3, 3) == 0
-
-    def test_truncated_clips(self):
-        u = BiSeries({(1, 1): 5, (2, 3): 7}, 2, 3)
-        t = u.truncated(pmax=1, qmax=2)
-        assert t.items() == [((1, 1), 5)]
-        with pytest.raises(ValueError, match="cannot extend"):
-            u.truncated(pmax=9)
-
-    @settings(max_examples=50)
-    @given(bi_series(), st.integers(min_value=1, max_value=3))
-    def test_substitute_power_is_multiplicative(self, a, k):
-        sq = reference_bimul(a, a, a.pmax, a.qmax)
-        ak = a.substitute_power(k)
-        assert_same_bi(sq.substitute_power(k), reference_bimul(ak, ak, ak.pmax, ak.qmax))
 
     # p times q, each cut to p^0 q^0: both cuts are empty, so a window read
     # from the stored terms would certify a zero product up to p^1 q^1,
@@ -974,8 +941,8 @@ class TestBiSeries:
         ],
     )
     def test_no_series_product_or_constant_arithmetic(self, operation):
-        p = BiSeries({(1, 0): 1}, 1, 1).truncated(pmax=0, qmax=0)
-        q = BiSeries({(0, 1): 1}, 1, 1).truncated(pmax=0, qmax=0)
+        p = bi_cut(BiSeries({(1, 0): 1}, 1, 1), 1, 1)
+        q = bi_cut(BiSeries({(0, 1): 1}, 1, 1), 1, 1)
         with pytest.raises(TypeError):
             operation(p, q)
 
