@@ -21,12 +21,12 @@ right, a weight is a count of ordered decompositions into M cells divided
 by M; rotating a decomposition, an orbit of size d repeats a block M/d
 times, so M/d divides gcd(i,j) and each orbit contributes 1/(M/d).
 
-On top of the relations sit three consumers: the Mobius-inverted closed
-form for c_g(ij), a monotone propagation solver that derives coefficients
-from seed data (every derived value carries the relation that produced it,
-and disagreeing derivations are a hard error), and a structural
-determinacy audit that finds which indices are genuinely underivable.
-The solver and the audit build no relation; they read its shape.
+Three consumers read the relations: the Mobius-inverted closed form for
+c_g(ij), a monotone propagation solver that derives coefficients from seed
+data (every derived value carries the relation that produced it, and
+disagreeing derivations are a hard error), and a structural determinacy
+audit that finds which indices are genuinely underivable.  None builds a
+relation; each reads its shape, and the first two the log(1 - U) rows.
 
 At a target (i,j), 2 <= i <= j, the right side's monomials are the
 partitions of i+j into at most i parts >= 2 (part p reads c(p-1)), each
@@ -40,14 +40,16 @@ i+j-2p is 0, or is at least 2 and a third part is allowed (i >= 3).
 
 The right side of (i,j) is [p^i q^j] -log(1 - U_g), U_g = sum c_g(m+n-1)
 p^m q^n, so one ``log1m_rows`` run per class gives every right side at
-once.  The solver classifies each relation from the shape and takes its
-values from those rows (``_state``).  The replication rows i = 2, 3, 4
-determine every coefficient from c(1), c(2), c(3), c(5) (Norton 1984):
+once.  The closed form reads layer k at (i/k, j/k) from one run for g^k.
+The solver classifies each relation from the shape and takes its values
+from those rows (``_state``).  The replication rows i = 2, 3, 4 determine
+every coefficient from c(1), c(2), c(3), c(5) (Norton 1984):
 they run pass by pass to a fixpoint, with the rows of each class rebuilt
 per pass.  Then one sweep evaluates every relation i >= 5 with fewer than
 two unknown right keys (``_sweep``): it checks those whose keys are all
 known and derives a lone unknown key, which no replication row may reach
-(c_g(35) at nmax 30, or c_g(25) from (5,5), which skips c_g(8)).  The two alternate until the sweep derives nothing.
+(c_g(35) at nmax 30, or c_g(25) from (5,5), which skips c_g(8)).  The
+two alternate until the sweep derives nothing.
 A key has two lone linear occurrences only when g^k = g (k >= 2) and
 ij/k^2 = i+j-1, the lone right-side c_g(i+j-1) (1A and 3B at (6,10) in
 the catalog); their weights scale/k and -scale add up to scale*(1/k - 1)
@@ -59,16 +61,18 @@ and a product of nonconstant polynomials is never constant.  So a
 relation whose other keys are all known pins key u exactly when every
 occurrence of u is a lone c(u)^1 monomial (left terms always are): those
 never cancel, and a monomial shared with another key puts a symbol in u's
-coefficient.  By the shape, that turns each relation into Horn clauses
-"other keys known => u known", and forward chaining to a fixpoint
-(Dowling & Gallier 1984) gives the same closure in any firing order.  The
-one case this misses is a derived polynomial that cancels to a constant.
+coefficient.  By the shape, u is a lone key, c_g(i+j-1) or a left key
+outside the prefix c_g(1..i+j-3), and each relation gives Horn clauses
+"prefix and other lone keys known => u known"; forward chaining to a
+fixpoint (Dowling & Gallier 1984) gives the same closure in any firing
+order.  The one case this misses is a derived polynomial that cancels to
+a constant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from itertools import count, islice
 from math import factorial, gcd, isqrt
 from typing import NamedTuple
@@ -163,7 +167,6 @@ def _weight_terms(
     return tuple(terms)
 
 
-@lru_cache(maxsize=None)
 def coefficient_relation(i: int, j: int) -> Relation:
     """The relation at target (i,j); (i,j) and (j,i) canonicalize equal.
 
@@ -191,43 +194,42 @@ def coefficient_recursion(
 ) -> int:
     """c_g(ij) by Mobius inversion over the divisor tower of (i,j):
 
-    c_g(ij) = sum_{k | gcd(i,j)} (mu(k)/k) *
-              sum over decompositions of (i/k, j/k) of
-              ((|a|-1)!/a!) prod c_{g^k}(r+s-1)^{a_rs}.
+    i * c_g(ij) = -sum_{k | gcd(i,j), mu(k) != 0} mu(k) * M^{(g^k)}_{i/k}[j/k],
 
-    Layer k reads the relation at (i/k, j/k), whose scale is gcd(i,j)/k,
-    so every layer shares the one denominator k * scale = gcd(i,j).
+    where M^{(h)} are the rows of log(1 - U_h) (``log1m_rows``), whose cell
+    (a,b) is -a times the right side of the relation at (a,b).  That cell
+    reads c_{g^k}(1..a+b-3) and c_{g^k}(a+b-1), a = i/k <= b = j/k (only
+    c_{g^k}(b) when a = 1); every such key the family lacks is reported
+    before any arithmetic, and the rows read other missing keys as 0.
     """
     if i < 2 or j < 2:
         raise ValueError("closed form needs i, j >= 2")
-    missing: list[tuple[str, int]] = []
-    total = 0  # gcd(i,j) * c_g(ij)
-    for k in range(1, gcd(i, j) + 1):
-        if i % k or j % k:
-            continue
-        mu = mobius(k)
-        if mu == 0:
-            continue
-        powered = family.table.power_of(name, k)
-        layer = 0
-        for weight, monomial in coefficient_relation(i // k, j // k).rhs:
-            prod = weight
-            for v, e in monomial:
-                try:
-                    prod *= family.value(powered, v) ** e
-                except MissingCoefficients as err:
-                    missing.extend(err.indices)
-                    prod = 0
-                    break
-            layer += prod
-        total += mu * layer
+    i, j = min(i, j), max(i, j)
+    layers = [
+        (mu, family.table.power_of(name, k), i // k, j // k)
+        for k in range(1, gcd(i, j) + 1)
+        if i % k == 0 and j % k == 0 and (mu := mobius(k))
+    ]
+    missing = [
+        (g, v)
+        for _, g, a, b in layers
+        for v in [*range(1, a + b - 2 if a > 1 else 1), a + b - 1]
+        if not family.known(g, v)
+    ]
     if missing:
         raise MissingCoefficients(missing)
-    result, rest = divmod(total, gcd(i, j))
+    total = 0  # i * c_g(ij)
+    for mu, g, a, b in layers:
+        column = family.values[g]
+        u = [{}] + [
+            {n: c for n in range(1, b + 1) if (c := column.get(m + n - 1))}
+            for m in range(1, a + 1)
+        ]
+        total -= mu * log1m_rows(u, [b] * (a + 1))[a].get(b, 0)
+    result, rest = divmod(total, i)
     if rest:
         raise RuntimeError(
-            f"closed form for c_{name}({i * j}) came out non-integer: "
-            f"{Fraction(total, gcd(i, j))}"
+            f"closed form for c_{name}({i * j}) came out non-integer: {Fraction(total, i)}"
         )
     return result
 
@@ -535,32 +537,18 @@ class AuditReport(NamedTuple):
         return tuple(n for g, n in self.introduced if g == name)
 
 
-def _horn_clauses(
-    table: ClassTable, name: str, i: int, j: int
-) -> tuple[frozenset[tuple[str, int]], frozenset[tuple[str, int]]]:
-    """All keys of the relation at target (i,j), 2 <= i <= j, at class
-    ``name``, and the keys it pins once the rest are known: c_g(1..i+j-3)
-    occur inside products, c_g(i+j-1) and the left keys alone (see the
-    module docstring)."""
-    scale = gcd(i, j)
-    tangled = {(name, v) for v in range(1, i + j - 2)}
-    lone = {(name, i + j - 1)} | {
-        (table.power_of(name, k), (i // k) * (j // k))
-        for k in range(1, scale + 1)
-        if scale % k == 0
-    }
-    return frozenset(tangled | lone), frozenset(lone - tangled)
-
-
 def determinacy_audit(table: ClassTable, nmax: int) -> AuditReport:
     """Find the indices the relations cannot determine from no data at all.
 
     Forward chaining runs the Horn clauses of every relation target at
-    every class (see ``_horn_clauses``; no relation is built) to a
-    fixpoint; the smallest still-unknown index (ties broken by class
-    declaration order) is then introduced as an opaque symbol and chaining
-    resumes.  For the modular-invariant data the introduced indices come
-    out to {1, 2, 3, 5}.
+    every class to a fixpoint (see the module docstring); the smallest
+    still-unknown index (ties broken by class declaration order) is then
+    introduced as an opaque symbol and chaining resumes.  For the
+    modular-invariant data the introduced indices come out to {1, 2, 3, 5}.
+    Each class keeps K_g, the largest index with c_g(1..K_g) all known, and
+    the relation at (i,j) of class g is (g, i+j-3, lone keys): it waits
+    while K_g < i+j-3, then fires if exactly one lone key is unknown, and
+    is dropped once it has fired or all its lone keys are known.
 
     The module docstring shows this exact for symbolic values, but for a
     derived sum cancelling to a constant; none does on 1A to 30, the
@@ -569,31 +557,40 @@ def determinacy_audit(table: ClassTable, nmax: int) -> AuditReport:
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
     order = {name: idx for idx, name in enumerate(table.names)}
-    clauses = [
-        _horn_clauses(table, name, i, j)
+    known: dict[str, set[int]] = {name: set() for name in table.names}
+    prefix = dict.fromkeys(table.names, 0)  # K_g
+
+    def learn(g: str, n: int) -> None:
+        known[g].add(n)
+        while prefix[g] + 1 in known[g]:
+            prefix[g] += 1
+
+    clauses = [  # lone keys: c_g(i+j-1) and the left keys c_{g^k}(ij/k^2)
+        (name, i + j - 3, {(name, i + j - 1)} | {
+            (table.power_of(name, k), i * j // k**2) for k in range(1, i + 1) if i % k == j % k == 0
+        })
         for name in table.names
         for i, j in _relation_targets(nmax)
     ]
-    known: set[tuple[str, int]] = set()
     introduced: list[tuple[str, int]] = []
     while True:
-        grew = True
-        while grew:
-            grew = False
-            for keys, pinned in clauses:
-                rest = keys - known
-                if len(rest) == 1 and rest <= pinned:
-                    known |= rest
+        keep, grew = [], False
+        for clause in clauses:
+            name, tangled, lone = clause
+            if prefix[name] >= tangled:
+                unknown = [(g, n) for g, n in lone if n not in known[g]]
+                if len(unknown) == 1:
+                    learn(*unknown[0])
                     grew = True
-        unresolved = [
-            (name, n)
-            for name in table.names
-            for n in range(1, nmax + 1)
-            if (name, n) not in known
-        ]
-        if not unresolved:
+                if len(unknown) < 2:
+                    continue
+            keep.append(clause)
+        clauses = keep
+        if grew:
+            continue  # chain to a fixpoint before introducing a symbol
+        n, _, name = min((prefix[g] + 1, order[g], g) for g in table.names)
+        if n > nmax:
             break
-        key = min(unresolved, key=lambda t: (t[1], order[t[0]]))
-        introduced.append(key)
-        known.add(key)
+        introduced.append((name, n))
+        learn(name, n)
     return AuditReport(nmax, tuple(sorted(introduced, key=lambda t: (order[t[0]], t[1]))))

@@ -605,7 +605,8 @@ def log1m_rows(u: list[dict[int, Coeff]], ceilings: list[int]) -> list[dict[int,
     """The rows M_m = m L_m of log(1 - sum_m u_m p^m) = sum_m L_m p^m.
 
     ``u[m]`` is the q-row of p^m for m >= 1 (``u[0]`` is ignored), a
-    {q: coefficient} dict with q >= 0 and coefficients normalized (``int``
+    {q: coefficient} dict with q >= 0 (else ``ValueError``: the products
+    read q as an offset from q^0) and coefficients normalized (``int``
     when integral), known up to ``ceilings[m]``; the untracked terms lie at
     q above it.  The p-derivative gives (1 - sum u_m p^m) * sum m L_m p^m =
     -sum m u_m p^m, so
@@ -619,6 +620,8 @@ def log1m_rows(u: list[dict[int, Coeff]], ceilings: list[int]) -> list[dict[int,
     and every row is exact.  Each factor is cut to the row's ceiling, and
     the products run through :func:`_mul_exact`, so none runs past it.
     """
+    if any(min(row, default=0) < 0 for row in u[1:]):
+        raise ValueError("log1m_rows takes q exponents >= 0")
     big_m: list[dict[int, Coeff]] = [{}]  # M_0 = 0 is never read
     for m in range(1, len(u)):
         n = ceilings[m] + 1  # offsets q = 0 .. ceiling

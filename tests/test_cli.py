@@ -364,6 +364,32 @@ class TestOrderSevenAndThirteen:
         assert out.splitlines()[-1] == "VERDICT: FAIL"
 
 
+class TestTwelveClasses:
+    """The catalog, 5B and seven more Conway-Norton eta products (6E, 8E,
+    9B, 10E, 12I, 16B, 25Z), and a copy with 6E^2 declared 2B."""
+
+    TABLE = str(DATA / "eta12.mtf")
+
+    def test_audit_pins_the_same_four_indices(self, run):
+        code, out, _ = run("derive", "--table", self.TABLE, "--audit", "--max", "60")
+        names = ["1A", "2B", "3B", "4C", "5B", "6E", "8E", "9B", "10E", "12I", "16B", "25Z"]
+        assert code == 0
+        assert out.splitlines() == [f"unresolved {name}: 1 2 3 5" for name in names]
+
+    def test_derivation_matches_expansions(self, run):
+        code, out, err = run("compare", "--table", self.TABLE, "--max", "60")
+        assert out.splitlines() == ["command: compare --max 60", "VERDICT: PASS"]
+        assert (code, err) == (0, "")
+
+    def test_wrong_power_map_fails(self, run):
+        table = str(DATA / "eta12_badpower.mtf")
+        code, out, err = run("compare", "--table", table, "--max", "60")
+        assert code == 1
+        assert out.splitlines()[1].startswith("contradiction: 6E(7) derived twice")
+        assert out.splitlines()[-1] == "VERDICT: FAIL"
+        assert "warning: order(6E^2) = 2, expected 3" in err.splitlines()
+
+
 class TestFirstPowerMap:
     @pytest.mark.parametrize(
         "argv",

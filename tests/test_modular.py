@@ -26,7 +26,7 @@ from moonshine.modular import (
 from moonshine.series import UniSeries, _mul_decimal
 
 DATA = Path(__file__).resolve().parent / "data"
-ETA_TABLES = ("eta5.mtf", "eta5_badpower.mtf", "eta7_13.mtf")
+ETA_TABLES = ("eta5.mtf", "eta5_badpower.mtf", "eta7_13.mtf", "eta12.mtf")
 
 # Conway-Norton's 2A Hauptmodul as a table: t + 24 + 4096/t with
 # t = (eta(tau)/eta(2 tau))^24, the constant dropped by normalization

@@ -6,8 +6,9 @@ import io
 import re
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import cache
 from importlib import resources
-from math import factorial, gcd
+from math import factorial, gcd, isqrt
 from pathlib import Path
 from typing import NamedTuple
 from unittest import mock
@@ -17,7 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moonshine import recursion
-from moonshine.classes import ClassTable, load_family, parse_table_text
+from moonshine.classes import (
+    ClassTable,
+    CoefficientFamily,
+    MissingCoefficients,
+    load_family,
+    parse_table_text,
+)
 from moonshine.cli import main
 from moonshine.modular import normalized_j
 from moonshine.recursion import (
@@ -25,7 +32,6 @@ from moonshine.recursion import (
     ContradictionError,
     Relation,
     SolveResult,
-    _horn_clauses,
     _log_rows,
     _relation_targets,
     _squared,
@@ -273,6 +279,70 @@ def family():
     return load_family(table_1a(), 60)
 
 
+# relations built once per target, for the oracles that read them
+built_relation = cache(coefficient_relation)
+
+
+def monomial_recursion(family, name, i, j):
+    """c_g(ij) = sum_{k | gcd(i,j)} (mu(k)/k) * (right side of the relation
+    at (i/k, j/k) at class g^k), summed monomial by monomial over the built
+    relations: ``coefficient_recursion`` before it read the log(1 - U) rows,
+    kept as its oracle.  A monomial stops at its first unknown key, so
+    ``MissingCoefficients`` lists only those keys.  Layer k's relation has
+    scale gcd(i,j)/k, so every layer shares the denominator gcd(i,j)."""
+    if i < 2 or j < 2:
+        raise ValueError("closed form needs i, j >= 2")
+    missing = []
+    total = 0  # gcd(i,j) * c_g(ij)
+    for k in range(1, gcd(i, j) + 1):
+        if i % k or j % k or mobius(k) == 0:
+            continue
+        powered = family.table.power_of(name, k)
+        layer = 0
+        for weight, monomial in built_relation(i // k, j // k).rhs:
+            prod = weight
+            for v, e in monomial:
+                try:
+                    prod *= family.value(powered, v) ** e
+                except MissingCoefficients as err:
+                    missing.extend(err.indices)
+                    prod = 0
+                    break
+            layer += prod
+        total += mobius(k) * layer
+    if missing:
+        raise MissingCoefficients(missing)
+    result, rest = divmod(total, gcd(i, j))
+    if rest:
+        raise RuntimeError(
+            f"closed form for c_{name}({i * j}) came out non-integer: "
+            f"{Fraction(total, gcd(i, j))}"
+        )
+    return result
+
+
+def closed_outcome(closed_form, family, name, i, j):
+    """The value, the MissingCoefficients raised, or a RuntimeError's text."""
+    try:
+        return closed_form(family, name, i, j)
+    except MissingCoefficients as err:
+        return err
+    except RuntimeError as err:
+        return str(err)
+
+
+@pytest.fixture
+def no_relation():
+    """Building a relation fails: no library evaluator may build one."""
+
+    def refuse(*args):
+        raise AssertionError(f"a relation was built: {args}")
+
+    with mock.patch.object(recursion, "coefficient_relation", refuse):
+        with mock.patch.object(recursion, "_weight_terms", refuse):
+            yield
+
+
 class TestClosedForm:
     def test_2_2_formula(self, family):
         c = lambda n: family.value("1A", n)
@@ -321,6 +391,45 @@ class TestClosedForm:
         report = recursion_cross_check(family, "1A", 12)
         assert not report.ok
         assert any(n == 6 for n, *_ in report.failures)
+
+    @pytest.mark.parametrize("table", ["catalog", "eta5", "eta7_13"])
+    def test_matches_monomial_oracle_to_100(self, audit_tables, table):
+        family = load_family(audit_tables[table], 100)
+        for name in family.table.names:
+            for n in range(4, 101):
+                for i in range(2, isqrt(n) + 1):
+                    if n % i == 0:
+                        want = monomial_recursion(family, name, i, n // i)
+                        assert want == family.value(name, n)
+                        assert coefficient_recursion(family, name, i, n // i) == want
+                        assert coefficient_recursion(family, name, n // i, i) == want
+
+    def test_missing_lists_every_key_read(self, family):
+        # (2,4) reads c(1), c(2), c(3) inside products and c(5) alone; the
+        # monomial walk stops at c(1) in c(1)c(3) and never reaches c(3)
+        values = {g: dict(column) for g, column in family.values.items()}
+        del values["1A"][1], values["1A"][3]
+        holed = family._replace(values=values)
+        with pytest.raises(MissingCoefficients) as walk:
+            monomial_recursion(holed, "1A", 2, 4)
+        assert str(walk.value) == "unknown coefficients: 1A(1)"
+        with pytest.raises(MissingCoefficients) as closed:
+            coefficient_recursion(holed, "1A", 4, 2)
+        assert str(closed.value) == "unknown coefficients: 1A(1), 1A(3)"
+
+    def test_non_integer_result_is_refused(self, catalog_table):
+        # 2 c_2B(4) = 2 c_2B(3) + c_2B(1)^2 - c_1A(1): c_1A(1) off by one
+        # leaves the right side odd, and c_2B(4) = -49152 moves by -1/2
+        family = load_family(catalog_table, 12)
+        family.values["1A"][1] += 1
+        got = closed_outcome(coefficient_recursion, family, "2B", 2, 2)
+        assert got == closed_outcome(monomial_recursion, family, "2B", 2, 2)
+        assert got == "closed form for c_2B(4) came out non-integer: -98305/2"
+
+    def test_cross_check_builds_no_relation(self, catalog_table, no_relation):
+        family = load_family(catalog_table, 60)
+        for name in catalog_table.names:
+            assert recursion_cross_check(family, name, 60).ok
 
 
 class TestSolver:
@@ -563,7 +672,7 @@ def full_instances(table, nmax):
     return [
         (name, relation, tuple(table.power_of(name, k) for k, _, _ in relation.lhs))
         for name in table.names
-        for relation in (coefficient_relation(i, j) for i, j in _relation_targets(nmax))
+        for relation in (built_relation(i, j) for i, j in _relation_targets(nmax))
     ]
 
 
@@ -663,7 +772,7 @@ def catalog_family(catalog_table):
 
 
 DATA = Path(__file__).resolve().parent / "data"
-AUDIT_TABLES = ("catalog", "eta5", "eta5_badpower", "eta7_13")
+AUDIT_TABLES = ("catalog", "eta5", "eta5_badpower", "eta7_13", "eta12", "eta12_badpower")
 
 
 @pytest.fixture(scope="module")
@@ -790,15 +899,6 @@ class TestCompiledInstances:
                 squared = any(dict(monomial)[v] >= 2 for _, monomial in terms)
                 assert squared == _squared(i, j, v), (i, j, v)
 
-    def test_horn_clauses_match_two_sided_reference(self, audit_tables):
-        # the audit's clauses come from the relations' shape; read them from
-        # every relation instead, on every table the tests carry
-        for table in audit_tables.values():
-            for name, relation, _ in full_instances(table, 30):
-                assert _horn_clauses(table, name, *relation.target) == (
-                    reference_horn_clauses(table, name, relation)
-                )
-
 
 # ---------------------------------------------------------------------------
 # the whole audit over clauses read from the relations themselves
@@ -836,17 +936,21 @@ def reference_audit(table, nmax):
     return AuditReport(nmax, tuple(sorted(introduced, key=lambda t: (rank[t[0]], t[1]))))
 
 
+# the twelve-class tables (12I's left sides read 6E, 4C, 3B, 2B and 1A) at
+# the smaller sizes only: the reference builds every relation at 12 classes
+AUDIT_CASES = [(t, n) for t in AUDIT_TABLES[:4] for n in (1, 2, 5, 12, 30)] + [
+    (t, n) for t in AUDIT_TABLES[4:] for n in (1, 5, 12)
+]
+
+
 class TestAuditClauses:
-    @pytest.mark.parametrize("nmax", [1, 2, 5, 12, 30])
-    @pytest.mark.parametrize("table", AUDIT_TABLES)
+    @pytest.mark.parametrize("table, nmax", AUDIT_CASES, ids=[f"{t}-{n}" for t, n in AUDIT_CASES])
     def test_audit_matches_relation_built_clauses(self, audit_tables, table, nmax):
         table = audit_tables[table]
         assert determinacy_audit(table, nmax) == reference_audit(table, nmax)
 
-    def test_audit_builds_no_relation(self, catalog_table):
-        coefficient_relation.cache_clear()
-        determinacy_audit(catalog_table, 60)
-        assert coefficient_relation.cache_info().currsize == 0
+    def test_audit_builds_no_relation(self, catalog_table, no_relation):
+        assert determinacy_audit(catalog_table, 60).underivable("4C") == (1, 2, 3, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -956,10 +1060,14 @@ def compiled_solve(table, nmax, instances=None, provenance=None):
 
 
 class TestSweep:
-    def test_solver_builds_no_relation(self, catalog_table):
-        coefficient_relation.cache_clear()
-        solve_from_seeds(catalog_table, 60)
-        assert coefficient_relation.cache_info().currsize == 0
+    def test_solver_builds_no_relation(self, catalog_table, no_relation):
+        assert solve_from_seeds(catalog_table, 60).unresolved == ()
+
+    @pytest.mark.parametrize("argv", [["derive"], ["derive", "--audit"], ["compare"]], ids=" ".join)
+    def test_cli_builds_no_relation(self, argv, no_relation):
+        code, out, err = _run_cli([*argv, "--max", "60"])
+        assert (code, err) == (0, "")
+        assert out
 
     @pytest.mark.parametrize("nmax", [1, 4, 30, 60])
     def test_catalog_solve_matches_compiled_solve(self, catalog_table, nmax):
@@ -1085,6 +1193,55 @@ def thin_against_full(path, command, nmax):
 @pytest.fixture(scope="module")
 def table_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("differential")
+
+
+@st.composite
+def holed_families(draw):
+    """A family from a drawn broken table (``broken_tables``) and one of its
+    classes.  The recipes are expanded to 40 and the seeds laid over them (a
+    wrong seed corrupts its slot); each class is cut at a drawn order, with
+    up to three slots below 20 dropped."""
+    table = parse_table_text(draw(broken_tables()))
+    full = load_family(table._replace(seeds={}), 40)
+    values = {}
+    for g in table.names:
+        cut = draw(st.sampled_from([40, 40, 16, 9, 4]))
+        holes = draw(st.sets(st.integers(1, 20), max_size=3))
+        values[g] = {n: v for n, v in full.values[g].items() if n <= cut and n not in holes}
+        values[g].update({n: v for (h, n), v in table.seeds.items() if h == g})
+    return CoefficientFamily(table, values, 40), draw(st.sampled_from(table.names))
+
+
+class TestBrokenTables:
+    @given(case=holed_families(), i=st.integers(2, 12), j=st.integers(2, 12))
+    @settings(deadline=None, max_examples=200)
+    def test_closed_form_matches_monomial_oracle(self, case, i, j):
+        # the closed form reports every unknown key its relations read, so
+        # the monomial walk's missing keys are among them
+        family, name = case
+        got = closed_outcome(coefficient_recursion, family, name, i, j)
+        want = closed_outcome(monomial_recursion, family, name, i, j)
+        if isinstance(want, MissingCoefficients):
+            assert isinstance(got, MissingCoefficients)
+            assert set(want.indices) <= set(got.indices)
+            read = {
+                (family.table.power_of(name, k), v)
+                for k in range(1, gcd(i, j) + 1)
+                if i % k == j % k == 0 and mobius(k)
+                for _, monomial in built_relation(i // k, j // k).rhs
+                for v, _ in monomial
+            }
+            assert set(got.indices) == {key for key in read if not family.known(*key)}
+        else:
+            assert got == want
+
+    @given(text=broken_tables(), nmax=st.sampled_from([1, 4, 9, 16]))
+    @settings(deadline=None, max_examples=100)
+    def test_audit_matches_relation_built_clauses(self, text, nmax):
+        # extra power lines give lone keys in other classes than the
+        # catalog's
+        table = parse_table_text(text)
+        assert determinacy_audit(table, nmax) == reference_audit(table, nmax)
 
 
 class TestThinRowsAgainstFullSet:

@@ -911,6 +911,16 @@ class TestBiSeries:
             assert got[m] == expected
             assert all(type(v) is int or v.denominator > 1 for v in got[m].values())
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_log1m_rows_refuses_negative_q(self, m):
+        # q^-1 + 1 + ... + q^5 at ceiling 5, as row 1 (where -u_1^2 has terms
+        # from q^-2, which the packed product would read as offsets from q^0)
+        # or as row 2
+        rows = [{}, {}, {}]
+        rows[m] = {q: 1 for q in range(-1, 6)}
+        with pytest.raises(ValueError, match="q exponents >= 0"):
+            series.log1m_rows(rows, [5, 5, 5])
+
     @settings(max_examples=300)
     @given(log_input_with_cut())
     def test_log1m_window_is_sound_under_truncation(self, case):
