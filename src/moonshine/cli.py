@@ -37,10 +37,12 @@ FAIL_LINE = "VERDICT: FAIL"
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
-# The solver builds no relation: ``derive --max 100`` takes about 0.4 s and
-# 18 MB, ``derive --max 200`` about 1.6 s and 18 MB.
-# ``derive --audit`` builds none either: about 0.08 s and 18 MB at 200.
-# It also bounds the q-order ``compare`` expands, far below MAX_Q_ORDER.
+# The solver builds no relation and computes each log(1 - U) cell once: on
+# a 2-core machine ``derive --max 100`` takes about 0.1 s and 16 MB,
+# ``derive --max 200`` about 0.2 s and 17 MB (0.4 s on the 12-class
+# table in tests/data/eta12.mtf).  ``derive --audit`` builds none either:
+# about 0.07 s and 18 MB at 200.  It also bounds the q-order ``compare``
+# expands, far below MAX_Q_ORDER.
 MAX_DERIVE_INDEX = 200
 
 

@@ -17,8 +17,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .modular import normalized_j
-from .series import BiSeries, Coeff, UniSeries, log1m_rows, mobius
+# the layers are read through their modules: a call runs only those it reads
+from . import modular, series
 
 __all__ = [
     "LatticeVector",
@@ -61,7 +61,7 @@ class SimpleRootList(NamedTuple):
         return sum(mult for _, mult in self.entries)
 
 
-def simple_roots(nmax: int, c: UniSeries) -> SimpleRootList:
+def simple_roots(nmax: int, c: series.UniSeries) -> SimpleRootList:
     """The roots (1,-1) x 1 and (1,n) x c(n) for 1 <= n <= nmax.
 
     There is no root at (1,0): the constant coefficient vanishes by
@@ -75,7 +75,7 @@ def simple_roots(nmax: int, c: UniSeries) -> SimpleRootList:
     return SimpleRootList(tuple(entries))
 
 
-def expanded_root(index: int, c: UniSeries) -> LatticeVector:
+def expanded_root(index: int, c: series.UniSeries) -> LatticeVector:
     """The index-th root (0-based) of the multiplicity-expanded list.
 
     Index 0 is (1,-1); indices 1..c(1) are copies of (1,1); the next c(2)
@@ -102,7 +102,7 @@ def expanded_root(index: int, c: UniSeries) -> LatticeVector:
         n += 1
 
 
-def gram_entry(i: int, j: int, c: UniSeries) -> int:
+def gram_entry(i: int, j: int, c: series.UniSeries) -> int:
     """Single entry of the expanded Gram matrix, without building it."""
     return gram(expanded_root(i, c), expanded_root(j, c))
 
@@ -121,7 +121,7 @@ def build_matrix(count: int) -> list[list[int]]:
     if count < 1:
         raise ValueError("count must be >= 1")
     levels = [-1] + list(range(1, count))
-    c = normalized_j(max(levels[-1], 1))
+    c = modular.normalized_j(max(levels[-1], 1))
     for n in levels:
         if root_multiplicity(1, n, c) == 0:
             raise ValueError(f"level {n} has no simple roots")
@@ -147,7 +147,7 @@ class CartanReport(NamedTuple):
         return self.symmetric and self.off_diagonal_nonpositive and self.ratios_integral
 
 
-def cartan_conditions(matrix: list[list[Coeff]]) -> CartanReport:
+def cartan_conditions(matrix: list[list[series.Coeff]]) -> CartanReport:
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix must be square")
@@ -172,7 +172,7 @@ def cartan_conditions(matrix: list[list[Coeff]]) -> CartanReport:
     return CartanReport(symmetric, nonpositive, integral, tuple(violations[:20]))
 
 
-def root_multiplicity(m: int, n: int, c: UniSeries) -> int:
+def root_multiplicity(m: int, n: int, c: series.UniSeries) -> int:
     """dim of the (m,n) graded piece: c(mn), except 2 at the origin."""
     if (m, n) == (0, 0):
         return 2
@@ -201,7 +201,7 @@ class GradedDims(NamedTuple):
         return self.dims.get((m, n), 0)
 
 
-def witt_dims_from_char(u: BiSeries) -> GradedDims:
+def witt_dims_from_char(u: series.BiSeries) -> GradedDims:
     """Graded dimensions of the free Lie algebra on a bigraded space.
 
     ``u`` is the generating character sum dim U_{(m,n)} p^m q^n with support
@@ -216,16 +216,16 @@ def witt_dims_from_char(u: BiSeries) -> GradedDims:
     if u._pslo < 1 or u._qslo < 1:
         raise ValueError("character must be supported on m, n >= 1")
     mmax, nmax = u.pmax, u.qmax
-    rows: list[dict[int, Coeff]] = [{} for _ in range(mmax + 1)]
+    rows: list[dict[int, series.Coeff]] = [{} for _ in range(mmax + 1)]
     for (i, j), v in u.items():
         rows[i][j] = v
-    big_m = log1m_rows(rows, [nmax] * (mmax + 1))
+    big_m = series.log1m_rows(rows, [nmax] * (mmax + 1))
     for m, row in enumerate(big_m):
         if row and min(row) < 1:
             raise RuntimeError(
                 f"generalized Witt formula leaked weight onto the axis at ({m},{min(row)})"
             )
-    mu = [0] + [mobius(k) for k in range(1, min(mmax, nmax) + 1)]
+    mu = [0] + [series.mobius(k) for k in range(1, min(mmax, nmax) + 1)]
     dims: dict[tuple[int, int], int] = {}
     for m in range(1, mmax + 1):
         for n in range(1, nmax + 1):
@@ -246,14 +246,14 @@ def witt_dims_from_char(u: BiSeries) -> GradedDims:
     return GradedDims(dims, mmax, nmax)
 
 
-def witt_dims(mmax: int, nmax: int, c: UniSeries) -> GradedDims:
+def witt_dims(mmax: int, nmax: int, c: series.UniSeries) -> GradedDims:
     """Free-Lie-algebra dimensions for generators of dim c(m+n-1) at (m,n)."""
     if mmax < 1 or nmax < 1:
         raise ValueError("window bounds must be >= 1")
     need = mmax + nmax - 1
     if c.hi < need:
         raise ValueError(f"coefficient source only known to order {c.hi}, need {need}")
-    u = BiSeries(
+    u = series.BiSeries(
         {
             (m, n): c.coeff(m + n - 1)
             for m in range(1, mmax + 1)
@@ -275,7 +275,7 @@ class ProductReport(NamedTuple):
     pmax: int
     qmin: int  # -pmax: the q floor verify-product prints, part of its stdout contract
     qmax: int
-    mismatches: tuple[tuple[int, int, Coeff, Coeff], ...]
+    mismatches: tuple[tuple[int, int, series.Coeff, series.Coeff], ...]
 
     @property
     def ok(self) -> bool:
@@ -287,7 +287,7 @@ def denominator_order(pmax: int, qmax: int) -> int:
     return max(pmax * (qmax + 1), qmax, pmax - 1)
 
 
-def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
+def denominator_sides(pmax: int, qmax: int) -> tuple[series.BiSeries, series.BiSeries]:
     """Both sides of  p(J(p) - J(q)) = (1 - pq^-1) prod (1-p^i q^j)^c(ij)
     up to p^pmax and q^qmax.
 
@@ -304,9 +304,9 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("window bounds must be >= 1")
-    c = normalized_j(denominator_order(pmax, qmax))
+    c = modular.normalized_j(denominator_order(pmax, qmax))
 
-    cells: dict[tuple[int, int], Coeff] = {}
+    cells: dict[tuple[int, int], series.Coeff] = {}
     for n in range(-1, pmax):  # p J(p) = sum c(n) p^{n+1}
         value = int(c.coeff(n))
         if value:
@@ -315,7 +315,7 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
         value = int(c.coeff(n))
         if value:
             cells[(1, n)] = cells.get((1, n), 0) - value
-    lhs = BiSeries(cells, pmax, qmax)
+    lhs = series.BiSeries(cells, pmax, qmax)
 
     mults = {
         (i, j): int(c.coeff(i * j))
@@ -324,7 +324,7 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[BiSeries, BiSeries]:
     }
     expanded = dimension_product(GradedDims(mults, pmax, qmax + 1))
     moved = {(i + 1, j - 1): -v for (i, j), v in expanded.items() if i < pmax}
-    return lhs, expanded + BiSeries(moved, pmax, qmax)
+    return lhs, expanded + series.BiSeries(moved, pmax, qmax)
 
 
 def denominator_identity_report(pmax: int, qmax: int) -> ProductReport:
@@ -333,7 +333,7 @@ def denominator_identity_report(pmax: int, qmax: int) -> ProductReport:
     return ProductReport(pmax, -pmax, qmax, tuple(lhs.mismatches(rhs)))
 
 
-def dimension_product(dims: GradedDims) -> BiSeries:
+def dimension_product(dims: GradedDims) -> series.BiSeries:
     """prod (1 - p^m q^n)^{d_mn}, expanded factor by factor.
 
     Each factor is a finite binomial sum, so this route is independent of
@@ -382,6 +382,6 @@ def dimension_product(dims: GradedDims) -> BiSeries:
             for b in binomials[:steps]:
                 x += step
                 out[x] += b * v
-    return BiSeries(
+    return series.BiSeries(
         {divmod(x, width): v for x, v in enumerate(out) if v}, pmax, qmax
     )

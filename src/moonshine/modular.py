@@ -17,7 +17,8 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from typing import NamedTuple
 
-from .series import Coeff, UniSeries
+# the layers are read through their modules: a call runs only those it reads
+from . import series
 
 __all__ = [
     "euler_product",
@@ -32,7 +33,7 @@ __all__ = [
 ]
 
 
-def euler_product(order: int) -> UniSeries:
+def euler_product(order: int) -> series.UniSeries:
     """prod_{n>=1} (1 - q^n) truncated at q^order.
 
     Expanded by the pentagonal-number theorem:
@@ -40,7 +41,7 @@ def euler_product(order: int) -> UniSeries:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    data: dict[int, Coeff] = {}
+    data: dict[int, series.Coeff] = {}
     k = 0
     while True:
         exps = [k * (3 * k - 1) // 2, k * (3 * k + 1) // 2]
@@ -50,10 +51,10 @@ def euler_product(order: int) -> UniSeries:
             if e <= order:
                 data[e] = data.get(e, 0) + (-1) ** k
         k += 1
-    return UniSeries(data, order)
+    return series.UniSeries(data, order)
 
 
-def dedekind_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
+def dedekind_eta_power(scale: int, exponent: int, order: int) -> series.UniSeries:
     """prod (1 - q^{scale n})^exponent, exactly through q^order.
 
     This is eta(scale*tau)^exponent without its leading factor
@@ -91,10 +92,10 @@ def dedekind_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
                 f"internal cross-check failed: eta power not integral at q^{n}"
             )
         b.append(value)
-    return UniSeries(enumerate(b), top).substitute_power(scale).restrict(hi=order)
+    return series.UniSeries(enumerate(b), top).substitute_power(scale).restrict(hi=order)
 
 
-def eisenstein(weight: int, order: int) -> UniSeries:
+def eisenstein(weight: int, order: int) -> series.UniSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n."""
     if weight == 4:
         scale, power = 240, 3
@@ -109,20 +110,20 @@ def eisenstein(weight: int, order: int) -> UniSeries:
         dp = d**power
         for n in range(d, order + 1, d):
             sigma[n] += dp
-    data: dict[int, Coeff] = {0: 1}
+    data: dict[int, series.Coeff] = {0: 1}
     for n in range(1, order + 1):
         data[n] = scale * sigma[n]
-    return UniSeries(data, order)
+    return series.UniSeries(data, order)
 
 
-def delta(order: int) -> UniSeries:
+def delta(order: int) -> series.UniSeries:
     """The discriminant form q prod (1 - q^n)^24, truncated at q^order."""
     if order < 1:
         raise ValueError("order must be >= 1")
     return dedekind_eta_power(1, 24, order - 1).shift(1)
 
 
-def j_series(order: int) -> UniSeries:
+def j_series(order: int) -> series.UniSeries:
     """The modular invariant q^-1 + 744 + 196884 q + ...
 
     Computed as E4^3 / delta and, independently, as E6^2 / delta + 1728;
@@ -147,7 +148,7 @@ def j_series(order: int) -> UniSeries:
     return route_a.restrict(hi=order)
 
 
-def normalized_j(order: int) -> UniSeries:
+def normalized_j(order: int) -> series.UniSeries:
     """j - 744: leading coefficient 1 at q^-1 and constant term exactly 0."""
     return (j_series(max(order, 0)) - 744).restrict(hi=order)
 
@@ -164,13 +165,13 @@ class EtaMonomial(NamedTuple):
     come out integral for the series to live in integer powers of q.
     """
 
-    coeff: Coeff = 1
+    coeff: series.Coeff = 1
     factors: tuple[tuple[int, int], ...] = ()
 
     @classmethod
     def from_factors(
         cls,
-        coeff: Coeff,
+        coeff: series.Coeff,
         factors: Mapping[int, int] | Iterable[tuple[int, int]],
     ) -> "EtaMonomial":
         items = factors.items() if isinstance(factors, Mapping) else factors
@@ -198,11 +199,11 @@ class EtaRecipe(NamedTuple):
     normalize: bool = True
 
 
-def expand_recipe(recipe: EtaRecipe, order: int) -> UniSeries:
+def expand_recipe(recipe: EtaRecipe, order: int) -> series.UniSeries:
     """Exact q-expansion of a recipe through q^order."""
     if order < 0:
         raise ValueError("order must be >= 0")
-    total: UniSeries | None = None
+    total: series.UniSeries | None = None
     for mono in recipe.monomials:
         off = mono.offset()
         if off.denominator != 1:
@@ -213,13 +214,13 @@ def expand_recipe(recipe: EtaRecipe, order: int) -> UniSeries:
         shift = int(off)
         if shift > order:
             continue  # the whole term lies above q^order
-        body = UniSeries.one(order - shift)
+        body = series.UniSeries.one(order - shift)
         for scale, exponent in mono.factors:
             body = body * dedekind_eta_power(scale, exponent, order - shift)
         term = (body * mono.coeff).shift(shift)
         total = term if total is None else total + term
     if total is None:
-        total = UniSeries.zero(order)
+        total = series.UniSeries.zero(order)
     if recipe.normalize:
         total = total - total.coeff(0)
     return total

@@ -42,14 +42,18 @@ The right side of (i,j) is [p^i q^j] -log(1 - U_g), U_g = sum c_g(m+n-1)
 p^m q^n, so one ``log1m_rows`` run per class gives every right side at
 once.  The closed form reads layer k at (i/k, j/k) from one run for g^k.
 The solver classifies each relation from the shape and takes its values
-from those rows (``_state``).  The replication rows i = 2, 3, 4 determine
-every coefficient from c(1), c(2), c(3), c(5) (Norton 1984):
-they run pass by pass to a fixpoint, with the rows of each class rebuilt
-per pass.  Then one sweep evaluates every relation i >= 5 with fewer than
-two unknown right keys (``_sweep``): it checks those whose keys are all
-known and derives a lone unknown key, which no replication row may reach
-(c_g(35) at nmax 30, or c_g(25) from (5,5), which skips c_g(8)).  The
-two alternate until the sweep derives nothing.
+from the cells of those rows (``_state``).  The replication rows i = 2,
+3, 4 determine every coefficient from c(1), c(2), c(3), c(5) (Norton
+1984): they run pass by pass to a fixpoint.  Then one sweep evaluates
+every relation i >= 5 with fewer than two unknown right keys (``_sweep``):
+it checks those whose keys are all known and derives a lone unknown key,
+which no replication row may reach (c_g(35) at nmax 30, or c_g(25) from
+(5,5), which skips c_g(8)).  The two alternate until the sweep derives
+nothing.  Each class keeps its cells for the whole solve (``_Cells``):
+a cell is computed once, when first read, from the values and the lower
+cells it needs, as in online (relaxed) multiplication (van der Hoeven,
+"Relax, but don't be too lazy", 2002), and only the cells that read an
+unknown are computed again, when the unknowns move.
 A key has two lone linear occurrences only when g^k = g (k >= 2) and
 ij/k^2 = i+j-1, the lone right-side c_g(i+j-1) (1A and 3B at (6,10) in
 the catalog); their weights scale/k and -scale add up to scale*(1/k - 1)
@@ -75,10 +79,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import count, islice
 from math import factorial, gcd, isqrt
+from operator import mul
 from typing import NamedTuple
 
-from .classes import ClassTable, CoefficientFamily, MissingCoefficients
-from .series import format_coeff, log1m_rows, mobius
+# the layers are read through their modules: a call runs only those it reads
+from . import classes, series
 
 __all__ = [
     "Relation",
@@ -189,8 +194,46 @@ def coefficient_relation(i: int, j: int) -> Relation:
 # closed form
 
 
+def _rows_of(column: dict, ceilings: list[int]) -> list[dict]:
+    """The rows of log(1 - U_g) (``series.log1m_rows``), u_m[n] = c_g(m+n-1)
+    read from the {index: value} ``column`` (a missing value as 0), row m
+    cut at q <= ``ceilings[m]``."""
+    u = [{}] + [
+        {n: c for n in range(1, ceilings[m] + 1) if (c := column.get(m + n - 1))}
+        for m in range(1, len(ceilings))
+    ]
+    return series.log1m_rows(u, ceilings)
+
+
+def _closed_form(family: classes.CoefficientFamily, name: str, i: int, j: int, rows) -> int:
+    """``coefficient_recursion`` at 2 <= i <= j, reading layer k from
+    ``rows(g^k, a, b)``, rows of class g^k that reach cell (a,b)."""
+    layers = [
+        (mu, family.table.power_of(name, k), i // k, j // k)
+        for k in range(1, gcd(i, j) + 1)
+        if i % k == 0 and j % k == 0 and (mu := series.mobius(k))
+    ]
+    missing = [
+        (g, v)
+        for _, g, a, b in layers
+        for v in [*range(1, a + b - 2 if a > 1 else 1), a + b - 1]
+        if not family.known(g, v)
+    ]
+    if missing:
+        raise classes.MissingCoefficients(missing)
+    total = 0  # i * c_g(ij)
+    for mu, g, a, b in layers:
+        total -= mu * rows(g, a, b)[a].get(b, 0)
+    result, rest = divmod(total, i)
+    if rest:
+        raise RuntimeError(
+            f"closed form for c_{name}({i * j}) came out non-integer: {Fraction(total, i)}"
+        )
+    return result
+
+
 def coefficient_recursion(
-    family: CoefficientFamily, name: str, i: int, j: int
+    family: classes.CoefficientFamily, name: str, i: int, j: int
 ) -> int:
     """c_g(ij) by Mobius inversion over the divisor tower of (i,j):
 
@@ -200,38 +243,15 @@ def coefficient_recursion(
     (a,b) is -a times the right side of the relation at (a,b).  That cell
     reads c_{g^k}(1..a+b-3) and c_{g^k}(a+b-1), a = i/k <= b = j/k (only
     c_{g^k}(b) when a = 1); every such key the family lacks is reported
-    before any arithmetic, and the rows read other missing keys as 0.
+    before any arithmetic, and the rows read other missing keys as 0.  Each
+    layer runs ``log1m_rows`` once, rows 1..a cut at q^b.
     """
     if i < 2 or j < 2:
         raise ValueError("closed form needs i, j >= 2")
     i, j = min(i, j), max(i, j)
-    layers = [
-        (mu, family.table.power_of(name, k), i // k, j // k)
-        for k in range(1, gcd(i, j) + 1)
-        if i % k == 0 and j % k == 0 and (mu := mobius(k))
-    ]
-    missing = [
-        (g, v)
-        for _, g, a, b in layers
-        for v in [*range(1, a + b - 2 if a > 1 else 1), a + b - 1]
-        if not family.known(g, v)
-    ]
-    if missing:
-        raise MissingCoefficients(missing)
-    total = 0  # i * c_g(ij)
-    for mu, g, a, b in layers:
-        column = family.values[g]
-        u = [{}] + [
-            {n: c for n in range(1, b + 1) if (c := column.get(m + n - 1))}
-            for m in range(1, a + 1)
-        ]
-        total -= mu * log1m_rows(u, [b] * (a + 1))[a].get(b, 0)
-    result, rest = divmod(total, i)
-    if rest:
-        raise RuntimeError(
-            f"closed form for c_{name}({i * j}) came out non-integer: {Fraction(total, i)}"
-        )
-    return result
+    return _closed_form(
+        family, name, i, j, lambda g, a, b: _rows_of(family.values[g], [b] * (a + 1))
+    )
 
 
 class CrossCheckReport(NamedTuple):
@@ -249,13 +269,18 @@ class CrossCheckReport(NamedTuple):
 
 
 def recursion_cross_check(
-    family: CoefficientFamily, name: str, nmax: int
+    family: classes.CoefficientFamily, name: str, nmax: int
 ) -> CrossCheckReport:
     """Evaluate the closed form at every factorization n = i*j, i,j >= 2.
 
     Comparing every factorization against the stored value also certifies
-    multi-factorization consistency (all routes to the same n agree).
+    multi-factorization consistency (all routes to the same n agree).  Each
+    class read runs ``log1m_rows`` once, row m cut at q <= nmax // m, which
+    holds every cell (a,b) with ab <= nmax; a factorization with missing
+    keys raises before it reads them, as ``coefficient_recursion`` does.
     """
+    cut = [0] + [nmax // m for m in range(1, isqrt(max(nmax, 0)) + 1)]
+    rows = cache(lambda g: _rows_of(family.values[g], cut))
     checks = 0
     failures: list[tuple[int, int, int, int, int]] = []
     for n in range(4, nmax + 1):
@@ -265,7 +290,7 @@ def recursion_cross_check(
             if n % i:
                 continue
             j = n // i
-            derived = coefficient_recursion(family, name, i, j)
+            derived = _closed_form(family, name, i, j, lambda g, a, b: rows(g))
             stored = family.value(name, n)
             checks += 1
             if derived != stored:
@@ -288,38 +313,69 @@ def _squared(i: int, j: int, v: int) -> bool:
     return rest == 0 or (rest >= 2 and i >= 3)
 
 
-def _log_rows(column: dict, top: int, first: int, last: int, cut: int):
-    """One class's gaps and rows: the three smallest indices missing from
-    its {index: value} ``column``, and ``rows(x)``, the rows M_0..M_last of
-    log(1 - U_g) (``log1m_rows``) with u_m[n] = c_g(m+n-1), c_g(gaps[0])
-    read as x and every other unknown as 0.  Row m >= ``first`` is cut at
-    q <= min(top // m, gaps[cut] - m), and the rows below it at row
-    ``first``'s ceiling.  Each run is made once, when first asked for."""
-    gaps = tuple(islice((n for n in count(1) if n not in column), 3))
-    ceilings = [min(top // max(m, first), gaps[cut] - max(m, first)) for m in range(last + 1)]
-    v = gaps[0]
+class _Cells:
+    """The cells M_m[q] of log(1 - U_g) (``series.log1m_rows``) for one
+    class, u_m[n] = c_g(m+n-1), each computed once, when first read.
 
-    @cache
-    def rows(x: int) -> list[dict]:
-        u = [{}] + [
-            {n: c for n in range(1, ceilings[m] + 1) if (c := column.get(m + n - 1))}
-            for m in range(1, last + 1)
-        ]
-        if x:
-            for m in range(1, min(v, last) + 1):
-                if v - m + 1 <= ceilings[m]:
-                    u[m][v - m + 1] = x
-        return log1m_rows(u, ceilings)
+    ``column`` is the class's {index: value} dict, which only ever gains
+    values; ``gaps`` are its three smallest missing indices as of the last
+    ``update``.  Cell (m,q) is
 
-    return gaps, rows
+        M_m[q] = -m c_g(m+q-1) + sum_{k<m} sum_{s<q} c_g(k+s-1) M_{m-k}[q-s],
+
+    so it reads c_g(1..m+q-1), and a cell may be read only at m+q-1 <
+    gaps[2].  Below gaps[0] it reads known values alone: it is final and
+    kept for the whole solve.  The band gaps[0] <= m+q-1 < gaps[2] reads
+    c_g(gaps[0]) as x (``cell``) and c_g(gaps[1]) as 0; it is kept per x
+    and dropped when ``update`` moves the gaps.
+    """
+
+    def __init__(self, column: dict):
+        self.column = column
+        self.gaps = (1, 1, 1)
+        self.final: dict[int, list] = {}  # final[m][q - 1] = M_m[q]
+        self.update()
+
+    def update(self) -> None:
+        """Re-read the gaps from the column; if they moved, drop the band."""
+        gaps = tuple(islice((n for n in count(self.gaps[0]) if n not in self.column), 3))
+        if gaps == self.gaps:
+            return
+        self.gaps = gaps
+        c = [0] + [self.column.get(n, 0) for n in range(1, gaps[2])]
+        self.c = (c, [*c[: gaps[0]], 1, *c[gaps[0] + 1 :]])  # c_g(n), n < gaps[2], per x
+        self.band: tuple[dict[int, list], dict[int, list]] = ({}, {})
+
+    def cell(self, m: int, q: int, x: int):
+        return self._row(m, q, x)[q - 1]
+
+    def _row(self, m: int, q: int, x: int) -> list:
+        """Row m through q^q: the final row, or its copy in x's band once
+        m+q-1 reaches gaps[0]."""
+        if m + q - 1 < self.gaps[0]:
+            row = self.final.setdefault(m, [])
+        else:
+            row = self.band[x].get(m)
+            if row is None:
+                known = self.gaps[0] - m  # the cells q <= known are final
+                row = self.band[x][m] = self._row(m, known, x)[:known] if known > 0 else []
+        if len(row) < q:
+            c = self.c[x]
+            lower = [[], *(self._row(k, q - 1, x) for k in range(1, m))]
+            for n in range(len(row) + 1, q + 1):
+                total = -m * c[m + n - 1]
+                for k in range(1, m):
+                    total += sum(map(mul, c[k : k + n - 1], reversed(lower[m - k][: n - 1])))
+                row.append(total)
+        return row
 
 
-def _state(table: ClassTable, name: str, i: int, j: int, values: dict, gaps, rows):
+def _state(table: classes.ClassTable, name: str, i: int, j: int, values: dict, cells: _Cells):
     """Classify the relation at target (i,j), 2 <= i <= j, at class ``name``.
 
-    ``values`` holds one {index: value} dict per class; ``gaps`` and
-    ``rows`` come from ``_log_rows`` of class ``name``, and row i must reach
-    q^j whenever i+j-1 < gaps[2].  Returns ("verified", None), ("pending",
+    ``values`` holds one {index: value} dict per class, and ``cells`` the
+    log(1 - U_g) cells of class ``name``, whose gaps are current for the
+    keys the relation reads.  Returns ("verified", None), ("pending",
     None), or ("fire", (key, solved_value)), the value an ``int`` when
     integral; a violated relation raises ContradictionError.
 
@@ -329,14 +385,15 @@ def _state(table: ClassTable, name: str, i: int, j: int, values: dict, gaps, row
     pending with two distinct unknown keys, or with one unknown c_g(v), v
     <= i+j-3, that occurs squared (``_squared``).  Otherwise i*scale*(LHS -
     RHS) = i * sum_k (scale/k) c_{g^k}(ij/k^2) + scale*M_i[j] is linear in
-    its unknown, read as 0 in ``rows(0)``.  The lone c_g(i+j-1) has the
-    coefficient -i*scale.  An unknown inside products is the smallest gap,
-    as every index below it is a known key; its coefficient is scale times
-    M_i[j] at c_g(v) = 1 minus at 0.  Both add to the left term's i*scale/k
-    when that term reads the same key.
+    its unknown, read as 0 in the cell at x = 0.  The lone c_g(i+j-1) has
+    the coefficient -i*scale.  An unknown inside products is the smallest
+    gap, as every index below it is a known key; its coefficient is scale
+    times M_i[j] at x = 1 minus at x = 0.  Both add to the left term's
+    i*scale/k when that term reads the same key.  With fewer than two
+    unknown right keys i+j-1 < gaps[2], so the cell may be read.
     """
     top = i + j - 1
-    unknown = {(name, v) for v in gaps if v <= top and v != top - 1}
+    unknown = {(name, v) for v in cells.gaps if v <= top and v != top - 1}
     if len(unknown) > 1:
         return "pending", None
     scale = gcd(i, j)
@@ -357,18 +414,18 @@ def _state(table: ClassTable, name: str, i: int, j: int, values: dict, gaps, row
     inside = key is not None and key[0] == name and key[1] < top - 1
     if inside and _squared(i, j, key[1]):
         return "pending", None
-    at_zero = rows(0)[i].get(j, 0)
+    at_zero = cells.cell(i, j, 0)
     const += scale * at_zero
     if key == (name, top):
         coeff -= i * scale
     elif inside:
-        coeff += scale * (rows(1)[i].get(j, 0) - at_zero)
+        coeff += scale * (cells.cell(i, j, 1) - at_zero)
     if coeff == 0:  # no unknown, or one that cancels
         if const != 0:
             broken = "is violated:" if key is None else f"cannot hold: {key} cancels but"
             raise ContradictionError(
                 f"relation ({i},{j}) at class {name} {broken} sides differ by "
-                f"{format_coeff(Fraction(const, i * scale))}"
+                f"{series.format_coeff(Fraction(const, i * scale))}"
             )
         return "verified", None
     # const + coeff * unknown = 0
@@ -404,7 +461,12 @@ def _relation_targets(nmax: int) -> list[tuple[int, int]]:
 
 
 def _run_passes(
-    table: ClassTable, nmax: int, pending: list, values: dict, provenance: dict, passno: int
+    table: classes.ClassTable,
+    pending: list,
+    values: dict,
+    cells: dict,
+    provenance: dict,
+    passno: int,
 ) -> tuple[list, int]:
     """Run the replication-row targets ``pending``, (class, i, j) with i <=
     4, to a fixpoint, numbering passes on from ``passno``.  Returns the
@@ -412,18 +474,18 @@ def _run_passes(
 
     All firings in a pass are evaluated against the values the pass started
     with, then committed together; two relations firing the same key must
-    agree.  A pass reads the rows of each class from one ``_log_rows``, cut
-    where a relation with fewer than two unknowns reaches: row m at q <=
-    min(2*nmax // m, gaps[2] - m).
+    agree.  Each pass starts by updating the gaps of every class's
+    ``cells``, so only the cells at or above a class's smallest gap are
+    computed again, and only if its gaps moved.
     """
-    top = 2 * nmax
     while True:
-        rows = {name: _log_rows(values[name], top, 2, 4, 2) for name in table.names}
+        for store in cells.values():
+            store.update()
         fired: dict[tuple[str, int], tuple] = {}
         keep = []
         for target in pending:
             name, i, j = target
-            state, payload = _state(table, name, i, j, values, *rows[name])
+            state, payload = _state(table, name, i, j, values, cells[name])
             if state == "verified":
                 continue
             if state == "fire":
@@ -433,9 +495,9 @@ def _run_passes(
                     if prior_value != solved:
                         raise ContradictionError(
                             f"{key[0]}({key[1]}) derived twice with different "
-                            f"values: {format_coeff(prior_value)} from relation "
+                            f"values: {series.format_coeff(prior_value)} from relation "
                             f"({pi},{pj}) at class {prior_name} vs "
-                            f"{format_coeff(solved)} from relation ({i},{j}) at "
+                            f"{series.format_coeff(solved)} from relation ({i},{j}) at "
                             f"class {name}"
                         )
                 else:
@@ -451,37 +513,39 @@ def _run_passes(
         pending = keep
 
 
-def _sweep(table: ClassTable, nmax: int, values: dict, provenance: dict, passno: int) -> bool:
+def _sweep(
+    table: classes.ClassTable, nmax: int, values: dict, cells: dict, provenance: dict, passno: int
+) -> bool:
     """Evaluate every relation (i,j), 5 <= i <= j, i*j <= 2*nmax, with
     fewer than two unknown right keys, in class, then i, then j order.
     Each checks its keys or derives a lone unknown one as pass ``passno``,
-    committed at once, as ``_run_passes`` classifies them.  Row m is cut
-    at q <= min(2*nmax // m, gaps[2] - m), so the rows and the right sides
-    read no index above ``reach``; a class's gaps and rows are rebuilt when
-    it derives one of its two smallest gaps at or below it.  Returns
-    whether it derived anything.
+    committed at once, as ``_run_passes`` classifies them.  The right sides
+    read no index above ``reach``; a class's gaps are updated when the
+    sweep reaches it, and again when it derives one of its two smallest
+    gaps at or below ``reach``.  Returns whether it derived anything.
     """
     top = 2 * nmax
     reach = top // 5 + 4  # c_g(i+j-1) at (5, top // 5)
     derived = False
     for name in table.names:
-        gaps, rows = _log_rows(values[name], top, 5, isqrt(top), 2)
+        store = cells[name]
+        store.update()
         for i in range(5, isqrt(top) + 1):
             j = i
-            while j <= min(top // i, gaps[2] - i):
-                state, payload = _state(table, name, i, j, values, gaps, rows)
+            while j <= min(top // i, store.gaps[2] - i):
+                state, payload = _state(table, name, i, j, values, store)
                 if state == "fire":
                     (g, n), solved = payload
                     values[g][n] = solved
                     provenance[(g, n)] = (name, (i, j), passno)
                     derived = True
-                    if g == name and n < gaps[2] and n <= reach:
-                        gaps, rows = _log_rows(values[name], top, 5, isqrt(top), 2)
+                    if g == name and n < store.gaps[2] and n <= reach:
+                        store.update()
                 j += 1
     return derived
 
 
-def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
+def solve_from_seeds(table: classes.ClassTable, nmax: int) -> SolveResult:
     """Derive coefficients from seed data by monotone propagation.
 
     A relation fires only when exactly one unknown remains and it occurs
@@ -498,16 +562,17 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
     for (name, n), value in table.seeds.items():
         if name not in values:
             raise ValueError(f"seed for undeclared class {name!r}")
-        value = Fraction(value)  # the rows multiply normalized values
+        value = Fraction(value)  # the cells multiply normalized values
         values[name][n] = value.numerator if value.denominator == 1 else value
     provenance: dict[tuple[str, int], tuple[str, tuple[int, int], int]] = {}
+    cells = {name: _Cells(values[name]) for name in table.names}
     pending = [
         (name, i, j) for name in table.names for i, j in _relation_targets(nmax) if i <= 4
     ]
     passes = 0
     while True:
-        pending, passes = _run_passes(table, nmax, pending, values, provenance, passes)
-        if not _sweep(table, nmax, values, provenance, passes + 1):
+        pending, passes = _run_passes(table, pending, values, cells, provenance, passes)
+        if not _sweep(table, nmax, values, cells, provenance, passes + 1):
             break
         passes += 1
     clean: dict[tuple[str, int], int] = {}
@@ -515,7 +580,7 @@ def solve_from_seeds(table: ClassTable, nmax: int) -> SolveResult:
         value = values[name][n]
         if Fraction(value).denominator != 1:
             raise ContradictionError(
-                f"{name}({n}) solved to non-integer {format_coeff(value)}"
+                f"{name}({n}) solved to non-integer {series.format_coeff(value)}"
             )
         clean[(name, n)] = int(value)
     unresolved = tuple(
@@ -537,7 +602,7 @@ class AuditReport(NamedTuple):
         return tuple(n for g, n in self.introduced if g == name)
 
 
-def determinacy_audit(table: ClassTable, nmax: int) -> AuditReport:
+def determinacy_audit(table: classes.ClassTable, nmax: int) -> AuditReport:
     """Find the indices the relations cannot determine from no data at all.
 
     Forward chaining runs the Horn clauses of every relation target at

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moonshine import lattice
+from moonshine import lattice, modular
 from moonshine.lattice import (
     GradedDims,
     LatticeVector,
@@ -435,7 +435,7 @@ class TestDenominatorIdentity:
         def corrupted(order):
             return normalized_j(order) + UniSeries({4: 1}, order)
 
-        monkeypatch.setattr(lattice, "normalized_j", corrupted)
+        monkeypatch.setattr(modular, "normalized_j", corrupted)
         report = denominator_identity_report(6, 6)
         assert not report.ok
         assert len(report.mismatches) == 22

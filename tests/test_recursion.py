@@ -8,6 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
 from importlib import resources
+from itertools import count, islice
 from math import factorial, gcd, isqrt
 from pathlib import Path
 from typing import NamedTuple
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moonshine import recursion
+from moonshine import recursion, series
 from moonshine.classes import (
     ClassTable,
     CoefficientFamily,
@@ -30,9 +31,10 @@ from moonshine.modular import normalized_j
 from moonshine.recursion import (
     AuditReport,
     ContradictionError,
+    CrossCheckReport,
     Relation,
     SolveResult,
-    _log_rows,
+    _Cells,
     _relation_targets,
     _squared,
     _state,
@@ -40,11 +42,10 @@ from moonshine.recursion import (
     coefficient_recursion,
     coefficient_relation,
     determinacy_audit,
-    mobius,
     recursion_cross_check,
     solve_from_seeds,
 )
-from moonshine.series import BiSeries
+from moonshine.series import BiSeries, log1m_rows, mobius
 from moonshine.series import format_coeff as _show
 from test_series import reference_bimul
 
@@ -331,6 +332,57 @@ def closed_outcome(closed_form, family, name, i, j):
         return str(err)
 
 
+def reference_cross_check(family, name, nmax):
+    """``recursion_cross_check`` by one ``coefficient_recursion`` call, and
+    so one ``log1m_rows`` run per layer, per factorization: what it was
+    before one run per class served every factorization, kept as its
+    oracle."""
+    checks = 0
+    failures = []
+    for n in range(4, nmax + 1):
+        for i in range(2, isqrt(n) + 1):
+            if n % i == 0:
+                derived = coefficient_recursion(family, name, i, n // i)
+                stored = family.value(name, n)
+                checks += 1
+                if derived != stored:
+                    failures.append((n, i, n // i, stored, derived))
+    return CrossCheckReport(name, nmax, checks, tuple(failures))
+
+
+def cross_check_outcome(cross_check, family, name, nmax):
+    """The report, or the text of the MissingCoefficients or RuntimeError."""
+    try:
+        return cross_check(family, name, nmax)
+    except (MissingCoefficients, RuntimeError) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.fixture
+def log_rows_runs():
+    """The ``log1m_rows`` runs made while it is active, each as the number
+    of rows asked for."""
+    runs = []
+
+    def counted(u, ceilings):
+        runs.append(len(u) - 1)
+        return log1m_rows(u, ceilings)
+
+    with mock.patch.object(series, "log1m_rows", counted):
+        yield runs
+
+
+@pytest.fixture
+def no_log_rows():
+    """Running ``log1m_rows`` fails: the solver reads its own cell store."""
+
+    def refuse(*args):
+        raise AssertionError("log1m_rows ran")
+
+    with mock.patch.object(series, "log1m_rows", refuse):
+        yield
+
+
 @pytest.fixture
 def no_relation():
     """Building a relation fails: no library evaluator may build one."""
@@ -430,6 +482,32 @@ class TestClosedForm:
         family = load_family(catalog_table, 60)
         for name in catalog_table.names:
             assert recursion_cross_check(family, name, 60).ok
+
+    @pytest.mark.parametrize("table", ["catalog", "eta5", "eta12_badpower"])
+    def test_cross_check_matches_per_factorization_route(
+        self, audit_tables, table, log_rows_runs
+    ):
+        # one log1m_rows run per class read (g^k, k <= isqrt(100) squarefree),
+        # rows m <= isqrt(100) cut at q <= 100 // m
+        family = load_family(audit_tables[table], 100)
+        for name in family.table.names:
+            del log_rows_runs[:]
+            got = cross_check_outcome(recursion_cross_check, family, name, 100)
+            read = {family.table.power_of(name, k) for k in range(1, 11) if mobius(k)}
+            raised = isinstance(got, tuple)  # at 6E in eta12_badpower: c_6E(12) non-integral
+            assert log_rows_runs == [10] * len(log_rows_runs)
+            assert len(log_rows_runs) <= len(read) if raised else len(log_rows_runs) == len(read)
+            assert got == cross_check_outcome(reference_cross_check, family, name, 100)
+
+    def test_cross_check_raises_at_the_first_holed_factorization(self, family):
+        # (2,4) at n = 8 is the first to read c(5), and names it alone;
+        # c(7) is first read at n = 10
+        values = {g: dict(column) for g, column in family.values.items()}
+        del values["1A"][5], values["1A"][7]
+        holed = family._replace(values=values)
+        got = cross_check_outcome(recursion_cross_check, holed, "1A", 60)
+        assert got == cross_check_outcome(reference_cross_check, holed, "1A", 60)
+        assert got == ("MissingCoefficients", "unknown coefficients: 1A(5)")
 
 
 class TestSolver:
@@ -741,11 +819,99 @@ def compiled_evaluate(name, relation, powers, values):
 
 
 def state_of(table, name, relation, values):
-    """``_state`` on keyed values, with the gaps and rows the replication
-    passes would give it, row i cut at q^j."""
+    """``_state`` on keyed values, with a fresh cell store of the class."""
     i, j = relation.target
     columns = _columns(table, values)
-    return _state(table, name, i, j, columns, *_log_rows(columns[name], i * j, i, i, 2))
+    return _state(table, name, i, j, columns, _Cells(columns[name]))
+
+
+def reference_log_rows(column: dict, top: int, first: int, last: int, cut: int):
+    """One class's gaps and rows: the three smallest indices missing from
+    its {index: value} ``column``, and ``rows(x)``, the rows M_0..M_last of
+    log(1 - U_g) (``log1m_rows``) with u_m[n] = c_g(m+n-1), c_g(gaps[0])
+    read as x and every other unknown as 0.  Row m >= ``first`` is cut at
+    q <= min(top // m, gaps[cut] - m), and the rows below it at row
+    ``first``'s ceiling.  Each run is made once, when first asked for.  The
+    solver rebuilt these per pass before it kept its cells (``_Cells``);
+    kept as their oracle."""
+    gaps = tuple(islice((n for n in count(1) if n not in column), 3))
+    ceilings = [min(top // max(m, first), gaps[cut] - max(m, first)) for m in range(last + 1)]
+    v = gaps[0]
+
+    @cache
+    def rows(x: int) -> list[dict]:
+        u = [{}] + [
+            {n: c for n in range(1, ceilings[m] + 1) if (c := column.get(m + n - 1))}
+            for m in range(1, last + 1)
+        ]
+        if x:
+            for m in range(1, min(v, last) + 1):
+                if v - m + 1 <= ceilings[m]:
+                    u[m][v - m + 1] = x
+        return log1m_rows(u, ceilings)
+
+    return gaps, rows
+
+
+@st.composite
+def gapped_columns(draw):
+    """A column c_g(1..size) with drawn holes, some values ``Fraction``,
+    and the values later added to it in their order of arrival, each with
+    the cells (m,q) read after it arrives."""
+    value = st.one_of(
+        st.integers(-10**6, 10**6),
+        st.fractions(-50, 50, max_denominator=6).map(
+            lambda f: f.numerator if f.denominator == 1 else f
+        ),
+    )
+    size = draw(st.integers(0, 22))
+    holes = draw(st.sets(st.integers(1, size), max_size=4)) if size else set()
+    column = {n: draw(value) for n in range(1, size + 1) if n not in holes}
+    arrivals = draw(st.lists(st.integers(1, size + 3), unique=True, max_size=4))
+    cell = st.tuples(st.integers(1, 24), st.integers(1, 24))
+    reads = [draw(st.lists(cell, max_size=6)) for _ in range(len(arrivals) + 1)]
+    return column, [(n, draw(value)) for n in arrivals if n not in column], reads
+
+
+class TestCells:
+    @given(case=gapped_columns(), x=st.sampled_from([0, 1]))
+    @settings(deadline=None, max_examples=300)
+    def test_cells_match_log_rows_oracle(self, case, x):
+        # the store keeps its final cells and drops its band as values
+        # arrive; every cell it may be asked for must equal the oracle's
+        column, arrivals, reads = case
+        cells = _Cells(column)
+
+        def check(wanted):
+            gaps, rows = reference_log_rows(column, 10**9, 1, cells.gaps[2] - 1, 2)
+            assert cells.gaps == gaps
+            for m, q in wanted:
+                if m + q - 1 < gaps[2]:
+                    assert cells.cell(m, q, x) == rows(x)[m].get(q, 0), (m, q)
+
+        check(reads[0])
+        for (n, value), wanted in zip(arrivals, reads[1:]):
+            column[n] = value
+            cells.update()
+            check(wanted)
+        top = cells.gaps[2]
+        check([(m, q) for m in range(1, top) for q in range(1, top - m + 1)])
+
+    def test_final_cells_are_kept(self):
+        # with 1A's c(1..5) known the cells with m+q-1 < 6 are final and
+        # read no x; those at 6 <= m+q-1 < 8 are the band
+        j = normalized_j(6)
+        column = {n: j.coeff(n) for n in range(1, 6)}
+        cells = _Cells(column)
+        assert cells.gaps == (6, 7, 8)
+        assert cells.cell(2, 3, 0) == cells.cell(2, 3, 1)  # reads c(1), c(2), c(4)
+        assert cells.cell(2, 5, 0) != cells.cell(2, 5, 1)  # reads c(6) as x
+        final = {m: list(row) for m, row in cells.final.items()}
+        column[6] = j.coeff(6)
+        cells.update()
+        assert cells.gaps == (7, 8, 9)
+        assert all(cells.final[m][: len(row)] == row for m, row in final.items())
+        assert cells.band == ({}, {})
 
 
 def _meets_lone_right(inst):
@@ -1069,6 +1235,15 @@ class TestSweep:
         assert (code, err) == (0, "")
         assert out
 
+    def test_solver_runs_no_log_rows(self, catalog_table, no_log_rows):
+        assert solve_from_seeds(catalog_table, 60).unresolved == ()
+
+    @pytest.mark.parametrize("argv", [["derive"], ["compare"]], ids=" ".join)
+    def test_cli_solve_runs_no_log_rows(self, argv, no_log_rows):
+        code, out, err = _run_cli([*argv, "--max", "60"])
+        assert (code, err) == (0, "")
+        assert out
+
     @pytest.mark.parametrize("nmax", [1, 4, 30, 60])
     def test_catalog_solve_matches_compiled_solve(self, catalog_table, nmax):
         assert solve_from_seeds(catalog_table, nmax) == compiled_solve(catalog_table, nmax)
@@ -1085,7 +1260,8 @@ class TestSweep:
         nmax = data.draw(st.sampled_from([12, 13, 20, 30]))
         got, want = _columns(catalog_table, values), _columns(catalog_table, values)
         provenance, expected = {}, {}
-        outcome = _outcome(_sweep, catalog_table, nmax, got, provenance, 9)
+        cells = {name: _Cells(got[name]) for name in names}
+        outcome = _outcome(_sweep, catalog_table, nmax, got, cells, provenance, 9)
         reference = _outcome(compiled_sweep, catalog_table, nmax, want, expected, 9)
         if isinstance(outcome, tuple) or isinstance(reference, tuple):
             assert outcome == reference
@@ -1234,6 +1410,13 @@ class TestBrokenTables:
             assert set(got.indices) == {key for key in read if not family.known(*key)}
         else:
             assert got == want
+
+    @given(case=holed_families(), nmax=st.integers(1, 40))
+    @settings(deadline=None, max_examples=100)
+    def test_cross_check_matches_per_factorization_route(self, case, nmax):
+        family, name = case
+        got = cross_check_outcome(recursion_cross_check, family, name, nmax)
+        assert got == cross_check_outcome(reference_cross_check, family, name, nmax)
 
     @given(text=broken_tables(), nmax=st.sampled_from([1, 4, 9, 16]))
     @settings(deadline=None, max_examples=100)

@@ -21,6 +21,8 @@ SERIES = {"cli", "modular", "series"}
 LATTICE = SERIES | {"lattice"}
 CLASSES = SERIES | {"classes"}
 RECURSION = CLASSES | {"recursion"}
+# parsing a table builds eta recipes, but expands none
+SOLVE = {"cli", "classes", "modular", "recursion"}
 
 # run the command, then list the moonshine modules whose source has run: an
 # unrun lazy module is an instance of a ModuleType subclass
@@ -57,9 +59,9 @@ COMMANDS = {
     "witt --mmax 3 --nmax 3": LATTICE,
     "bmatrix --size 2": LATTICE,
     "verify-ep --imax 3 --jmax 3": CLASSES,
-    "derive --max 5": RECURSION,
+    "derive --max 5": SOLVE,
     "compare --max 5": RECURSION,
-    "derive --audit --max 5": RECURSION,
+    "derive --audit --max 5": SOLVE,
 }
 
 
@@ -68,6 +70,22 @@ def test_command_runs_only_its_layers(command):
     code, *ran = probe(RAN_LAYERS, *command.split())[-1].split()
     assert code == "0"
     assert set(ran) == COMMANDS[command]
+
+
+def test_contradiction_is_printed(tmp_path):
+    # the text of a contradiction is the one thing derive reads from series
+    catalog = (Path(SRC) / "moonshine" / "data" / "catalog.mtf").read_text()
+    corrupted = catalog.replace("seed 1A 2 21493760", "seed 1A 2 21493761")
+    assert corrupted != catalog
+    path = tmp_path / "corrupted.mtf"
+    path.write_text(corrupted)
+    # RAN_LAYERS, with the command's stdout left on stdout
+    shown = RAN_LAYERS.replace("redirect_stdout(io.StringIO())", "redirect_stdout(sys.stdout)")
+    *out, last = probe(shown, "derive", "--table", str(path), "--max", "30")
+    code, *ran = last.split()
+    assert (code, out[-1]) == ("1", "VERDICT: FAIL")
+    assert out[0].startswith("contradiction: ")
+    assert set(ran) == SOLVE | {"series"}
 
 
 def test_import_registers_every_layer():
