@@ -39,21 +39,20 @@ weight ``scale``.  Part p occurs twice, and c(p-1) squared, when the rest
 i+j-2p is 0, or is at least 2 and a third part is allowed (i >= 3).
 
 The right side of (i,j) is [p^i q^j] -log(1 - U_g), U_g = sum c_g(m+n-1)
-p^m q^n, so one ``log1m_rows`` run per class gives every right side at
-once.  The closed form reads layer k at (i/k, j/k) from one run for g^k.
-The solver classifies each relation from the shape and takes its values
-from the cells of those rows (``_state``).  The replication rows i = 2,
+p^m q^n.  A store of its cells per class read (``_Cells``) computes each
+cell once, when first read.  The closed form reads layer k at (i/k, j/k) from the
+store of g^k; the solver classifies each relation from the shape and
+takes its values from the cells (``_state``).  The replication rows i = 2,
 3, 4 determine every coefficient from c(1), c(2), c(3), c(5) (Norton
 1984): they run pass by pass to a fixpoint.  Then one sweep evaluates
 every relation i >= 5 with fewer than two unknown right keys (``_sweep``):
 it checks those whose keys are all known and derives a lone unknown key,
 which no replication row may reach (c_g(35) at nmax 30, or c_g(25) from
 (5,5), which skips c_g(8)).  The two alternate until the sweep derives
-nothing.  Each class keeps its cells for the whole solve (``_Cells``):
-a cell is computed once, when first read, from the values and the lower
-cells it needs, as in online (relaxed) multiplication (van der Hoeven,
-"Relax, but don't be too lazy", 2002), and only the cells that read an
-unknown are computed again, when the unknowns move.
+nothing.  Each class keeps its store for the whole solve, as in online
+(relaxed) multiplication (van der Hoeven, "Relax, but don't be too lazy",
+2002), and only the cells that read an unknown are computed again, when
+the unknowns move.
 A key has two lone linear occurrences only when g^k = g (k >= 2) and
 ij/k^2 = i+j-1, the lone right-side c_g(i+j-1) (1A and 3B at (6,10) in
 the catalog); their weights scale/k and -scale add up to scale*(1/k - 1)
@@ -194,20 +193,12 @@ def coefficient_relation(i: int, j: int) -> Relation:
 # closed form
 
 
-def _rows_of(column: dict, ceilings: list[int]) -> list[dict]:
-    """The rows of log(1 - U_g) (``series.log1m_rows``), u_m[n] = c_g(m+n-1)
-    read from the {index: value} ``column`` (a missing value as 0), row m
-    cut at q <= ``ceilings[m]``."""
-    u = [{}] + [
-        {n: c for n in range(1, ceilings[m] + 1) if (c := column.get(m + n - 1))}
-        for m in range(1, len(ceilings))
-    ]
-    return series.log1m_rows(u, ceilings)
-
-
-def _closed_form(family: classes.CoefficientFamily, name: str, i: int, j: int, rows) -> int:
-    """``coefficient_recursion`` at 2 <= i <= j, reading layer k from
-    ``rows(g^k, a, b)``, rows of class g^k that reach cell (a,b)."""
+def _closed_form(family: classes.CoefficientFamily, name: str, i: int, j: int, cells) -> int:
+    """``coefficient_recursion`` at 2 <= i <= j, reading layer k's cell
+    M_a[b] at x = 0 from ``cells(g^k)``, a ``_Cells`` store.  With the keys
+    known, a+b-2 is the only index <= a+b-1 that may be missing, so a+b-1 <
+    gaps[2].  At a = 1, M_1[b] = -c_{g^k}(b) is read from the column, which
+    may have more holes below b."""
     layers = [
         (mu, family.table.power_of(name, k), i // k, j // k)
         for k in range(1, gcd(i, j) + 1)
@@ -223,7 +214,7 @@ def _closed_form(family: classes.CoefficientFamily, name: str, i: int, j: int, r
         raise classes.MissingCoefficients(missing)
     total = 0  # i * c_g(ij)
     for mu, g, a, b in layers:
-        total -= mu * rows(g, a, b)[a].get(b, 0)
+        total -= mu * (-family.values[g][b] if a == 1 else cells(g).cell(a, b, 0))
     result, rest = divmod(total, i)
     if rest:
         raise RuntimeError(
@@ -243,15 +234,13 @@ def coefficient_recursion(
     (a,b) is -a times the right side of the relation at (a,b).  That cell
     reads c_{g^k}(1..a+b-3) and c_{g^k}(a+b-1), a = i/k <= b = j/k (only
     c_{g^k}(b) when a = 1); every such key the family lacks is reported
-    before any arithmetic, and the rows read other missing keys as 0.  Each
-    layer runs ``log1m_rows`` once, rows 1..a cut at q^b.
+    before any arithmetic, and the cells (``_Cells``) read other missing
+    keys as 0.
     """
     if i < 2 or j < 2:
         raise ValueError("closed form needs i, j >= 2")
     i, j = min(i, j), max(i, j)
-    return _closed_form(
-        family, name, i, j, lambda g, a, b: _rows_of(family.values[g], [b] * (a + 1))
-    )
+    return _closed_form(family, name, i, j, cache(lambda g: _Cells(family.values[g])))
 
 
 class CrossCheckReport(NamedTuple):
@@ -275,12 +264,11 @@ def recursion_cross_check(
 
     Comparing every factorization against the stored value also certifies
     multi-factorization consistency (all routes to the same n agree).  Each
-    class read runs ``log1m_rows`` once, row m cut at q <= nmax // m, which
-    holds every cell (a,b) with ab <= nmax; a factorization with missing
-    keys raises before it reads them, as ``coefficient_recursion`` does.
+    class read keeps one cell store (``_Cells``) for every factorization,
+    so a cell is computed once; a factorization with missing keys raises
+    before it reads them, as ``coefficient_recursion`` does.
     """
-    cut = [0] + [nmax // m for m in range(1, isqrt(max(nmax, 0)) + 1)]
-    rows = cache(lambda g: _rows_of(family.values[g], cut))
+    cells = cache(lambda g: _Cells(family.values[g]))
     checks = 0
     failures: list[tuple[int, int, int, int, int]] = []
     for n in range(4, nmax + 1):
@@ -290,7 +278,7 @@ def recursion_cross_check(
             if n % i:
                 continue
             j = n // i
-            derived = _closed_form(family, name, i, j, lambda g, a, b: rows(g))
+            derived = _closed_form(family, name, i, j, cells)
             stored = family.value(name, n)
             checks += 1
             if derived != stored:
@@ -314,8 +302,9 @@ def _squared(i: int, j: int, v: int) -> bool:
 
 
 class _Cells:
-    """The cells M_m[q] of log(1 - U_g) (``series.log1m_rows``) for one
-    class, u_m[n] = c_g(m+n-1), each computed once, when first read.
+    """The cells M_m[q] of log(1 - U_g) for one class, u_m[n] = c_g(m+n-1),
+    each computed once, when first read (``series.log1m_rows`` runs the
+    same recurrence on whole rows).
 
     ``column`` is the class's {index: value} dict, which only ever gains
     values; ``gaps`` are its three smallest missing indices as of the last
@@ -325,7 +314,7 @@ class _Cells:
 
     so it reads c_g(1..m+q-1), and a cell may be read only at m+q-1 <
     gaps[2].  Below gaps[0] it reads known values alone: it is final and
-    kept for the whole solve.  The band gaps[0] <= m+q-1 < gaps[2] reads
+    kept for the store's life.  The band gaps[0] <= m+q-1 < gaps[2] reads
     c_g(gaps[0]) as x (``cell``) and c_g(gaps[1]) as 0; it is kept per x
     and dropped when ``update`` moves the gaps.
     """

@@ -24,8 +24,8 @@ transform multiplies such operands faster than ``int``'s Karatsuba (about
 three times at 250,000 digits).  Factors with fewer term pairs than product
 digits are multiplied pair by pair.
 ``BiSeries`` has no series product.  ``log1m_rows`` takes log(1 - U) of a
-two-variable series by a recurrence on its q-rows, which multiplies them
-through the same kernel.
+two-variable series by a recurrence on its q-rows, one dot product per
+cell; it runs no packed product.
 
 Arithmetic propagates ceilings so that every reported coefficient is exact.
 A truncated ``UniSeries`` product, for instance, can only be trusted up to
@@ -43,6 +43,7 @@ import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 try:
     import _decimal  # the C decimal module; its pure-Python fallback is slower than int
@@ -215,12 +216,13 @@ def _mul_decimal(a: dict[int, int], b: dict[int, int], n: int, k: int) -> dict[i
 
 
 def _mul_exact(a: dict[int, Coeff], b: dict[int, Coeff], n: int) -> dict[int, Coeff]:
-    """The nonzero coefficients below offset ``n`` of ``a * b``, exactly.
+    """The nonzero coefficients below offset ``n`` of ``a * b``, exactly:
+    the kernel of ``UniSeries`` products, its one caller.
 
     Each factor's denominators are cleared by their lcm, the integer factors
     go through one Kronecker product (:func:`_mul_low`, a square when ``a is
     b``), and the result is divided back.  Values come back normalized
-    (``int`` when integral), so a result can be fed back in as a factor.
+    (``int`` when integral).
     """
     if not a or not b:
         return {}
@@ -605,31 +607,32 @@ def log1m_rows(u: list[dict[int, Coeff]], ceilings: list[int]) -> list[dict[int,
     """The rows M_m = m L_m of log(1 - sum_m u_m p^m) = sum_m L_m p^m.
 
     ``u[m]`` is the q-row of p^m for m >= 1 (``u[0]`` is ignored), a
-    {q: coefficient} dict with q >= 0 (else ``ValueError``: the products
-    read q as an offset from q^0) and coefficients normalized (``int``
+    {q: coefficient} dict with q >= 0 (else ``ValueError``: the rows are
+    read as lists indexed from q^0) and coefficients normalized (``int``
     when integral), known up to ``ceilings[m]``; the untracked terms lie at
     q above it.  The p-derivative gives (1 - sum u_m p^m) * sum m L_m p^m =
     -sum m u_m p^m, so
 
-        M_m = -m u_m + sum_{k=1}^{m-1} u_k M_{m-k},
+        M_m[q] = -m u_m[q] + sum_{k=1}^{m-1} sum_{s=0}^{q} u_k[s] M_{m-k}[q-s],
 
     each row depends on lower rows only, and M_m is integral when the u_m
     are.  Row m is returned as a dict of its nonzero coefficients at q <=
     ``ceilings[m]``.  The ceilings must be nonincreasing in m: row m then
     reads lower rows at ceilings no lower than its own, no factor lowers q,
-    and every row is exact.  Each factor is cut to the row's ceiling, and
-    the products run through :func:`_mul_exact`, so none runs past it.
+    and every row is exact.  A cell is one dot product per k, as in
+    ``recursion._Cells``.
     """
     if any(min(row, default=0) < 0 for row in u[1:]):
         raise ValueError("log1m_rows takes q exponents >= 0")
-    big_m: list[dict[int, Coeff]] = [{}]  # M_0 = 0 is never read
+    dense: list[list[Coeff]] = [[]]  # dense[m][q] = u_m[q], q <= ceilings[m]
+    big_m: list[list[Coeff]] = [[]]  # big_m[m][q] = M_m[q]; M_0 = 0 is never read
     for m in range(1, len(u)):
-        n = ceilings[m] + 1  # offsets q = 0 .. ceiling
-        row = {q: -m * v for q, v in u[m].items() if q < n}
-        for k in range(1, m):
-            a = {q: v for q, v in u[k].items() if q < n}
-            b = {q: v for q, v in big_m[m - k].items() if q < n}
-            for q, v in _mul_exact(a, b, n).items():
-                row[q] = row.get(q, 0) + v
-        big_m.append({q: _norm(v) for q, v in row.items() if v})
-    return big_m
+        dense.append([u[m].get(q, 0) for q in range(ceilings[m] + 1)])
+        row = []
+        for q, v in enumerate(dense[m]):
+            total = -m * v
+            for k in range(1, m):
+                total += sum(map(mul, dense[k][: q + 1], reversed(big_m[m - k][: q + 1])))
+            row.append(total)
+        big_m.append(row)
+    return [{q: _norm(v) for q, v in enumerate(row) if v} for row in big_m]

@@ -334,9 +334,8 @@ def closed_outcome(closed_form, family, name, i, j):
 
 def reference_cross_check(family, name, nmax):
     """``recursion_cross_check`` by one ``coefficient_recursion`` call, and
-    so one ``log1m_rows`` run per layer, per factorization: what it was
-    before one run per class served every factorization, kept as its
-    oracle."""
+    so fresh cells per layer, per factorization: what it was before one
+    store per class served every factorization, kept as its oracle."""
     checks = 0
     failures = []
     for n in range(4, nmax + 1):
@@ -359,22 +358,23 @@ def cross_check_outcome(cross_check, family, name, nmax):
 
 
 @pytest.fixture
-def log_rows_runs():
-    """The ``log1m_rows`` runs made while it is active, each as the number
-    of rows asked for."""
-    runs = []
+def cell_stores():
+    """The columns of the cell stores (``_Cells``) made while it is active."""
+    made = []
 
-    def counted(u, ceilings):
-        runs.append(len(u) - 1)
-        return log1m_rows(u, ceilings)
+    class Counted(_Cells):
+        def __init__(self, column):
+            made.append(column)
+            super().__init__(column)
 
-    with mock.patch.object(series, "log1m_rows", counted):
-        yield runs
+    with mock.patch.object(recursion, "_Cells", Counted):
+        yield made
 
 
 @pytest.fixture
 def no_log_rows():
-    """Running ``log1m_rows`` fails: the solver reads its own cell store."""
+    """Running ``log1m_rows`` fails: the solver and the closed form read
+    their own cell stores."""
 
     def refuse(*args):
         raise AssertionError("log1m_rows ran")
@@ -485,19 +485,37 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("table", ["catalog", "eta5", "eta12_badpower"])
     def test_cross_check_matches_per_factorization_route(
-        self, audit_tables, table, log_rows_runs
+        self, audit_tables, table, cell_stores, no_log_rows
     ):
-        # one log1m_rows run per class read (g^k, k <= isqrt(100) squarefree),
-        # rows m <= isqrt(100) cut at q <= 100 // m
+        # no log1m_rows run, and one cell store per class read at a cell
+        # (a,b), a = i/k >= 2: g^k, k <= isqrt(100) // 2 squarefree (a = 1
+        # reads the column alone); at 6E in eta12_badpower c_6E(12) comes
+        # out non-integral, and the check stops there
         family = load_family(audit_tables[table], 100)
+        raised = []
         for name in family.table.names:
-            del log_rows_runs[:]
+            del cell_stores[:]
             got = cross_check_outcome(recursion_cross_check, family, name, 100)
-            read = {family.table.power_of(name, k) for k in range(1, 11) if mobius(k)}
-            raised = isinstance(got, tuple)  # at 6E in eta12_badpower: c_6E(12) non-integral
-            assert log_rows_runs == [10] * len(log_rows_runs)
-            assert len(log_rows_runs) <= len(read) if raised else len(log_rows_runs) == len(read)
+            read = {family.table.power_of(name, k) for k in range(1, 6) if mobius(k)}
+            if isinstance(got, CrossCheckReport):
+                assert len(cell_stores) == len(read)
+            else:
+                assert len(cell_stores) <= len(read)
+                raised.append(name)
             assert got == cross_check_outcome(reference_cross_check, family, name, 100)
+        assert raised == (["6E"] if table == "eta12_badpower" else [])
+
+    def test_one_layer_reads_its_key_past_holes(self, catalog_table):
+        # (2,12) at 4C reads layer k = 2 at class 2B, cell (1,6): M_1[6] =
+        # -c_2B(6).  Without c_2B(1..3) a cell store of 2B may read no cell
+        # past index 2, so that layer reads the column alone
+        family = load_family(catalog_table, 40)
+        for n in (1, 2, 3):
+            del family.values["2B"][n]
+        want = monomial_recursion(family, "4C", 2, 12)
+        assert want == family.value("4C", 24)
+        assert coefficient_recursion(family, "4C", 2, 12) == want
+        assert coefficient_recursion(family, "4C", 12, 2) == want
 
     def test_cross_check_raises_at_the_first_holed_factorization(self, family):
         # (2,4) at n = 8 is the first to read c(5), and names it alone;
@@ -1284,9 +1302,9 @@ NAMED_RELATION = re.compile(r"relation \((\d+),(\d+)\)")
 
 def _differential_bases():
     """Seedless table text, classes, declared power maps, seeds and the
-    recipe values c_g(1..9) of every catalog subset, eta5 and eta7_13."""
+    recipe values c_g(1..9) of every catalog subset, eta5, eta7_13 and eta12."""
     catalog = resources.files("moonshine").joinpath("data/catalog.mtf").read_text()
-    texts = {name: (DATA / f"{name}.mtf").read_text() for name in ("eta5", "eta7_13")}
+    texts = {name: (DATA / f"{name}.mtf").read_text() for name in ("eta5", "eta7_13", "eta12")}
     for subset in CATALOG_SUBSETS:
         kept = []
         for raw in catalog.splitlines():
@@ -1373,28 +1391,49 @@ def table_dir(tmp_path_factory):
 
 @st.composite
 def holed_families(draw):
-    """A family from a drawn broken table (``broken_tables``) and one of its
-    classes.  The recipes are expanded to 40 and the seeds laid over them (a
-    wrong seed corrupts its slot); each class is cut at a drawn order, with
-    up to three slots below 20 dropped."""
+    """A family from a drawn broken table (``broken_tables``), one of its
+    classes g, and a target or None.  The recipes are expanded to 40 and the
+    seeds laid over them (a wrong seed corrupts its slot).  Either each
+    class is cut at a drawn order, with up to three slots below 20 dropped;
+    or, for a drawn k in {2, 3, 5} with g^k != g and b in 4..6, class g^k
+    alone loses 3 or 4 slots below b, seeds included, and keeps c(b).  The
+    target is then (k, kb): its layer k reads c_{g^k}(b) alone, past the
+    holes."""
     table = parse_table_text(draw(broken_tables()))
     full = load_family(table._replace(seeds={}), 40)
-    values = {}
+    name = draw(st.sampled_from(table.names))
+    values = {g: dict(full.values[g]) for g in table.names}
+    for (g, n), v in table.seeds.items():
+        values[g][n] = v
+    powers = [k for k in (2, 3, 5) if table.power_of(name, k) != name]
+    if powers and draw(st.booleans()):
+        k, b = draw(st.sampled_from(powers)), draw(st.integers(4, 6))
+        column = values[table.power_of(name, k)]
+        for n in draw(st.sets(st.integers(1, b - 1), min_size=3, max_size=4)):
+            del column[n]
+        return CoefficientFamily(table, values, 40), name, (k, k * b)
     for g in table.names:
         cut = draw(st.sampled_from([40, 40, 16, 9, 4]))
         holes = draw(st.sets(st.integers(1, 20), max_size=3))
         values[g] = {n: v for n, v in full.values[g].items() if n <= cut and n not in holes}
         values[g].update({n: v for (h, n), v in table.seeds.items() if h == g})
-    return CoefficientFamily(table, values, 40), draw(st.sampled_from(table.names))
+    return CoefficientFamily(table, values, 40), name, None
 
 
 class TestBrokenTables:
-    @given(case=holed_families(), i=st.integers(2, 12), j=st.integers(2, 12))
+    @given(
+        case=holed_families(),
+        i=st.integers(2, 12),
+        j=st.integers(2, 12),
+        at_target=st.booleans(),
+    )
     @settings(deadline=None, max_examples=200)
-    def test_closed_form_matches_monomial_oracle(self, case, i, j):
+    def test_closed_form_matches_monomial_oracle(self, case, i, j, at_target):
         # the closed form reports every unknown key its relations read, so
         # the monomial walk's missing keys are among them
-        family, name = case
+        family, name, target = case
+        if target and at_target:
+            i, j = target
         got = closed_outcome(coefficient_recursion, family, name, i, j)
         want = closed_outcome(monomial_recursion, family, name, i, j)
         if isinstance(want, MissingCoefficients):
@@ -1414,7 +1453,9 @@ class TestBrokenTables:
     @given(case=holed_families(), nmax=st.integers(1, 40))
     @settings(deadline=None, max_examples=100)
     def test_cross_check_matches_per_factorization_route(self, case, nmax):
-        family, name = case
+        # a target past holes is never reached: the check visits n in
+        # increasing order, and stops at the first hole
+        family, name, _ = case
         got = cross_check_outcome(recursion_cross_check, family, name, nmax)
         assert got == cross_check_outcome(reference_cross_check, family, name, nmax)
 

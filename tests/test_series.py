@@ -9,14 +9,20 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moonshine import series
-from moonshine.classes import load_family, parse_table_text
-from moonshine.lattice import GradedDims, denominator_sides, dimension_product
+from moonshine.classes import euler_poincare_report, load_family, parse_table_text
+from moonshine.lattice import (
+    GradedDims,
+    denominator_sides,
+    dimension_product,
+    witt_dims_from_char,
+)
 from moonshine.modular import normalized_j
 from moonshine.series import BiSeries, UniSeries, _mul_decimal, _mul_low
 
@@ -763,12 +769,48 @@ def reference_log1m(u: BiSeries) -> BiSeries:
     return BiSeries(total, u.pmax, u.qmax)
 
 
-def log1m_via_rows(u: BiSeries) -> BiSeries:
-    """log(1 - u) read from the rows of ``log1m_rows`` at one ceiling, qmax:
-    cell (m,n) is M_m[n] / m.  ``u`` has p exponents >= 1 and q >= 0."""
+def kronecker_log1m_rows(u, ceilings):
+    """``log1m_rows`` by whole-row products: M_m = -m u_m + sum_{k<m} u_k
+    M_{m-k}, each product u_k M_{m-k} cut at row m's ceiling and run
+    through the packed kernel (``_mul_exact``).  ``log1m_rows`` ran this way
+    before it took one dot product per cell; kept as its oracle."""
+    big_m = [{}]
+    for m in range(1, len(u)):
+        n = ceilings[m] + 1
+        row = {q: -m * v for q, v in u[m].items() if q < n}
+        for k in range(1, m):
+            a = {q: v for q, v in u[k].items() if q < n}
+            b = {q: v for q, v in big_m[m - k].items() if q < n}
+            for q, v in series._mul_exact(a, b, n).items():
+                row[q] = row.get(q, 0) + v
+        big_m.append({q: series._norm(v) for q, v in row.items() if v})
+    return big_m
+
+
+@contextmanager
+def no_packed_product():
+    """Running the packed product kernel (``_mul_exact``, ``_mul_low``) fails."""
+
+    def refuse(*args):
+        raise AssertionError("a packed product ran")
+
+    with mock.patch.object(series, "_mul_exact", refuse):
+        with mock.patch.object(series, "_mul_low", refuse):
+            yield
+
+
+def bi_rows(u: BiSeries) -> list[dict]:
+    """The q-rows of ``u``, row i holding the coefficients of p^i."""
     rows = [{} for _ in range(u.pmax + 1)]
     for (i, j), v in u.items():
         rows[i][j] = v
+    return rows
+
+
+def log1m_via_rows(u: BiSeries) -> BiSeries:
+    """log(1 - u) read from the rows of ``log1m_rows`` at one ceiling, qmax:
+    cell (m,n) is M_m[n] / m.  ``u`` has p exponents >= 1 and q >= 0."""
+    rows = bi_rows(u)
     big_m = series.log1m_rows(rows, [u.qmax] * len(rows))
     cells = {(m, j): Fraction(v, m) for m, row in enumerate(big_m) for j, v in row.items()}
     return BiSeries(cells, u.pmax, u.qmax)
@@ -855,7 +897,7 @@ class TestBiSeries:
 
     def test_log1m_feeds_integral_fractions_back(self):
         # u^2 cut at q^3 is p^2 q^2 + p^2 q^3, all integral although u is
-        # not; the kernel must hand those back as ints before u^3
+        # not; those cells must come back as ints
         u = BiSeries({(1, 1): 1, (1, 2): Fraction(1, 2)}, 3, 3)
         assert dict(log1m_via_rows(u).items()) == {
             (1, 1): -1,
@@ -867,8 +909,8 @@ class TestBiSeries:
 
     @settings(max_examples=200)
     @given(log_input_with_cut())
-    # shipped sizes: the j character, whose wide rows take the packed kernel
-    # path, and the Euler-Poincare generator series at 8x8
+    # shipped sizes: the j character, whose coefficients pass 100 bits, and
+    # the Euler-Poincare generator series at 8x8
     @example((j_character(10), 10))
     @example((generator_series(CATALOG_FAMILY, "2B", 8), 8))
     @example((generator_series(CATALOG_FAMILY, "3B", 8), 8))
@@ -911,11 +953,33 @@ class TestBiSeries:
             assert got[m] == expected
             assert all(type(v) is int or v.denominator > 1 for v in got[m].values())
 
+    @settings(max_examples=300)
+    @given(log_rows_input())
+    @example(([{}, {1: 196884, 2: 21493760}, {}, {0: Fraction(1, 2), 3: -7}], [9, 4, 4, 2], 4))
+    # the j character's 100-bit rows, which the packed kernel takes wide
+    @example((bi_rows(j_character(10)), [10] * 11, 10))
+    def test_log1m_rows_matches_kronecker_rows(self, case):
+        rows, ceilings, _ = case
+        want = kronecker_log1m_rows(rows, ceilings)
+        with no_packed_product():
+            assert series.log1m_rows(rows, ceilings) == want
+
+    def test_log_readers_run_no_packed_product(self):
+        # expanding a family multiplies UniSeries through the packed kernel,
+        # so the family and the character are built first
+        family = load_family(CATALOG_FAMILY.table, 36)
+        character = j_character(8)
+        with no_packed_product():
+            reports = [euler_poincare_report(family, name, 6, 6) for name in family.table.names]
+            dims = witt_dims_from_char(character)
+        assert all(report.ok for report in reports)
+        c = normalized_j(8)
+        assert [dims.dim(1, n) for n in range(1, 9)] == [c.coeff(n) for n in range(1, 9)]
+
     @pytest.mark.parametrize("m", [1, 2])
     def test_log1m_rows_refuses_negative_q(self, m):
         # q^-1 + 1 + ... + q^5 at ceiling 5, as row 1 (where -u_1^2 has terms
-        # from q^-2, which the packed product would read as offsets from q^0)
-        # or as row 2
+        # from q^-2, which rows indexed from q^0 cannot hold) or as row 2
         rows = [{}, {}, {}]
         rows[m] = {q: 1 for q in range(-1, 6)}
         with pytest.raises(ValueError, match="q exponents >= 0"):
