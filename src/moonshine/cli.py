@@ -32,8 +32,8 @@ FAIL_LINE = "VERDICT: FAIL"
 # ``jexpand --order 1200`` takes about 0.15 s, 2000 about 0.3 s and 5000
 # about 1.2 s, and the time grows a little faster than the order; a 24x24
 # window expands through q^600.  The limit bounds the order only: a
-# two-variable window's cost also grows with its cells, and
-# ``witt --mmax 70 --nmax 70`` (q^4900) runs for about 4.7 s (2-core VM).
+# two-variable window's cost grows with its cells squared, whatever its shape:
+# ``witt`` at 70x70 (q^4900) runs for about 4.7 s, at 2x2500 for 2.8 s.
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).

@@ -615,19 +615,23 @@ def log1m_rows(u: list[dict[int, Coeff]], ceilings: list[int]) -> list[dict[int,
 
         M_m[q] = -m u_m[q] + sum_{k=1}^{m-1} sum_{s=0}^{q} u_k[s] M_{m-k}[q-s],
 
-    each row depends on lower rows only, and M_m is integral when the u_m
-    are.  Row m is returned as a dict of its nonzero coefficients at q <=
-    ``ceilings[m]``.  The ceilings must be nonincreasing in m: row m then
-    reads lower rows at ceilings no lower than its own, no factor lowers q,
-    and every row is exact.  A cell is one dot product per k, as in
-    ``recursion._Cells``.
+    each row depends on lower rows only.  Row m is returned as a dict of its
+    nonzero coefficients at q <= ``ceilings[m]``.  The ceilings must be
+    nonincreasing in m: row m then reads lower rows at ceilings no lower
+    than its own, no factor lowers q, and every row is exact.  The rows run
+    in integers, as D^m u_m and D^m M_m for D the lcm of the denominators.
+    A cell is one dot product per k, as in ``recursion._Cells``: about
+    (rows * columns)^2 / 4 multiplies, fewer than whole-row packed products
+    on square windows, more on narrow ones (2-core machine: 0.9 s, not 2.4
+    s, at 70x70; 0.9 s, not 0.16 s, at 2x2500).
     """
     if any(min(row, default=0) < 0 for row in u[1:]):
         raise ValueError("log1m_rows takes q exponents >= 0")
-    dense: list[list[Coeff]] = [[]]  # dense[m][q] = u_m[q], q <= ceilings[m]
-    big_m: list[list[Coeff]] = [[]]  # big_m[m][q] = M_m[q]; M_0 = 0 is never read
+    den = lcm(*(v.denominator for row in u[1:] for v in row.values()))
+    dense: list[list[int]] = [[]]  # dense[m][q] = den^m u_m[q], q <= ceilings[m]
+    big_m: list[list[int]] = [[]]  # big_m[m][q] = den^m M_m[q]; M_0 = 0 is never read
     for m in range(1, len(u)):
-        dense.append([u[m].get(q, 0) for q in range(ceilings[m] + 1)])
+        dense.append([int(den**m * u[m].get(q, 0)) for q in range(ceilings[m] + 1)])
         row = []
         for q, v in enumerate(dense[m]):
             total = -m * v
@@ -635,4 +639,6 @@ def log1m_rows(u: list[dict[int, Coeff]], ceilings: list[int]) -> list[dict[int,
                 total += sum(map(mul, dense[k][: q + 1], reversed(big_m[m - k][: q + 1])))
             row.append(total)
         big_m.append(row)
+    if den > 1:
+        big_m = [[Fraction(v, den**m) for v in row] for m, row in enumerate(big_m)]
     return [{q: _norm(v) for q, v in enumerate(row) if v} for row in big_m]

@@ -15,7 +15,7 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moonshine import recursion, series
@@ -1391,71 +1391,86 @@ def table_dir(tmp_path_factory):
 
 @st.composite
 def holed_families(draw):
-    """A family from a drawn broken table (``broken_tables``), one of its
-    classes g, and a target or None.  The recipes are expanded to 40 and the
-    seeds laid over them (a wrong seed corrupts its slot).  Either each
-    class is cut at a drawn order, with up to three slots below 20 dropped;
-    or, for a drawn k in {2, 3, 5} with g^k != g and b in 4..6, class g^k
-    alone loses 3 or 4 slots below b, seeds included, and keeps c(b).  The
-    target is then (k, kb): its layer k reads c_{g^k}(b) alone, past the
-    holes."""
+    """A family from a drawn broken table (``broken_tables``) and one of its
+    classes.  The recipes are expanded to 40 and the seeds laid over them (a
+    wrong seed corrupts its slot); each class is cut at a drawn order, with
+    up to three slots below 20 dropped."""
     table = parse_table_text(draw(broken_tables()))
     full = load_family(table._replace(seeds={}), 40)
-    name = draw(st.sampled_from(table.names))
-    values = {g: dict(full.values[g]) for g in table.names}
-    for (g, n), v in table.seeds.items():
-        values[g][n] = v
-    powers = [k for k in (2, 3, 5) if table.power_of(name, k) != name]
-    if powers and draw(st.booleans()):
-        k, b = draw(st.sampled_from(powers)), draw(st.integers(4, 6))
-        column = values[table.power_of(name, k)]
-        for n in draw(st.sets(st.integers(1, b - 1), min_size=3, max_size=4)):
-            del column[n]
-        return CoefficientFamily(table, values, 40), name, (k, k * b)
+    values = {}
     for g in table.names:
         cut = draw(st.sampled_from([40, 40, 16, 9, 4]))
         holes = draw(st.sets(st.integers(1, 20), max_size=3))
         values[g] = {n: v for n, v in full.values[g].items() if n <= cut and n not in holes}
         values[g].update({n: v for (h, n), v in table.seeds.items() if h == g})
-    return CoefficientFamily(table, values, 40), name, None
+    return CoefficientFamily(table, values, 40), draw(st.sampled_from(table.names))
+
+
+@st.composite
+def one_layer_holed_families(draw):
+    """A family from a drawn broken table (``broken_tables``), one of its
+    classes g and a target (k, kb) with g^k != g, k in {2, 3, 5} and b in
+    4..6.  The recipes are expanded to 40 and the seeds laid over them;
+    class g^k alone then loses 3 or 4 slots below b, seeds included, and
+    keeps c(b), so the target's layer k reads c_{g^k}(b) alone, past the
+    holes."""
+    table = parse_table_text(draw(broken_tables()))
+    full = load_family(table._replace(seeds={}), 40)
+    values = {g: dict(full.values[g]) for g in table.names}
+    for (g, n), v in table.seeds.items():
+        values[g][n] = v
+    cases = [(g, k) for g in table.names for k in (2, 3, 5) if table.power_of(g, k) != g]
+    assume(cases)
+    name, k = draw(st.sampled_from(cases))
+    b = draw(st.integers(4, 6))
+    column = values[table.power_of(name, k)]
+    for n in draw(st.sets(st.integers(1, b - 1), min_size=3, max_size=4)):
+        del column[n]
+    return CoefficientFamily(table, values, 40), name, (k, k * b)
+
+
+def assert_closed_form_matches_monomial_oracle(family, name, i, j):
+    # the closed form reports every unknown key its relations read, so the
+    # monomial walk's missing keys are among them
+    got = closed_outcome(coefficient_recursion, family, name, i, j)
+    want = closed_outcome(monomial_recursion, family, name, i, j)
+    if isinstance(want, MissingCoefficients):
+        assert isinstance(got, MissingCoefficients)
+        assert set(want.indices) <= set(got.indices)
+        read = {
+            (family.table.power_of(name, k), v)
+            for k in range(1, gcd(i, j) + 1)
+            if i % k == j % k == 0 and mobius(k)
+            for _, monomial in built_relation(i // k, j // k).rhs
+            for v, _ in monomial
+        }
+        assert set(got.indices) == {key for key in read if not family.known(*key)}
+    else:
+        assert got == want
 
 
 class TestBrokenTables:
-    @given(
-        case=holed_families(),
-        i=st.integers(2, 12),
-        j=st.integers(2, 12),
-        at_target=st.booleans(),
-    )
+    @given(case=holed_families(), i=st.integers(2, 12), j=st.integers(2, 12))
     @settings(deadline=None, max_examples=200)
-    def test_closed_form_matches_monomial_oracle(self, case, i, j, at_target):
-        # the closed form reports every unknown key its relations read, so
-        # the monomial walk's missing keys are among them
-        family, name, target = case
-        if target and at_target:
-            i, j = target
-        got = closed_outcome(coefficient_recursion, family, name, i, j)
-        want = closed_outcome(monomial_recursion, family, name, i, j)
-        if isinstance(want, MissingCoefficients):
-            assert isinstance(got, MissingCoefficients)
-            assert set(want.indices) <= set(got.indices)
-            read = {
-                (family.table.power_of(name, k), v)
-                for k in range(1, gcd(i, j) + 1)
-                if i % k == j % k == 0 and mobius(k)
-                for _, monomial in built_relation(i // k, j // k).rhs
-                for v, _ in monomial
-            }
-            assert set(got.indices) == {key for key in read if not family.known(*key)}
-        else:
-            assert got == want
+    def test_closed_form_matches_monomial_oracle(self, case, i, j):
+        family, name = case
+        assert_closed_form_matches_monomial_oracle(family, name, i, j)
+
+    @given(case=one_layer_holed_families(), swap=st.booleans())
+    @settings(deadline=None, max_examples=100)
+    def test_one_layer_past_holes_matches_monomial_oracle(self, case, swap):
+        # the cross check visits n in increasing order, so it stops at the
+        # first hole and never reaches the target; it still agrees with the
+        # per-factorization route
+        family, name, (i, j) = case
+        assert_closed_form_matches_monomial_oracle(family, name, *((j, i) if swap else (i, j)))
+        got = cross_check_outcome(recursion_cross_check, family, name, 40)
+        assert got == cross_check_outcome(reference_cross_check, family, name, 40)
 
     @given(case=holed_families(), nmax=st.integers(1, 40))
     @settings(deadline=None, max_examples=100)
     def test_cross_check_matches_per_factorization_route(self, case, nmax):
-        # a target past holes is never reached: the check visits n in
-        # increasing order, and stops at the first hole
-        family, name, _ = case
+        family, name = case
         got = cross_check_outcome(recursion_cross_check, family, name, nmax)
         assert got == cross_check_outcome(reference_cross_check, family, name, nmax)
 
