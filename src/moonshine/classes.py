@@ -370,7 +370,8 @@ def euler_poincare_report(
         m LHS = sum_{k | gcd(m,n)} (m/k) c_{g^k}(mn/k^2),
         m RHS = -M_m[n],
 
-    where M_m = m L_m are the rows of log(1 - U_g) (:func:`log1m_rows`).
+    where M_m = m L_m are the rows of log(1 - U_g), taken from the column
+    c_g by ``series.log1m_rows``.
     Terms with k > min(imax, jmax) have no cell in the window.  A mismatch
     reports each side as its exact value, divided by m.
 
@@ -397,11 +398,7 @@ def euler_poincare_report(
     missing = {(name, d) for d in range(1, imax + jmax) if d not in own}
     if missing:
         raise MissingCoefficients(missing)
-    u = [{}] + [
-        {n: c for n in range(1, jmax + 1) if (c := own[m + n - 1])}
-        for m in range(1, imax + 1)
-    ]
-    big_m = series.log1m_rows(u, [jmax] * (imax + 1))
+    big_m = series.log1m_rows(own, imax, jmax)
     mismatches = []
     for m in range(1, imax + 1):
         for n in range(1, jmax + 1):
@@ -411,7 +408,7 @@ def euler_poincare_report(
                 for k in range(1, d + 1)
                 if d % k == 0
             )
-            rhs = -big_m[m].get(n, 0)
+            rhs = -big_m[m][n]
             if lhs != rhs:
                 mismatches.append(
                     (m, n, series._norm(Fraction(lhs, m)), series._norm(Fraction(rhs, m)))

@@ -33,7 +33,7 @@ FAIL_LINE = "VERDICT: FAIL"
 # about 1.2 s, and the time grows a little faster than the order; a 24x24
 # window expands through q^600.  The limit bounds the order only: a
 # two-variable window's cost grows with its cells squared, whatever its shape:
-# ``witt`` at 70x70 (q^4900) runs for about 4.7 s, at 2x2500 for 2.8 s.
+# ``witt`` at 70x70 (q^4900) runs for about 3.4 s, at 2x2500 for 2.4 s.
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
@@ -217,18 +217,7 @@ def _cmd_witt(args) -> int:
         raise CommandError("window bounds must be >= 1")
     _check_order(args.mmax * args.nmax)
     c = modular.normalized_j(args.mmax * args.nmax)
-    # the generator character: the Witt dimensions come from its log, and
-    # the product oracle below compares against 1 minus it
-    generators = series.BiSeries(
-        {
-            (m, n): c.coeff(m + n - 1)
-            for m in range(1, args.mmax + 1)
-            for n in range(1, args.nmax + 1)
-        },
-        args.mmax,
-        args.nmax,
-    )
-    dims = lattice.witt_dims_from_char(generators)
+    dims = lattice.witt_dims(args.mmax, args.nmax, c)
     print(f"command: witt --mmax {args.mmax} --nmax {args.nmax}")
     print("free Lie algebra dimensions:")
     for m in range(1, args.mmax + 1):
@@ -245,6 +234,17 @@ def _cmd_witt(args) -> int:
         print("\t".join(row))
     for m, n, got, expected in mismatches:
         print(f"mismatch\t({m},{n})\t{got}\t{expected}")
+    # the product oracle: the dimensions must expand to 1 minus the
+    # generator character
+    generators = series.BiSeries(
+        {
+            (m, n): c.coeff(m + n - 1)
+            for m in range(1, args.mmax + 1)
+            for n in range(1, args.nmax + 1)
+        },
+        args.mmax,
+        args.nmax,
+    )
     one = series.BiSeries.one(args.mmax, args.nmax)
     oracle_bad = lattice.dimension_product(dims).mismatches(one - generators)
     fmt = series.format_coeff

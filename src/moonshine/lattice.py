@@ -7,8 +7,9 @@ invariant coefficients.  This module exposes the pairing, the simple-root
 bookkeeping (including single-entry probes into the multiplicity-expanded
 generalized Cartan matrix, whose blocks are far too large to materialize),
 root multiplicities, and the generalized Witt formula giving the graded
-dimensions of a free Lie algebra — together with an independent product
-oracle so the Witt route never has to be trusted on its own.
+dimensions of the free Lie algebra on generators of dimension c(m+n-1) at
+(m,n), from the log of their character — together with an independent
+product oracle so the Witt route never has to be trusted on its own.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
     "root_multiplicity",
     "GradedDims",
     "witt_dims",
-    "witt_dims_from_char",
     "dimension_product",
     "ProductReport",
     "denominator_order",
@@ -201,37 +201,30 @@ class GradedDims(NamedTuple):
         return self.dims.get((m, n), 0)
 
 
-def witt_dims_from_char(u: series.BiSeries) -> GradedDims:
-    """Graded dimensions of the free Lie algebra on a bigraded space.
+def witt_dims(mmax: int, nmax: int, c: series.UniSeries) -> GradedDims:
+    """Free-Lie-algebra dimensions for generators of dim c(m+n-1) at (m,n).
 
-    ``u`` is the generating character sum dim U_{(m,n)} p^m q^n with support
-    in m,n >= 1.  The dimensions come from Mobius inversion of the
-    denominator product:  sum dims = -sum_{k>=1} (mu(k)/k) log(1 - u(p^k,q^k)).
-    Since log(1 - u(p^k,q^k)) = (log(1 - u))(p^k,q^k), the log is taken once,
-    as the rows M_m = m L_m of :func:`log1m_rows`, and each cell reads them
-    at its divisors:
+    The generator character is U = sum c(m+n-1) p^m q^n.  The dimensions
+    come from Mobius inversion of the denominator product:  sum dims =
+    -sum_{k>=1} (mu(k)/k) log(1 - U(p^k,q^k)).  Since log(1 - U(p^k,q^k)) =
+    (log(1 - U))(p^k,q^k), the log is taken once, as the rows M_m = m L_m
+    of :func:`series.log1m_rows`, and each cell reads them at its divisors:
 
         dims(m, n) = -(1/m) sum_{k | gcd(m,n)} mu(k) M_{m/k}[n/k].
     """
-    if u._pslo < 1 or u._qslo < 1:
-        raise ValueError("character must be supported on m, n >= 1")
-    mmax, nmax = u.pmax, u.qmax
-    rows: list[dict[int, series.Coeff]] = [{} for _ in range(mmax + 1)]
-    for (i, j), v in u.items():
-        rows[i][j] = v
-    big_m = series.log1m_rows(rows, [nmax] * (mmax + 1))
-    for m, row in enumerate(big_m):
-        if row and min(row) < 1:
-            raise RuntimeError(
-                f"generalized Witt formula leaked weight onto the axis at ({m},{min(row)})"
-            )
+    if mmax < 1 or nmax < 1:
+        raise ValueError("window bounds must be >= 1")
+    need = mmax + nmax - 1
+    if c.hi < need:
+        raise ValueError(f"coefficient source only known to order {c.hi}, need {need}")
+    big_m = series.log1m_rows({n: c.coeff(n) for n in range(1, need + 1)}, mmax, nmax)
     mu = [0] + [series.mobius(k) for k in range(1, min(mmax, nmax) + 1)]
     dims: dict[tuple[int, int], int] = {}
     for m in range(1, mmax + 1):
         for n in range(1, nmax + 1):
             g = math.gcd(m, n)
             total = sum(
-                mu[k] * big_m[m // k].get(n // k, 0)
+                mu[k] * big_m[m // k][n // k]
                 for k in range(1, g + 1)
                 if mu[k] and g % k == 0
             )
@@ -244,25 +237,6 @@ def witt_dims_from_char(u: series.BiSeries) -> GradedDims:
             if value:
                 dims[(m, n)] = value
     return GradedDims(dims, mmax, nmax)
-
-
-def witt_dims(mmax: int, nmax: int, c: series.UniSeries) -> GradedDims:
-    """Free-Lie-algebra dimensions for generators of dim c(m+n-1) at (m,n)."""
-    if mmax < 1 or nmax < 1:
-        raise ValueError("window bounds must be >= 1")
-    need = mmax + nmax - 1
-    if c.hi < need:
-        raise ValueError(f"coefficient source only known to order {c.hi}, need {need}")
-    u = series.BiSeries(
-        {
-            (m, n): c.coeff(m + n - 1)
-            for m in range(1, mmax + 1)
-            for n in range(1, nmax + 1)
-        },
-        mmax,
-        nmax,
-    )
-    return witt_dims_from_char(u)
 
 
 # ---------------------------------------------------------------------------

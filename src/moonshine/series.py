@@ -10,8 +10,7 @@ precision: one ceiling per variable, as in the usual O(q^n) model.
 
 Exponents may be negative: a Laurent term such as q^-1 in the modular
 invariant, or p q^-1 in the prefactor of the two-variable product identity,
-is ordinary data.  p exponents are always nonnegative, and the rows that
-:func:`log1m_rows` reads start at q^0.
+is ordinary data.  p exponents are always nonnegative.
 
 ``UniSeries`` products run through one dense integer kernel: the
 denominators of each factor are cleared, and the two factors are multiplied
@@ -23,9 +22,10 @@ are base-10^k slots of a ``decimal`` number, whose exact number-theoretic
 transform multiplies such operands faster than ``int``'s Karatsuba (about
 three times at 250,000 digits).  Factors with fewer term pairs than product
 digits are multiplied pair by pair.
-``BiSeries`` has no series product.  ``log1m_rows`` takes log(1 - U) of a
-two-variable series by a recurrence on its q-rows, one dot product per
-cell; it runs no packed product.
+``BiSeries`` has no series product.  ``log1m_rows`` takes log(1 - U) for
+the generator character U = sum c(m+n-1) p^m q^n, the one shape every
+two-variable log here has, from the column c: one dot product per cell,
+no packed product.
 
 Arithmetic propagates ceilings so that every reported coefficient is exact.
 A truncated ``UniSeries`` product, for instance, can only be trusted up to
@@ -488,8 +488,9 @@ class BiSeries:
     truncated two-variable series fill an L-shaped region, p above pmax at
     any q or q above qmax at any p, so the lowest stored exponents of a
     factor do not bound what its untracked terms contribute, and no window
-    read from the stored terms is sound.  A logarithm is taken on q-rows,
-    the coefficients of each p^m, by :func:`log1m_rows`.
+    read from the stored terms is sound.  The one logarithm taken here,
+    of 1 minus a generator character, comes from its column
+    (:func:`log1m_rows`).
     """
 
     __slots__ = ("pmax", "qmax", "_c")
@@ -539,14 +540,6 @@ class BiSeries:
 
     def items(self) -> list[tuple[tuple[int, int], Coeff]]:
         return sorted(self._c.items())
-
-    @property
-    def _pslo(self) -> int:
-        return min(i for i, _ in self._c) if self._c else self.pmax + 1
-
-    @property
-    def _qslo(self) -> int:
-        return min(j for _, j in self._c) if self._c else self.qmax + 1
 
     def mismatches(
         self, other: "BiSeries"
@@ -603,42 +596,34 @@ class BiSeries:
         return self.__add__(-other)
 
 
-def log1m_rows(u: list[dict[int, Coeff]], ceilings: list[int]) -> list[dict[int, Coeff]]:
-    """The rows M_m = m L_m of log(1 - sum_m u_m p^m) = sum_m L_m p^m.
+def log1m_rows(column: Mapping[int, Coeff], mmax: int, nmax: int) -> list[list[Coeff]]:
+    """The rows M_m = m L_m of log(1 - U) = sum_m L_m p^m on the window
+    m <= mmax, q <= nmax, for the generator character
 
-    ``u[m]`` is the q-row of p^m for m >= 1 (``u[0]`` is ignored), a
-    {q: coefficient} dict with q >= 0 (else ``ValueError``: the rows are
-    read as lists indexed from q^0) and coefficients normalized (``int``
-    when integral), known up to ``ceilings[m]``; the untracked terms lie at
-    q above it.  The p-derivative gives (1 - sum u_m p^m) * sum m L_m p^m =
-    -sum m u_m p^m, so
+        U = sum_{m,n >= 1} c(m+n-1) p^m q^n,
 
-        M_m[q] = -m u_m[q] + sum_{k=1}^{m-1} sum_{s=0}^{q} u_k[s] M_{m-k}[q-s],
+    whose coefficients ``column`` maps n -> c(n), read for 1 <= n < mmax +
+    nmax.  The p-derivative gives (1 - U) * sum m L_m p^m = -sum m u_m p^m,
+    with u_m[n] = c(m+n-1), so
 
-    each row depends on lower rows only.  Row m is returned as a dict of its
-    nonzero coefficients at q <= ``ceilings[m]``.  The ceilings must be
-    nonincreasing in m: row m then reads lower rows at ceilings no lower
-    than its own, no factor lowers q, and every row is exact.  The rows run
-    in integers, as D^m u_m and D^m M_m for D the lcm of the denominators.
-    A cell is one dot product per k, as in ``recursion._Cells``: about
-    (rows * columns)^2 / 4 multiplies, fewer than whole-row packed products
-    on square windows, more on narrow ones (2-core machine: 0.9 s, not 2.4
-    s, at 70x70; 0.9 s, not 0.16 s, at 2x2500).
+        M_m[q] = -m c(m+q-1) + sum_{k=1}^{m-1} sum_{s=1}^{q-1} c(k+s-1) M_{m-k}[q-s],
+
+    each row reading lower rows only.  ``rows[m][q]`` is M_m[q] (index 0
+    holds 0, row 0 is empty); the cells are exact in plain ``int`` or
+    ``Fraction`` arithmetic.  A cell is one dot product per k, as in
+    ``recursion._Cells``: about (mmax * nmax)^2 / 4 multiplies, fewer than
+    whole-row packed products on square windows, more on narrow ones
+    (2-core machine, 1A column: 0.75 s, not 2.0 s, at 70x70; 0.8 s, not
+    0.13 s, at 2x2500).
     """
-    if any(min(row, default=0) < 0 for row in u[1:]):
-        raise ValueError("log1m_rows takes q exponents >= 0")
-    den = lcm(*(v.denominator for row in u[1:] for v in row.values()))
-    dense: list[list[int]] = [[]]  # dense[m][q] = den^m u_m[q], q <= ceilings[m]
-    big_m: list[list[int]] = [[]]  # big_m[m][q] = den^m M_m[q]; M_0 = 0 is never read
-    for m in range(1, len(u)):
-        dense.append([int(den**m * u[m].get(q, 0)) for q in range(ceilings[m] + 1)])
-        row = []
-        for q, v in enumerate(dense[m]):
-            total = -m * v
+    c = [0] + [column[n] for n in range(1, mmax + nmax)]
+    rows: list[list[Coeff]] = [[]]
+    for m in range(1, mmax + 1):
+        row = [0]
+        for q in range(1, nmax + 1):
+            total = -m * c[m + q - 1]
             for k in range(1, m):
-                total += sum(map(mul, dense[k][: q + 1], reversed(big_m[m - k][: q + 1])))
+                total += sum(map(mul, c[k : k + q - 1], reversed(rows[m - k][1:q])))
             row.append(total)
-        big_m.append(row)
-    if den > 1:
-        big_m = [[Fraction(v, den**m) for v in row] for m, row in enumerate(big_m)]
-    return [{q: _norm(v) for q, v in enumerate(row) if v} for row in big_m]
+        rows.append(row)
+    return rows

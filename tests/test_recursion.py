@@ -47,7 +47,7 @@ from moonshine.recursion import (
 )
 from moonshine.series import BiSeries, log1m_rows, mobius
 from moonshine.series import format_coeff as _show
-from test_series import reference_bimul
+from test_series import kronecker_log1m_rows, reference_bimul
 
 # ---------------------------------------------------------------------------
 # partition matrices: the brute enumeration, the oracle for the compressed
@@ -846,10 +846,10 @@ def state_of(table, name, relation, values):
 def reference_log_rows(column: dict, top: int, first: int, last: int, cut: int):
     """One class's gaps and rows: the three smallest indices missing from
     its {index: value} ``column``, and ``rows(x)``, the rows M_0..M_last of
-    log(1 - U_g) (``log1m_rows``) with u_m[n] = c_g(m+n-1), c_g(gaps[0])
-    read as x and every other unknown as 0.  Row m >= ``first`` is cut at
-    q <= min(top // m, gaps[cut] - m), and the rows below it at row
-    ``first``'s ceiling.  Each run is made once, when first asked for.  The
+    log(1 - U_g) (by whole-row products, ``kronecker_log1m_rows``) with
+    u_m[n] = c_g(m+n-1), c_g(gaps[0]) read as x and every other unknown as
+    0.  Row m >= ``first`` is cut at q <= min(top // m, gaps[cut] - m),
+    and the rows below it at row ``first``'s ceiling.  Each run is made once, when first asked for.  The
     solver rebuilt these per pass before it kept its cells (``_Cells``);
     kept as their oracle."""
     gaps = tuple(islice((n for n in count(1) if n not in column), 3))
@@ -866,9 +866,18 @@ def reference_log_rows(column: dict, top: int, first: int, last: int, cut: int):
             for m in range(1, min(v, last) + 1):
                 if v - m + 1 <= ceilings[m]:
                     u[m][v - m + 1] = x
-        return log1m_rows(u, ceilings)
+        return kronecker_log1m_rows(u, ceilings)
 
     return gaps, rows
+
+
+# a column value: an int, or now and then a Fraction
+column_values = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(-50, 50, max_denominator=6).map(
+        lambda f: f.numerator if f.denominator == 1 else f
+    ),
+)
 
 
 @st.composite
@@ -876,19 +885,23 @@ def gapped_columns(draw):
     """A column c_g(1..size) with drawn holes, some values ``Fraction``,
     and the values later added to it in their order of arrival, each with
     the cells (m,q) read after it arrives."""
-    value = st.one_of(
-        st.integers(-10**6, 10**6),
-        st.fractions(-50, 50, max_denominator=6).map(
-            lambda f: f.numerator if f.denominator == 1 else f
-        ),
-    )
     size = draw(st.integers(0, 22))
     holes = draw(st.sets(st.integers(1, size), max_size=4)) if size else set()
-    column = {n: draw(value) for n in range(1, size + 1) if n not in holes}
+    column = {n: draw(column_values) for n in range(1, size + 1) if n not in holes}
     arrivals = draw(st.lists(st.integers(1, size + 3), unique=True, max_size=4))
     cell = st.tuples(st.integers(1, 24), st.integers(1, 24))
     reads = [draw(st.lists(cell, max_size=6)) for _ in range(len(arrivals) + 1)]
-    return column, [(n, draw(value)) for n in arrivals if n not in column], reads
+    return column, [(n, draw(column_values)) for n in arrivals if n not in column], reads
+
+
+@st.composite
+def complete_columns(draw):
+    """A window mmax x nmax and a column c_g(1..size) without holes that
+    covers it (size >= mmax + nmax - 1), some values ``Fraction``."""
+    mmax = draw(st.integers(1, 12))
+    nmax = draw(st.integers(1, 12))
+    size = draw(st.integers(mmax + nmax - 1, 24))
+    return {n: draw(column_values) for n in range(1, size + 1)}, mmax, nmax
 
 
 class TestCells:
@@ -914,6 +927,18 @@ class TestCells:
             check(wanted)
         top = cells.gaps[2]
         check([(m, q) for m in range(1, top) for q in range(1, top - m + 1)])
+
+    @given(complete_columns())
+    @settings(deadline=None, max_examples=200)
+    def test_cells_match_log1m_rows(self, case):
+        # the solver's store and series' rows take the same column; on a
+        # complete one every cell is final and the two must agree
+        column, mmax, nmax = case
+        rows = log1m_rows(column, mmax, nmax)
+        cells = _Cells(column)
+        for m in range(1, mmax + 1):
+            for q in range(1, nmax + 1):
+                assert cells.cell(m, q, 0) == rows[m][q], (m, q)
 
     def test_final_cells_are_kept(self):
         # with 1A's c(1..5) known the cells with m+q-1 < 6 are final and

@@ -9,8 +9,9 @@ compare and audit.  A change to either series product kernel, the
 two-variable checks, the relations, the solver or the audit that moves a
 single byte of stdout fails here.
 
-The two-variable stress sizes lie outside the benchmark's commands, so
-their exit codes and stdout SHA-256 are pinned here separately.
+The two-variable stress sizes and the narrow windows lie outside the
+benchmark's commands, so their exit codes and stdout SHA-256 are pinned
+here separately.
 """
 
 from __future__ import annotations
@@ -62,6 +63,24 @@ STRESS = {
     "witt --mmax 24 --nmax 24": (
         0,
         "8997e16793bcdd50a421c576b2000d1f60164d631ec7fabc242e9f88811c5eff",
+    ),
+    # U is symmetric in p and q, so a square window cannot show its two
+    # sides swapped; these narrow windows can
+    "witt --mmax 3 --nmax 40": (
+        0,
+        "a79225032bbb3f1d0dc398e792c83e5c87c245f602b1680e942f7cf936a3cbe3",
+    ),
+    "witt --mmax 40 --nmax 3": (
+        0,
+        "b6c83403a91667a3b2e32e4b6e260e7c428b397e229375b406290b47ada0e475",
+    ),
+    "verify-ep --class 4C --imax 3 --jmax 40": (
+        0,
+        "8942e95c422fea6feb1d00cd85114e8cbb437304fe15151750daa0d4b131717d",
+    ),
+    "verify-ep --class 2B --imax 40 --jmax 3": (
+        0,
+        "03cc4f83ff328ee0ee65ffafcc66dea141b2dec632cd4c37802e751b05791790",
     ),
 }
 

@@ -21,7 +21,7 @@ from moonshine.lattice import (
     GradedDims,
     denominator_sides,
     dimension_product,
-    witt_dims_from_char,
+    witt_dims,
 )
 from moonshine.modular import normalized_j
 from moonshine.series import BiSeries, UniSeries, _mul_decimal, _mul_low
@@ -726,36 +726,14 @@ class TestRingLaws:
 
 
 @st.composite
-def log_input_with_cut(draw):
-    """A log1m input (p-support >= 1, q-support >= 0) and a q ceiling >= -1
-    to truncate it to."""
-    pmax = draw(st.integers(min_value=1, max_value=5))
-    qlo = draw(st.integers(min_value=-3, max_value=1))
-    qmax = draw(st.integers(min_value=max(qlo, 0), max_value=5))
-    n_terms = draw(st.integers(min_value=0, max_value=5))
-    data = {}
-    for _ in range(n_terms):
-        i = draw(st.integers(min_value=1, max_value=pmax))
-        j = draw(st.integers(min_value=max(qlo, 0), max_value=qmax))
-        data[(i, j)] = draw(coeffs())
-    cut = draw(st.integers(min_value=max(qlo, -1), max_value=qmax))
-    return BiSeries(data, pmax, qmax), cut
-
-
-@st.composite
-def log_rows_input(draw):
-    """Rows u[1..pmax] for ``log1m_rows``: {q: coefficient} dicts with q >= 0,
-    some empty, some with terms above their own ceiling (untracked, so the
-    function must not read them), and nonincreasing ceilings >= -1."""
-    pmax = draw(st.integers(min_value=1, max_value=5))
-    qmax = draw(st.integers(min_value=0, max_value=7))
-    terms = st.dictionaries(st.integers(min_value=0, max_value=qmax), coeffs(), max_size=6)
-    rows = [{}] + [
-        {q: series._norm(v) for q, v in draw(terms).items() if v} for _ in range(pmax)
-    ]
-    ceiling = st.integers(min_value=-1, max_value=qmax)
-    ceilings = draw(st.lists(ceiling, min_size=pmax + 1, max_size=pmax + 1))
-    return rows, sorted(ceilings, reverse=True), qmax
+def log_columns(draw):
+    """A window mmax x nmax, its sides unequal as often as not, and the
+    generator column c(1..mmax+nmax-1) that ``log1m_rows`` reads there:
+    ints, Fractions and zeros."""
+    mmax = draw(st.integers(min_value=1, max_value=6))
+    nmax = draw(st.integers(min_value=1, max_value=8))
+    value = st.one_of(st.just(0), coeffs())
+    return {n: draw(value) for n in range(1, mmax + nmax)}, mmax, nmax
 
 
 def reference_log1m(u: BiSeries) -> BiSeries:
@@ -799,36 +777,31 @@ def no_packed_product():
             yield
 
 
-def bi_rows(u: BiSeries) -> list[dict]:
-    """The q-rows of ``u``, row i holding the coefficients of p^i."""
-    rows = [{} for _ in range(u.pmax + 1)]
-    for (i, j), v in u.items():
-        rows[i][j] = v
-    return rows
+def generator_character(column, mmax: int, nmax: int) -> BiSeries:
+    """U = sum c(m+n-1) p^m q^n on the window, from the column c."""
+    cells = [(m, n) for m in range(1, mmax + 1) for n in range(1, nmax + 1)]
+    return BiSeries({(m, n): column[m + n - 1] for m, n in cells}, mmax, nmax)
 
 
-def log1m_via_rows(u: BiSeries) -> BiSeries:
-    """log(1 - u) read from the rows of ``log1m_rows`` at one ceiling, qmax:
-    cell (m,n) is M_m[n] / m.  ``u`` has p exponents >= 1 and q >= 0."""
-    rows = bi_rows(u)
-    big_m = series.log1m_rows(rows, [u.qmax] * len(rows))
-    cells = {(m, j): Fraction(v, m) for m, row in enumerate(big_m) for j, v in row.items()}
-    return BiSeries(cells, u.pmax, u.qmax)
+def column_rows(column, mmax: int, nmax: int) -> list[dict]:
+    """The q-rows u_m[n] = c(m+n-1) of the generator character, as the
+    {q: coefficient} dicts ``kronecker_log1m_rows`` reads."""
+    return [{}] + [
+        {n: series._norm(v) for n in range(1, nmax + 1) if (v := column[m + n - 1])}
+        for m in range(1, mmax + 1)
+    ]
 
 
-def generator_series(family, name: str, size: int) -> BiSeries:
-    """sum c_g(m+n-1) p^m q^n over 1 <= m, n <= size: the generator trace
-    whose log the Euler-Poincare check takes."""
-    cells = [(m, n) for m in range(1, size + 1) for n in range(1, size + 1)]
-    return BiSeries({(m, n): family.value(name, m + n - 1) for m, n in cells}, size, size)
+def log_cells(rows: list[list]) -> dict:
+    """The nonzero cells {(m, q): M_m[q]} of ``log1m_rows``' rows."""
+    return {(m, q): v for m, row in enumerate(rows) for q, v in enumerate(row) if v}
 
 
-def j_character(size: int) -> BiSeries:
-    """sum c(mn) p^m q^n over 1 <= m, n <= size, the exponents of the
-    product identity; its coefficients pass 100 bits at size 10."""
-    c = normalized_j(size * size)
-    cells = [(m, n) for m in range(1, size + 1) for n in range(1, size + 1)]
-    return BiSeries({(m, n): c.coeff(m * n) for m, n in cells}, size, size)
+def j_column(size: int) -> dict:
+    """c(1..2 size - 1) of the normalized invariant: the generator column
+    that ``witt`` reads at a size x size window."""
+    c = normalized_j(2 * size - 1)
+    return {n: c.coeff(n) for n in range(1, 2 * size)}
 
 
 # the catalog's expansions, enough for the 8x8 generator series
@@ -838,6 +811,12 @@ CATALOG_FAMILY = load_family(
     ),
     15,
 )
+
+# the generator columns at shipped sizes: the j column at 10x10, whose log
+# cells reach 180 bits, and the catalog classes at 8x8, as verify-ep reads them
+SHIPPED_COLUMNS = [(j_column(10), 10, 10)] + [
+    (CATALOG_FAMILY.values[name], 8, 8) for name in CATALOG_FAMILY.table.names
+]
 
 
 def bi_cut(u: BiSeries, dp: int, dq: int) -> BiSeries:
@@ -871,125 +850,96 @@ class TestBiSeries:
             assert s.items() == [((0, 0), 1)]
 
     def test_log1m_matches_power_sum(self):
-        # u^5 starts at p^5, so -sum_{k<=4} u^k / k is exact on the window;
-        # the p^2 term mixes powers of different k into the same cells
-        u = BiSeries({(1, 1): 2, (1, 2): 3, (2, 1): -1}, 4, 5)
+        # U^5 starts at p^5, so -sum_{k<=4} U^k / k is exact on the window;
+        # the p^2 row mixes powers of different k into the same cells
+        column = {1: 2, 2: 3, 3: -1, 4: 0, 5: 1, 6: Fraction(1, 2), 7: 0, 8: 4}
+        u = generator_character(column, 4, 5)
         total = {}
         power = BiSeries.one(4, 5)
         for k in range(1, 5):
             power = reference_bimul(power, u, 4, 5)
             for cell, value in power.items():
                 total[cell] = total.get(cell, 0) - Fraction(value, k)
-        total = BiSeries(total, 4, 5)
-        lu = log1m_via_rows(u)
-        assert (lu.pmax, lu.qmax) == (4, 5)
-        assert min(j for (_, j), _ in lu.items()) == 1
-        assert not lu.mismatches(total)
-
-    def test_log1m_keeps_floor_and_ceiling(self):
-        # the ceilings are the input's, even at q^-1; the support starts at
-        # the lowest known q
-        empty = log1m_via_rows(BiSeries((), 2, -1))
-        assert empty.items() == [] and (empty.pmax, empty.qmax) == (2, -1)
-        lu = log1m_via_rows(BiSeries({(1, 2): 1}, 3, 4))
-        assert (lu.pmax, lu.qmax) == (3, 4)
-        assert lu.items() == [((1, 2), -1), ((2, 4), Fraction(-1, 2))]
-
-    def test_log1m_feeds_integral_fractions_back(self):
-        # u^2 cut at q^3 is p^2 q^2 + p^2 q^3, all integral although u is
-        # not; those cells must come back as ints
-        u = BiSeries({(1, 1): 1, (1, 2): Fraction(1, 2)}, 3, 3)
-        assert dict(log1m_via_rows(u).items()) == {
-            (1, 1): -1,
-            (1, 2): Fraction(-1, 2),
-            (2, 2): Fraction(-1, 2),
-            (2, 3): Fraction(-1, 2),
-            (3, 3): Fraction(-1, 3),
+        cells = log_cells(series.log1m_rows(column, 4, 5))
+        assert {(m, q): Fraction(v, m) for (m, q), v in cells.items()} == {
+            cell: v for cell, v in total.items() if v
         }
 
-    @settings(max_examples=200)
-    @given(log_input_with_cut())
-    # shipped sizes: the j character, whose coefficients pass 100 bits, and
-    # the Euler-Poincare generator series at 8x8
-    @example((j_character(10), 10))
-    @example((generator_series(CATALOG_FAMILY, "2B", 8), 8))
-    @example((generator_series(CATALOG_FAMILY, "3B", 8), 8))
-    @example((generator_series(CATALOG_FAMILY, "4C", 8), 8))
-    # p-support from p^2 with an empty p^3 row; Fraction coefficients
-    @example((BiSeries({(2, 0): 3, (2, 1): -1, (4, 2): 5, (5, 0): 2}, 6, 4), 4))
-    @example(
-        (
-            BiSeries(
-                {
-                    (1, 0): Fraction(1, 2),
-                    (1, 2): Fraction(-3, 4),
-                    (2, 1): Fraction(5, 3),
-                    (3, 0): 7,
-                },
-                5,
-                4,
-            ),
-            4,
-        )
-    )
-    def test_log1m_matches_reference_power_sum(self, case):
-        u, _ = case
-        assert log1m_via_rows(u).items() == reference_log1m(u).items()
+    def test_log1m_keeps_floor_and_ceiling(self):
+        # row m runs from q^0, which holds 0, to q^nmax; row 0 is empty.
+        # U = pq: log(1 - pq) = -pq - p^2 q^2 / 2 - ...
+        column = {1: 1, 2: 0, 3: 0}
+        assert series.log1m_rows(column, 2, 2) == [[], [0, -1, 0], [0, 0, -1]]
+        assert series.log1m_rows(column, 1, 2) == [[], [0, -1, 0]]
+        assert series.log1m_rows(column, 2, 1) == [[], [0, -1], [0, 0]]
+
+    def test_log1m_feeds_integral_fractions_back(self):
+        # M_2[1] = -2 c(2) = -1 comes from a Fraction; the cells above it
+        # read it like any other and stay exact
+        column = {1: 1, 2: Fraction(1, 2), 3: 0, 4: 0, 5: 0}
+        rows = series.log1m_rows(column, 3, 3)
+        assert rows[2][1] == -1
+        want = reference_log1m(generator_character(column, 3, 3))
+        assert log_cells(rows) == {(m, q): m * v for (m, q), v in want.items()}
+
+    def test_log1m_matches_reference_power_sum(self):
+        # the shipped sizes, with the packed kernel made to fail, against
+        # the power sum and the whole-row products
+        for column, mmax, nmax in SHIPPED_COLUMNS:
+            want = reference_log1m(generator_character(column, mmax, nmax))
+            packed = kronecker_log1m_rows(column_rows(column, mmax, nmax), [nmax] * (mmax + 1))
+            with no_packed_product():
+                rows = series.log1m_rows(column, mmax, nmax)
+            assert log_cells(rows) == {(m, q): m * v for (m, q), v in want.items()}
+            assert [{q: v for q, v in enumerate(row) if v} for row in rows] == packed
 
     @settings(max_examples=300)
-    @given(log_rows_input())
-    @example(([{}, {1: 196884, 2: 21493760}, {}, {0: Fraction(1, 2), 3: -7}], [9, 4, 4, 2], 4))
+    @given(log_columns())
+    @example(({1: 196884, 2: 21493760, 3: 0, 4: Fraction(1, 2), 5: -7}, 4, 2))
+    @example(({1: 0, 2: Fraction(-3, 4), 3: 5, 4: 0, 5: 0, 6: 1}, 1, 6))
     def test_log1m_rows_matches_reference_power_sum(self, case):
-        # row m is m times the coefficient of p^m in -sum_k u^k / k, cut at
-        # its own ceiling; terms of lower rows above that ceiling cannot reach it
-        rows, ceilings, qmax = case
-        terms = {(m, q): v for m, row in enumerate(rows) for q, v in row.items()}
-        u = BiSeries(terms, len(rows) - 1, qmax)
-        want = reference_log1m(u)
-        got = series.log1m_rows(rows, ceilings)
-        assert len(got) == len(rows)
-        for m in range(1, len(rows)):
-            expected = {q: m * v for (p, q), v in want.items() if p == m and q <= ceilings[m]}
-            assert got[m] == expected
-            assert all(type(v) is int or v.denominator > 1 for v in got[m].values())
+        # row m is m times the coefficient of p^m in -sum_k U^k / k
+        column, mmax, nmax = case
+        want = reference_log1m(generator_character(column, mmax, nmax))
+        with no_packed_product():
+            rows = series.log1m_rows(column, mmax, nmax)
+        assert len(rows) == mmax + 1 and rows[0] == []
+        assert all(len(row) == nmax + 1 and row[0] == 0 for row in rows[1:])
+        assert log_cells(rows) == {(m, q): m * v for (m, q), v in want.items()}
 
     @settings(max_examples=300)
-    @given(log_rows_input())
-    @example(([{}, {1: 196884, 2: 21493760}, {}, {0: Fraction(1, 2), 3: -7}], [9, 4, 4, 2], 4))
-    # the j character's 100-bit rows, which the packed kernel takes wide
-    @example((bi_rows(j_character(10)), [10] * 11, 10))
+    @given(log_columns())
+    @example(({1: 196884, 2: 21493760, 3: 0, 4: Fraction(1, 2), 5: -7}, 4, 2))
     def test_log1m_rows_matches_kronecker_rows(self, case):
-        rows, ceilings, _ = case
-        want = kronecker_log1m_rows(rows, ceilings)
+        column, mmax, nmax = case
+        want = kronecker_log1m_rows(column_rows(column, mmax, nmax), [nmax] * (mmax + 1))
         with no_packed_product():
-            assert series.log1m_rows(rows, ceilings) == want
+            rows = series.log1m_rows(column, mmax, nmax)
+        assert [{q: v for q, v in enumerate(row) if v} for row in rows] == want
 
     def test_log_readers_run_no_packed_product(self):
         # expanding a family multiplies UniSeries through the packed kernel,
-        # so the family and the character are built first
+        # so the family and the column are built first
         family = load_family(CATALOG_FAMILY.table, 36)
-        character = j_character(8)
+        c = normalized_j(15)
         with no_packed_product():
             reports = [euler_poincare_report(family, name, 6, 6) for name in family.table.names]
-            dims = witt_dims_from_char(character)
+            dims = witt_dims(8, 8, c)
         assert all(report.ok for report in reports)
-        c = normalized_j(8)
         assert [dims.dim(1, n) for n in range(1, 9)] == [c.coeff(n) for n in range(1, 9)]
 
-    @pytest.mark.parametrize("m", [1, 2])
-    def test_log1m_rows_refuses_negative_q(self, m):
-        # q^-1 + 1 + ... + q^5 at ceiling 5, as row 1 (where -u_1^2 has terms
-        # from q^-2, which rows indexed from q^0 cannot hold) or as row 2
-        rows = [{}, {}, {}]
-        rows[m] = {q: 1 for q in range(-1, 6)}
-        with pytest.raises(ValueError, match="q exponents >= 0"):
-            series.log1m_rows(rows, [5, 5, 5])
-
     @settings(max_examples=300)
-    @given(log_input_with_cut())
-    def test_log1m_window_is_sound_under_truncation(self, case):
-        u, t = case
-        assert not log1m_via_rows(bi_cut(u, 0, u.qmax - t)).mismatches(log1m_via_rows(u))
+    @given(log_columns(), cuts, cuts)
+    def test_log1m_window_is_sound_under_truncation(self, case, dp, dq):
+        # a smaller window reads only its own part of the column, and its
+        # cells are those of the larger window
+        column, mmax, nmax = case
+        short_m, short_n = max(mmax - dp, 1), max(nmax - dq, 1)
+        read = {n: column[n] for n in range(1, short_m + short_n)}
+        rows = series.log1m_rows(column, mmax, nmax)
+        assert series.log1m_rows(read, short_m, short_n) == [
+            row[: short_n + 1] for row in rows[: short_m + 1]
+        ]
 
     @given(bi_series(), bi_series(), cuts, cuts)
     def test_add_is_sound_under_truncation(self, a, b, dp, dq):
