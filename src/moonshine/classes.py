@@ -31,6 +31,7 @@ __all__ = [
     "CoefficientFamily",
     "load_family",
     "EPReport",
+    "power_tower_orders",
     "euler_poincare_report",
 ]
 
@@ -296,20 +297,27 @@ class CoefficientFamily(NamedTuple):
             raise MissingCoefficients([(name, n)]) from None
 
 
-def load_family(table: ClassTable, order: int) -> CoefficientFamily:
+def load_family(table: ClassTable, order: int | dict[str, int]) -> CoefficientFamily:
     """Expand recipes (the identity class always expands to J), merge seeds.
 
-    Every expansion is shape-checked: leading coefficient 1 at q^-1,
-    constant term 0, all coefficients integral.  A seed that contradicts an
-    expansion is an input error, not a mismatch to report later.
+    ``order`` is the q-order of every expansion, or a map from the classes
+    to expand to their orders; a class the map leaves out keeps its seeds
+    alone.  Every expansion is shape-checked: leading coefficient 1 at
+    q^-1, constant term 0, all coefficients integral.  A seed that
+    contradicts an expansion is an input error, not a mismatch to report
+    later.
     """
-    if order < 0:
+    orders = order if isinstance(order, dict) else dict.fromkeys(table.names, order)
+    if min(orders.values(), default=0) < 0:
         raise ValueError("order must be >= 0")
     values: dict[str, dict[int, int]] = {}
     for name in table.names:
         vals: dict[int, int] = {-1: 1, 0: 0}
         expansion = None
-        if name == table.identity:
+        order = orders.get(name, -1)
+        if order < 0:
+            pass  # the map leaves the class out
+        elif name == table.identity:
             expansion = modular.normalized_j(order)
         elif name in table.recipes:
             expansion = modular.expand_recipe(table.recipes[name], order)
@@ -336,7 +344,7 @@ def load_family(table: ClassTable, order: int) -> CoefficientFamily:
                 f"seed {name}({n}) = {seed} conflicts with expansion value {current}"
             )
         values[name][n] = seed
-    return CoefficientFamily(table, values, order)
+    return CoefficientFamily(table, values, max(orders.values(), default=0))
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +362,20 @@ class EPReport(NamedTuple):
     @property
     def ok(self) -> bool:
         return not self.mismatches
+
+
+def power_tower_orders(
+    table: ClassTable, name: str, imax: int, jmax: int
+) -> dict[str, int]:
+    """The classes :func:`euler_poincare_report` reads at g = ``name``, with
+    the q-order read: g^k to (imax//k)*(jmax//k) for k <= min(imax, jmax),
+    the largest where classes coincide (g itself, at k = 1, to imax*jmax,
+    past its generators c_g(1..imax+jmax-1)).  ``load_family`` given this
+    map expands and shape-checks no other class."""
+    orders: dict[str, int] = {}
+    for k in range(min(imax, jmax), 0, -1):
+        orders[table.power_of(name, k)] = (imax // k) * (jmax // k)
+    return orders
 
 
 def euler_poincare_report(

@@ -268,7 +268,7 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[series.BiSeries, series.BiS
     Both sides reach below q^0 only through their p q^-1 term, which is
     stored like any other; the window is the two ceilings.
 
-    The product over i,j >= 1 is expanded factor by factor with
+    The product over i,j >= 1 is expanded ray by ray with
     ``dimension_product``, in integer binomials: factors with i > pmax or
     j > qmax + 1 cannot touch the window, so the finite product is exact
     there.  The 1 - pq^-1 prefactor is then applied in place: every term
@@ -308,7 +308,7 @@ def denominator_identity_report(pmax: int, qmax: int) -> ProductReport:
 
 
 def dimension_product(dims: GradedDims) -> series.BiSeries:
-    """prod (1 - p^m q^n)^{d_mn}, expanded factor by factor.
+    """prod (1 - p^m q^n)^{d_mn}, expanded ray by ray in binomials.
 
     Each factor is a finite binomial sum, so this route is independent of
     logs and Mobius inversion; for a correct dimension table it must return
@@ -316,46 +316,55 @@ def dimension_product(dims: GradedDims) -> series.BiSeries:
     before any expansion, so a negative one is reported at its first cell
     in (m, n) order.
 
-    The terms live in one row-major integer list, p^i q^j at index
-    i*(qmax+1) + j, where one step of (m, n) is a fixed offset.  Each factor
-    takes a snapshot of the terms it moves, then adds (-1)^t C(d, t) times
-    each at t steps of (m, n), inside the window.
+    The factors are grouped by primitive direction (a, b) = (m, n)/gcd(m, n).
+    Each ray's product R(x) = prod_t (1 - x^t)^{d(ta,tb)} is expanded once,
+    by binomials, to x^min(pmax/a, qmax/b); the grid is then multiplied by
+    R(p^a q^b).  The terms live in one row-major integer list, p^i q^j at
+    index i*(qmax+1) + j, where one step along (a, b) is a fixed offset:
+    every term the ray can move adds R's t-th coefficient times itself at t
+    steps, inside the window.  The terms are visited from the last index
+    down, so each is moved before any term lands on it.
 
-    The factors go largest (m, n) first.  A factor moves every term it can
-    step from, so a large factor is cheap while the grid is still sparse;
-    in ascending order the small factors fill the grid first and every large
-    factor then moves all of it.  On the verify-product 20x22 grid that is
-    40,589 multiplies against 54,731, with the same largest intermediate
-    coefficient (382 bits).
+    The rays go largest (a, b) first: a ray moves every term it can step
+    from, so a large ray is cheap while the grid is still sparse.  On the
+    verify-product 70x71 grid that is 3,275,508 multiplies against the
+    5,536,351 of the factors taken one by one, largest first.
     """
     pmax, qmax = dims.mmax, dims.nmax
-    factors = sorted(dims.dims.items())
-    for (m, n), d in factors:
+    rays: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (m, n), d in sorted(dims.dims.items()):
         if d < 0:
             raise ValueError(f"negative dimension {d} at ({m},{n})")
+        if d:
+            g = math.gcd(m, n)
+            rays.setdefault((m // g, n // g), []).append((g, d))
     width = qmax + 1
     out = [0] * ((pmax + 1) * width)
     out[0] = 1
-    for (m, n), d in reversed(factors):
-        if d == 0:
-            continue
-        top = min(pmax // m, qmax // n)
-        binomials = [(-1) ** t * math.comb(d, t) for t in range(1, top + 1)]
-        step = m * width + n
-        # (index, value, steps inside the window) of every term this factor
-        # moves, so that the terms it adds are not expanded again
-        moving = []
-        for i in range(pmax - m + 1):
+    for (a, b), factors in sorted(rays.items(), reverse=True):
+        top = min(pmax // a, qmax // b)
+        ray = [1] + [0] * top
+        for t, d in factors:  # ascending t, so the first past top ends the ray
+            if t > top:
+                break
+            binomials = [(-1) ** s * math.comb(d, s) for s in range(1, top // t + 1)]
+            for e in range(top - t, -1, -1):
+                v = ray[e]
+                if v:
+                    for s, c in enumerate(binomials[: (top - e) // t], 1):
+                        ray[e + s * t] += c * v
+        coeffs = ray[1:]
+        step = a * width + b
+        for i in range(pmax - a, -1, -1):
             base = i * width
-            reach = (pmax - i) // m
-            for j in range(qmax - n + 1):
+            reach = (pmax - i) // a
+            for j in range(qmax - b, -1, -1):
                 v = out[base + j]
                 if v:
-                    moving.append((base + j, v, min(reach, (qmax - j) // n)))
-        for x, v, steps in moving:
-            for b in binomials[:steps]:
-                x += step
-                out[x] += b * v
+                    x = base + j
+                    for c in coeffs[: min(reach, (qmax - j) // b)]:
+                        x += step
+                        out[x] += c * v
     return series.BiSeries(
         {divmod(x, width): v for x, v in enumerate(out) if v}, pmax, qmax
     )

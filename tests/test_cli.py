@@ -154,6 +154,62 @@ class TestVerifyEP:
         assert code == 2
         assert "unknown coefficients" in err
 
+    def test_unread_class_is_not_loaded(self, run, tmp_path, catalog_text):
+        # verify-ep expands only its class's power tower, so a recipe with
+        # leading coefficient 2 refuses only the commands that read it
+        path = tmp_path / "badrecipe.mtf"
+        path.write_text(catalog_text + "\nclass 2X order 2\neta 2X 2 1:24 2:-24\n")
+        code, out, _ = run("verify-ep", "--table", str(path), "--class", "1A")
+        assert code == 0
+        assert out.splitlines()[-1] == "VERDICT: PASS"
+        for argv in (("verify-ep", "--class", "2X"), ("compare",)):
+            code, out, err = run(argv[0], "--table", str(path), *argv[1:])
+            assert code == 2, argv
+            assert "recipe for 2X is not Hauptmodul-shaped" in err
+            assert "VERDICT" not in out
+
+    @pytest.mark.parametrize(
+        "klass, size, code",
+        # 2B is read to q^(size//k)^2 at k = 1 for 2B and k = 2 for 4C
+        [("2B", "2", 2), ("4C", "4", 2), ("4C", "3", 0)],
+    )
+    def test_seed_conflict_inside_the_read_order(
+        self, run, tmp_path, catalog_text, klass, size, code
+    ):
+        path = tmp_path / "conflict.mtf"
+        path.write_text(catalog_text + "\nseed 2B 4 -49151\n")
+        got, out, err = run(
+            "verify-ep", "--table", str(path), "--class", klass,
+            "--imax", size, "--jmax", size,
+        )
+        assert got == code
+        if code == 2:
+            assert "seed 2B(4) = -49151 conflicts" in err
+            assert "VERDICT" not in out
+        else:
+            assert out.splitlines()[-1] == "VERDICT: PASS"
+
+    def test_expands_only_the_power_tower(self, run, monkeypatch, catalog_table):
+        # 4C^2 = 2B, 4C^3 = 4C and 4C^4 = 1A, read to (8//k)^2 at the first
+        # such k; 3B is not read
+        calls = []
+        names = {recipe: name for name, recipe in catalog_table.recipes.items()}
+        j, expand = modular.normalized_j, modular.expand_recipe
+
+        def record_j(order):
+            calls.append(("1A", order))
+            return j(order)
+
+        def record_recipe(recipe, order):
+            calls.append((names[recipe], order))
+            return expand(recipe, order)
+
+        monkeypatch.setattr(modular, "normalized_j", record_j)
+        monkeypatch.setattr(modular, "expand_recipe", record_recipe)
+        code, _, _ = run("verify-ep", "--class", "4C", "--imax", "8", "--jmax", "8")
+        assert code == 0
+        assert sorted(calls) == [("1A", 4), ("2B", 16), ("4C", 64)]
+
 
 class TestDerive:
     def test_catalog_values(self, run):
@@ -475,6 +531,7 @@ HOSTILE = [
     ("derive", "--max", "100000"),
     ("derive", "--audit", "--max", "100000"),
     ("compare", "--max", "100000"),
+    ("bmatrix", "--size", "10000000"),
 ]
 
 
@@ -514,6 +571,7 @@ class TestSizeGuard:
             (("verify-product", "--qmax", "1", "--pmax"), 6),  # J to q^(2 pmax)
             (("verify-ep", "--jmax", "1", "--imax"), 12),
             (("witt", "--nmax", "1", "--mmax"), 12),
+            (("bmatrix", "--size"), 13),  # J to q^(size - 1)
         ],
         ids=lambda value: value[0] if isinstance(value, tuple) else str(value),
     )

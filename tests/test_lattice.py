@@ -306,11 +306,23 @@ class TestWittDims:
     def test_negative_dimension_rejected_by_product(self, c25):
         with pytest.raises(ValueError, match="negative"):
             dimension_product(GradedDims({(1, 1): -1}, 2, 2))
-        # the factors expand largest first, which would reach (2,1) first;
+        # the rays expand largest first, which would reach (2,1) first;
         # every dimension is checked before any expansion
         dims = GradedDims({(1, 1): 2, (1, 2): -1, (2, 1): -3, (2, 2): 0}, 3, 3)
         with pytest.raises(ValueError, match=r"^negative dimension -1 at \(1,2\)$"):
             dimension_product(dims)
+        for cells, (m, n) in [
+            # (2,2) lies on the ray (1,1), which runs after the ray (2,3)
+            ({(2, 2): -1, (2, 3): -4}, (2, 2)),
+            # (1,2) and (2,4) share a ray; (2,1) comes between them
+            ({(1, 2): 1, (2, 1): -2, (2, 4): -1}, (2, 1)),
+            # a check ray by ray, in the order the rays are first met,
+            # would name (3,3)
+            ({(1, 1): 0, (3, 3): -7, (1, 4): -1}, (1, 4)),
+        ]:
+            d = cells[(m, n)]
+            with pytest.raises(ValueError, match=rf"^negative dimension {d} at \({m},{n}\)$"):
+                dimension_product(GradedDims(cells, 4, 4))
 
 
 def reference_dimension_product(dims: GradedDims) -> BiSeries:
@@ -338,11 +350,50 @@ def reference_dimension_product(dims: GradedDims) -> BiSeries:
     return BiSeries(out, pmax, qmax)
 
 
+def factor_dimension_product(dims: GradedDims) -> BiSeries:
+    """The binomial product factor by factor, largest (m, n) first, on one
+    row-major integer list: each factor snapshots the terms it moves, then
+    adds (-1)^t C(d, t) times each at t steps of (m, n), inside the window."""
+    pmax, qmax = dims.mmax, dims.nmax
+    factors = sorted(dims.dims.items())
+    for (m, n), d in factors:
+        if d < 0:
+            raise ValueError(f"negative dimension {d} at ({m},{n})")
+    width = qmax + 1
+    out = [0] * ((pmax + 1) * width)
+    out[0] = 1
+    for (m, n), d in reversed(factors):
+        if d == 0:
+            continue
+        top = min(pmax // m, qmax // n)
+        binomials = [(-1) ** t * math.comb(d, t) for t in range(1, top + 1)]
+        step = m * width + n
+        moving = []
+        for i in range(pmax - m + 1):
+            base = i * width
+            reach = (pmax - i) // m
+            for j in range(qmax - n + 1):
+                v = out[base + j]
+                if v:
+                    moving.append((base + j, v, min(reach, (qmax - j) // n)))
+        for x, v, steps in moving:
+            for b in binomials[:steps]:
+                x += step
+                out[x] += b * v
+    return BiSeries({divmod(x, width): v for x, v in enumerate(out) if v}, pmax, qmax)
+
+
 @st.composite
 def dimension_grids(draw):
-    """Dimension grids up to 12x12 with zeros, small and 300-bit entries."""
-    mmax = draw(st.integers(1, 12))
-    nmax = draw(st.integers(1, 12))
+    """Dimension grids up to 12x12, 1x60 or 60x1, with zeros, small and
+    300-bit entries."""
+    mmax, nmax = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            st.tuples(st.just(1), st.integers(1, 60)),
+            st.tuples(st.integers(1, 60), st.just(1)),
+        )
+    )
     dim = st.one_of(
         st.just(0),
         st.integers(1, 5),
@@ -365,28 +416,35 @@ def product_grid(pmax: int, qmax: int) -> GradedDims:
 
 def assert_same_product(dims: GradedDims):
     got = dimension_product(dims)
-    want = reference_dimension_product(dims)
-    assert (got.pmax, got.qmax) == (want.pmax, want.qmax)
-    assert got.items() == want.items()
+    for want in (factor_dimension_product(dims), reference_dimension_product(dims)):
+        assert (got.pmax, got.qmax) == (want.pmax, want.qmax)
+        assert got.items() == want.items()
 
 
 class TestDimensionProduct:
-    """The largest-first flat expansion against the smallest-first dict one."""
+    """The ray product against the factor-by-factor expansions: largest
+    first on a flat list, and smallest first in a dict."""
 
     @settings(deadline=None, max_examples=60)
     @given(dimension_grids())
-    # after (1,1) both 1 and p^2 q^2 are terms; (2,2) moves the constant
-    # onto p^2 q^2 first, then must move p^2 q^2 with its earlier value
+    # factor by factor, after (1,1) both 1 and p^2 q^2 are terms; (2,2)
+    # moves the constant onto p^2 q^2 first, then must move p^2 q^2 with its
+    # earlier value (the ray product walks the grid down for the same reason)
     @example(GradedDims({(1, 1): 3, (2, 2): 1}, 4, 4))
     # the mirror, where (1,1) runs after (2,2): it moves the constant onto
     # p^2 q^2 at t = 2, then must move p^2 q^2 with its earlier value; in
     # the 3x3 window only this order meets the case
     @example(GradedDims({(1, 1): 3, (2, 2): 1}, 3, 3))
+    # one ray, (1,1), with a factor at every t, a zero, and a 300-bit one
+    @example(GradedDims({(t, t): [2, 0, 2**300, 1, 5][t - 1] for t in range(1, 6)}, 5, 5))
     def test_matches_ascending_reference(self, dims):
         assert_same_product(dims)
 
-    @pytest.mark.parametrize("pmax, qmax", [(14, 14), (20, 22), (24, 24)])
+    @pytest.mark.parametrize(
+        "pmax, qmax", [(14, 14), (20, 22), (24, 24), (1, 40), (40, 1)]
+    )
     def test_verify_product_grids(self, pmax, qmax):
+        # the grid has the extra q-row qmax + 1 that the prefactor pulls back
         assert_same_product(product_grid(pmax, qmax))
 
     def test_witt_dims_18x18(self):
