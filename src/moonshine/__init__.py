@@ -17,7 +17,10 @@ the layers it calls: ``derive`` and ``derive --audit`` run ``classes``,
 ``modular`` (a table's eta recipes are built, not expanded) and
 ``recursion``, and not ``series``, which saves about 6 ms per fresh
 process on a 2-core machine.  The first use of a layer from several
-threads at once is not supported.
+threads at once is not supported.  Of a fresh ``derive --audit --max 8``
+(about 39 ms there), the interpreter with ``site`` takes 25 ms and
+compiling the modules, when no bytecode is cached, 9 ms; the command line
+is read without argparse (see ``cli``).
 """
 
 from __future__ import annotations

@@ -16,13 +16,19 @@ classes its identity reads, g^k to q^((imax//k)(jmax//k)): a bad recipe or a
 conflicting seed elsewhere is refused by ``compare``, which loads every
 class, and not by it.  A closed stdout (``| head``) ends the command
 silently on SIGPIPE, like any filter.
+
+The command line, ``COMMAND (--flag VALUE | --flag=VALUE | --switch)*``, is
+read from one table, :data:`_COMMANDS`, not by argparse, whose import and
+parser took 3 ms of a fresh 40 ms command on a 2-core machine (the
+interpreter takes 25 ms of it, and compiling uncached modules 8 ms).
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import signal
 import sys
+from types import SimpleNamespace
 
 # the layers are read through their modules: a command runs only those it calls
 from . import classes, lattice, modular, recursion, series
@@ -33,8 +39,8 @@ PASS_LINE = "VERDICT: PASS"
 FAIL_LINE = "VERDICT: FAIL"
 
 # Largest q-order a series command may expand.  On a 2-core machine
-# ``jexpand --order 1200`` takes about 0.15 s, 2000 about 0.3 s and 5000
-# about 1.2 s, and the time grows a little faster than the order; a 24x24
+# ``jexpand --order 1200`` takes about 0.1 s, 2000 about 0.15 s and 5000
+# about 0.5 s, and the time grows a little faster than the order; a 24x24
 # window expands through q^600.  The limit bounds the order only: a
 # two-variable window's cost grows with its cells squared, whatever its shape:
 # at 70x70 (q^4900) ``witt`` runs for about 2.5 s and ``verify-product``
@@ -74,18 +80,13 @@ def _check_index(index: int) -> None:
 
 
 def _load_table(path: str | None) -> classes.ClassTable:
-    if path is None:
-        from importlib import resources  # only this branch reads package data
-
-        text = (
-            resources.files("moonshine").joinpath("data/catalog.mtf").read_text()
-        )
-    else:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as err:
-            raise CommandError(f"cannot read table file: {err}") from None
+    if path is None:  # the packaged catalog, next to this module
+        path = os.path.join(os.path.dirname(__file__), "data", "catalog.mtf")
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as err:
+        raise CommandError(f"cannot read table file: {err}") from None
     try:
         table = classes.parse_table_text(text)
     except ValueError as err:
@@ -298,61 +299,81 @@ def _cmd_simple_roots(args) -> int:
 # wiring
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="moonshine",
-        description="Exact verification of the modular-invariant identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _cmd_help(args) -> int:
+    print("usage: moonshine COMMAND [--flag VALUE | --flag=VALUE | --switch]...\n"
+          "Exact verification of the modular-invariant identities.\n"
+          "Each flag shows its default or its value's name; none is abbreviated.")
+    for command, (_, text, flags) in _COMMANDS.items():
+        shown = (
+            f"[--{flag}]" if default is False
+            else f"[--{flag} {flag.upper() if default is None else default}]"
+            for flag, default in flags.items()
+        )
+        print(f"\n  {command} {' '.join(shown)}\n      {text}")
+    return 0
 
-    p = sub.add_parser("jexpand", help="print coefficients of the invariant")
-    p.add_argument("--order", type=int, default=8)
-    p.set_defaults(func=_cmd_jexpand)
 
-    p = sub.add_parser("verify-product", help="check the product formula")
-    p.add_argument("--pmax", type=int, default=8)
-    p.add_argument("--qmax", type=int, default=8)
-    p.set_defaults(func=_cmd_verify_product)
+# Each command's handler, one-line help and {flag: default}.  A flag's type
+# is its default's: an int default takes an integer value, False is a
+# switch, and None or a string keeps the value as given.
+_COMMANDS = {
+    "jexpand": (_cmd_jexpand, "print coefficients of the invariant", {"order": 8}),
+    "verify-product": (_cmd_verify_product, "check the product formula", {"pmax": 8, "qmax": 8}),
+    "verify-ep": (_cmd_verify_ep, "check the trace identity per class", {
+        "table": None, "class": "1A", "imax": 8, "jmax": 8}),
+    "derive": (_cmd_derive, "derive coefficients from seeds", {
+        "table": None, "max": 30, "audit": False}),
+    "compare": (_cmd_compare, "derived values vs recipe expansions", {"table": None, "max": 30}),
+    "witt": (_cmd_witt, "free Lie algebra dimension grid", {"mmax": 5, "nmax": 5}),
+    "bmatrix": (_cmd_bmatrix, "simple-root Gram matrix block truncation", {"size": 2}),
+    "simple-roots": (_cmd_simple_roots, "simple roots with multiplicities", {"nmax": 2}),
+}
 
-    p = sub.add_parser("verify-ep", help="check the trace identity per class")
-    p.add_argument("--table", default=None)
-    p.add_argument("--class", dest="klass", default="1A")
-    p.add_argument("--imax", type=int, default=8)
-    p.add_argument("--jmax", type=int, default=8)
-    p.set_defaults(func=_cmd_verify_ep)
 
-    p = sub.add_parser("derive", help="derive coefficients from seeds")
-    p.add_argument("--table", default=None)
-    p.add_argument("--max", type=int, default=30)
-    p.add_argument("--audit", action="store_true")
-    p.set_defaults(func=_cmd_derive)
-
-    p = sub.add_parser("compare", help="derived values vs recipe expansions")
-    p.add_argument("--table", default=None)
-    p.add_argument("--max", type=int, default=30)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("witt", help="free Lie algebra dimension grid")
-    p.add_argument("--mmax", type=int, default=5)
-    p.add_argument("--nmax", type=int, default=5)
-    p.set_defaults(func=_cmd_witt)
-
-    p = sub.add_parser("bmatrix", help="simple-root Gram matrix block truncation")
-    p.add_argument("--size", type=int, default=2)
-    p.set_defaults(func=_cmd_bmatrix)
-
-    p = sub.add_parser("simple-roots", help="simple roots with multiplicities")
-    p.add_argument("--nmax", type=int, default=2)
-    p.set_defaults(func=_cmd_simple_roots)
-
-    return parser
+def _parse(argv: list[str]):
+    """The handler and arguments ``argv`` names.  The last of a repeated flag
+    wins, and a separate value that starts with ``-`` must be an integer."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _cmd_help, None
+    if not argv or argv[0] not in _COMMANDS:
+        given = f"unknown command {argv[0]!r}" if argv else "no command given"
+        raise CommandError(f"{given}; the commands are {', '.join(_COMMANDS)}")
+    command, *words = argv
+    handler, _, flags = _COMMANDS[command]
+    values = dict(flags)
+    words = iter(words)
+    for word in words:
+        if word in ("-h", "--help"):
+            return _cmd_help, None
+        flag, given, value = word.partition("=")
+        name = flag[2:]
+        if flag[:2] != "--" or name not in flags:
+            raise CommandError(f"{command} has no flag {flag!r}")
+        default = flags[name]
+        if default is False:
+            if given:
+                raise CommandError(f"--{name} takes no value")
+            values[name] = True
+            continue
+        if not given:
+            value = next(words, None)
+            if value is None or (value[:1] == "-" and not value[1:].isdecimal()):
+                raise CommandError(f"--{name} needs a value")
+        if type(default) is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise CommandError(f"--{name} needs an integer, not {value!r}") from None
+        values[name] = value
+    if "class" in values:  # a keyword, so stored as ``klass``
+        values["klass"] = values.pop("class")
+    return handler, SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        return handler(args)
     except CommandError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

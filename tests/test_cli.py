@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.abc
 import importlib.util
+import io
+import json
 import os
 import signal
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moonshine import classes, cli, lattice, modular, recursion
 from moonshine.cli import main
@@ -781,3 +787,216 @@ class TestProcessLevel:
         assert head == b"-1\t1\n0\t0\n1"
         assert err == b""
         assert code == -signal.SIGPIPE
+
+
+# ---------------------------------------------------------------------------
+# the command line: the flag table against the argparse parser it replaced
+
+
+def argparse_oracle() -> argparse.ArgumentParser:
+    """The argparse parser the flag table replaced, kept as its oracle."""
+    parser = argparse.ArgumentParser(
+        prog="moonshine",
+        description="Exact verification of the modular-invariant identities.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("jexpand", help="print coefficients of the invariant")
+    p.add_argument("--order", type=int, default=8)
+    p.set_defaults(func=cli._cmd_jexpand)
+
+    p = sub.add_parser("verify-product", help="check the product formula")
+    p.add_argument("--pmax", type=int, default=8)
+    p.add_argument("--qmax", type=int, default=8)
+    p.set_defaults(func=cli._cmd_verify_product)
+
+    p = sub.add_parser("verify-ep", help="check the trace identity per class")
+    p.add_argument("--table", default=None)
+    p.add_argument("--class", dest="klass", default="1A")
+    p.add_argument("--imax", type=int, default=8)
+    p.add_argument("--jmax", type=int, default=8)
+    p.set_defaults(func=cli._cmd_verify_ep)
+
+    p = sub.add_parser("derive", help="derive coefficients from seeds")
+    p.add_argument("--table", default=None)
+    p.add_argument("--max", type=int, default=30)
+    p.add_argument("--audit", action="store_true")
+    p.set_defaults(func=cli._cmd_derive)
+
+    p = sub.add_parser("compare", help="derived values vs recipe expansions")
+    p.add_argument("--table", default=None)
+    p.add_argument("--max", type=int, default=30)
+    p.set_defaults(func=cli._cmd_compare)
+
+    p = sub.add_parser("witt", help="free Lie algebra dimension grid")
+    p.add_argument("--mmax", type=int, default=5)
+    p.add_argument("--nmax", type=int, default=5)
+    p.set_defaults(func=cli._cmd_witt)
+
+    p = sub.add_parser("bmatrix", help="simple-root Gram matrix block truncation")
+    p.add_argument("--size", type=int, default=2)
+    p.set_defaults(func=cli._cmd_bmatrix)
+
+    p = sub.add_parser("simple-roots", help="simple roots with multiplicities")
+    p.add_argument("--nmax", type=int, default=2)
+    p.set_defaults(func=cli._cmd_simple_roots)
+
+    return parser
+
+
+ORACLE = argparse_oracle()
+REFUSED = 2
+
+
+def oracle_parse(argv):
+    """(handler, fields) as the argparse parser reads ``argv``, or its exit
+    code when it refuses."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            fields = vars(ORACLE.parse_args(argv))
+        except SystemExit as stop:
+            return stop.code
+    del fields["command"]
+    return fields.pop("func"), fields
+
+
+def table_parse(argv):
+    """(handler, fields) as the flag table reads ``argv``, or 2 when it
+    refuses."""
+    try:
+        handler, args = cli._parse(argv)
+    except cli.CommandError:
+        return REFUSED
+    return handler, vars(args)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+FLAGS = {command: flags for command, (_, _, flags) in cli._COMMANDS.items()}
+STRINGS = ["2B", "t.mtf", "-5", "", " x", "@1A"]
+# unique prefixes argparse accepts for a flag; none is a prefix of --help
+ABBREVIATIONS = ("--ord", "--pm", "--cl", "--ta", "--ma", "--au", "--mm", "--si")
+
+
+@st.composite
+def accepted_argv(draw):
+    """A command and up to six of its flags, in any order, repeats allowed,
+    each with a value it takes, as one word or two."""
+    command = draw(st.sampled_from(list(FLAGS)))
+    argv = [command]
+    for flag in draw(st.lists(st.sampled_from(list(FLAGS[command])), max_size=6)):
+        default = FLAGS[command][flag]
+        if default is False:
+            argv.append(f"--{flag}")
+            continue
+        if type(default) is int:
+            value = str(draw(st.integers(-10**6, 10**6)))
+        else:
+            value = draw(st.sampled_from(STRINGS))
+        argv += [f"--{flag}={value}"] if draw(st.booleans()) else [f"--{flag}", value]
+    return argv
+
+
+# words of every kind: commands, flags of every command in both forms, good
+# and bad values, abbreviations, strays; no -h, --help or --, whose readings
+# are not compared here
+WORDS = (
+    list(FLAGS)
+    + [f"--{flag}" for flags in FLAGS.values() for flag in flags]
+    + ["--order=3", "--order=-2", "--order=", "--order=x", "--max=9", "--class=3B",
+       "--class=", "--table=t.mtf", "--audit=1", "--ord=4", "--bogus", "-o", "-x",
+       "0", "7", "-3", "+4", " 5", "1_0", "x", "1.5", "2B", "", "extra"]
+    + list(ABBREVIATIONS)
+)
+
+
+class TestParse:
+    def test_reference_commands_read_alike(self):
+        # every command of the benchmark, with its table placeholders
+        keys = json.loads((DATA.parents[1] / "perfbench" / "reference.json").read_text())
+        assert len(keys) == 222
+        for key in keys:
+            got = table_parse(key.split())
+            assert got != REFUSED and got == oracle_parse(key.split()), key
+
+    @given(argv=accepted_argv())
+    @settings(max_examples=400, deadline=None)
+    def test_flags_read_alike(self, argv):
+        # any order, repeated flags (the last wins), negative integers and
+        # the --flag=VALUE form
+        got = table_parse(argv)
+        assert got != REFUSED and got == oracle_parse(argv)
+
+    @given(
+        first=st.sampled_from(list(FLAGS) + WORDS),
+        rest=st.lists(st.sampled_from(WORDS), max_size=5),
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_refuses_whatever_argparse_refuses(self, first, rest):
+        argv = [first, *rest]
+        want, got = oracle_parse(argv), table_parse(argv)
+        if want == REFUSED:
+            assert got == REFUSED
+            code, out, err = run_main(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+        elif any(word.partition("=")[0] in ABBREVIATIONS for word in rest):
+            assert got == REFUSED  # argparse reads a unique prefix; the table does not
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "argv", [["-h"], ["--help"], ["jexpand", "-h"], ["derive", "--max", "5", "--help"]]
+    )
+    def test_help_names_every_command(self, run, argv):
+        code, out, err = run(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: moonshine COMMAND [--flag VALUE | --flag=VALUE | --switch]")
+        for command, flags in FLAGS.items():
+            assert f"\n  {command} " in out
+            for flag in flags:
+                assert f"[--{flag}" in out
+        assert "[--order 8]" in out and "[--audit]" in out and "[--table TABLE]" in out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "no command given; the commands are " + ", ".join(FLAGS)),
+            (["frobnicate"], "unknown command 'frobnicate'; the commands are " + ", ".join(FLAGS)),
+            (["jexpand", "--bogus", "3"], "jexpand has no flag '--bogus'"),
+            (["jexpand", "3"], "jexpand has no flag '3'"),
+            (["jexpand", "--order"], "--order needs a value"),
+            (["derive", "--max", "--audit"], "--max needs a value"),
+            (["verify-ep", "--class", "-x"], "--class needs a value"),
+            (["jexpand", "--order", "x"], "--order needs an integer, not 'x'"),
+            (["jexpand", "--order=1.5"], "--order needs an integer, not '1.5'"),
+            (["derive", "--audit=yes"], "--audit takes no value"),
+            (["jexpand", "--ord", "3"], "jexpand has no flag '--ord'"),
+            (["derive", "--ma=5"], "derive has no flag '--ma'"),
+        ],
+    )
+    def test_usage_error_is_one_line(self, run, argv, message):
+        assert run(*argv) == (2, "", f"error: {message}\n")
+
+    def test_abbreviation_is_refused_where_argparse_took_it(self):
+        assert oracle_parse(["jexpand", "--ord", "3"]) == (
+            cli._cmd_jexpand, {"order": 3}
+        )
+        assert table_parse(["jexpand", "--ord", "3"]) == REFUSED
+
+    def test_negative_value_and_last_flag_win(self, run):
+        code, out, _ = run("jexpand", "--order", "3", "--order", "-1")
+        assert (code, out) == (0, "-1\t1\n")
+        assert table_parse(["verify-ep", "--class", "2B", "--class=-5"]) == (
+            cli._cmd_verify_ep, {"table": None, "klass": "-5", "imax": 8, "jmax": 8}
+        )
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["moonshine", "jexpand", "--order", "0"])
+        assert main() == 0
+        assert capsys.readouterr().out == "-1\t1\n0\t0\n"

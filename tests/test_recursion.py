@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import re
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import cache
@@ -1113,17 +1114,18 @@ class TestCompiledInstances:
 # the whole audit over clauses read from the relations themselves
 
 
-def reference_audit(table, nmax):
+def reference_introductions(table, nmax):
     """The determinacy audit over clauses read from every built relation:
     fire any clause with one unknown key that it pins, else introduce the
-    smallest unknown index (ties by class declaration order)."""
+    smallest unknown index (ties by class declaration order).  Yields each
+    introduced key with the keys known just before it, the closure of the
+    clauses under the keys introduced so far."""
     clauses = [
         reference_horn_clauses(table, name, relation)
         for name, relation, _ in full_instances(table, nmax)
     ]
     wanted = [(name, n) for n in range(1, nmax + 1) for name in table.names]
     known: set = set()
-    introduced = []
     while True:
         fire = next(
             (
@@ -1139,10 +1141,36 @@ def reference_audit(table, nmax):
         missing = [key for key in wanted if key not in known]
         if not missing:
             break
-        introduced.append(missing[0])
+        yield missing[0], frozenset(known)
         known.add(missing[0])
+
+
+def reference_audit(table, nmax):
+    introduced = [key for key, _ in reference_introductions(table, nmax)]
     rank = {name: idx for idx, name in enumerate(table.names)}
     return AuditReport(nmax, tuple(sorted(introduced, key=lambda t: (rank[t[0]], t[1]))))
+
+
+def audit_introductions(table, nmax):
+    """Each key ``determinacy_audit`` introduces, in order, with the keys it
+    had learned just before it, read from the calls of its inner ``learn``:
+    its report keeps only the introduced keys, sorted."""
+    learned, steps = [], []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "learn":
+            key = (frame.f_locals["g"], frame.f_locals["n"])
+            introduced = frame.f_back.f_locals["introduced"]
+            if introduced and introduced[-1] == key:
+                steps.append((key, frozenset(learned)))
+            learned.append(key)
+
+    sys.setprofile(watch)
+    try:
+        determinacy_audit(table, nmax)
+    finally:
+        sys.setprofile(None)
+    return steps
 
 
 # the twelve-class tables (12I's left sides read 6E, 4C, 3B, 2B and 1A) at
@@ -1157,6 +1185,14 @@ class TestAuditClauses:
     def test_audit_matches_relation_built_clauses(self, audit_tables, table, nmax):
         table = audit_tables[table]
         assert determinacy_audit(table, nmax) == reference_audit(table, nmax)
+
+    @pytest.mark.parametrize("table, nmax", AUDIT_CASES, ids=[f"{t}-{n}" for t, n in AUDIT_CASES])
+    def test_closure_at_each_introduction(self, audit_tables, table, nmax):
+        # the same introduced keys can come from a wrong closure: firing a
+        # clause one index early (K_g >= i+j-4) learns keys the relations
+        # do not pin yet, and still introduces 1, 2, 3, 5 at every class
+        table = audit_tables[table]
+        assert audit_introductions(table, nmax) == list(reference_introductions(table, nmax))
 
     def test_audit_builds_no_relation(self, catalog_table, no_relation):
         assert determinacy_audit(catalog_table, 60).underivable("4C") == (1, 2, 3, 5)

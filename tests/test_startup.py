@@ -7,6 +7,7 @@ interpreter, so that no other test has run a layer already.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -107,24 +108,30 @@ def test_import_registers_every_layer():
         assert int(exported) > 0 and not missing, line
 
 
-RESOURCES_LOADED = (
-    "import sys\n"
-    "loaded = 'importlib.resources' in sys.modules\n"
+# modules no command needs: the command line is read without argparse (and
+# the gettext and locale it imports), and the packaged catalog without
+# importlib.resources or pathlib, which cost 12-16 ms without site
+UNNEEDED = ("argparse", "gettext", "locale", "importlib.resources", "pathlib")
+
+UNNEEDED_LOADED = (
+    "import contextlib, io, sys\n"
+    f"unneeded = {UNNEEDED!r}\n"
+    "before = [name for name in unneeded if name in sys.modules]\n"
     "from moonshine import cli\n"
-    "code = cli.main(sys.argv[1:])\n"
-    "print(code, loaded, 'importlib.resources' in sys.modules)\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "after = [name for name in unneeded if name in sys.modules]\n"
+    "import json\n"
+    "print(json.dumps([code, before, after]))\n"
 )
 
 
-def test_packaged_catalog_alone_imports_resources():
-    # without site (-S) nothing else imports importlib.resources, which
-    # costs about 30 ms there; only reading the packaged catalog needs it
-    code, before, after = probe(
-        RESOURCES_LOADED, "jexpand", "--order", "3", flags=("-S",)
-    )[-1].split()
-    if before == "True":
-        pytest.skip("the interpreter loads importlib.resources at start-up")
-    assert (code, after) == ("0", "False")
-    lines = probe(RESOURCES_LOADED, "derive", "--max", "5", flags=("-S",))
-    assert lines[0] == "1A\t1\t196884"
-    assert lines[-1].split()[0] == "0"
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_imports_no_parser_or_resources(command):
+    # without site (-S) the interpreter itself imports none of them
+    code, before, after = json.loads(
+        probe(UNNEEDED_LOADED, *command.split(), flags=("-S",))[-1]
+    )
+    if before:
+        pytest.skip(f"the interpreter loads {before} at start-up")
+    assert (code, after) == (0, [])
