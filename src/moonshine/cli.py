@@ -25,8 +25,8 @@ interpreter takes 25 ms of it, and compiling uncached modules 8 ms).
 
 from __future__ import annotations
 
+import _signal  # the C module that ``signal`` wraps, without its enum conversions
 import os
-import signal
 import sys
 from types import SimpleNamespace
 
@@ -39,8 +39,8 @@ PASS_LINE = "VERDICT: PASS"
 FAIL_LINE = "VERDICT: FAIL"
 
 # Largest q-order a series command may expand.  On a 2-core machine
-# ``jexpand --order 1200`` takes about 0.1 s, 2000 about 0.15 s and 5000
-# about 0.5 s, and the time grows a little faster than the order; a 24x24
+# ``jexpand --order 1200`` takes about 0.08 s, 2000 about 0.13 s and 5000
+# about 0.43 s, and the time grows a little faster than the order; a 24x24
 # window expands through q^600.  The limit bounds the order only: a
 # two-variable window's cost grows with its cells squared, whatever its shape:
 # at 70x70 (q^4900) ``witt`` runs for about 2.5 s and ``verify-product``
@@ -386,6 +386,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    if hasattr(signal, "SIGPIPE"):
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    if hasattr(_signal, "SIGPIPE"):
+        _signal.signal(_signal.SIGPIPE, _signal.SIG_DFL)
     sys.exit(main())

@@ -61,7 +61,20 @@ def dedekind_eta_power(scale: int, exponent: int, order: int) -> series.UniSerie
     q^{scale*exponent/24}, whose fractional exponent
     :meth:`EtaMonomial.offset` tracks.  With P(q) = prod (1 - q^n) =
     sum a_k q^k, the identity P(q^k)^e = (P^e)(q^k) lets the power run on P
-    itself through q^(order // scale); q -> q^scale is the last step.
+    itself through q^(order // scale) (:func:`_eta_coeffs`); q -> q^scale
+    is the last step.
+    """
+    if scale < 1:
+        raise ValueError("eta scale must be a positive integer")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    top = order // scale
+    power = series.UniSeries(enumerate(_eta_coeffs(exponent, top)), top)
+    return power.substitute_power(scale).restrict(hi=order)
+
+
+def _eta_coeffs(exponent: int, top: int) -> list[int]:
+    """The coefficients b_0..b_top of P^exponent, P = prod (1 - q^n).
 
     P^e = sum b_n q^n comes from J. C. P. Miller's power recurrence (Knuth,
     TAOCP vol. 2, 4.7), valid for any integer e since a_0 = 1:
@@ -71,11 +84,6 @@ def dedekind_eta_power(scale: int, exponent: int, order: int) -> series.UniSerie
     and a negative exponent needs no series inverse.  Each b_n is an
     integer, so a remainder in the division by n is an internal fault.
     """
-    if scale < 1:
-        raise ValueError("eta scale must be a positive integer")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    top = order // scale
     # (k, a_k, (e+1) k a_k) for the pentagonal k >= 1, in increasing k
     pentagonal = euler_product(top).items()[1:]
     terms = [(k, a, (exponent + 1) * k * a) for k, a in pentagonal]
@@ -92,28 +100,31 @@ def dedekind_eta_power(scale: int, exponent: int, order: int) -> series.UniSerie
                 f"internal cross-check failed: eta power not integral at q^{n}"
             )
         b.append(value)
-    return series.UniSeries(enumerate(b), top).substitute_power(scale).restrict(hi=order)
+    return b
+
+
+def _eisenstein_coeffs(order: int) -> tuple[list[int], list[int], list[int]]:
+    """E4, E6 and E8 through q^order as lists, from one divisor sieve:
+    E4 = 1 + 240 sum sigma_3(n) q^n, E6 = 1 - 504 sum sigma_5(n) q^n and
+    E8 = 1 + 480 sum sigma_7(n) q^n."""
+    s3, s5, s7 = [0] * (order + 1), [0] * (order + 1), [0] * (order + 1)
+    for d in range(1, order + 1):
+        d3, d5, d7 = d**3, d**5, d**7
+        for n in range(d, order + 1, d):
+            s3[n] += d3
+            s5[n] += d5
+            s7[n] += d7
+    scaled = ((240, s3), (-504, s5), (480, s7))
+    return tuple([1] + [scale * s for s in sigma[1:]] for scale, sigma in scaled)
 
 
 def eisenstein(weight: int, order: int) -> series.UniSeries:
     """E4 = 1 + 240 sum sigma_3(n) q^n or E6 = 1 - 504 sum sigma_5(n) q^n."""
-    if weight == 4:
-        scale, power = 240, 3
-    elif weight == 6:
-        scale, power = -504, 5
-    else:
+    if weight not in (4, 6):
         raise ValueError(f"eisenstein weight must be 4 or 6, got {weight}")
     if order < 0:
         raise ValueError("order must be >= 0")
-    sigma = [0] * (order + 1)
-    for d in range(1, order + 1):
-        dp = d**power
-        for n in range(d, order + 1, d):
-            sigma[n] += dp
-    data: dict[int, series.Coeff] = {0: 1}
-    for n in range(1, order + 1):
-        data[n] = scale * sigma[n]
-    return series.UniSeries(data, order)
+    return series.UniSeries(enumerate(_eisenstein_coeffs(order)[weight // 2 - 2]), order)
 
 
 def delta(order: int) -> series.UniSeries:
@@ -126,26 +137,28 @@ def delta(order: int) -> series.UniSeries:
 def j_series(order: int) -> series.UniSeries:
     """The modular invariant q^-1 + 744 + 196884 q + ...
 
-    Computed as E4^3 / delta and, independently, as E6^2 / delta + 1728;
-    the two expansions must agree coefficient-for-coefficient and must be
-    integral, otherwise the computation itself is broken and we refuse to
-    return anything.  Both routes share 1/delta = q^-1 prod (1 - q^n)^-24
-    from :func:`dedekind_eta_power`.
+    Computed as E4 E8 / delta and, independently, as E6^2 / delta + 1728,
+    in ``int`` lists.  E4 E8 is E4^3 in one product: the weight-8 forms are
+    one-dimensional, so E4^2 = E8 = 1 + 480 sum sigma_7(n) q^n, read off
+    its divisor sums.  Both routes are multiplied by 1/delta = q^-1 prod
+    (1 - q^n)^-24 (:func:`_eta_coeffs`) in one kernel call that packs it
+    once, and compared at every coefficient through q^order: a disagreement
+    means the computation itself is broken, and nothing is returned.
     """
     if order < -1:
         raise ValueError("order must be >= -1")
-    work = max(order, 0)
-    dinv = dedekind_eta_power(1, -24, work + 1).shift(-1)
-    route_a = eisenstein(4, work + 1) ** 3 * dinv
-    route_b = eisenstein(6, work + 1) ** 2 * dinv + 1728
-    bad = route_a.mismatches(route_b)
-    if bad:
+    n = max(order, 0) + 2  # q^-1 .. q^max(order, 0)
+    e4, e6, e8 = _eisenstein_coeffs(n - 1)
+    [e4_e8] = series._kronecker([e4], e8, n)
+    [e6_e6] = series._kronecker([e6], e6, n)
+    route_a, route_b = series._kronecker([e4_e8, e6_e6], _eta_coeffs(-24, n - 1), n)
+    route_b[1] += 1728
+    if route_a != route_b:
+        bad = [(t - 1, a, b) for t, (a, b) in enumerate(zip(route_a, route_b)) if a != b]
         raise RuntimeError(
             f"internal cross-check failed: the two j routes disagree at {bad[:3]}"
         )
-    if not route_a.is_integral():
-        raise RuntimeError("internal cross-check failed: j expansion not integral")
-    return route_a.restrict(hi=order)
+    return series.UniSeries(zip(range(-1, order + 1), route_a), order)
 
 
 def normalized_j(order: int) -> series.UniSeries:

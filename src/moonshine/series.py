@@ -12,16 +12,17 @@ Exponents may be negative: a Laurent term such as q^-1 in the modular
 invariant, or p q^-1 in the prefactor of the two-variable product identity,
 is ordinary data.  p exponents are always nonnegative.
 
-``UniSeries`` products run through one dense integer kernel: the
-denominators of each factor are cleared, and the two factors are multiplied
-by Kronecker substitution, as a single big-number product with one digit
-per exponent, wide enough that no carry crosses from one coefficient to the
-next (see ``_mul_low`` for the width bounds).  The digits are binary, in an
-``int``, unless the product has at least 30,000 decimal digits: then they
-are base-10^k slots of a ``decimal`` number, whose exact number-theoretic
-transform multiplies such operands faster than ``int``'s Karatsuba (about
-three times at 250,000 digits).  Factors with fewer term pairs than product
-digits are multiplied pair by pair.
+Every product runs through one Kronecker kernel on dense ``int`` lists
+(:func:`_kronecker`), which multiplies one right factor by one or more left
+factors and packs the shared right factor once: each factor becomes a single
+big number with one slot per exponent, wide enough that no carry crosses
+from one coefficient to the next, and the slots of the product are the
+coefficients.  The slots are binary, in an ``int``, unless the products have
+at least 30,000 decimal digits: then they are base-10^k slots of a
+``decimal`` number, whose exact number-theoretic transform multiplies such
+operands faster than ``int``'s Karatsuba (about three times at 250,000
+digits).  Factors with few term pairs per slot are multiplied pair by pair.
+``UniSeries`` products clear their denominators and call the kernel once.
 ``BiSeries`` has no series product.  ``log1m_rows`` takes log(1 - U) for
 the generator character U = sum c(m+n-1) p^m q^n, the one shape every
 two-variable log here has, from the column c: one dot product per cell,
@@ -43,7 +44,8 @@ import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from itertools import accumulate
+from operator import add, mul
 
 try:
     import _decimal  # the C decimal module; its pure-Python fallback is slower than int
@@ -53,12 +55,15 @@ except ImportError:
 Coeff = int | Fraction
 
 # Products of at least this many decimal digits (slot width times slots) go
-# through ``decimal``.  Timed on the operands the perfbench workloads send
-# (Python 3.11.7, libmpdec 2.5.1, x86_64), the binary kernel was faster on
-# 1,811 of 1,812 shapes below 15,000 digits and on 17 of 17 of 20,000 to
-# 30,000; the two split 14 to 17 in between.  Decimal was faster on 34 of
-# 37 shapes of 30,000 to 50,000 digits (BENCH_16.json ``crossover``).
+# through ``decimal``.  Timed on the j_series and eta-product operands of
+# 8,000 to 80,000 digits (Python 3.11.7, libmpdec 2.5.1, x86_64), binary
+# slots were faster on 68 of 73 shapes below 30,000 digits and decimal ones
+# on 120 of 132 from there (BENCH_28.json ``crossover``).
 _DECIMAL_MIN_DIGITS = 30_000
+# Products with at most this many term pairs per slot multiply their pairs:
+# timed on eta-power and j factors below q^100, packing cost less from about
+# 20 pairs per slot (BENCH_28.json ``pair_cutoff``).
+_PAIRS_PER_SLOT = 20
 # The interpreter's int/str digit limit (0 when off), read at each product;
 # Python before 3.10.7 has no limit and no function to read it.
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
@@ -104,142 +109,120 @@ def _norm(value: Coeff) -> Coeff:
     )
 
 
-def _mul_low(a: dict[int, int], b: dict[int, int], n: int) -> dict[int, int]:
-    """The nonzero coefficients below offset ``n`` of the product ``a * b``.
+def _kronecker(lefts: list[list[int]], right: list[int], n: int) -> list[list[int]]:
+    """The ``n`` lowest coefficients of ``a * right`` for each ``a`` in
+    ``lefts``: the one product kernel.  Factors and products are dense lists
+    of ``n`` ints, entry t the coefficient at offset t.
 
-    ``a`` and ``b`` map offsets in ``[0, n)`` to nonzero integers.
-    Kronecker substitution: each factor becomes one integer with one k-bit
-    digit per offset, the two integers are multiplied once (squared when
-    ``a is b``), and the digits of the product are the coefficients.  A
-    digit is stored biased by ``2^(k-1)``, so a signed value ``v`` with
-    ``|v| < 2^(k-1)`` is the unsigned digit ``v + 2^(k-1)``.
-
-    Width bound: a product coefficient ``c_t`` is a sum of at most
-    ``m = min(len(a), len(b))`` nonzero products, so ``|c_t| <= m * max|a|
-    * max|b|``.  With ``k = bits(max|a|) + bits(max|b|) + bits(m) + 1``,
-    rounded up to whole bytes, every ``|c_t| < 2^(k-1)``: each biased digit
-    of the product lies in ``[0, 2^k)`` and no carry crosses a digit.
-    Digits are written into and read from byte buffers, never shifted.
-
-    Wide products take decimal slots instead (:func:`_mul_decimal`): the
-    same ``bits`` gives ``2^bits > 2 * |c_t|``, and ``k = bits * 30103 //
-    100000 + 1`` decimal digits give ``10^k > 2^bits``, so every ``c_t``
-    fits a base-10^k slot biased by ``10^k / 2``.  They run when the
-    product has at least ``_DECIMAL_MIN_DIGITS`` decimal digits (``k *
-    n``), a slot is within the interpreter's int/str digit limit (4,300
-    digits when the limit is off), and the C ``decimal`` module is present.
-
-    When ``len(a) * len(b)`` is at most the digit count ``n`` the term
-    pairs are multiplied directly instead: packing a few wide terms into
-    hundreds of wide digits costs far more than the pairs themselves.
+    Kronecker substitution: each factor becomes one number with one slot
+    per offset, biased by half the slot's range so that a signed value fits,
+    and the low ``n`` slots of each product are its coefficients.  ``right``
+    is packed once for every left factor; a left factor that *is* ``right``
+    is squared.  Width bound: with ``A_s`` the largest bit length in
+    ``a_0..a_s``, a pair ``a_s right_u`` with ``s + u < n`` is below
+    ``2^(A_(n-1-u) + bits(right_u))``, as ``s <= n-1-u``, so each low
+    coefficient, a sum of at most ``m = min(nonzeros(a), nonzeros(right))``
+    pairs, is below ``m * 2^M``, ``M = max_u (A_(n-1-u) + bits(right_u))``.
+    With ``bits`` the largest ``M + bits(m) + 1`` over the left factors,
+    twice every low coefficient is below ``2^bits``, and no carry reaches a
+    low slot (the unread high slots may overflow).  Slots are ``bits``
+    rounded up to whole bytes (:func:`_binary_slots`), or ``k = bits *
+    30103 // 100000 + 1`` digits, as ``10^k > 2^bits``
+    (:func:`_decimal_slots`), when the products have at least
+    ``_DECIMAL_MIN_DIGITS`` digits (``k * n``), ``k`` is within the
+    interpreter's int/str digit limit (4,300 when it is off) and the C
+    ``decimal`` module is present.  Factors with at most
+    ``_PAIRS_PER_SLOT`` term pairs per slot multiply their pairs instead.
     """
-    if len(a) * len(b) <= n:
-        out: dict[int, int] = {}
-        for s, u in a.items():
-            for t, v in b.items():
-                if s + t < n:
-                    out[s + t] = out.get(s + t, 0) + u * v
-        return {t: v for t, v in out.items() if v}
-    a_max = max(map(abs, a.values()))
-    b_max = max(map(abs, b.values()))
-    m = min(len(a), len(b))
-    bits = a_max.bit_length() + b_max.bit_length() + m.bit_length() + 1
-    if _decimal is not None:
-        k = bits * 30103 // 100000 + 1  # 10^k > 2^bits, as log10(2) < 0.30103
-        # slots pass through str, refused past the int/str limit
-        if k * n >= _DECIMAL_MIN_DIGITS and k <= (_int_str_limit() or 4_300):
-            return _mul_decimal(a, b, n, k)
-    width = (bits + 7) // 8  # bytes per digit
+    r_count = n - right.count(0)
+    counts = [n - a.count(0) for a in lefts]
+    if max(counts) * r_count <= _PAIRS_PER_SLOT * n:
+        terms = [(t, v) for t, v in enumerate(right) if v]
+        products = []
+        for a in lefts:
+            c = [0] * n
+            for s, u in enumerate(a):
+                if u:
+                    for t, v in terms:
+                        if s + t >= n:
+                            break
+                        c[s + t] += u * v
+            products.append(c)
+        return products
+    r_bits = list(map(int.bit_length, reversed(right)))  # bits(right_(n-1-s))
+    bits = max(
+        max(map(add, accumulate(map(int.bit_length, a), max), r_bits))
+        + min(count, r_count).bit_length()
+        for a, count in zip(lefts, counts)
+    ) + 1
+    k = bits * 30103 // 100000 + 1  # 10^k > 2^bits, as log10(2) < 0.30103
+    # decimal slots pass through str, refused past the int/str limit
+    if _decimal is not None and k * n >= _DECIMAL_MIN_DIGITS and k <= (_int_str_limit() or 4_300):
+        pack, times, unpack = _decimal_slots(k, n)
+    else:
+        pack, times, unpack = _binary_slots((bits + 7) // 8, n)
+    y = pack(right)
+    return [unpack(times(y, y) if a is right else times(pack(a), y)) for a in lefts]
+
+
+def _binary_slots(width: int, n: int):
+    """Pack, multiply and unpack for :func:`_kronecker` in ``width``-byte
+    binary slots, written into and read from byte buffers, never shifted."""
     bias = 1 << (8 * width - 1)
     zero = bias.to_bytes(width, "little")
     biases = int.from_bytes(zero * n, "little")
+    mask = (1 << (8 * width * n)) - 1
 
-    def pack(terms: dict[int, int]) -> int:
-        raw = bytearray(zero * n)
-        for t, v in terms.items():
-            raw[t * width : (t + 1) * width] = (v + bias).to_bytes(width, "little")
+    def pack(c: list[int]) -> int:
+        raw = b"".join([(v + bias).to_bytes(width, "little") if v else zero for v in c])
         return int.from_bytes(raw, "little") - biases
 
-    x = pack(a)
-    product = x * x if a is b else x * pack(b)
-    # biasing the low digits makes each one nonnegative, so the mask keeps
-    # exactly those digits
-    low = (product + biases) & ((1 << (8 * width * n)) - 1)
-    raw = low.to_bytes(width * n, "little")
-    values = [
-        int.from_bytes(raw[i : i + width], "little")
-        for i in range(0, width * n, width)
-    ]
-    return {t: v - bias for t, v in enumerate(values) if v != bias}
+    def unpack(product: int) -> list[int]:
+        # biasing the low slots makes each one nonnegative, so the mask keeps
+        # exactly those slots
+        raw = ((product + biases) & mask).to_bytes(width * n, "little")
+        slots = range(0, width * n, width)
+        return [int.from_bytes(raw[i : i + width], "little") - bias for i in slots]
+
+    return pack, mul, unpack
 
 
-def _mul_decimal(a: dict[int, int], b: dict[int, int], n: int, k: int) -> dict[int, int]:
-    """:func:`_mul_low` by Kronecker substitution in base ``10^k``.
-
-    Slot ``t`` of a factor holds ``a_t + 10^k / 2`` as ``k`` decimal digits,
-    highest offset first; the biases are subtracted, the two decimals
-    multiplied once (squared when ``a is b``), and the biases added back to
-    the low ``n`` slots of the product.  Every operation is exact: the local
-    context has the largest precision and traps ``Inexact``, ``Rounded``
-    and ``InvalidOperation``, and the global context is never touched.
-    ``k`` must meet the decimal width bound of :func:`_mul_low`.
-    """
+def _decimal_slots(k: int, n: int):
+    """Pack, multiply and unpack for :func:`_kronecker` in base-``10^k``
+    slots of a ``decimal`` number, highest offset first.  Every operation is
+    exact in a local context that traps any rounding; the global context is
+    never touched.  Only the low ``k * n`` digits of a product, split off
+    its floored high part, are turned into text."""
     dec = _decimal
-    ctx = dec.Context(
-        prec=dec.MAX_PREC,
-        Emax=dec.MAX_EMAX,
-        Emin=dec.MIN_EMIN,
-        traps=[dec.Inexact, dec.Rounded, dec.InvalidOperation],
-    )
+    traps = [dec.Inexact, dec.Rounded, dec.InvalidOperation]
+    ctx = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN, traps=traps)
     half = 5 * 10 ** (k - 1)
     zero = str(half)
     biases = dec.Decimal(zero * n)
 
-    def pack(terms: dict[int, int]) -> _decimal.Decimal:
-        slots = (
-            "%0*d" % (k, terms[t] + half) if t in terms else zero
-            for t in range(n - 1, -1, -1)
-        )
+    def pack(c: list[int]) -> _decimal.Decimal:
+        slots = ["%0*d" % (k, v + half) if v else zero for v in reversed(c)]
         return ctx.subtract(dec.Decimal("".join(slots)), biases)
 
-    x = pack(a)
-    product = ctx.multiply(x, x if a is b else pack(b))
-    # adding 10^top, above every digit of the product, makes the sum positive
-    # without changing its low k*n digits, which are the biased low slots
-    top = max(product.adjusted(), k * n) + 2
-    raw = str(ctx.add(ctx.add(product, biases), ctx.scaleb(1, top)))[-k * n :]
-    return {
-        n - 1 - i: v - half
-        for i, v in enumerate(int(raw[j : j + k]) for j in range(0, k * n, k))
-        if v != half
-    }
+    def unpack(product: _decimal.Decimal) -> list[int]:
+        biased = ctx.add(product, biases)
+        high = ctx.scaleb(biased, -k * n).to_integral_value(dec.ROUND_FLOOR, ctx)
+        # 10^(kn) plus the low k*n digits: a leading 1, then the slots
+        low = str(ctx.subtract(biased, ctx.scaleb(ctx.subtract(high, 1), k * n)))
+        return [int(low[j : j + k]) - half for j in range(k * n - k + 1, 0, -k)]
+
+    return pack, ctx.multiply, unpack
 
 
-def _mul_exact(a: dict[int, Coeff], b: dict[int, Coeff], n: int) -> dict[int, Coeff]:
-    """The nonzero coefficients below offset ``n`` of ``a * b``, exactly:
-    the kernel of ``UniSeries`` products, its one caller.
-
-    Each factor's denominators are cleared by their lcm, the integer factors
-    go through one Kronecker product (:func:`_mul_low`, a square when ``a is
-    b``), and the result is divided back.  Values come back normalized
-    (``int`` when integral).
-    """
-    if not a or not b:
-        return {}
-
-    def cleared(terms: dict[int, Coeff]) -> tuple[dict[int, int], int]:
-        den = lcm(*(v.denominator for v in terms.values()))
-        if den == 1:
-            return terms, 1
-        return {t: v.numerator * (den // v.denominator) for t, v in terms.items()}, den
-
-    a_int, a_den = cleared(a)
-    b_int, b_den = (a_int, a_den) if b is a else cleared(b)
-    den = a_den * b_den
-    product = _mul_low(a_int, b_int, n)
-    if den == 1:
-        return product
-    return {t: _norm(Fraction(v, den)) for t, v in product.items()}
+def _cleared(terms: dict[int, Coeff], lo: int, n: int) -> tuple[list[int], int]:
+    """The coefficients at offsets ``0..n-1`` from ``lo`` as a dense list of
+    ints, and the lcm of their denominators, which they are multiplied by."""
+    den = lcm(*(v.denominator for v in terms.values()))
+    dense = [0] * n
+    for e, v in terms.items():
+        if e - lo < n:
+            dense[e - lo] = v if den == 1 else v.numerator * (den // v.denominator)
+    return dense, den
 
 
 class UniSeries:
@@ -385,9 +368,10 @@ class UniSeries:
         """Product with a scalar or another series.
 
         Two series multiply exactly up to ``min(a.hi + b.support_lo,
-        b.hi + a.support_lo)``.  Each factor keeps the terms that can land
-        inside that window, as offsets from its support floor, and the two
-        are multiplied by one Kronecker product (:func:`_mul_exact`).
+        b.hi + a.support_lo)``.  Each factor's terms that can land inside
+        that window become a dense list of offsets from its support floor,
+        over their common denominator, and the two lists are multiplied by
+        the one Kronecker kernel (:func:`_kronecker`).
         """
         if isinstance(other, (int, Fraction)):
             return UniSeries({e: v * other for e, v in self._c.items()}, self.hi)
@@ -395,14 +379,16 @@ class UniSeries:
             return NotImplemented
         a_slo, b_slo = self.support_lo, other.support_lo
         hi = min(self.hi + b_slo, other.hi + a_slo)
+        if not self._c or not other._c:
+            return UniSeries((), hi)
         # offsets from each support floor that can land at or below hi
         n = hi - a_slo - b_slo + 1
-        a = {e - a_slo: v for e, v in self._c.items() if e - a_slo < n}
-        b = a if other is self else {
-            e - b_slo: v for e, v in other._c.items() if e - b_slo < n
-        }
-        floor = a_slo + b_slo
-        return UniSeries({floor + t: v for t, v in _mul_exact(a, b, n).items()}, hi)
+        a, a_den = _cleared(self._c, a_slo, n)
+        b, b_den = (a, a_den) if other is self else _cleared(other._c, b_slo, n)
+        [c] = _kronecker([a], b, n)
+        if a_den * b_den != 1:
+            c = [Fraction(v, a_den * b_den) for v in c]
+        return UniSeries(zip(range(a_slo + b_slo, hi + 1), c), hi)
 
     __rmul__ = __mul__
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moonshine import modular
+from moonshine import cli, modular, series
 from moonshine.classes import parse_table_text
 from moonshine.modular import (
     EtaMonomial,
@@ -23,7 +23,7 @@ from moonshine.modular import (
     j_series,
     normalized_j,
 )
-from moonshine.series import UniSeries, _mul_decimal
+from moonshine.series import UniSeries, _decimal_slots
 
 DATA = Path(__file__).resolve().parent / "data"
 ETA_TABLES = ("eta5.mtf", "eta5_badpower.mtf", "eta7_13.mtf", "eta12.mtf")
@@ -198,6 +198,16 @@ class TestJInvariant:
         j = j_series(30)
         assert j.is_integral()
 
+    @settings(deadline=None)
+    @given(st.integers(0, 300))
+    def test_e4_e8_is_e4_cubed(self, order):
+        # route A takes E4^3 as E4 E8: weight-8 forms are one-dimensional,
+        # so E8 from sigma_7 is E4^2
+        e4, e6, e8 = modular._eisenstein_coeffs(order)
+        got = UniSeries(enumerate(e4), order) * UniSeries(enumerate(e8), order)
+        assert window(got) == window(eisenstein(4, order) ** 3)
+        assert window(UniSeries(enumerate(e6), order)) == window(eisenstein(6, order))
+
     def test_normalized_constant_is_zero(self):
         J = normalized_j(2)
         assert J.coeff(0) == 0
@@ -223,18 +233,26 @@ class TestJInvariant:
     def test_lehner_congruences(self, monkeypatch):
         # Lehner (1949): for n = p^a m with p not dividing m and a >= 1,
         # c(n) is divisible by 2^(3a+8), 3^(2a+3), 5^(a+1), 7^a and 11^a.
-        # At order 2000 both routes' products with 1/delta are decimal
-        # ones, so this checks them against arithmetic, not against the
-        # other route.
-        widths = []
+        # At order 2000 every product j_series makes is a decimal one, the
+        # two with 1/delta among them, so this checks them against
+        # arithmetic, not against the other route.
+        calls = []
 
-        def spy(a, b, n, k):
-            widths.append(k * n)
-            return _mul_decimal(a, b, n, k)
+        def spy(k, n):
+            pack, times, unpack = _decimal_slots(k, n)
+            products = []
+            calls.append(products)
 
-        monkeypatch.setattr("moonshine.series._mul_decimal", spy)
+            def counted(x, y):
+                products.append(k * n)
+                return times(x, y)
+
+            return pack, counted, unpack
+
+        monkeypatch.setattr("moonshine.series._decimal_slots", spy)
         j = normalized_j(2000)
-        assert len(widths) >= 2
+        # E4 E8, E6^2, then (E4 E8, E6^2) times 1/delta in one kernel call
+        assert [len(products) for products in calls] == [1, 1, 2]
         exponents = {2: (3, 8), 3: (2, 3), 5: (1, 1), 7: (1, 0), 11: (1, 0)}
         for p, (slope, base) in exponents.items():
             for n in range(p, 2001, p):
@@ -242,6 +260,51 @@ class TestJInvariant:
                 while m % p == 0:
                     a, m = a + 1, m // p
                 assert j.coeff(n) % p ** (slope * a + base) == 0, (p, n)
+
+
+def perturbed_sigma_7(monkeypatch):
+    """E8 with one wrong divisor sum: sigma_7(5) off by one."""
+    coeffs = modular._eisenstein_coeffs
+
+    def broken(order):
+        e4, e6, e8 = coeffs(order)
+        e8[5] += 480
+        return e4, e6, e8
+
+    monkeypatch.setattr(modular, "_eisenstein_coeffs", broken)
+
+
+class TestJCrossCheck:
+    """A fault in one route only must stop j_series: the cross-check fails."""
+
+    def test_perturbed_sigma_7(self, monkeypatch):
+        perturbed_sigma_7(monkeypatch)
+        with pytest.raises(RuntimeError, match="two j routes disagree"):
+            j_series(50)
+
+    @pytest.mark.parametrize("route", [0, 1])
+    @pytest.mark.parametrize("order", [5, 50, 600])
+    def test_one_wrong_slot_in_one_route(self, monkeypatch, route, order):
+        # the kernel call with 1/delta returns one wrong coefficient for
+        # one of its two left factors
+        kernel = series._kronecker
+
+        def broken(lefts, right, n):
+            products = kernel(lefts, right, n)
+            if len(lefts) == 2:
+                products[route][n // 2] += 1
+            return products
+
+        monkeypatch.setattr(series, "_kronecker", broken)
+        with pytest.raises(RuntimeError, match="two j routes disagree"):
+            j_series(order)
+
+    def test_jexpand_exits_3_with_empty_stdout(self, monkeypatch, capsys):
+        perturbed_sigma_7(monkeypatch)
+        assert cli.main(["jexpand", "--order", "50"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "two j routes disagree" in err
 
 
 class TestRecipes:

@@ -9,13 +9,12 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moonshine import series
+from moonshine import modular, series
 from moonshine.classes import euler_poincare_report, load_family, parse_table_text
 from moonshine.lattice import (
     GradedDims,
@@ -23,8 +22,8 @@ from moonshine.lattice import (
     dimension_product,
     witt_dims,
 )
-from moonshine.modular import normalized_j
-from moonshine.series import BiSeries, UniSeries, _mul_decimal, _mul_low
+from moonshine.modular import dedekind_eta_power, normalized_j
+from moonshine.series import BiSeries, UniSeries, _decimal_slots, _kronecker
 
 # ---------------------------------------------------------------------------
 # reference product
@@ -268,9 +267,11 @@ def assert_same_product(got: UniSeries, want: UniSeries):
 
 @contextmanager
 def packing(route: str):
-    """Send every packed product through one packing: ``"decimal"`` lowers
-    the decimal threshold to 0, ``"binary"`` hides the C decimal module."""
+    """Send every product through one packing, none pair by pair:
+    ``"decimal"`` lowers the decimal threshold to 0, ``"binary"`` hides the
+    C decimal module."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_PAIRS_PER_SLOT", 0)
         if route == "decimal":
             mp.setattr(series, "_DECIMAL_MIN_DIGITS", 0)
         else:
@@ -370,7 +371,8 @@ class TestProductKernel:
 
 @st.composite
 def kernel_operands(draw):
-    """Offset maps for ``_mul_low``, dense or with gaps, and a digit count."""
+    """Dense lists for ``_kronecker``, full or with gaps (zeros), and their
+    length n."""
     n = draw(st.integers(min_value=1, max_value=40))
     big = 2**2000
     value = st.one_of(
@@ -380,7 +382,12 @@ def kernel_operands(draw):
     terms = st.dictionaries(st.integers(min_value=0, max_value=n - 1), value, min_size=1)
     a = draw(terms)
     b = a if draw(st.booleans()) else draw(terms)
-    return a, b, n
+
+    def dense(t):
+        return [t.get(i, 0) for i in range(n)]
+
+    a_list = dense(a)
+    return a_list, a_list if b is a else dense(b), n
 
 
 class TestDecimalKernel:
@@ -393,7 +400,7 @@ class TestDecimalKernel:
     @settings(max_examples=300)
     @given(kernel_series(), kernel_series())
     def test_matches_binary(self, a, b):
-        # Fraction factors are cleared by _mul_exact; a * a is a square
+        # Fraction factors are cleared by UniSeries.__mul__; a * a is a square
         with packing("binary"):
             want = a * b, a * a
         with packing("decimal"):
@@ -407,9 +414,9 @@ class TestDecimalKernel:
     def test_kernel_matches_binary(self, operands):
         a, b, n = operands
         with packing("binary"):
-            want = _mul_low(a, b, n)
+            want = _kronecker([a], b, n)
         with packing("decimal"):
-            assert _mul_low(a, b, n) == want
+            assert _kronecker([a], b, n) == want
 
     @extreme_shapes
     def test_extreme_coefficients(self, kind, bits, length, a_is_b, step):
@@ -437,22 +444,23 @@ class TestDecimalKernel:
         # count of 2c, the fewest digits that hold c: one digit short, the
         # bias 10^(k-1) / 2 <= c pushes c's slot to 10^(k-1) or more, a
         # carry.
-        a = dict.fromkeys(range(m), a_max)
-        b = dict.fromkeys(range(m), b_max)
         n = 2 * m - 1
-        want = {t: (min(t, n - 1 - t) + 1) * a_max * b_max for t in range(n)}
+        a = [a_max] * m + [0] * (m - 1)
+        b = [b_max] * m + [0] * (m - 1)
+        want = [(min(t, n - 1 - t) + 1) * a_max * b_max for t in range(n)]
         widths = []
 
-        def spy(a, b, n, k):
+        def spy(k, n):
             widths.append(k)
-            return _mul_decimal(a, b, n, k)
+            return _decimal_slots(k, n)
 
         with packing("decimal"), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "_mul_decimal", spy)
-            assert _mul_low(a, b, n) == want
+            mp.setattr(series, "_decimal_slots", spy)
+            assert _kronecker([a], b, n) == [want]
         [k] = widths
         assert k == len(str(2 * m * a_max * b_max))
-        assert _mul_decimal(a, b, n, k - 1) != want
+        pack, times, unpack = _decimal_slots(k - 1, n)
+        assert unpack(times(pack(a), pack(b))) != want
 
     def test_slot_cap(self):
         # the slots of (2^bits - 1 - q) * (1 + q) widen by a digit every
@@ -462,13 +470,13 @@ class TestDecimalKernel:
         b = UniSeries({0: 1, 1: 1}, 1)
         widths = []
 
-        def spy(a, b, n, k):
+        def spy(k, n):
             widths.append(k)
-            return _mul_decimal(a, b, n, k)
+            return _decimal_slots(k, n)
 
         decimal_route = []
         with packing("decimal"), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "_mul_decimal", spy)
+            mp.setattr(series, "_decimal_slots", spy)
             middle = round(cap / 0.30103)
             for bits in range(middle - 20, middle + 10):
                 a = UniSeries({0: 2**bits - 1, 1: -1}, 1)
@@ -506,7 +514,7 @@ class TestDecimalKernel:
             raise AssertionError("decimal kernel called past the slot cap")
 
         with packing("decimal"), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(series, "_mul_decimal", refuse)
+            mp.setattr(series, "_decimal_slots", refuse)
             assert_same_product(a * b, reference_mul(a, b))
             assert_same_product(a * a, reference_mul(a, a))
 
@@ -517,9 +525,9 @@ class TestDecimalKernel:
         b = UniSeries({e: 2**600 - 7 * e for e in range(400)}, 399)
         widths = []
 
-        def spy(a, b, n, k):
+        def spy(k, n):
             widths.append(k * n)
-            return _mul_decimal(a, b, n, k)
+            return _decimal_slots(k, n)
 
         def state(ctx):
             return (ctx.prec, ctx.rounding, ctx.Emax, ctx.Emin, ctx.capitals,
@@ -533,13 +541,134 @@ class TestDecimalKernel:
                 ctx.traps[decimal.Inexact] = True
                 ctx.flags[decimal.Clamped] = True
             before = state(ctx)
-            mp.setattr(series, "_mul_decimal", spy)
+            mp.setattr(series, "_decimal_slots", spy)
             got = a * b
             assert decimal.getcontext() is ctx
             assert state(ctx) == before
         assert widths and widths[0] >= series._DECIMAL_MIN_DIGITS
         assert series._int_str_limit() == limit
         assert_same_product(got, reference_mul(a, b))
+
+
+def pair_products(lefts, right, n):
+    """``_kronecker`` by the plain double loop over the dense lists."""
+    products = []
+    for a in lefts:
+        c = [0] * n
+        for s in range(n):
+            for t in range(n - s):
+                c[s + t] += a[s] * right[t]
+        products.append(c)
+    return products
+
+
+@contextmanager
+def kernel_route(route: str):
+    """Send every ``_kronecker`` call through one route: ``"pairs"`` raises
+    the pair-loop cut-off past any product, the packings are as in
+    :func:`packing`."""
+    if route != "pairs":
+        with packing(route):
+            yield
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "_PAIRS_PER_SLOT", 10**9)
+        yield
+
+
+KERNEL_ROUTES = ["pairs", "binary", "decimal"]
+
+
+@st.composite
+def shared_operands(draw):
+    """A right factor, one to three left factors (``right`` itself among
+    them as often as not) and their length n: dense lists with zeros and
+    negative values, sometimes all zero."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    big = 2**300
+    value = st.one_of(
+        st.just(0),
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-big, max_value=big),
+        st.sampled_from([big, -big]),
+    )
+    factor = st.lists(value, min_size=n, max_size=n)
+    right = draw(factor.filter(any))
+    lefts = draw(st.lists(st.one_of(factor, st.just(right)), min_size=1, max_size=3))
+    return lefts, right, n
+
+
+def eta_lists(scale: int, exponent: int, n: int) -> list[int]:
+    """prod (1 - q^{scale k})^exponent through q^(n-1) as a dense list: zero
+    off the multiples of the scale."""
+    s = dedekind_eta_power(scale, exponent, n - 1)
+    return [s.coeff(t) for t in range(n)]
+
+
+class TestKroneckerKernel:
+    """The one kernel, on each of its routes, against the pair-loop oracle."""
+
+    @pytest.mark.parametrize("route", KERNEL_ROUTES)
+    @settings(max_examples=150, deadline=None)
+    @given(shared_operands())
+    def test_matches_pair_loop(self, route, operands):
+        lefts, right, n = operands
+        with kernel_route(route):
+            assert _kronecker(lefts, right, n) == pair_products(lefts, right, n)
+
+    @pytest.mark.parametrize("route", KERNEL_ROUTES)
+    @settings(max_examples=100, deadline=None)
+    @given(shared_operands())
+    def test_shared_right_factor_matches_separate_calls(self, route, operands):
+        lefts, right, n = operands
+        with kernel_route(route):
+            together = _kronecker(lefts, right, n)
+            apart = [_kronecker([a], right, n)[0] for a in lefts]
+        assert together == apart
+
+    @pytest.mark.parametrize("route", KERNEL_ROUTES)
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_zero_and_sparse_factors(self, route, n):
+        # eta powers in q^2, q^3 and q^5 are zero off their multiples; an
+        # all-zero left factor shares the right one with dense ones
+        right = eta_lists(1, -24, n)
+        lefts = [eta_lists(2, 24, n), eta_lists(3, -12, n), [0] * n, eta_lists(5, 8, n), right]
+        with kernel_route(route):
+            got = _kronecker(lefts, right, n)
+            alone = _kronecker([[0] * n], right, n)
+        assert got == pair_products(lefts, right, n)
+        assert alone == [[0] * n]
+
+    def test_width_reads_only_the_pairs_below_n(self):
+        # a wide coefficient at the top of each factor: no pair reaching the
+        # low n slots holds both, so the slots need bits(2^1000) + bits(1) +
+        # bits(m) + 1 bits, not bits(2^1000) + bits(3^600) + bits(m) + 1
+        n = 30
+        a = [1] * (n - 1) + [2**1000]
+        right = [-1] * (n - 1) + [3**600]
+        widths = []
+
+        def spy(k, n):
+            widths.append(k)
+            return _decimal_slots(k, n)
+
+        with packing("decimal"), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(series, "_decimal_slots", spy)
+            assert _kronecker([a, right], right, n) == pair_products([a, right], right, n)
+        assert widths == [(1001 + 1 + n.bit_length() + 1) * 30103 // 100000 + 1]
+
+    @pytest.mark.parametrize("route", KERNEL_ROUTES)
+    def test_j_products(self, route):
+        # the shapes j_series sends, at an order where the real routes
+        # differ: wide coefficients, a square, a shared right factor
+        n = 40
+        e4, e6, e8 = modular._eisenstein_coeffs(n - 1)
+        dinv = eta_lists(1, -24, n)
+        want = pair_products([e4, e6], e8, n) + pair_products([e6], e6, n)
+        with kernel_route(route):
+            got = _kronecker([e4, e6], e8, n) + _kronecker([e6], e6, n)
+            assert got == want
+            assert _kronecker(want, dinv, n) == pair_products(want, dinv, n)
 
 
 # ---------------------------------------------------------------------------
@@ -750,31 +879,34 @@ def reference_log1m(u: BiSeries) -> BiSeries:
 def kronecker_log1m_rows(u, ceilings):
     """``log1m_rows`` by whole-row products: M_m = -m u_m + sum_{k<m} u_k
     M_{m-k}, each product u_k M_{m-k} cut at row m's ceiling and run
-    through the packed kernel (``_mul_exact``).  ``log1m_rows`` ran this way
-    before it took one dot product per cell; kept as its oracle."""
+    through ``UniSeries.__mul__`` and its Kronecker kernel.  ``log1m_rows``
+    ran this way before it took one dot product per cell; kept as its
+    oracle."""
     big_m = [{}]
     for m in range(1, len(u)):
         n = ceilings[m] + 1
         row = {q: -m * v for q, v in u[m].items() if q < n}
         for k in range(1, m):
-            a = {q: v for q, v in u[k].items() if q < n}
-            b = {q: v for q, v in big_m[m - k].items() if q < n}
-            for q, v in series._mul_exact(a, b, n).items():
-                row[q] = row.get(q, 0) + v
+            a = UniSeries({q: v for q, v in u[k].items() if q < n}, n - 1)
+            b = UniSeries({q: v for q, v in big_m[m - k].items() if q < n}, n - 1)
+            for q, v in (a * b).items():
+                if q < n:
+                    row[q] = row.get(q, 0) + v
         big_m.append({q: series._norm(v) for q, v in row.items() if v})
     return big_m
 
 
 @contextmanager
 def no_packed_product():
-    """Running the packed product kernel (``_mul_exact``, ``_mul_low``) fails."""
+    """Running the product kernel (``_kronecker``, either packing) fails."""
 
     def refuse(*args):
         raise AssertionError("a packed product ran")
 
-    with mock.patch.object(series, "_mul_exact", refuse):
-        with mock.patch.object(series, "_mul_low", refuse):
-            yield
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_kronecker", "_binary_slots", "_decimal_slots"):
+            mp.setattr(series, name, refuse)
+        yield
 
 
 def generator_character(column, mmax: int, nmax: int) -> BiSeries:

@@ -109,9 +109,10 @@ def test_import_registers_every_layer():
 
 
 # modules no command needs: the command line is read without argparse (and
-# the gettext and locale it imports), and the packaged catalog without
-# importlib.resources or pathlib, which cost 12-16 ms without site
-UNNEEDED = ("argparse", "gettext", "locale", "importlib.resources", "pathlib")
+# the gettext and locale it imports), the packaged catalog without
+# importlib.resources or pathlib, which cost 12-16 ms without site, and
+# SIGPIPE is reset through _signal, without signal's enum conversions
+UNNEEDED = ("argparse", "gettext", "locale", "importlib.resources", "pathlib", "signal")
 
 UNNEEDED_LOADED = (
     "import contextlib, io, sys\n"
