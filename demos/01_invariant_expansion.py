@@ -8,8 +8,8 @@ cross-check has already happened once.  We redo it by hand anyway, because
 that is the point of a walkthrough.
 """
 
+from moonshine.classes import EtaMonomial, EtaRecipe
 from moonshine.modular import delta, eisenstein, expand_recipe, normalized_j
-from moonshine.modular import EtaMonomial, EtaRecipe
 
 ORDER = 10
 

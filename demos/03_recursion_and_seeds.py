@@ -11,12 +11,8 @@ from fractions import Fraction
 
 from moonshine.classes import load_family, parse_table_text
 from moonshine.modular import normalized_j
-from moonshine.recursion import (
-    coefficient_relation,
-    coefficient_recursion,
-    determinacy_audit,
-    solve_from_seeds,
-)
+from moonshine.recursion import determinacy_audit, solve_from_seeds
+from moonshine.relations import coefficient_recursion, coefficient_relation
 
 
 def render(relation):

@@ -7,20 +7,21 @@ identities for the McKay-Thompson series, and the coefficient recursions
 they imply.
 
 Importing the package runs none of its layers.  Each layer module
-(``series``, ``modular``, ``classes``, ``recursion``, ``lattice``) is in
-``sys.modules`` and on the package from the start, but as an
-``importlib.util.LazyLoader`` module that runs its source at its first
-attribute read; the names re-exported here, and every name one layer
+(``series``, ``modular``, ``classes``, ``recursion``, ``relations``,
+``lattice``) is in ``sys.modules`` and on the package from the start, but
+as an ``importlib.util.LazyLoader`` module that runs its source at its
+first attribute read; the names re-exported here, and every name one layer
 takes from another (``from . import series``, then ``series.log1m_rows``),
 are read through the same modules.  So a command compiles and runs only
-the layers it calls: ``derive`` and ``derive --audit`` run ``classes``,
-``modular`` (a table's eta recipes are built, not expanded) and
-``recursion``, and not ``series``, which saves about 6 ms per fresh
-process on a 2-core machine.  The first use of a layer from several
-threads at once is not supported.  Of a fresh ``derive --audit --max 8``
-(about 39 ms there), the interpreter with ``site`` takes 25 ms and
-compiling the modules, when no bytecode is cached, 9 ms; the command line
-is read without argparse (see ``cli``).
+the layers it calls: ``derive`` and ``derive --audit`` run ``classes`` and
+``recursion`` alone, and import no ``fractions`` (a table's eta recipes
+are records in ``classes``; ``modular`` expands them), and no command runs
+``relations``, the oracles the tests check the solver against.  The first
+use of a layer from several threads at once is not supported.  On a
+loaded 2-core machine, where ``python -c pass`` takes 40 ms, a fresh
+``derive --audit --max 8`` takes 55 ms without bytecode caches (43 ms
+with them), 5 ms less than when it also ran ``modular`` and
+``fractions``; the command line is read without argparse (see ``cli``).
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ _EXPORTS = {
         "delta",
         "j_series",
         "normalized_j",
-        "EtaMonomial",
-        "EtaRecipe",
         "expand_recipe",
     ),
     "classes": (
+        "EtaMonomial",
+        "EtaRecipe",
         "ClassTable",
         "CoefficientFamily",
         "MissingCoefficients",
@@ -64,15 +65,17 @@ _EXPORTS = {
         "denominator_identity_report",
     ),
     "recursion": (
-        "Relation",
-        "coefficient_relation",
-        "coefficient_recursion",
-        "recursion_cross_check",
         "ContradictionError",
         "SolveResult",
         "solve_from_seeds",
         "AuditReport",
         "determinacy_audit",
+    ),
+    "relations": (
+        "Relation",
+        "coefficient_relation",
+        "coefficient_recursion",
+        "recursion_cross_check",
     ),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

@@ -9,6 +9,11 @@ in integers, m LHS = -M_m[n], where the left side reads the Adams
 operations as the g^k columns of the family and M_m are the rows of
 log(1 - U_g) (see :func:`euler_poincare_report`).
 
+The table's eta-quotient recipes are records here (``EtaMonomial``,
+``EtaRecipe``); ``modular.expand_recipe`` expands them, so parsing a table
+runs no expansion code.  ``Fraction`` is imported only where one is made:
+a non-integral eta coefficient, an offset, a mismatch's report.
+
 Everything fails loudly: a missing coefficient raises an exception listing
 exactly which (class, index) slots are absent, because silently zero-filling
 would fabricate identity violations (or worse, mask them).
@@ -16,14 +21,19 @@ would fabricate identity violations (or worse, mask them).
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterable, Mapping
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # the layers are read through their modules: a call runs only those it reads
 from . import modular, series
 
 __all__ = [
+    "EtaMonomial",
+    "EtaRecipe",
     "MissingCoefficients",
     "ClassTable",
     "parse_table_text",
@@ -34,6 +44,50 @@ __all__ = [
     "power_tower_orders",
     "euler_poincare_report",
 ]
+
+
+class EtaMonomial(NamedTuple):
+    """A rational multiple of a product of scaled eta powers.
+
+    ``factors`` maps each scale k to the exponent of eta(k*tau); the term
+    contributes an overall exponent offset of sum(k * e_k) / 24, which must
+    come out integral for the series to live in integer powers of q.
+    """
+
+    coeff: series.Coeff = 1
+    factors: tuple[tuple[int, int], ...] = ()
+
+    @classmethod
+    def from_factors(
+        cls,
+        coeff: series.Coeff,
+        factors: Mapping[int, int] | Iterable[tuple[int, int]],
+    ) -> "EtaMonomial":
+        items = factors.items() if isinstance(factors, Mapping) else factors
+        merged: dict[int, int] = {}
+        for scale, exponent in items:
+            if scale < 1:
+                raise ValueError("eta scale must be a positive integer")
+            merged[scale] = merged.get(scale, 0) + exponent
+        clean = tuple(sorted((k, e) for k, e in merged.items() if e != 0))
+        return cls(coeff, clean)
+
+    def offset(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(sum(k * e for k, e in self.factors), 24)
+
+
+class EtaRecipe(NamedTuple):
+    """A formal sum of eta monomials defining a Hauptmodul candidate.
+
+    With ``normalize`` set, the constant term of the expansion is subtracted
+    so that the candidate matches the convention that the q^0 coefficient
+    vanishes.
+    """
+
+    monomials: tuple[EtaMonomial, ...]
+    normalize: bool = True
 
 
 class MissingCoefficients(Exception):
@@ -53,7 +107,7 @@ class ClassTable(NamedTuple):
     orders: dict[str, int]
     power: dict[tuple[str, int], str]
     seeds: dict[tuple[str, int], int]
-    recipes: dict[str, modular.EtaRecipe]
+    recipes: dict[str, EtaRecipe]
     identity: str
 
     def order_of(self, name: str) -> int:
@@ -122,7 +176,7 @@ class ClassTable(NamedTuple):
             if name not in self.orders:
                 raise ValueError(f"recipe for undeclared class {name!r}")
             for mono in recipe.monomials:
-                if mono.offset().denominator != 1:
+                if sum(k * e for k, e in mono.factors) % 24:
                     raise ValueError(
                         f"fractional leading exponent {mono.offset()} in recipe for {name}"
                     )
@@ -170,7 +224,7 @@ def parse_table_text(text: str) -> ClassTable:
     orders: dict[str, int] = {}
     power: dict[tuple[str, int], str] = {}
     seeds: dict[tuple[str, int], int] = {}
-    monomials: dict[str, list[modular.EtaMonomial]] = {}
+    monomials: dict[str, list[EtaMonomial]] = {}
     identity: str | None = None
 
     def fail(lineno: int, message: str) -> None:
@@ -214,15 +268,22 @@ def parse_table_text(text: str) -> ClassTable:
             elif directive == "eta":
                 if len(tokens) < 3:
                     fail(lineno, "expected: eta NAME COEFF K:E [K:E ...]")
-                coeff = Fraction(tokens[2])
+                try:
+                    coeff = int(tokens[2])
+                except ValueError:  # a non-integral literal, such as 1/2 or 1e3
+                    from fractions import Fraction
+
+                    coeff = Fraction(tokens[2])
+                    if coeff.denominator == 1:
+                        coeff = coeff.numerator
                 factors = []
                 for piece in tokens[3:]:
                     scale_text, _, exp_text = piece.partition(":")
                     if not exp_text:
                         fail(lineno, f"bad eta factor {piece!r}, expected K:E")
                     factors.append((int(scale_text), int(exp_text)))
-                mono = modular.EtaMonomial.from_factors(coeff, factors)
-                if mono.offset().denominator != 1:
+                mono = EtaMonomial.from_factors(coeff, factors)
+                if sum(k * e for k, e in mono.factors) % 24:
                     fail(
                         lineno,
                         f"fractional leading exponent {mono.offset()}: "
@@ -231,7 +292,7 @@ def parse_table_text(text: str) -> ClassTable:
                 monomials.setdefault(tokens[1], []).append(mono)
             else:
                 fail(lineno, f"unknown directive {directive!r}")
-        except ValueError as err:
+        except (ValueError, ZeroDivisionError) as err:  # 1/0 is a bad value too
             if str(err).startswith("table line"):
                 raise
             fail(lineno, f"bad value ({err})")
@@ -242,7 +303,7 @@ def parse_table_text(text: str) -> ClassTable:
         orders=orders,
         power=power,
         seeds=seeds,
-        recipes={g: modular.EtaRecipe(tuple(m)) for g, m in monomials.items()},
+        recipes={g: EtaRecipe(tuple(m)) for g, m in monomials.items()},
         identity=identity,
     )
     table.validate()
@@ -432,6 +493,8 @@ def euler_poincare_report(
             )
             rhs = -big_m[m][n]
             if lhs != rhs:
+                from fractions import Fraction
+
                 mismatches.append(
                     (m, n, series._norm(Fraction(lhs, m)), series._norm(Fraction(rhs, m)))
                 )

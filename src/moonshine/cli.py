@@ -21,6 +21,10 @@ The command line, ``COMMAND (--flag VALUE | --flag=VALUE | --switch)*``, is
 read from one table, :data:`_COMMANDS`, not by argparse, whose import and
 parser took 3 ms of a fresh 40 ms command on a 2-core machine (the
 interpreter takes 25 ms of it, and compiling uncached modules 8 ms).
+``derive`` and ``derive --audit`` run ``classes`` and ``recursion`` alone
+and import no ``fractions``: a further 5 ms of a fresh 60 ms
+``derive --audit --max 8`` on a loaded machine, where ``python -c pass``
+takes 40 ms.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Exact q-expansions of the classical modular objects.
 
 This module supplies every coefficient source used elsewhere: the Euler
-product (via the pentagonal-number theorem), Dedekind eta powers (the eta
-monomials track their fractional exponent offsets, in units of 1/24), the
-Eisenstein series E4 and E6 by divisor sums, the discriminant form, and the
-modular invariant j.  Eta powers of any sign come from Miller's power
+product (via the pentagonal-number theorem), Dedekind eta powers and the
+eta-quotient recipes of a class table (records in ``classes``, whose
+monomials track their exponent offsets in units of 1/24), the Eisenstein
+series E4 and E6 by divisor sums, the discriminant form, and the modular
+invariant j.  Eta powers of any sign come from Miller's power
 recurrence over the pentagonal series, in O(n^1.5) small-by-big integer
 steps, so 1/delta needs no series inverse.  The invariant is computed along
 two independent routes and compared on every call, so a bug in either route
@@ -13,12 +14,8 @@ surfaces as a hard failure rather than a wrong answer.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
-from fractions import Fraction
-from typing import NamedTuple
-
 # the layers are read through their modules: a call runs only those it reads
-from . import series
+from . import classes, series
 
 __all__ = [
     "euler_product",
@@ -27,8 +24,6 @@ __all__ = [
     "delta",
     "j_series",
     "normalized_j",
-    "EtaMonomial",
-    "EtaRecipe",
     "expand_recipe",
 ]
 
@@ -59,7 +54,7 @@ def dedekind_eta_power(scale: int, exponent: int, order: int) -> series.UniSerie
 
     This is eta(scale*tau)^exponent without its leading factor
     q^{scale*exponent/24}, whose fractional exponent
-    :meth:`EtaMonomial.offset` tracks.  With P(q) = prod (1 - q^n) =
+    :meth:`classes.EtaMonomial.offset` tracks.  With P(q) = prod (1 - q^n) =
     sum a_k q^k, the identity P(q^k)^e = (P^e)(q^k) lets the power run on P
     itself through q^(order // scale) (:func:`_eta_coeffs`); q -> q^scale
     is the last step.
@@ -170,50 +165,9 @@ def normalized_j(order: int) -> series.UniSeries:
 # eta-quotient recipes
 
 
-class EtaMonomial(NamedTuple):
-    """A rational multiple of a product of scaled eta powers.
-
-    ``factors`` maps each scale k to the exponent of eta(k*tau); the term
-    contributes an overall exponent offset of sum(k * e_k) / 24, which must
-    come out integral for the series to live in integer powers of q.
-    """
-
-    coeff: series.Coeff = 1
-    factors: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def from_factors(
-        cls,
-        coeff: series.Coeff,
-        factors: Mapping[int, int] | Iterable[tuple[int, int]],
-    ) -> "EtaMonomial":
-        items = factors.items() if isinstance(factors, Mapping) else factors
-        merged: dict[int, int] = {}
-        for scale, exponent in items:
-            if scale < 1:
-                raise ValueError("eta scale must be a positive integer")
-            merged[scale] = merged.get(scale, 0) + exponent
-        clean = tuple(sorted((k, e) for k, e in merged.items() if e != 0))
-        return cls(coeff, clean)
-
-    def offset(self) -> Fraction:
-        return Fraction(sum(k * e for k, e in self.factors), 24)
-
-
-class EtaRecipe(NamedTuple):
-    """A formal sum of eta monomials defining a Hauptmodul candidate.
-
-    With ``normalize`` set, the constant term of the expansion is subtracted
-    so that the candidate matches the convention that the q^0 coefficient
-    vanishes.
-    """
-
-    monomials: tuple[EtaMonomial, ...]
-    normalize: bool = True
-
-
-def expand_recipe(recipe: EtaRecipe, order: int) -> series.UniSeries:
-    """Exact q-expansion of a recipe through q^order."""
+def expand_recipe(recipe: classes.EtaRecipe, order: int) -> series.UniSeries:
+    """Exact q-expansion of a recipe through q^order; the recipe is read by
+    its fields and ``offset`` alone."""
     if order < 0:
         raise ValueError("order must be >= 0")
     total: series.UniSeries | None = None

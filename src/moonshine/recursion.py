@@ -7,26 +7,14 @@ target (i,j), one polynomial relation among trace coefficients:
         = sum over multisets of cells (r,s) summing to (i,j) of
           ((|a|-1)!/a!) prod c_g(r+s-1)^{a_rs}.
 
-Relations are stored compressed: the right side is grouped by the multiset
-of index values r+s-1, with the count of cell-level decompositions folded
-into one weight.  This keeps relation sizes around the partition count of
-i+j instead of the (vastly larger) count of cell matrices, while remaining
-term-for-term equivalent to the brute enumeration of those matrices, which
-the tests keep as the oracle.  The multisets come from one depth-first walk
-over the partitions of i+j (see ``_weight_terms``).
-
-Every relation is stored multiplied by ``scale`` = gcd(i,j), and then all
-its weights are integers.  On the left, 1/k has k | gcd(i,j).  On the
-right, a weight is a count of ordered decompositions into M cells divided
-by M; rotating a decomposition, an orbit of size d repeats a block M/d
-times, so M/d divides gcd(i,j) and each orbit contributes 1/(M/d).
-
-Three consumers read the relations: the Mobius-inverted closed form for
-c_g(ij), a monotone propagation solver that derives coefficients from seed
-data (every derived value carries the relation that produced it, and
-disagreeing derivations are a hard error), and a structural determinacy
-audit that finds which indices are genuinely underivable.  None builds a
-relation; each reads its shape, and the first two the log(1 - U) rows.
+Two consumers here read the relations: a monotone propagation solver that
+derives coefficients from seed data (every derived value carries the
+relation that produced it, and disagreeing derivations are a hard error),
+and a structural determinacy audit that finds which indices are genuinely
+underivable.  Neither builds a relation; each reads its shape, and the
+solver the log(1 - U) rows.  Building the relations, compressed, and the
+Mobius-inverted closed form for c_g(ij) are oracles no command runs; they
+live in ``relations``, whose weights the shape below is read from.
 
 At a target (i,j), 2 <= i <= j, the right side's monomials are the
 partitions of i+j into at most i parts >= 2 (part p reads c(p-1)), each
@@ -40,8 +28,8 @@ i+j-2p is 0, or is at least 2 and a third part is allowed (i >= 3).
 
 The right side of (i,j) is [p^i q^j] -log(1 - U_g), U_g = sum c_g(m+n-1)
 p^m q^n.  A store of its cells per class read (``_Cells``) computes each
-cell once, when first read.  The closed form reads layer k at (i/k, j/k) from the
-store of g^k; the solver classifies each relation from the shape and
+cell once, when first read (the closed form in ``relations`` reads the
+stores too).  The solver classifies each relation from the shape and
 takes its values from the cells (``_state``).  The replication rows i = 2,
 3, 4 determine every coefficient from c(1), c(2), c(3), c(5) (Norton
 1984): they run pass by pass to a fixpoint.  Then one sweep evaluates
@@ -74,10 +62,8 @@ a constant.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache
 from itertools import count, islice
-from math import factorial, gcd, isqrt
+from math import gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
@@ -85,205 +71,12 @@ from typing import NamedTuple
 from . import classes, series
 
 __all__ = [
-    "Relation",
-    "coefficient_relation",
-    "coefficient_recursion",
-    "CrossCheckReport",
-    "recursion_cross_check",
     "ContradictionError",
     "SolveResult",
     "solve_from_seeds",
     "AuditReport",
     "determinacy_audit",
 ]
-
-
-# ---------------------------------------------------------------------------
-# compressed relations
-
-
-class Relation(NamedTuple):
-    """The coefficient-of-p^i q^j relation, canonicalized to i <= j and
-    multiplied by ``scale`` = gcd(i,j), which makes every weight an ``int``.
-
-    ``lhs``: terms (k, n, scale // k) meaning (scale/k) * c_{g^k}(n), one per
-    divisor k of gcd(i,j), with n = ij/k^2.
-    ``rhs``: terms (weight, ((v1, e1), (v2, e2), ...)) meaning
-    weight * prod c_g(v)^e, already aggregated over all cell decompositions
-    sharing the same index-value multiset.
-    """
-
-    target: tuple[int, int]
-    scale: int
-    lhs: tuple[tuple[int, int, int], ...]
-    rhs: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
-
-
-def _weight_terms(
-    i: int, j: int, scale: int
-) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Compressed right side for target (i,j), times ``scale``.
-
-    For a fixed multiset of index values v (with multiplicities m_v) the sum
-    of (|a|-1)!/a! over all matching cell decompositions collapses to
-
-        (M-1)!/prod(m_v!) * [x^i] prod_v (x + x^2 + ... + x^v)^{m_v},
-
-    where M = sum m_v: distributing each value-v part over its v candidate
-    cells (r, v+1-r) is exactly choosing the exponent of x, and the
-    cell-level factorials assemble into the polynomial coefficient.  The
-    multisets are the partitions of i+j into parts p = v+1 >= 2 with at most
-    min(i,j) parts, walked depth first with parts descending.  The walk
-    carries the truncated polynomial and prod m_v!, so partitions sharing a
-    prefix share its work, and it drops a prefix whose remainder cannot be
-    filled by the parts still allowed.  M!/prod(m_v!) * [x^i](...) counts
-    ordered sequences of M cells, so the division by M is exact (see the
-    module docstring).
-    """
-    terms: list[tuple[int, tuple[tuple[int, int], ...]]] = []
-    cap = min(i, j)
-    parts: list[tuple[int, int]] = []  # (v, m_v), v descending
-
-    def walk(remaining: int, max_part: int, count: int, poly: list[int], fact: int) -> None:
-        if remaining == 0:
-            weight = factorial(count) // fact * poly[i] * scale // count
-            terms.append((weight, tuple(reversed(parts))))
-            return
-        for p in range(min(max_part, remaining), 1, -1):
-            if remaining > (cap - count) * p:
-                break  # parts of at most p cannot fill what is left
-            power = poly
-            for mult in range(1, min(cap - count, remaining // p) + 1):
-                run = 0  # power * (x + ... + x^(p-1)), a running sum
-                power = [0] + [
-                    run := run + power[d - 1] - (power[d - p] if d >= p else 0)
-                    for d in range(1, i + 1)
-                ]
-                left = remaining - mult * p
-                if left == 1 or left > (cap - count - mult) * (p - 1):
-                    continue
-                parts.append((p - 1, mult))
-                walk(left, p - 1, count + mult, power, fact * factorial(mult))
-                parts.pop()
-
-    walk(i + j, i + j, 0, [1] + [0] * i, 1)
-    terms.sort(key=lambda t: t[1])
-    return tuple(terms)
-
-
-def coefficient_relation(i: int, j: int) -> Relation:
-    """The relation at target (i,j); (i,j) and (j,i) canonicalize equal.
-
-    The canonical target has i <= j, its scale is gcd(i,j), and its left
-    side has one term per common divisor k: (k, ij/k^2, scale // k).
-    """
-    if i < 1 or j < 1:
-        raise ValueError("target components must be >= 1")
-    i, j = min(i, j), max(i, j)
-    scale = gcd(i, j)
-    lhs = tuple(
-        (k, (i // k) * (j // k), scale // k)
-        for k in range(1, scale + 1)
-        if scale % k == 0
-    )
-    return Relation((i, j), scale, lhs, _weight_terms(i, j, scale))
-
-
-# ---------------------------------------------------------------------------
-# closed form
-
-
-def _closed_form(family: classes.CoefficientFamily, name: str, i: int, j: int, cells) -> int:
-    """``coefficient_recursion`` at 2 <= i <= j, reading layer k's cell
-    M_a[b] at x = 0 from ``cells(g^k)``, a ``_Cells`` store.  With the keys
-    known, a+b-2 is the only index <= a+b-1 that may be missing, so a+b-1 <
-    gaps[2].  At a = 1, M_1[b] = -c_{g^k}(b) is read from the column, which
-    may have more holes below b."""
-    layers = [
-        (mu, family.table.power_of(name, k), i // k, j // k)
-        for k in range(1, gcd(i, j) + 1)
-        if i % k == 0 and j % k == 0 and (mu := series.mobius(k))
-    ]
-    missing = [
-        (g, v)
-        for _, g, a, b in layers
-        for v in [*range(1, a + b - 2 if a > 1 else 1), a + b - 1]
-        if not family.known(g, v)
-    ]
-    if missing:
-        raise classes.MissingCoefficients(missing)
-    total = 0  # i * c_g(ij)
-    for mu, g, a, b in layers:
-        total -= mu * (-family.values[g][b] if a == 1 else cells(g).cell(a, b, 0))
-    result, rest = divmod(total, i)
-    if rest:
-        raise RuntimeError(
-            f"closed form for c_{name}({i * j}) came out non-integer: {Fraction(total, i)}"
-        )
-    return result
-
-
-def coefficient_recursion(
-    family: classes.CoefficientFamily, name: str, i: int, j: int
-) -> int:
-    """c_g(ij) by Mobius inversion over the divisor tower of (i,j):
-
-    i * c_g(ij) = -sum_{k | gcd(i,j), mu(k) != 0} mu(k) * M^{(g^k)}_{i/k}[j/k],
-
-    where M^{(h)} are the rows of log(1 - U_h) (``log1m_rows``), whose cell
-    (a,b) is -a times the right side of the relation at (a,b).  That cell
-    reads c_{g^k}(1..a+b-3) and c_{g^k}(a+b-1), a = i/k <= b = j/k (only
-    c_{g^k}(b) when a = 1); every such key the family lacks is reported
-    before any arithmetic, and the cells (``_Cells``) read other missing
-    keys as 0.
-    """
-    if i < 2 or j < 2:
-        raise ValueError("closed form needs i, j >= 2")
-    i, j = min(i, j), max(i, j)
-    return _closed_form(family, name, i, j, cache(lambda g: _Cells(family.values[g])))
-
-
-class CrossCheckReport(NamedTuple):
-    """Closed form vs stored values over all factorizations of each n."""
-
-    name: str
-    nmax: int
-    checks: int
-    failures: tuple[tuple[int, int, int, int, int], ...]
-    # each failure: (n, i, j, stored value, derived value)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def recursion_cross_check(
-    family: classes.CoefficientFamily, name: str, nmax: int
-) -> CrossCheckReport:
-    """Evaluate the closed form at every factorization n = i*j, i,j >= 2.
-
-    Comparing every factorization against the stored value also certifies
-    multi-factorization consistency (all routes to the same n agree).  Each
-    class read keeps one cell store (``_Cells``) for every factorization,
-    so a cell is computed once; a factorization with missing keys raises
-    before it reads them, as ``coefficient_recursion`` does.
-    """
-    cells = cache(lambda g: _Cells(family.values[g]))
-    checks = 0
-    failures: list[tuple[int, int, int, int, int]] = []
-    for n in range(4, nmax + 1):
-        for i in range(2, n + 1):
-            if i * i > n:
-                break
-            if n % i:
-                continue
-            j = n // i
-            derived = _closed_form(family, name, i, j, cells)
-            stored = family.value(name, n)
-            checks += 1
-            if derived != stored:
-                failures.append((n, i, j, stored, derived))
-    return CrossCheckReport(name, nmax, checks, tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +204,8 @@ def _state(table: classes.ClassTable, name: str, i: int, j: int, values: dict, c
         coeff += scale * (cells.cell(i, j, 1) - at_zero)
     if coeff == 0:  # no unknown, or one that cancels
         if const != 0:
+            from fractions import Fraction
+
             broken = "is violated:" if key is None else f"cannot hold: {key} cancels but"
             raise ContradictionError(
                 f"relation ({i},{j}) at class {name} {broken} sides differ by "
@@ -418,8 +213,12 @@ def _state(table: classes.ClassTable, name: str, i: int, j: int, values: dict, c
             )
         return "verified", None
     # const + coeff * unknown = 0
-    solved = Fraction(-const, coeff)
-    return "fire", (key, solved.numerator if solved.denominator == 1 else solved)
+    solved, rest = divmod(-const, coeff)
+    if rest:  # refused at the end of the solve, unless a contradiction comes first
+        from fractions import Fraction
+
+        solved = Fraction(-const, coeff)
+    return "fire", (key, solved)
 
 
 class SolveResult(NamedTuple):
@@ -547,12 +346,16 @@ def solve_from_seeds(table: classes.ClassTable, nmax: int) -> SolveResult:
     """
     if nmax < 1:
         raise ValueError("nmax must be >= 1")
-    values: dict[str, dict[int, int | Fraction]] = {name: {} for name in table.orders}
+    values: dict[str, dict[int, series.Coeff]] = {name: {} for name in table.orders}
     for (name, n), value in table.seeds.items():
         if name not in values:
             raise ValueError(f"seed for undeclared class {name!r}")
-        value = Fraction(value)  # the cells multiply normalized values
-        values[name][n] = value.numerator if value.denominator == 1 else value
+        if type(value) is not int:  # the cells multiply normalized values
+            from fractions import Fraction
+
+            value = Fraction(value)
+            value = value.numerator if value.denominator == 1 else value
+        values[name][n] = value
     provenance: dict[tuple[str, int], tuple[str, tuple[int, int], int]] = {}
     cells = {name: _Cells(values[name]) for name in table.names}
     pending = [
@@ -567,11 +370,11 @@ def solve_from_seeds(table: classes.ClassTable, nmax: int) -> SolveResult:
     clean: dict[tuple[str, int], int] = {}
     for name, n in [*table.seeds, *provenance]:  # seeds, then derivation order
         value = values[name][n]
-        if Fraction(value).denominator != 1:
+        if not isinstance(value, int):  # a normalized value: a non-integral Fraction
             raise ContradictionError(
                 f"{name}({n}) solved to non-integer {series.format_coeff(value)}"
             )
-        clean[(name, n)] = int(value)
+        clean[(name, n)] = value
     unresolved = tuple(
         (name, n)
         for name in table.names

@@ -21,13 +21,8 @@ from moonshine.lattice import (
     witt_dims,
 )
 from moonshine.modular import delta, eisenstein, normalized_j
-from moonshine.recursion import (
-    ContradictionError,
-    coefficient_recursion,
-    determinacy_audit,
-    recursion_cross_check,
-    solve_from_seeds,
-)
+from moonshine.recursion import ContradictionError, determinacy_audit, solve_from_seeds
+from moonshine.relations import coefficient_recursion, recursion_cross_check
 from moonshine.series import BiSeries
 
 SEEDLESS = "class 1A order 1\nidentity 1A\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,18 +15,21 @@ from moonshine.classes import (
     ClassTable,
     CoefficientFamily,
     EPReport,
+    EtaMonomial,
+    EtaRecipe,
     MissingCoefficients,
     euler_poincare_report,
     load_family,
     parse_table_text,
     serialize_table,
 )
-from moonshine.modular import EtaMonomial, EtaRecipe, normalized_j
+from moonshine.modular import normalized_j
 from moonshine.series import BiSeries
 from test_recursion import broken_tables
 from test_series import reference_bimul, reference_log1m
 
 MINIMAL = "class 1A order 1\nidentity 1A\n"
+ETA_2B = "class 1A order 1\nclass 2B order 2\nidentity 1A\neta 2B {} 1:24 2:-24\n"
 BADPOWER = parse_table_text((Path(__file__).parent / "data" / "eta5_badpower.mtf").read_text())
 
 SEEDS_ONLY = """
@@ -54,6 +58,36 @@ class TestParsing:
         assert text == serialize_table(parse_table_text(text))
         assert text.endswith("\n")
 
+    @pytest.mark.parametrize(
+        "text", ["1", "+3", "-24", "3_0", "\u0663", "2/2", "1/2", "1e3", "3.0"]
+    )
+    def test_eta_coefficient_reads_as_its_fraction_literal(self, text):
+        # int() reads the integral literals, Fraction the rest; either way
+        # the value is Fraction(text), an int when it is integral
+        [mono] = parse_table_text(ETA_2B.format(text)).recipes["2B"].monomials
+        assert mono.coeff == Fraction(text)
+        assert type(mono.coeff) is (int if Fraction(text).denominator == 1 else Fraction)
+
+    # SHA-256 of serialize_table(parse_table_text(text)) as it was when every
+    # eta coefficient was parsed to a Fraction: the ints print the same
+    @pytest.mark.parametrize(
+        "path, digest",
+        [
+            (
+                Path(__file__).parents[1] / "src" / "moonshine" / "data" / "catalog.mtf",
+                "28cffed9c8d3e6a6ced0418a4f64f4c6525a73289ee43d6efdd6b04448421e74",
+            ),
+            (
+                Path(__file__).parent / "data" / "eta12.mtf",
+                "e2c59e99336cdafdb419e04f2f2a98fd648523c5949471f0263c1f26696f3948",
+            ),
+        ],
+        ids=["catalog", "eta12"],
+    )
+    def test_serialization_is_pinned(self, path, digest):
+        text = serialize_table(parse_table_text(path.read_text()))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_comments_and_blanks_ignored(self):
         table = parse_table_text("# header\n\nclass 1A order 1  # inline\nidentity 1A\n")
         assert table.names == ("1A",)
@@ -76,8 +110,10 @@ class TestParsing:
             parse_table_text(text)
 
     def test_fractional_eta_offset_rejected(self):
-        with pytest.raises(ValueError, match="multiple of 24"):
-            parse_table_text("class 1A order 1\nidentity 1A\neta 1A 1 1:23")
+        # offsets 23/24, 1/2 and 1/4, each refused at its line
+        for factors in ["1:23", "1:12", "2:6 3:-2"]:
+            with pytest.raises(ValueError, match="table line 3: fractional .* multiple of 24"):
+                parse_table_text(f"class 1A order 1\nidentity 1A\neta 1A 1 {factors}")
 
     def test_missing_identity(self):
         with pytest.raises(ValueError, match="no identity"):
@@ -160,6 +196,13 @@ class TestValidate:
             ).validate()
         with pytest.raises(ValueError, match="seed index"):
             ClassTable(("1A",), {"1A": 1}, {}, {("1A", 0): 5}, {}, "1A").validate()
+
+    def test_fractional_recipe_offset(self):
+        # a recipe built without the parser: eta(tau)^12 leads with q^(1/2)
+        recipe = EtaRecipe((EtaMonomial.from_factors(1, {1: 12}),))
+        table = ClassTable(("1A",), {"1A": 1}, {}, {}, {"1A": recipe}, "1A")
+        with pytest.raises(ValueError, match="fractional leading exponent 1/2 in recipe for 1A"):
+            table.validate()
 
 
 class TestLoadFamily:

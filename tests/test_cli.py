@@ -265,6 +265,28 @@ class TestDerive:
         assert "table line 1" in err
 
 
+class TestEtaCoefficient:
+    TABLE = "class 1A order 1\nclass 2B order 2\nidentity 1A\neta 2B {} 1:24 2:-24\n"
+
+    # a zero denominator raised ZeroDivisionError, which escaped the parser
+    # as an internal error (exit 3); it is a bad value like any other
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("0x10", "Invalid literal for Fraction: '0x10'"),
+            ("x", "Invalid literal for Fraction: 'x'"),
+            ("1/0", "Fraction(1, 0)"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["derive", "compare", "verify-ep", "derive --audit"])
+    def test_bad_literal_is_an_input_error(self, run, tmp_path, text, reason, command):
+        path = tmp_path / "bad.mtf"
+        path.write_text(self.TABLE.format(text))
+        code, out, err = run(*command.split(), "--table", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: table line 4: bad value ({reason})\n"
+
+
 class TestCompare:
     def test_catalog_passes(self, run):
         code, out, _ = run("compare", "--max", "12")

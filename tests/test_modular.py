@@ -11,10 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moonshine import cli, modular, series
-from moonshine.classes import parse_table_text
+from moonshine.classes import EtaMonomial, EtaRecipe, parse_table_text
 from moonshine.modular import (
-    EtaMonomial,
-    EtaRecipe,
     dedekind_eta_power,
     delta,
     eisenstein,

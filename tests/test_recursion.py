@@ -19,7 +19,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from moonshine import recursion, series
+from moonshine import recursion, relations, series
 from moonshine.classes import (
     ClassTable,
     CoefficientFamily,
@@ -32,19 +32,21 @@ from moonshine.modular import normalized_j
 from moonshine.recursion import (
     AuditReport,
     ContradictionError,
-    CrossCheckReport,
-    Relation,
     SolveResult,
     _Cells,
     _relation_targets,
     _squared,
     _state,
     _sweep,
+    determinacy_audit,
+    solve_from_seeds,
+)
+from moonshine.relations import (
+    CrossCheckReport,
+    Relation,
     coefficient_recursion,
     coefficient_relation,
-    determinacy_audit,
     recursion_cross_check,
-    solve_from_seeds,
 )
 from moonshine.series import BiSeries, log1m_rows, mobius
 from moonshine.series import format_coeff as _show
@@ -391,8 +393,8 @@ def no_relation():
     def refuse(*args):
         raise AssertionError(f"a relation was built: {args}")
 
-    with mock.patch.object(recursion, "coefficient_relation", refuse):
-        with mock.patch.object(recursion, "_weight_terms", refuse):
+    with mock.patch.object(relations, "coefficient_relation", refuse):
+        with mock.patch.object(relations, "_weight_terms", refuse):
             yield
 
 

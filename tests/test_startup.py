@@ -16,14 +16,14 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-LAYERS = ("series", "modular", "classes", "recursion", "lattice", "cli")
+LAYERS = ("series", "modular", "classes", "recursion", "relations", "lattice", "cli")
 
 SERIES = {"cli", "modular", "series"}
 LATTICE = SERIES | {"lattice"}
 CLASSES = SERIES | {"classes"}
 RECURSION = CLASSES | {"recursion"}
-# parsing a table builds eta recipes, but expands none
-SOLVE = {"cli", "classes", "modular", "recursion"}
+# a table's eta recipes are records in classes: parsing expands none
+SOLVE = {"cli", "classes", "recursion"}
 
 # run the command, then list the moonshine modules whose source has run: an
 # unrun lazy module is an instance of a ModuleType subclass
@@ -90,9 +90,10 @@ def test_contradiction_is_printed(tmp_path):
 
 
 def test_import_registers_every_layer():
-    # a tracer wraps the public callables of all six layers right after
-    # importing the cli: every layer must be in sys.modules by then, and
-    # every name in its __all__ must resolve
+    # a tracer wraps the public callables of the layers right after
+    # importing the cli: every layer, relations too, which no command runs,
+    # must be in sys.modules by then, and every name in its __all__ must
+    # resolve
     code = (
         "import sys\n"
         "import moonshine.cli\n"
@@ -132,6 +133,43 @@ def test_command_imports_no_parser_or_resources(command):
     # without site (-S) the interpreter itself imports none of them
     code, before, after = json.loads(
         probe(UNNEEDED_LOADED, *command.split(), flags=("-S",))[-1]
+    )
+    if before:
+        pytest.skip(f"the interpreter loads {before} at start-up")
+    assert (code, after) == (0, [])
+
+
+# the solve path makes a Fraction only on the branches that need one, and
+# reads a table's eta recipes as records in classes, without modular
+SOLVE_UNNEEDED = ("fractions", "decimal", "numbers")
+
+SOLVE_LOADED = (
+    "import contextlib, io, os, sys, types\n"
+    f"unneeded = {SOLVE_UNNEEDED!r}\n"
+    "before = [name for name in unneeded if name in sys.modules]\n"
+    "import moonshine\n"
+    "from moonshine import classes, cli\n"
+    "if sys.argv[1:] == ['parse']:\n"
+    "    catalog = os.path.join(os.path.dirname(moonshine.__file__), 'data', 'catalog.mtf')\n"
+    "    with open(catalog, encoding='utf-8') as handle:\n"
+    "        classes.parse_table_text(handle.read())\n"
+    "    code = 0\n"
+    "else:\n"
+    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = cli.main(sys.argv[1:])\n"
+    "after = [name for name in unneeded if name in sys.modules]\n"
+    "# registered from the start, so read whether its source ran\n"
+    "if type(sys.modules['moonshine.modular']) is types.ModuleType:\n"
+    "    after.append('moonshine.modular')\n"
+    "import json\n"
+    "print(json.dumps([code, before, after]))\n"
+)
+
+
+@pytest.mark.parametrize("command", ["derive --max 5", "derive --audit --max 5", "parse"])
+def test_solve_path_loads_no_fractions_or_modular(command):
+    code, before, after = json.loads(
+        probe(SOLVE_LOADED, *command.split(), flags=("-S",))[-1]
     )
     if before:
         pytest.skip(f"the interpreter loads {before} at start-up")
