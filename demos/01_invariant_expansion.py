@@ -13,12 +13,28 @@ from moonshine.modular import delta, eisenstein, expand_recipe, normalized_j
 
 ORDER = 10
 
+
+def times(a, b):
+    """The product of two coefficient lists, cut to their length."""
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a))]
+
+
 print("route A: E4^3 / Delta")
 print("route B: E6^2 / Delta + 1728")
-dinv = delta(ORDER + 2).inverse(ORDER)
-route_a = eisenstein(4, ORDER + 1) ** 3 * dinv
-route_b = eisenstein(6, ORDER + 1) ** 2 * dinv + 1728
-print("disagreements:", route_a.mismatches(route_b))
+# Each series is a list of its coefficients through q^ORDER: E4 and E6
+# from q^0, Delta / q from q^0, and 1/Delta from q^-1, by long division
+# of Delta / q, whose leading coefficient is 1.
+size = ORDER + 2
+d = [delta(size).coeff(e) for e in range(1, size + 1)]
+dinv = [1]
+for k in range(1, size):
+    dinv.append(-sum(d[i] * dinv[k - i] for i in range(1, k + 1)))
+e4 = [eisenstein(4, size).coeff(e) for e in range(size)]
+e6 = [eisenstein(6, size).coeff(e) for e in range(size)]
+route_a = times(times(times(e4, e4), e4), dinv)
+route_b = times(times(e6, e6), dinv)
+route_b[1] += 1728  # the constant term: entry 0 is q^-1
+print("disagreements:", [(k - 1, a, b) for k, (a, b) in enumerate(zip(route_a, route_b)) if a != b])
 print()
 
 j = normalized_j(ORDER)

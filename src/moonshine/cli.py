@@ -8,14 +8,15 @@ malformed tables, missing coefficients), 3 on an internal error (a failed
 self-check or a bug; no verdict is printed).  Verification commands end
 with a greppable ``VERDICT: PASS`` or ``VERDICT: FAIL`` line.  Warnings
 about a table's power maps go to stderr as ``warning:`` lines.  A series
-command whose size needs q-expansions past :data:`MAX_Q_ORDER`, and a
-``derive`` or ``compare`` whose ``--max`` exceeds :data:`MAX_DERIVE_INDEX`,
-is refused with exit 2 before any work.  Every command checks the structure
-of the whole table, but ``verify-ep --class g`` expands and checks only the
-classes its identity reads, g^k to q^((imax//k)(jmax//k)): a bad recipe or a
-conflicting seed elsewhere is refused by ``compare``, which loads every
-class, and not by it.  A closed stdout (``| head``) ends the command
-silently on SIGPIPE, like any filter.
+command whose size needs q-expansions past :data:`MAX_Q_ORDER`, a class
+whose recipe, by a negative leading exponent, needs eta products past it,
+and a ``derive`` or ``compare`` whose ``--max`` exceeds
+:data:`MAX_DERIVE_INDEX`, are refused with exit 2 before any expansion.
+Every command checks the structure of the whole table, but ``verify-ep
+--class g`` expands and checks only the classes its identity reads, g^k to
+q^((imax//k)(jmax//k)): a bad recipe or a conflicting seed elsewhere is
+refused by ``compare``, which loads every class, and not by it.  A closed
+stdout (``| head``) ends the command silently on SIGPIPE, like any filter.
 
 The command line, ``COMMAND (--flag VALUE | --flag=VALUE | --switch)*``, is
 read from one table, :data:`_COMMANDS`, not by argparse, whose import and
@@ -100,7 +101,23 @@ def _load_table(path: str | None) -> classes.ClassTable:
     return table
 
 
-def _family(table: classes.ClassTable, order: int):
+def _family(table: classes.ClassTable, order: int | dict[str, int]):
+    """``classes.load_family``, after refusing every recipe whose eta
+    products would run past order ``MAX_Q_ORDER + 1``.  A monomial starting
+    at q^shift is expanded through q^(order - shift): a Hauptmodul starts
+    at q^-1, so its eta products run one order past the expansion, as j's
+    do, and a lower leading exponent widens them further."""
+    orders = order if isinstance(order, dict) else dict.fromkeys(table.names, order)
+    for name in table.names:
+        top = orders.get(name, -1)
+        if top < 0 or name == table.identity or name not in table.recipes:
+            continue
+        window = top - min(mono.offset() // 1 for mono in table.recipes[name].monomials)
+        if window > MAX_Q_ORDER + 1:
+            raise CommandError(
+                f"the recipe for {name} expands eta products to order {window}, "
+                f"above the limit {MAX_Q_ORDER + 1}"
+            )
     try:
         return classes.load_family(table, order)
     except ValueError as err:

@@ -5,10 +5,13 @@ product (via the pentagonal-number theorem), Dedekind eta powers and the
 eta-quotient recipes of a class table (records in ``classes``, whose
 monomials track their exponent offsets in units of 1/24), the Eisenstein
 series E4 and E6 by divisor sums, the discriminant form, and the modular
-invariant j.  Eta powers of any sign come from Miller's power
-recurrence over the pentagonal series, in O(n^1.5) small-by-big integer
-steps, so 1/delta needs no series inverse.  The invariant is computed along
-two independent routes and compared on every call, so a bug in either route
+invariant j.  Every expansion is computed on dense ``int`` lists, its
+products through the one Kronecker kernel (``series._kronecker``), and
+returned as a read-only ``series.UniSeries`` record.  Eta powers of any
+sign come from Miller's power recurrence over the pentagonal series, in
+O(n^1.5) small-by-big integer steps, so neither 1/delta nor a negative eta
+power needs a series inverse.  The invariant is computed along two
+independent routes and compared on every call, so a bug in either route
 surfaces as a hard failure rather than a wrong answer.
 """
 
@@ -54,18 +57,25 @@ def dedekind_eta_power(scale: int, exponent: int, order: int) -> series.UniSerie
 
     This is eta(scale*tau)^exponent without its leading factor
     q^{scale*exponent/24}, whose fractional exponent
-    :meth:`classes.EtaMonomial.offset` tracks.  With P(q) = prod (1 - q^n) =
-    sum a_k q^k, the identity P(q^k)^e = (P^e)(q^k) lets the power run on P
-    itself through q^(order // scale) (:func:`_eta_coeffs`); q -> q^scale
-    is the last step.
+    :meth:`classes.EtaMonomial.offset` tracks.
     """
     if scale < 1:
         raise ValueError("eta scale must be a positive integer")
     if order < 0:
         raise ValueError("order must be >= 0")
-    top = order // scale
-    power = series.UniSeries(enumerate(_eta_coeffs(exponent, top)), top)
-    return power.substitute_power(scale).restrict(hi=order)
+    return series.UniSeries(enumerate(_eta_list(scale, exponent, order + 1)), order)
+
+
+def _eta_list(scale: int, exponent: int, n: int) -> list[int]:
+    """prod (1 - q^{scale k})^exponent at offsets 0..n-1 as a dense list.
+
+    With P(q) = prod (1 - q^k), the identity P(q^s)^e = (P^e)(q^s) lets the
+    power run on P itself through q^((n-1) // scale) (:func:`_eta_coeffs`);
+    its coefficients are then spread to the multiples of the scale.
+    """
+    dense = [0] * n
+    dense[::scale] = _eta_coeffs(exponent, (n - 1) // scale)
+    return dense
 
 
 def _eta_coeffs(exponent: int, top: int) -> list[int]:
@@ -126,7 +136,7 @@ def delta(order: int) -> series.UniSeries:
     """The discriminant form q prod (1 - q^n)^24, truncated at q^order."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return dedekind_eta_power(1, 24, order - 1).shift(1)
+    return series.UniSeries(zip(range(1, order + 1), _eta_coeffs(24, order - 1)), order)
 
 
 def j_series(order: int) -> series.UniSeries:
@@ -158,7 +168,8 @@ def j_series(order: int) -> series.UniSeries:
 
 def normalized_j(order: int) -> series.UniSeries:
     """j - 744: leading coefficient 1 at q^-1 and constant term exactly 0."""
-    return (j_series(max(order, 0)) - 744).restrict(hi=order)
+    terms = j_series(max(order, 0)).items()
+    return series.UniSeries([(e, v) for e, v in terms if e and e <= order], order)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +178,17 @@ def normalized_j(order: int) -> series.UniSeries:
 
 def expand_recipe(recipe: classes.EtaRecipe, order: int) -> series.UniSeries:
     """Exact q-expansion of a recipe through q^order; the recipe is read by
-    its fields and ``offset`` alone."""
+    its fields and ``offset`` alone.
+
+    A monomial c q^shift prod eta-powers is expanded on dense ``int`` lists
+    of ``order - shift + 1`` entries, one kernel product per eta factor
+    (:func:`series._kronecker`), and only then scaled by its coefficient
+    c, an ``int`` or ``Fraction``, into one dense total from the lowest
+    shift to q^order.  A monomial that starts above q^order adds nothing.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    total: series.UniSeries | None = None
+    terms = []
     for mono in recipe.monomials:
         off = mono.offset()
         if off.denominator != 1:
@@ -181,13 +199,17 @@ def expand_recipe(recipe: classes.EtaRecipe, order: int) -> series.UniSeries:
         shift = int(off)
         if shift > order:
             continue  # the whole term lies above q^order
-        body = series.UniSeries.one(order - shift)
+        n = order - shift + 1
+        body = [1] + [0] * (n - 1)
         for scale, exponent in mono.factors:
-            body = body * dedekind_eta_power(scale, exponent, order - shift)
-        term = (body * mono.coeff).shift(shift)
-        total = term if total is None else total + term
-    if total is None:
-        total = series.UniSeries.zero(order)
-    if recipe.normalize:
-        total = total - total.coeff(0)
-    return total
+            [body] = series._kronecker([body], _eta_list(scale, exponent, n), n)
+        terms.append((shift, mono.coeff, body))
+    lo = min((shift for shift, _, _ in terms), default=order)
+    total: list[series.Coeff] = [0] * (order - lo + 1)
+    for shift, coeff, body in terms:
+        for t, v in enumerate(body, shift - lo):
+            if v:
+                total[t] += coeff * v
+    if recipe.normalize and lo <= 0:
+        total[-lo] = 0
+    return series.UniSeries(zip(range(lo, order + 1), total), order)

@@ -1,7 +1,8 @@
-"""Exact truncated Laurent series in one and two formal variables.
+"""Exact truncated Laurent series in one and two formal variables: window
+records, plus the kernels that compute on dense lists.
 
-Every series stores rational coefficients (plain ``int`` whenever the value
-is integral, ``fractions.Fraction`` otherwise) sparsely, together with a
+A record stores rational coefficients (plain ``int`` whenever the value is
+integral, ``fractions.Fraction`` otherwise) sparsely, together with a
 precision: one ceiling per variable, as in the usual O(q^n) model.
 
 * exponents up to the ceiling are known: a coefficient that is not stored
@@ -12,30 +13,30 @@ Exponents may be negative: a Laurent term such as q^-1 in the modular
 invariant, or p q^-1 in the prefactor of the two-variable product identity,
 is ordinary data.  p exponents are always nonnegative.
 
-Every product runs through one Kronecker kernel on dense ``int`` lists
-(:func:`_kronecker`), which multiplies one right factor by one or more left
-factors and packs the shared right factor once: each factor becomes a single
-big number with one slot per exponent, wide enough that no carry crosses
-from one coefficient to the next, and the slots of the product are the
-coefficients.  The slots are binary, in an ``int``, unless the products have
-at least 30,000 decimal digits: then they are base-10^k slots of a
-``decimal`` number, whose exact number-theoretic transform multiplies such
-operands faster than ``int``'s Karatsuba (about three times at 250,000
-digits).  Factors with few term pairs per slot are multiplied pair by pair.
-``UniSeries`` products clear their denominators and call the kernel once.
-``BiSeries`` has no series product.  ``log1m_rows`` takes log(1 - U) for
-the generator character U = sum c(m+n-1) p^m q^n, the one shape every
+``UniSeries`` is a read-only record with no arithmetic: ``modular`` builds
+every expansion on dense ``int`` lists and hands back the record, which
+callers read by coefficient, compare and print.  Every product runs through
+one Kronecker kernel on dense ``int`` lists (:func:`_kronecker`), which
+multiplies one right factor by one or more left factors and packs the
+shared right factor once: each factor becomes a single big number with one
+slot per exponent, wide enough that no carry crosses from one coefficient
+to the next, and the slots of the product are the coefficients.  The slots
+are binary, in an ``int``, unless the products have at least 30,000
+decimal digits: then they are base-10^k slots of a ``decimal`` number,
+whose exact number-theoretic transform multiplies such operands faster than
+``int``'s Karatsuba (about three times at 250,000 digits).  Factors with
+few term pairs per slot are multiplied pair by pair.  ``BiSeries`` has sums
+and differences but no series product.  ``log1m_rows`` takes log(1 - U)
+for the generator character U = sum c(m+n-1) p^m q^n, the one shape every
 two-variable log here has, from the column c: one dot product per cell,
 no packed product.
 
-Arithmetic propagates ceilings so that every reported coefficient is exact.
-A truncated ``UniSeries`` product, for instance, can only be trusted up to
-``min(a.hi + b.support_lo, b.hi + a.support_lo)``, where ``support_lo`` is
-the lowest exponent that actually occurs in a factor.  Nothing is ever
-padded with fabricated zeros, which is what makes the identity checks built
-on top of this module trustworthy.
+Every reported coefficient is exact: a record's window is set by the code
+that computed it, from the windows of its inputs, and nothing is ever
+padded with fabricated zeros, which is what makes the identity checks
+built on top of this module trustworthy.
 
-All series are immutable by convention: operations return fresh objects.
+All records are immutable by convention: operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import lcm
 from itertools import accumulate
 from operator import add, mul
 
@@ -214,23 +214,14 @@ def _decimal_slots(k: int, n: int):
     return pack, ctx.multiply, unpack
 
 
-def _cleared(terms: dict[int, Coeff], lo: int, n: int) -> tuple[list[int], int]:
-    """The coefficients at offsets ``0..n-1`` from ``lo`` as a dense list of
-    ints, and the lcm of their denominators, which they are multiplied by."""
-    den = lcm(*(v.denominator for v in terms.values()))
-    dense = [0] * n
-    for e, v in terms.items():
-        if e - lo < n:
-            dense[e - lo] = v if den == 1 else v.numerator * (den // v.denominator)
-    return dense, den
-
-
 class UniSeries:
-    """A univariate Laurent series known exactly up to ``q^hi``.
+    """A univariate Laurent series known exactly up to ``q^hi``: a read-only
+    window record.
 
     ``hi`` is the truncation order: higher coefficients are untracked.  Up to
     it, a coefficient that is not stored is zero; the lowest stored exponent
-    is the support (:attr:`support_lo`).
+    is the support (:attr:`support_lo`).  The record has no arithmetic; the
+    expansions in ``modular`` compute on dense ``int`` lists.
     """
 
     __slots__ = ("hi", "_c")
@@ -252,20 +243,6 @@ class UniSeries:
         self.hi = hi
         self._c = data
 
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def zero(cls, hi: int = 0) -> "UniSeries":
-        return cls((), hi)
-
-    @classmethod
-    def one(cls, hi: int) -> "UniSeries":
-        return cls({0: 1}, hi)
-
-    # ------------------------------------------------------------------
-    # inspection
-
     def coeff(self, exponent: int) -> Coeff:
         if exponent > self.hi:
             raise ValueError(
@@ -280,9 +257,6 @@ class UniSeries:
     def support_lo(self) -> int:
         """Lowest exponent carrying a nonzero coefficient (``hi + 1`` if none)."""
         return min(self._c) if self._c else self.hi + 1
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def is_integral(self) -> bool:
         return all(isinstance(v, int) for v in self._c.values())
@@ -318,147 +292,6 @@ class UniSeries:
             shown = [f"{v}*q^{e}" for e, v in terms[:8]]
             body = " + ".join(shown) + (" + ..." if len(terms) > 8 else "")
         return f"UniSeries[..{self.hi}]({body})"
-
-    # ------------------------------------------------------------------
-    # ring operations
-
-    def __add__(self, other):
-        """Sum with a scalar or another series, exact up to the lower ceiling."""
-        if isinstance(other, (int, Fraction)):
-            return self._add_scalar(other)
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        hi = min(self.hi, other.hi)
-        data = {e: v for e, v in self._c.items() if e <= hi}
-        for e, v in other._c.items():
-            if e <= hi:
-                data[e] = data.get(e, 0) + v
-        return UniSeries(data, hi)
-
-    __radd__ = __add__
-
-    def _add_scalar(self, value: Coeff) -> "UniSeries":
-        value = _norm(value)
-        if value == 0:
-            return self
-        if self.hi < 0:
-            raise ValueError(
-                f"incompatible windows: constant term lies above q^{self.hi}"
-            )
-        data = dict(self._c)
-        data[0] = data.get(0, 0) + value
-        return UniSeries(data, self.hi)
-
-    def __neg__(self) -> "UniSeries":
-        return UniSeries({e: -v for e, v in self._c.items()}, self.hi)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._add_scalar(-other)
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return (-self)._add_scalar(other)
-        return NotImplemented
-
-    def __mul__(self, other):
-        """Product with a scalar or another series.
-
-        Two series multiply exactly up to ``min(a.hi + b.support_lo,
-        b.hi + a.support_lo)``.  Each factor's terms that can land inside
-        that window become a dense list of offsets from its support floor,
-        over their common denominator, and the two lists are multiplied by
-        the one Kronecker kernel (:func:`_kronecker`).
-        """
-        if isinstance(other, (int, Fraction)):
-            return UniSeries({e: v * other for e, v in self._c.items()}, self.hi)
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        a_slo, b_slo = self.support_lo, other.support_lo
-        hi = min(self.hi + b_slo, other.hi + a_slo)
-        if not self._c or not other._c:
-            return UniSeries((), hi)
-        # offsets from each support floor that can land at or below hi
-        n = hi - a_slo - b_slo + 1
-        a, a_den = _cleared(self._c, a_slo, n)
-        b, b_den = (a, a_den) if other is self else _cleared(other._c, b_slo, n)
-        [c] = _kronecker([a], b, n)
-        if a_den * b_den != 1:
-            c = [Fraction(v, a_den * b_den) for v in c]
-        return UniSeries(zip(range(a_slo + b_slo, hi + 1), c), hi)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UniSeries":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series power must be a nonnegative integer")
-        if n == 0:
-            return UniSeries.one(self.hi)
-        # start from self, not from one: a product with one would lower a
-        # Laurent series' ceiling
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
-
-    # ------------------------------------------------------------------
-    # functional operations
-
-    def inverse(self, order: int) -> "UniSeries":
-        """Multiplicative inverse by long division, exact up to ``q^order``.
-
-        The leading (lowest nonzero) coefficient must be nonzero; the result
-        starts at the negated leading exponent, which must not lie above
-        ``order``, and its ceiling is clipped to what the input's ceiling
-        supports.
-        """
-        e0 = self.support_lo
-        if not self._c:
-            raise ValueError("non-invertible series: zero leading coefficient")
-        hi = min(order, self.hi - 2 * e0)
-        if hi < -e0:
-            raise ValueError(
-                f"inverse to order {order} is empty: its leading term is q^{-e0}"
-            )
-        depth = hi + e0  # degree of the unit-part inverse
-        a = [self._c.get(e0 + t, 0) for t in range(depth + 1)]
-        r = _norm(1 / Fraction(a[0]))
-        b: list[Coeff] = [r]
-        for d in range(1, depth + 1):
-            s: Coeff = 0
-            for t in range(1, d + 1):
-                if a[t]:
-                    s += a[t] * b[d - t]
-            b.append(-s * r)
-        return UniSeries({d - e0: b[d] for d in range(depth + 1)}, hi)
-
-    def substitute_power(self, k: int) -> "UniSeries":
-        """Replace q by q^k.
-
-        Exponents strictly between multiples of k are known to vanish, so the
-        ceiling rises to ``k*hi + k - 1``.
-        """
-        if not isinstance(k, int) or k < 1:
-            raise ValueError("substitution power must be a positive integer")
-        return UniSeries({e * k: v for e, v in self._c.items()}, self.hi * k + k - 1)
-
-    def shift(self, d: int) -> "UniSeries":
-        """Multiply by q^d."""
-        return UniSeries({e + d: v for e, v in self._c.items()}, self.hi + d)
-
-    def restrict(self, hi: int) -> "UniSeries":
-        """Lower the ceiling to ``hi`` (never raises it past tracked terms)."""
-        if hi > self.hi:
-            raise ValueError("cannot extend a window upward; recompute instead")
-        return UniSeries({e: v for e, v in self._c.items() if e <= hi}, hi)
 
 
 class BiSeries:

@@ -24,6 +24,8 @@ from moonshine.modular import delta, eisenstein, normalized_j
 from moonshine.recursion import ContradictionError, determinacy_audit, solve_from_seeds
 from moonshine.relations import coefficient_recursion, recursion_cross_check
 from moonshine.series import BiSeries
+from test_modular import long_division, power
+from test_series import pair_products
 
 SEEDLESS = "class 1A order 1\nidentity 1A\n"
 
@@ -52,10 +54,15 @@ seed 2X 9 14478180
 def test_criterion_1_invariant_routes_agree():
     start = time.monotonic()
     order = 30
-    dinv = delta(order + 2).inverse(order)
-    route_a = eisenstein(4, order + 1) ** 3 * dinv
-    route_b = eisenstein(6, order + 1) ** 2 * dinv + 1728
-    assert route_a.mismatches(route_b) == []
+    # 1/Delta from q^-1 by long division, E4^3 and E6^2 by schoolbook
+    # products, all on dense lists through q^order
+    n = order + 2
+    dinv = long_division([delta(n).coeff(e) for e in range(1, n + 1)])
+    e4 = [eisenstein(4, n).coeff(e) for e in range(n)]
+    e6 = [eisenstein(6, n).coeff(e) for e in range(n)]
+    route_a, route_b = pair_products([power(e4, 3), power(e6, 2)], dinv, n)
+    route_b[1] += 1728  # the constant term, at q^0
+    assert route_a == route_b
     j = normalized_j(order)
     assert j.coeff(-1) == 1
     assert j.coeff(0) == 0

@@ -571,6 +571,19 @@ def limit_of(argv):
     return cli.MAX_DERIVE_INDEX if argv[0] in ("derive", "compare") else cli.MAX_Q_ORDER
 
 
+# a lone recipe whose negative leading exponent, q^-5000 or q^-20000, widens
+# its expansion window past the limit whatever the window the command asks for
+HOSTILE_RECIPES = ["1:-120000", "1:-480000"]
+
+
+def hostile_table(tmp_path, factors):
+    path = tmp_path / "hostile.mtf"
+    path.write_text(
+        f"class 1A order 1\nclass 2X order 2\nidentity 1A\npower 2X 2 1A\neta 2X 1 {factors}\n"
+    )
+    return str(path)
+
+
 class TestSizeGuard:
     @pytest.mark.parametrize("argv", HOSTILE, ids=hostile_id)
     def test_refused_before_any_series_work(self, run, monkeypatch, argv):
@@ -621,6 +634,67 @@ class TestSizeGuard:
         code, _, err = run(*argv, "7")
         assert code == 2
         assert err.rstrip().endswith("above the limit 6")
+
+    @pytest.mark.parametrize("factors", HOSTILE_RECIPES)
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify-ep", "--class", "2X", "--imax", "2", "--jmax", "2"), ("compare", "--max", "3")],
+        ids=hostile_id,
+    )
+    def test_recipe_window_refused_before_any_expansion(
+        self, run, monkeypatch, tmp_path, argv, factors
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("series work started")
+
+        for layer, callee in ((modular, "normalized_j"), (modular, "expand_recipe"),
+                              (classes, "load_family")):
+            monkeypatch.setattr(layer, callee, fail)
+        code, out, err = run(*argv, "--table", hostile_table(tmp_path, factors))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the recipe for 2X expands eta products to order ")
+        assert err.rstrip().endswith(f"above the limit {cli.MAX_Q_ORDER + 1}")
+
+    @pytest.mark.parametrize("name", ["catalog", "eta5.mtf", "eta7_13.mtf", "eta12.mtf"])
+    def test_shipped_recipes_admitted_at_the_order_limit(self, monkeypatch, name):
+        # verify-ep --class 2B --imax 2 --jmax 2500 expands 2B to the limit
+        monkeypatch.setattr(classes, "load_family", lambda table, order: order)
+        table = cli._load_table(None if name == "catalog" else str(DATA / name))
+        assert cli._family(table, cli.MAX_Q_ORDER) == cli.MAX_Q_ORDER
+
+    def test_recipe_window_limit_is_inclusive(self, run, monkeypatch, tmp_path):
+        # a Hauptmodul starts at q^-1, so its eta products run one order
+        # past the expansion, as j's do: 2B at the order limit is admitted.
+        # A recipe starting at q^-2 passes the guard through q^11, to fail
+        # the shape check, and is refused by it at q^12
+        monkeypatch.setattr(cli, "MAX_Q_ORDER", 12)
+        assert run("verify-ep", "--class", "2B", "--imax", "1", "--jmax", "12")[0] == 0
+        argv = ["verify-ep", "--class", "2X", "--imax", "1", "--table", hostile_table(tmp_path, "1:-48")]
+        code, _, err = run(*argv, "--jmax", "11")
+        assert code == 2 and "not Hauptmodul-shaped" in err
+        code, out, err = run(*argv, "--jmax", "12")
+        assert code == 2 and out == ""
+        assert err == "error: the recipe for 2X expands eta products to order 14, above the limit 13\n"
+
+    @pytest.mark.parametrize("factors", HOSTILE_RECIPES)
+    def test_fresh_process_refuses_a_hostile_recipe_within_a_second(self, tmp_path, factors):
+        # unguarded, the first leaks an int/str-conversion error and the
+        # second expands q^20004 eta products for many seconds (17.5 s on a
+        # 2-core machine) before the shape check refuses it
+        argv = ["verify-ep", "--class", "2X", "--imax", "2", "--jmax", "2"]
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "moonshine", *argv, "--table", hostile_table(tmp_path, factors)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        elapsed = time.monotonic() - start
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: the recipe for 2X")
+        assert elapsed < 1.0
 
     def test_limit_admits_the_documented_stress_sizes(self):
         # jexpand --order 2000 and 3000 (README), and 24x24 windows

@@ -479,7 +479,8 @@ class TestDenominatorIdentity:
         # c(4) off by one enters both sides; the first cell it breaks is
         # p^2 q^2, where the product sees c(4) through (1 - p^2 q^2)^c(4)
         def corrupted(order):
-            return normalized_j(order) + UniSeries({4: 1}, order)
+            c = normalized_j(order)
+            return UniSeries({**dict(c.items()), 4: c.coeff(4) + 1}, order)
 
         monkeypatch.setattr(modular, "normalized_j", corrupted)
         report = denominator_identity_report(6, 6)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from moonshine.modular import (
     normalized_j,
 )
 from moonshine.series import UniSeries, _decimal_slots
+from test_series import pair_products, spread
 
 DATA = Path(__file__).resolve().parent / "data"
 ETA_TABLES = ("eta5.mtf", "eta5_badpower.mtf", "eta7_13.mtf", "eta12.mtf")
@@ -36,19 +38,58 @@ eta 2A 4096 2:24 1:-24
 """
 
 
-def brute_euler(order: int, scale: int = 1) -> UniSeries:
-    """Fold prod (1 - q^{scale n}) term by term, no pentagonal shortcut."""
-    out = UniSeries.one(order)
-    n = scale
-    while n <= order:
-        out = out * UniSeries({0: 1, n: -1}, order)
-        n += scale
+# ---------------------------------------------------------------------------
+# dense-list oracles: a series through q^(lo + n - 1) is a list of its n
+# coefficients from q^lo, and every product is the schoolbook double loop
+
+
+def dense(s: UniSeries, lo: int = 0) -> list:
+    """A record's coefficients from q^lo through its ceiling."""
+    return [s.coeff(e) for e in range(lo, s.hi + 1)]
+
+
+def record(coeffs: list, lo: int = 0) -> UniSeries:
+    """Coefficients from q^lo as a record whose ceiling is the last one."""
+    return UniSeries(zip(count(lo), coeffs), lo + len(coeffs) - 1)
+
+
+def power(a: list, exponent: int) -> list:
+    """a^exponent, exponent >= 0, by schoolbook squarings and products."""
+    n = len(a)
+    out = [1] + [0] * (n - 1)
+    while exponent:
+        if exponent & 1:
+            [out] = pair_products([out], a, n)
+        exponent >>= 1
+        if exponent:
+            [a] = pair_products([a], a, n)
+    return out
+
+
+def long_division(a: list) -> list:
+    """The coefficients of 1/a as far as a's, by long division: a[0] != 0."""
+    lead = Fraction(1, a[0])
+    b: list = []
+    for d in range(len(a)):
+        rest = (d == 0) - sum(a[t] * b[d - t] for t in range(1, d + 1))
+        b.append(series._norm(rest * lead))
+    return b
+
+
+def brute_euler(order: int, scale: int = 1) -> list:
+    """prod (1 - q^{scale n}) through q^order, folded factor by factor, no
+    pentagonal shortcut."""
+    out = [1] + [0] * order
+    for n in range(scale, order + 1, scale):
+        factor = [0] * (order + 1)
+        factor[0], factor[n] = 1, -1
+        [out] = pair_products([out], factor, order + 1)
     return out
 
 
 class TestEulerProduct:
     def test_matches_brute_force(self):
-        assert not euler_product(30).mismatches(brute_euler(30))
+        assert window(euler_product(30)) == window(record(brute_euler(30)))
 
     def test_pentagonal_pattern(self):
         assert euler_product(12).items() == [
@@ -56,25 +97,47 @@ class TestEulerProduct:
         ]
 
 
-def reference_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
-    """prod (1 - q^{scale n})^exponent by substituting first: the product is
-    expanded in q^scale through q^order, then powered and inverted there."""
-    base = euler_product(order // scale + 1).substitute_power(scale).restrict(hi=order)
-    power = base ** abs(exponent)
-    if exponent < 0:
-        power = power.inverse(order)
-    return power
+def reference_eta_power(scale: int, exponent: int, order: int) -> list:
+    """prod (1 - q^{scale n})^exponent through q^order by substituting
+    first: the product is spread to q^scale through q^order, then powered
+    and inverted there."""
+    base = spread(dense(euler_product(order // scale)), scale)[: order + 1]
+    out = power(base, abs(exponent))
+    return long_division(out) if exponent < 0 else out
 
 
-def plain_variable_eta_power(scale: int, exponent: int, order: int) -> UniSeries:
-    """prod (1 - q^{scale n})^exponent by powering the Euler product in the
-    plain variable through q^(order // scale), inverting it there by long
-    division if the exponent is negative, and substituting q -> q^scale."""
-    top = order // scale
-    power = euler_product(top) ** abs(exponent)
+def plain_variable_eta_power(scale: int, exponent: int, order: int) -> list:
+    """prod (1 - q^{scale n})^exponent through q^order by powering the Euler
+    product in the plain variable through q^(order // scale), inverting it
+    there by long division if the exponent is negative, and spreading it to
+    q^scale."""
+    out = power(dense(euler_product(order // scale)), abs(exponent))
     if exponent < 0:
-        power = power.inverse(top)
-    return power.substitute_power(scale).restrict(hi=order)
+        out = long_division(out)
+    return spread(out, scale)[: order + 1]
+
+
+def reference_recipe(recipe: EtaRecipe, order: int) -> UniSeries:
+    """A recipe with integral offsets through q^order: each monomial is its
+    coefficient times the schoolbook product of its substitute-first eta
+    powers, added in at its leading exponent."""
+    terms = []
+    for mono in recipe.monomials:
+        shift = int(mono.offset())
+        if shift <= order:
+            n = order - shift + 1
+            body = [1] + [0] * (n - 1)
+            for scale, exponent in mono.factors:
+                [body] = pair_products([body], reference_eta_power(scale, exponent, n - 1), n)
+            terms.append((shift, [mono.coeff * v for v in body]))
+    lo = min(shift for shift, _ in terms)
+    total = [0] * (order - lo + 1)
+    for shift, body in terms:
+        for t, v in enumerate(body, shift - lo):
+            total[t] += v
+    if recipe.normalize and lo <= 0:
+        total[-lo] = 0
+    return record(total, lo)
 
 
 def window(series: UniSeries) -> tuple[int, list]:
@@ -93,7 +156,7 @@ class TestEtaPowers:
     def test_positive_power_matches_brute(self):
         series = dedekind_eta_power(2, 3, 12)
         assert EtaMonomial.from_factors(1, {2: 3}).offset() == Fraction(6, 24)
-        assert not series.mismatches(brute_euler(12, scale=2) ** 3)
+        assert window(series) == window(record(power(brute_euler(12, scale=2), 3)))
 
     def test_zero_power(self):
         series = dedekind_eta_power(2, 0, 4)
@@ -104,17 +167,18 @@ class TestEtaPowers:
         pos = dedekind_eta_power(3, 2, 10)
         neg = dedekind_eta_power(3, -2, 10)
         assert EtaMonomial.from_factors(1, {3: 2}).offset() == Fraction(1, 4)
-        assert not (pos * neg).mismatches(UniSeries.one(10))
+        assert pair_products([dense(pos)], dense(neg), 11) == [[1] + [0] * 10]
 
     @pytest.mark.parametrize("exponent", ETA_EXPONENTS)
     @pytest.mark.parametrize("scale", [1, 2, 3, 4, 5])
     def test_matches_substitute_first_route(self, scale, exponent):
         # orders below the scale and orders that are not multiples of it
-        # cut the plain-variable work at order // scale
+        # cut the plain-variable work at order // scale; the oracle's
+        # coefficients through q^order are its first order + 1 at q^60
+        want = reference_eta_power(scale, exponent, 60)
         for order in range(61):
             got = dedekind_eta_power(scale, exponent, order)
-            want = reference_eta_power(scale, exponent, order)
-            assert (got.hi, got.items()) == (want.hi, want.items()), order
+            assert window(got) == window(record(want[: order + 1])), order
 
     @pytest.mark.parametrize("exponent", ETA_EXPONENTS)
     @pytest.mark.parametrize("scale", [1, 2, 3, 4, 5])
@@ -123,15 +187,15 @@ class TestEtaPowers:
         for order in list(range(61)) + deep:
             got = dedekind_eta_power(scale, exponent, order)
             want = plain_variable_eta_power(scale, exponent, order)
-            assert window(got) == window(want), order
+            assert window(got) == window(record(want)), order
 
     @settings(deadline=None)
     @given(st.integers(-60, 60), st.integers(0, 150), st.integers(1, 5))
     def test_recurrence_property(self, exponent, order, scale):
         got = dedekind_eta_power(scale, exponent, order)
-        assert window(got) == window(plain_variable_eta_power(scale, exponent, order))
+        assert window(got) == window(record(plain_variable_eta_power(scale, exponent, order)))
         back = dedekind_eta_power(scale, -exponent, order)
-        assert window(got * back) == (order, [(0, 1)])
+        assert pair_products([dense(got)], dense(back), order + 1) == [[1] + [0] * order]
 
     def test_inexact_division_is_an_internal_fault(self, monkeypatch):
         # every division by n is exact for an integral series with constant
@@ -153,9 +217,9 @@ class TestDelta:
 
     def test_weight_relation(self):
         # E4^3 - E6^2 = 1728 * delta, exactly
-        e4 = eisenstein(4, 10)
-        e6 = eisenstein(6, 10)
-        assert not (e4**3 - e6**2).mismatches(1728 * delta(10))
+        e4 = power(dense(eisenstein(4, 10)), 3)
+        e6 = power(dense(eisenstein(6, 10)), 2)
+        assert [a - b for a, b in zip(e4, e6)] == [1728 * v for v in dense(delta(10))]
 
 
 class TestEisenstein:
@@ -202,9 +266,9 @@ class TestJInvariant:
         # route A takes E4^3 as E4 E8: weight-8 forms are one-dimensional,
         # so E8 from sigma_7 is E4^2
         e4, e6, e8 = modular._eisenstein_coeffs(order)
-        got = UniSeries(enumerate(e4), order) * UniSeries(enumerate(e8), order)
-        assert window(got) == window(eisenstein(4, order) ** 3)
-        assert window(UniSeries(enumerate(e6), order)) == window(eisenstein(6, order))
+        assert e4 == dense(eisenstein(4, order))
+        assert pair_products([e4], e4, order + 1) == [e8]
+        assert window(record(e6)) == window(eisenstein(6, order))
 
     def test_normalized_constant_is_zero(self):
         J = normalized_j(2)
@@ -218,12 +282,13 @@ class TestJInvariant:
     @pytest.mark.parametrize("order", list(range(-1, 61)) + [600])
     def test_reciprocal_matches_long_division(self, order):
         # j_series takes 1/delta from the eta recurrence; the long division
-        # of delta is the oracle, for the reciprocal and for j itself
+        # of delta is the oracle, for the reciprocal and for j itself, both
+        # from q^-1
         work = max(order, 0)
-        want = delta(work + 2).inverse(work)
-        assert window(dedekind_eta_power(1, -24, work + 1).shift(-1)) == window(want)
-        j = (eisenstein(4, work + 1) ** 3 * want).restrict(hi=order)
-        assert window(j_series(order)) == window(j)
+        want = long_division(dense(delta(work + 2), lo=1))
+        assert dense(dedekind_eta_power(1, -24, work + 1)) == want
+        [j] = pair_products([power(dense(eisenstein(4, work + 1)), 3)], want, work + 2)
+        assert window(j_series(order)) == window(record(j[: order + 2], lo=-1))
 
     def test_normalized_negative_one_order(self):
         assert normalized_j(-1).items() == [(-1, 1)]
@@ -310,11 +375,10 @@ class TestRecipes:
         # (eta(t)/eta(2t))^24 normalized, checked against a from-scratch fold
         recipe = EtaRecipe((EtaMonomial.from_factors(1, {1: 24, 2: -24}),))
         got = expand_recipe(recipe, 8)
-        brute = (
-            brute_euler(9) ** 24 * (brute_euler(9, scale=2) ** 24).inverse(9)
-        ).shift(-1)
-        brute = brute - brute.coeff(0)
-        assert not got.mismatches(brute)
+        quotient = long_division(power(brute_euler(9, scale=2), 24))
+        [brute] = pair_products([power(brute_euler(9), 24)], quotient, 10)
+        brute[1] = 0  # the constant term, at q^0
+        assert window(got) == window(record(brute, lo=-1))
         assert got.items() == [
             (-1, 1), (1, 276), (2, -2048), (3, 11202), (4, -49152),
             (5, 184024), (6, -614400), (7, 1881471), (8, -5373952),
@@ -352,8 +416,33 @@ class TestRecipes:
         m1 = EtaMonomial.from_factors(2, {1: 24, 2: -24})
         m2 = EtaMonomial.from_factors(-1, {})
         got = expand_recipe(EtaRecipe((m1, m2), normalize=False), 2)
-        lone = expand_recipe(EtaRecipe((m1,), normalize=False), 2)
-        assert not got.mismatches(lone - 1)
+        lone = dense(expand_recipe(EtaRecipe((m1,), normalize=False), 2), lo=-1)
+        lone[1] -= 1
+        assert window(got) == window(record(lone, lo=-1))
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_rational_recipe(self, normalize):
+        # 1/2 (eta(t)/eta(2t))^24 + 3/4 eta(2t)^24 + 5: the monomials start
+        # at q^-1, q^2 and q^0, and their Fraction coefficients sum to an
+        # integer at most exponents
+        recipe = EtaRecipe(
+            (
+                EtaMonomial.from_factors(Fraction(1, 2), {1: 24, 2: -24}),
+                EtaMonomial.from_factors(Fraction(3, 4), {2: 24}),
+                EtaMonomial.from_factors(5, {}),
+            ),
+            normalize=normalize,
+        )
+        for order in range(21):
+            got = expand_recipe(recipe, order)
+            assert window(got) == window(reference_recipe(recipe, order)), order
+            assert all(
+                isinstance(v, int) for _, v in got.items() if Fraction(v).denominator == 1
+            )
+        assert got.coeff(-1) == Fraction(1, 2)
+        assert got.coeff(0) == (0 if normalize else -7)
+        assert got.coeff(2) == Fraction(-4093, 4)  # -2048/2 + 3/4
+        assert got.coeff(4) == -24594  # -49152/2 - 24 * 3/4
 
     def test_factor_merging(self):
         mono = EtaMonomial.from_factors(1, [(2, 5), (2, -5), (1, 24)])
@@ -382,6 +471,5 @@ class TestRecipes:
             full = expand_recipe(recipe, top)
             for order in range(top + 1):
                 got = expand_recipe(recipe, order)
-                want = full.restrict(order)
-                assert got.hi == want.hi == order
-                assert got.items() == want.items()
+                assert got.hi == order
+                assert got.items() == [(e, v) for e, v in full.items() if e <= order]

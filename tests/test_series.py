@@ -1,4 +1,4 @@
-"""Core series arithmetic: windows, exactness, ring laws."""
+"""Core series records and kernels: windows, exactness, product laws."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from importlib import resources
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,27 +27,44 @@ from moonshine.modular import dedekind_eta_power, normalized_j
 from moonshine.series import BiSeries, UniSeries, _decimal_slots, _kronecker
 
 # ---------------------------------------------------------------------------
-# reference product
+# reference products
 
 
-def reference_mul(a: UniSeries, b: UniSeries) -> UniSeries:
-    """The product by the sparse double loop over both factors' terms.
+def pair_products(lefts, right, n):
+    """``_kronecker`` by the plain double loop over the dense lists; exact
+    on ``int`` and ``Fraction`` entries alike."""
+    products = []
+    for a in lefts:
+        c = [0] * n
+        for s in range(n):
+            for t in range(n - s):
+                c[s + t] += a[s] * right[t]
+        products.append(c)
+    return products
 
-    This is the definition the dense Kronecker kernel in ``UniSeries.__mul__``
-    must reproduce, items and window alike.
-    """
-    hi = min(a.hi + b.support_lo, b.hi + a.support_lo)
-    data = {}
-    b_slo = b.support_lo
-    for e1, v1 in a.items():
-        if e1 + b_slo > hi:
-            continue
-        for e2, v2 in b.items():
-            e = e1 + e2
-            if e > hi:
-                continue
-            data[e] = data.get(e, 0) + v1 * v2
-    return UniSeries(data, hi)
+
+def cleared(c: list) -> tuple[list[int], int]:
+    """Exact values as ints over their common denominator, and that
+    denominator."""
+    den = math.lcm(*(Fraction(v).denominator for v in c))
+    return [int(v * den) for v in c], den
+
+
+def fraction_product(a: list, b: list, n: int) -> list:
+    """The ``n`` lowest coefficients of ``a * b`` for dense lists of ints and
+    Fractions: the kernel on the cleared lists, divided back by the product
+    of their denominators."""
+    (x, x_den), (y, y_den) = cleared(a), cleared(b)
+    [c] = _kronecker([x], y, n)
+    return [series._norm(Fraction(v, x_den * y_den)) for v in c]
+
+
+def spread(c: list, k: int) -> list:
+    """q -> q^k on a dense list: entry t moves to offset k t, and the
+    offsets between the multiples of k are zero."""
+    out = [0] * (len(c) * k)
+    out[::k] = c
+    return out
 
 
 def reference_bimul(a: BiSeries, b: BiSeries, pmax: int, qmax: int) -> BiSeries:
@@ -80,48 +98,53 @@ def coeffs():
 
 
 @st.composite
-def uni_series(draw, lo_min=-3, hi_max=8):
-    lo = draw(st.integers(min_value=lo_min, max_value=3))
-    hi = draw(st.integers(min_value=lo, max_value=hi_max))
-    n_terms = draw(st.integers(min_value=0, max_value=6))
-    data = {}
-    for _ in range(n_terms):
-        e = draw(st.integers(min_value=lo, max_value=hi))
-        data[e] = draw(coeffs())
-    return UniSeries(data, hi)
-
-
-def wide_coeffs():
-    """Coefficients for the product kernel: huge integers and fractions."""
+def kernel_lists(draw):
+    """A dense list for the product kernel, 1 to 41 entries, with gaps
+    (zeros), possibly all zero or a single term, and huge entries."""
+    n = draw(st.integers(min_value=1, max_value=41))
     big = 2**2000
-    return st.one_of(
+    value = st.one_of(
         st.integers(min_value=-9, max_value=9),
         st.integers(min_value=-big, max_value=big),
         st.sampled_from([big, -big, big - 1, 1 - big]),
-        st.fractions(min_value=-4, max_value=4, max_denominator=6),
-        st.builds(Fraction, st.integers(min_value=-big, max_value=big), st.integers(1, 2**70)),
     )
+    terms = draw(st.dictionaries(st.integers(min_value=0, max_value=n - 1), value, max_size=12))
+    return [terms.get(t, 0) for t in range(n)]
 
 
 @st.composite
-def kernel_series(draw):
-    """Laurent series with gaps, possibly empty or a single term."""
-    lo = draw(st.integers(min_value=-6, max_value=4))
-    hi = draw(st.integers(min_value=lo, max_value=lo + 40))
-    exps = draw(st.lists(st.integers(min_value=lo, max_value=hi), max_size=12))
-    return UniSeries({e: draw(wide_coeffs()) for e in exps}, hi)
+def kernel_operands(draw):
+    """Dense lists for ``_kronecker``, full or with gaps (zeros), and their
+    length n."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    big = 2**2000
+    value = st.one_of(
+        st.integers(min_value=-big, max_value=big),
+        st.sampled_from([big, -big, 1, -1]),
+    ).filter(bool)
+    terms = st.dictionaries(st.integers(min_value=0, max_value=n - 1), value, min_size=1)
+    a = draw(terms)
+    b = a if draw(st.booleans()) else draw(terms)
+
+    def dense(t):
+        return [t.get(i, 0) for i in range(n)]
+
+    a_list = dense(a)
+    return a_list, a_list if b is a else dense(b), n
 
 
 @st.composite
-def positive_uni(draw):
-    """Series supported on exponents >= 1."""
-    hi = draw(st.integers(min_value=1, max_value=8))
-    n_terms = draw(st.integers(min_value=0, max_value=5))
-    data = {}
-    for _ in range(n_terms):
-        e = draw(st.integers(min_value=1, max_value=hi))
-        data[e] = draw(coeffs())
-    return UniSeries(data, hi)
+def kernel_triples(draw):
+    """Three dense lists of one length: zeros, small and wide entries."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    big = 2**200
+    value = st.one_of(
+        st.just(0),
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-big, max_value=big),
+    )
+    factor = st.lists(value, min_size=n, max_size=n)
+    return draw(factor), draw(factor), draw(factor)
 
 
 @st.composite
@@ -170,39 +193,41 @@ class TestConstruction:
         with pytest.raises(ValueError, match="p exponents"):
             BiSeries({(-1, 0): 1}, 2, 2)
 
+    # a record is read, compared and printed; the expansions that build
+    # records compute on dense lists
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda a, b: a + b,
+            lambda a, b: a - b,
+            lambda a, b: a * b,
+            lambda a, b: a * a,
+            lambda a, b: a**2,
+            lambda a, b: a + 1,
+            lambda a, b: 1 - a,
+            lambda a, b: 2 * a,
+            lambda a, b: a * Fraction(1, 2),
+            lambda a, b: -a,
+        ],
+        ids=[
+            "series-sum", "series-difference", "series-product", "square", "power",
+            "add-1", "rsub-1", "rmul-2", "mul-fraction", "negation",
+        ],
+    )
+    def test_uni_record_has_no_arithmetic(self, operation):
+        a = UniSeries({-1: 1, 1: 196884}, 2)
+        b = UniSeries({0: 3}, 4)
+        with pytest.raises(TypeError):
+            operation(a, b)
 
-# ---------------------------------------------------------------------------
-# addition windows
-
-
-class TestAddition:
-    def test_disjoint_supports_add_exactly(self):
-        # below its support a series is zero, so the sum is exact up to the
-        # lower ceiling even where the two supports do not meet
-        a = UniSeries({1: 1}, 2)
-        b = UniSeries({5: 1}, 9)
-        for s in (a + b, b + a):
-            assert s.hi == 2
-            assert s.items() == [(1, 1)]
-
-    def test_result_window_keeps_lower_floor(self):
-        # the support of the sum reaches down to the lower of the supports
-        a = UniSeries({-2: 3}, 4)
-        b = UniSeries({1: 7}, 6)
-        s = a + b
-        assert s.hi == 4 and s.support_lo == -2
-        assert s.items() == [(-2, 3), (1, 7)]
-
-    def test_scalar_addition(self):
-        s = UniSeries({1: 2}, 3) + 5
-        assert s.hi == 3
-        assert s.items() == [(0, 5), (1, 2)]
-        assert (3 - UniSeries({0: 1}, 2)).coeff(0) == 2
-
-    def test_scalar_beyond_window_raises(self):
-        neg = UniSeries({-2: 1}, -1)
-        with pytest.raises(ValueError, match="incompatible windows"):
-            neg + 1
+    def test_uni_record_methods(self):
+        removed = {
+            "zero", "one", "is_zero", "inverse", "substitute_power", "shift", "restrict",
+            "__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+            "__mul__", "__rmul__", "__pow__",
+        }
+        assert not removed & set(vars(UniSeries))
+        assert not hasattr(series, "_cleared")
 
 
 # ---------------------------------------------------------------------------
@@ -211,58 +236,12 @@ class TestAddition:
 
 class TestMultiplication:
     def test_polynomial_product(self):
-        a = UniSeries({0: 1, 1: 2}, 10)
-        b = UniSeries({0: 3, 2: -1}, 10)
-        p = a * b
-        assert p.items() == [(0, 3), (1, 6), (2, -1), (3, -2)]
-
-    def test_window_uses_actual_support(self):
-        # a is only known to order 3, but b starts at q^2, so the product
-        # is still exact through q^5
-        a = UniSeries({0: 1, 1: 1}, 3)
-        b = UniSeries({2: 1}, 9)
-        assert (a * b).hi == 5
-
-    def test_zero_scalar_keeps_window(self):
-        a = UniSeries({1: 4}, 6)
-        z = a * 0
-        assert z.is_zero() and z.hi == 6
-
-    def test_pow_matches_repeated_multiplication(self):
-        a = UniSeries({0: 1, 1: -1, 2: 2}, 8)
-        by_mul = a * a * a * a * a
-        assert not (a**5).mismatches(by_mul)
-
-    def test_pow_zero_is_one(self):
-        a = UniSeries({1: 3}, 4)
-        assert (a**0).items() == [(0, 1)]
-
-    @pytest.mark.parametrize(
-        "s",
-        [
-            UniSeries({-1: 1, 0: 2, 1: 3}, 5),
-            UniSeries({-2: 1}, -1),
-            UniSeries({-3: 2, -1: -1}, 0),
-        ],
-        ids=["laurent", "below-zero", "gap"],
-    )
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_pow_keeps_laurent_window(self, s, n):
-        by_mul = s
-        for _ in range(n - 1):
-            by_mul = by_mul * s
-        power = s**n
-        assert power.hi == by_mul.hi
-        assert power.items() == by_mul.items()
+        # (1 + 2q)(3 - q^2) on the kernel's dense lists
+        assert _kronecker([[1, 2, 0, 0]], [3, 0, -1, 0], 4) == [[3, 6, -1, -2]]
 
 
 # ---------------------------------------------------------------------------
-# the dense product kernel against the sparse reference
-
-
-def assert_same_product(got: UniSeries, want: UniSeries):
-    assert got.hi == want.hi
-    assert got.items() == want.items()
+# the dense product kernel against the pair loop
 
 
 @contextmanager
@@ -290,16 +269,13 @@ extreme_shapes = pytest.mark.parametrize(
 
 
 def extreme_factors(kind, bits, length, a_is_b, step):
-    """Every coefficient at the top of its bit length (or -2^b, one bit
-    more): every low coefficient of the product is at the edge of the width
-    bound."""
+    """``length`` coefficients at the top of their bit length (or -2^b, one
+    bit more), in q^step, and the product length: every low coefficient of
+    the product is at the edge of the width bound."""
     value = {"max": 2**bits - 1, "-max": 1 - 2**bits, "-pow": -(2**bits)}[kind]
-    a = UniSeries({e: value for e in range(-1, length - 1)}, length - 2)
-    b = a if a_is_b else UniSeries({e: -value for e in range(length)}, length - 1)
-    if step > 1:
-        a = a.substitute_power(step)
-        b = a if a_is_b else b.substitute_power(step)
-    return a, b
+    a = spread([value] * length, step)
+    b = a if a_is_b else spread([-value] * length, step)
+    return a, b, length * step
 
 
 width_bound_shapes = pytest.mark.parametrize(
@@ -308,47 +284,56 @@ width_bound_shapes = pytest.mark.parametrize(
 
 
 def width_bound_factors(length, a_bits, b_bits, den):
-    """The middle product coefficient is -length * (2^a_bits - 1) *
-    (2^b_bits - 1), before the denominator is cleared."""
-    a = UniSeries({e: Fraction(2**a_bits - 1, den) for e in range(length)}, length - 1)
-    b = UniSeries({e: 1 - 2**b_bits for e in range(length)}, length - 1)
+    """Two dense lists of ``length`` entries, the first over ``den``: the
+    middle product coefficient is -length * (2^a_bits - 1) * (2^b_bits - 1)
+    before the denominator is divided back."""
+    a = [Fraction(2**a_bits - 1, den)] * length
+    b = [1 - 2**b_bits] * length
     return a, b
 
 
 class TestProductKernel:
+    """``_kronecker`` on wide, gapped, stepped and extreme factors against
+    the pair loop."""
+
     @settings(max_examples=300)
-    @given(kernel_series(), kernel_series())
-    def test_matches_reference(self, a, b):
-        assert_same_product(a * b, reference_mul(a, b))
+    @given(kernel_operands())
+    def test_matches_reference(self, operands):
+        a, b, n = operands
+        assert _kronecker([a], b, n) == pair_products([a], b, n)
 
     @settings(max_examples=100)
-    @given(kernel_series())
+    @given(kernel_lists())
     def test_square_matches_reference(self, a):
-        assert_same_product(a * a, reference_mul(a, a))
+        n = len(a)
+        assert _kronecker([a], a, n) == pair_products([a], a, n)
 
     @settings(max_examples=200)
     @given(
-        kernel_series(),
-        kernel_series(),
+        kernel_lists(),
+        kernel_lists(),
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=1, max_value=4),
-        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=3),
     )
-    def test_stepped_factors_match_reference(self, a, b, s, t, shift):
-        # factors in q^s are sparse: one digit per offset leaves the gaps
-        # as zero digits, and few term pairs take the pair loop
-        a = a.substitute_power(s).shift(shift)
-        b = b.substitute_power(t)
-        assert_same_product(a * b, reference_mul(a, b))
-        assert_same_product(a * a, reference_mul(a, a))
+    def test_stepped_factors_match_reference(self, a, b, s, t, lead):
+        # factors in q^s are sparse: one slot per offset leaves the gaps
+        # as zero slots, and few term pairs take the pair loop
+        a = [0] * lead + spread(a, s)
+        b = spread(b, t)
+        n = max(len(a), len(b))
+        a += [0] * (n - len(a))
+        b += [0] * (n - len(b))
+        assert _kronecker([a], b, n) == pair_products([a], b, n)
+        assert _kronecker([a], a, n) == pair_products([a], a, n)
 
     @extreme_shapes
     def test_extreme_coefficients(self, kind, bits, length, a_is_b, step):
         # at length 255 with bits a multiple of 4 the binary width bound
         # has no byte of slack
-        a, b = extreme_factors(kind, bits, length, a_is_b, step)
+        a, b, n = extreme_factors(kind, bits, length, a_is_b, step)
         with packing("binary"):
-            assert_same_product(a * b, reference_mul(a, b))
+            assert _kronecker([a], b, n) == pair_products([a], b, n)
 
     @pytest.mark.parametrize("den", [1, 2])
     @width_bound_shapes
@@ -359,35 +344,17 @@ class TestProductKernel:
         assert (a_bits + b_bits + length.bit_length() + 1) % 8 == 0
         a, b = width_bound_factors(length, a_bits, b_bits, den)
         with packing("binary"):
-            assert_same_product(a * b, reference_mul(a, b))
+            assert fraction_product(a, b, length) == pair_products([a], b, length)[0]
 
     def test_fraction_factors_divide_back(self):
-        a = UniSeries({0: Fraction(1, 2), 1: Fraction(2, 3)}, 3)
-        b = UniSeries({0: 4, 2: Fraction(3, 4)}, 3)
-        p = a * b
-        assert p.items() == [(0, 2), (1, Fraction(8, 3)), (2, Fraction(3, 8)), (3, Fraction(1, 2))]
-        assert isinstance(p.coeff(0), int)
-
-
-@st.composite
-def kernel_operands(draw):
-    """Dense lists for ``_kronecker``, full or with gaps (zeros), and their
-    length n."""
-    n = draw(st.integers(min_value=1, max_value=40))
-    big = 2**2000
-    value = st.one_of(
-        st.integers(min_value=-big, max_value=big),
-        st.sampled_from([big, -big, 1, -1]),
-    ).filter(bool)
-    terms = st.dictionaries(st.integers(min_value=0, max_value=n - 1), value, min_size=1)
-    a = draw(terms)
-    b = a if draw(st.booleans()) else draw(terms)
-
-    def dense(t):
-        return [t.get(i, 0) for i in range(n)]
-
-    a_list = dense(a)
-    return a_list, a_list if b is a else dense(b), n
+        # (1/2 + 2/3 q)(4 + 3/4 q^2): the kernel multiplies (3 + 4q) / 6 by
+        # (16 + 3q^2) / 4, and the product is divided back by 24
+        a = [Fraction(1, 2), Fraction(2, 3), 0, 0]
+        b = [4, 0, Fraction(3, 4), 0]
+        p = fraction_product(a, b, 4)
+        assert p == [2, Fraction(8, 3), Fraction(3, 8), Fraction(1, 2)]
+        assert p == pair_products([a], b, 4)[0]
+        assert isinstance(p[0], int)
 
 
 class TestDecimalKernel:
@@ -398,16 +365,16 @@ class TestDecimalKernel:
     """
 
     @settings(max_examples=300)
-    @given(kernel_series(), kernel_series())
-    def test_matches_binary(self, a, b):
-        # Fraction factors are cleared by UniSeries.__mul__; a * a is a square
+    @given(kernel_operands())
+    def test_matches_binary(self, operands):
+        # two left factors share the packed right one; a * a is a square
+        a, b, n = operands
         with packing("binary"):
-            want = a * b, a * a
+            want = _kronecker([a, b], b, n), _kronecker([a], a, n)
         with packing("decimal"):
-            got = a * b, a * a
-        for g, w in zip(got, want):
-            assert_same_product(g, w)
-        assert_same_product(got[0], reference_mul(a, b))
+            got = _kronecker([a, b], b, n), _kronecker([a], a, n)
+        assert got == want
+        assert got[0] == pair_products([a, b], b, n)
 
     @settings(max_examples=300)
     @given(kernel_operands())
@@ -420,17 +387,16 @@ class TestDecimalKernel:
 
     @extreme_shapes
     def test_extreme_coefficients(self, kind, bits, length, a_is_b, step):
-        a, b = extreme_factors(kind, bits, length, a_is_b, step)
+        a, b, n = extreme_factors(kind, bits, length, a_is_b, step)
         with packing("decimal"):
-            assert_same_product(a * b, reference_mul(a, b))
+            assert _kronecker([a], b, n) == pair_products([a], b, n)
 
     @pytest.mark.parametrize("den", [1, 2])
     @width_bound_shapes
     def test_width_bound_shapes(self, length, a_bits, b_bits, den):
         a, b = width_bound_factors(length, a_bits, b_bits, den)
         with packing("decimal"):
-            assert_same_product(a * b, reference_mul(a, b))
-
+            assert fraction_product(a, b, length) == pair_products([a], b, length)[0]
     @pytest.mark.parametrize(
         "m, a_max, b_max",
         [(3, 7, 7), (5, 10**3, 10**4), (4, 25 * 10**9, 10**10), (3, 2**64 - 1, 2**64 - 1),
@@ -467,7 +433,7 @@ class TestDecimalKernel:
         # few bits; the decimal kernel takes them up to the interpreter's
         # int/str limit (4,300 digits when it is off) and no wider
         cap = series._int_str_limit() or 4300
-        b = UniSeries({0: 1, 1: 1}, 1)
+        b = [1, 1]
         widths = []
 
         def spy(k, n):
@@ -479,9 +445,9 @@ class TestDecimalKernel:
             mp.setattr(series, "_decimal_slots", spy)
             middle = round(cap / 0.30103)
             for bits in range(middle - 20, middle + 10):
-                a = UniSeries({0: 2**bits - 1, 1: -1}, 1)
+                a = [2**bits - 1, -1]
                 calls = len(widths)
-                assert_same_product(a * b, reference_mul(a, b))
+                assert _kronecker([a], b, 2) == pair_products([a], b, 2)
                 decimal_route.append(len(widths) > calls)
         assert max(widths) == cap
         assert decimal_route == sorted(decimal_route, reverse=True)
@@ -493,36 +459,36 @@ class TestDecimalKernel:
     def test_lowered_int_str_limit_takes_the_binary_kernel(self):
         # 640 digits is the lowest limit CPython accepts; these slots have
         # about 1,000 digits
-        a = UniSeries({e: 3**1000 + e for e in range(30)}, 29)
+        a = [3**1000 + e for e in range(30)]
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(640)
         try:
             with packing("decimal"):
-                got = a * a
+                got = _kronecker([a], a, 30)
         finally:
             sys.set_int_max_str_digits(limit)
-        assert_same_product(got, reference_mul(a, a))
+        assert got == pair_products([a], a, 30)
 
     def test_slots_past_the_cap_take_the_binary_kernel(self):
         # 2^14000 squared has about 8,400 digits, more than CPython
         # converts to a str
         big = 2**14000
-        a = UniSeries({e: big - e for e in range(6)}, 5)
-        b = UniSeries({e: (-1) ** e * (big + e) for e in range(6)}, 5)
+        a = [big - e for e in range(6)]
+        b = [(-1) ** e * (big + e) for e in range(6)]
 
         def refuse(*args):
             raise AssertionError("decimal kernel called past the slot cap")
 
         with packing("decimal"), pytest.MonkeyPatch.context() as mp:
             mp.setattr(series, "_decimal_slots", refuse)
-            assert_same_product(a * b, reference_mul(a, b))
-            assert_same_product(a * a, reference_mul(a, a))
+            assert _kronecker([a], b, 6) == pair_products([a], b, 6)
+            assert _kronecker([a], a, 6) == pair_products([a], a, 6)
 
     @pytest.mark.parametrize("prec", [None, 5])
     def test_global_state_untouched(self, prec):
         # a product past the real threshold: 400 slots of about 380 digits
-        a = UniSeries({e: (-1) ** e * (2**620 + e) for e in range(400)}, 399)
-        b = UniSeries({e: 2**600 - 7 * e for e in range(400)}, 399)
+        a = [(-1) ** e * (2**620 + e) for e in range(400)]
+        b = [2**600 - 7 * e for e in range(400)]
         widths = []
 
         def spy(k, n):
@@ -542,24 +508,12 @@ class TestDecimalKernel:
                 ctx.flags[decimal.Clamped] = True
             before = state(ctx)
             mp.setattr(series, "_decimal_slots", spy)
-            got = a * b
+            got = _kronecker([a], b, 400)
             assert decimal.getcontext() is ctx
             assert state(ctx) == before
         assert widths and widths[0] >= series._DECIMAL_MIN_DIGITS
         assert series._int_str_limit() == limit
-        assert_same_product(got, reference_mul(a, b))
-
-
-def pair_products(lefts, right, n):
-    """``_kronecker`` by the plain double loop over the dense lists."""
-    products = []
-    for a in lefts:
-        c = [0] * n
-        for s in range(n):
-            for t in range(n - s):
-                c[s + t] += a[s] * right[t]
-        products.append(c)
-    return products
+        assert got == pair_products([a], b, 400)
 
 
 @contextmanager
@@ -672,73 +626,6 @@ class TestKroneckerKernel:
 
 
 # ---------------------------------------------------------------------------
-# inverse
-
-
-class TestInverse:
-    def test_geometric(self):
-        g = UniSeries({0: 1, 1: -1}, 6)
-        assert g.inverse(6).items() == [(e, 1) for e in range(7)]
-
-    def test_laurent_leading_term(self):
-        # (q - 24 q^2 + 252 q^3 - 1472 q^4)^-1 opens with q^-1 + 24 + 324 q
-        d = UniSeries({1: 1, 2: -24, 3: 252, 4: -1472}, 4)
-        inv = d.inverse(1)
-        assert inv.hi == 1 and inv.support_lo == -1
-        assert inv.items() == [(-1, 1), (0, 24), (1, 324)]
-
-    def test_zero_series_raises(self):
-        with pytest.raises(ValueError, match="non-invertible series"):
-            UniSeries.zero(5).inverse(3)
-
-    def test_order_below_leading_term_raises(self):
-        # 1/q starts at q^-1: an inverse to order -2 would hold no term
-        with pytest.raises(ValueError, match="is empty"):
-            UniSeries({1: 1}, 4).inverse(-2)
-
-    def test_round_trip(self):
-        a = UniSeries({0: 2, 1: 5, 3: -1}, 9)
-        prod = a * a.inverse(9)
-        assert prod.coeff(0) == 1
-        assert all(prod.coeff(e) == 0 for e in range(1, prod.hi + 1))
-
-    def test_fraction_leading_coefficient(self):
-        # 1 / (2/3 - q/5) = (3/2) * sum (3q/10)^n
-        a = UniSeries({0: Fraction(2, 3), 1: Fraction(-1, 5)}, 3)
-        assert a.inverse(3).items() == [
-            (n, Fraction(3, 2) * Fraction(3, 10) ** n) for n in range(4)
-        ]
-        # 1 / ((1 + q^2) / 2) = 2 - 2 q^2 + 2 q^4: integral values come back as int
-        inv = UniSeries({0: Fraction(1, 2), 2: Fraction(1, 2)}, 4).inverse(4)
-        assert inv.items() == [(0, 2), (2, -2), (4, 2)]
-        assert all(type(v) is int for _, v in inv.items())
-
-
-# ---------------------------------------------------------------------------
-# substitution, shift, restriction
-
-
-class TestReindexing:
-    def test_substitute_power_widens_window(self):
-        # q -> q^3 leaves provable zeros between multiples of 3
-        s = UniSeries({1: 1, 2: 4}, 2)
-        t = s.substitute_power(3)
-        assert t.hi == 8
-        assert t.items() == [(3, 1), (6, 4)]
-        assert t.coeff(7) == 0
-
-    def test_shift(self):
-        s = UniSeries({0: 1, 1: 2}, 3).shift(-2)
-        assert s.hi == 1
-        assert s.items() == [(-2, 1), (-1, 2)]
-
-    def test_restrict_cannot_extend(self):
-        s = UniSeries({1: 1}, 4)
-        with pytest.raises(ValueError, match="cannot extend"):
-            s.restrict(hi=9)
-
-
-# ---------------------------------------------------------------------------
 # comparison
 
 
@@ -763,91 +650,48 @@ class TestComparison:
 # property tests
 
 
-def assert_sound(short: UniSeries, full: UniSeries):
-    """A result computed from a cut input: no higher ceiling, the same terms."""
-    assert short.hi <= full.hi
-    assert not short.mismatches(full)
-
-
 class TestRingLaws:
-    @given(uni_series(), uni_series())
-    def test_add_commutes(self, a, b):
-        try:
-            left = a + b
-        except ValueError:
-            return
-        right = b + a
-        assert not left.mismatches(right)
+    """The product laws, on the one kernel that every product runs through."""
 
-    @given(uni_series(), uni_series(), uni_series())
-    def test_mul_distributes(self, a, b, c):
-        try:
-            lhs = a * (b + c)
-            rhs = a * b + a * c
-        except ValueError:
-            return
-        assert not lhs.mismatches(rhs)
+    @given(kernel_triples())
+    def test_mul_commutes(self, abc):
+        a, b, _ = abc
+        n = len(a)
+        assert _kronecker([a], b, n) == _kronecker([b], a, n)
 
-    @given(uni_series(), uni_series())
-    def test_mul_commutes(self, a, b):
-        assert not (a * b).mismatches(b * a)
+    @given(kernel_triples())
+    def test_mul_distributes(self, abc):
+        a, b, c = abc
+        n = len(a)
+        [lhs] = _kronecker([a], list(map(add, b, c)), n)
+        ab, ac = _kronecker([b, c], a, n)
+        assert lhs == list(map(add, ab, ac))
 
-    @given(uni_series(), uni_series(), uni_series())
-    def test_mul_associates(self, a, b, c):
-        assert not ((a * b) * c).mismatches(a * (b * c))
+    @given(kernel_triples())
+    def test_mul_associates(self, abc):
+        a, b, c = abc
+        n = len(a)
+        [ab] = _kronecker([a], b, n)
+        [bc] = _kronecker([b], c, n)
+        assert _kronecker([ab], c, n) == _kronecker([a], bc, n)
 
-    @given(positive_uni(), st.integers(min_value=1, max_value=4))
+    @given(kernel_lists(), st.integers(min_value=1, max_value=4))
     def test_substitute_power_is_multiplicative(self, s, k):
-        sq = s * s
-        assert not sq.substitute_power(k).mismatches(
-            s.substitute_power(k) * s.substitute_power(k)
-        )
+        # (s^2)(q^k) = s(q^k)^2: spreading a product is the product of the
+        # spread factors, the identity eta powers in q^k are built on
+        n = len(s)
+        [square] = _kronecker([s], s, n)
+        wide = spread(s, k)
+        assert _kronecker([wide], wide, n * k) == [spread(square, k)]
 
-    @given(kernel_series(), kernel_series(), st.integers(min_value=0, max_value=40))
-    def test_mul_is_sound_under_truncation(self, a, b, cut):
-        # every coefficient certified from a truncated factor is the true one
-        short = a.restrict(hi=a.hi - cut) * b
-        full = a * b
-        assert short.hi <= full.hi
-        assert not short.mismatches(full)
-
-    @given(uni_series(lo_min=0), st.integers(min_value=0, max_value=8))
-    def test_inverse_is_sound_under_truncation(self, s, cut):
-        if s.is_zero() or not s.support_lo <= cut <= s.hi:
-            return
-        order = s.hi - s.support_lo
-        short = s.restrict(hi=cut).inverse(order)
-        full = s.inverse(order)
-        assert short.hi <= full.hi
-        assert not short.mismatches(full)
-
-    @given(uni_series(), uni_series(), st.integers(min_value=0, max_value=12))
-    def test_add_is_sound_under_truncation(self, a, b, cut):
-        assert_sound(a.restrict(hi=a.hi - cut) + b, a + b)
-
-    @given(uni_series(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=12))
-    def test_substitute_power_is_sound_under_truncation(self, s, k, cut):
-        assert_sound(s.restrict(hi=s.hi - cut).substitute_power(k), s.substitute_power(k))
-
-    @given(uni_series(), st.integers(min_value=-5, max_value=5), st.integers(min_value=0, max_value=12))
-    def test_shift_is_sound_under_truncation(self, s, d, cut):
-        assert_sound(s.restrict(hi=s.hi - cut).shift(d), s.shift(d))
-
-    @given(uni_series(), st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
-    def test_restrict_is_sound_under_truncation(self, s, cut, lower):
-        short = s.restrict(hi=s.hi - cut)
-        assert_sound(short, s)
-        hi = short.hi - lower
-        assert_sound(short.restrict(hi=hi), s.restrict(hi=hi))
-
-    @given(uni_series(lo_min=0))
-    def test_inverse_round_trip(self, s):
-        if s.is_zero():
-            return
-        inv = s.inverse(s.hi)
-        prod = s * inv
-        assert prod.coeff(0) == 1
-        assert all(v == 0 for e, v in prod.items() if e != 0)
+    @given(kernel_operands(), st.integers(min_value=0, max_value=40))
+    def test_mul_is_sound_under_truncation(self, operands, cut):
+        # the low slots of a product read only the low entries of its
+        # factors: a cut factor gives the same coefficients below the cut
+        a, b, n = operands
+        m = max(n - cut, 1)
+        [full] = _kronecker([a], b, n)
+        assert _kronecker([a[:m]], b[:m], m) == [full[:m]]
 
 
 # ---------------------------------------------------------------------------
@@ -879,18 +723,18 @@ def reference_log1m(u: BiSeries) -> BiSeries:
 def kronecker_log1m_rows(u, ceilings):
     """``log1m_rows`` by whole-row products: M_m = -m u_m + sum_{k<m} u_k
     M_{m-k}, each product u_k M_{m-k} cut at row m's ceiling and run
-    through ``UniSeries.__mul__`` and its Kronecker kernel.  ``log1m_rows``
-    ran this way before it took one dot product per cell; kept as its
-    oracle."""
+    through the Kronecker kernel over the rows' common denominators
+    (:func:`fraction_product`).  ``log1m_rows`` ran this way before it took
+    one dot product per cell; kept as its oracle."""
     big_m = [{}]
     for m in range(1, len(u)):
         n = ceilings[m] + 1
         row = {q: -m * v for q, v in u[m].items() if q < n}
         for k in range(1, m):
-            a = UniSeries({q: v for q, v in u[k].items() if q < n}, n - 1)
-            b = UniSeries({q: v for q, v in big_m[m - k].items() if q < n}, n - 1)
-            for q, v in (a * b).items():
-                if q < n:
+            a = [u[k].get(q, 0) for q in range(n)]
+            b = [big_m[m - k].get(q, 0) for q in range(n)]
+            for q, v in enumerate(fraction_product(a, b, n)):
+                if v:
                     row[q] = row.get(q, 0) + v
         big_m.append({q: series._norm(v) for q, v in row.items() if v})
     return big_m
@@ -1050,7 +894,7 @@ class TestBiSeries:
         assert [{q: v for q, v in enumerate(row) if v} for row in rows] == want
 
     def test_log_readers_run_no_packed_product(self):
-        # expanding a family multiplies UniSeries through the packed kernel,
+        # expanding a family multiplies eta powers through the packed kernel,
         # so the family and the column are built first
         family = load_family(CATALOG_FAMILY.table, 36)
         c = normalized_j(15)
