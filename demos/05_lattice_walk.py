@@ -56,10 +56,11 @@ for m in range(1, 5):
     print("  " + "\t".join(str(c.coeff(m * n)) for n in range(1, 5)))
 print()
 
-generators = BiSeries(
-    {(m, n): c.coeff(m + n - 1) for m in range(1, 5) for n in range(1, 5)},
+# 1 minus the generator character, the product the dimensions must expand to
+oracle = BiSeries(
+    {(0, 0): 1} | {(m, n): -c.coeff(m + n - 1) for m in range(1, 5) for n in range(1, 5)},
     4,
     4,
 )
-oracle_bad = dimension_product(dims).mismatches(BiSeries.one(4, 4) - generators)
+oracle_bad = dimension_product(dims).mismatches(oracle)
 print("independent product oracle disagreements:", oracle_bad)

@@ -47,9 +47,10 @@ FAIL_LINE = "VERDICT: FAIL"
 # ``jexpand --order 1200`` takes about 0.08 s, 2000 about 0.13 s and 5000
 # about 0.43 s, and the time grows a little faster than the order; a 24x24
 # window expands through q^600.  The limit bounds the order only: a
-# two-variable window's cost grows with its cells squared, whatever its shape:
-# at 70x70 (q^4900) ``witt`` runs for about 2.5 s and ``verify-product``
-# for 1.8 s, and ``witt`` at 2x2500 for 2.4 s.
+# two-variable window's cost grows with its cells squared and with its
+# shape: at 70x70 (q^4900) ``witt`` runs for about 2.5 s and
+# ``verify-product`` for 1.8 s, ``witt`` at 2x2500 for 2.4 s and at 5000x1,
+# whose product oracle is slower on a tall grid, for about 4 s.
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
@@ -265,17 +266,11 @@ def _cmd_witt(args) -> int:
         print(f"mismatch\t({m},{n})\t{got}\t{expected}")
     # the product oracle: the dimensions must expand to 1 minus the
     # generator character
-    generators = series.BiSeries(
-        {
-            (m, n): c.coeff(m + n - 1)
-            for m in range(1, args.mmax + 1)
-            for n in range(1, args.nmax + 1)
-        },
-        args.mmax,
-        args.nmax,
+    cells = ((m, n) for m in range(1, args.mmax + 1) for n in range(1, args.nmax + 1))
+    oracle = {(0, 0): 1} | {(m, n): -c.coeff(m + n - 1) for m, n in cells}
+    oracle_bad = lattice.dimension_product(dims).mismatches(
+        series.BiSeries(oracle, args.mmax, args.nmax)
     )
-    one = series.BiSeries.one(args.mmax, args.nmax)
-    oracle_bad = lattice.dimension_product(dims).mismatches(one - generators)
     fmt = series.format_coeff
     for i, j, lhs, rhs in oracle_bad:
         print(f"oracle mismatch\t({i},{j})\t{fmt(lhs)}\t{fmt(rhs)}")

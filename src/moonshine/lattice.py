@@ -268,13 +268,13 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[series.BiSeries, series.BiS
     Both sides reach below q^0 only through their p q^-1 term, which is
     stored like any other; the window is the two ceilings.
 
-    The product over i,j >= 1 is expanded ray by ray with
-    ``dimension_product``, in integer binomials: factors with i > pmax or
-    j > qmax + 1 cannot touch the window, so the finite product is exact
-    there.  The 1 - pq^-1 prefactor is then applied in place: every term
-    also subtracts itself one step along (1, -1).  That step pulls the
-    extra q-row (qmax + 1) of the product back into the window; the sum
-    keeps the lower ceiling qmax, so the row itself drops out.
+    The product over i,j >= 1 is expanded ray by ray on one row-major
+    integer grid (:func:`_product_grid`), in integer binomials: factors
+    with i > pmax or j > qmax + 1 cannot touch the window, so the finite
+    product is exact there.  The 1 - pq^-1 prefactor is then applied in
+    place: every term also subtracts itself one step along (1, -1).  That
+    step pulls the extra q-row (qmax + 1) of the product back into the
+    window, and the row itself is dropped.
     """
     if pmax < 1 or qmax < 1:
         raise ValueError("window bounds must be >= 1")
@@ -296,9 +296,18 @@ def denominator_sides(pmax: int, qmax: int) -> tuple[series.BiSeries, series.BiS
         for i in range(1, pmax + 1)
         for j in range(1, qmax + 2)
     }
-    expanded = dimension_product(GradedDims(mults, pmax, qmax + 1))
-    moved = {(i + 1, j - 1): -v for (i, j), v in expanded.items() if i < pmax}
-    return lhs, expanded + series.BiSeries(moved, pmax, qmax)
+    grid = _product_grid(GradedDims(mults, pmax, qmax + 1))
+    width = qmax + 2
+    # last index first, so each term moves before any lands on it.  Every
+    # factor has i, j >= 1, so no term but the constant (placed below, at
+    # p q^-1) sits at q^0, whose step would wrap to the end of its own row.
+    for x in range(pmax * width - 1, 0, -1):
+        v = grid[x]
+        if v:
+            grid[x + width - 1] -= v
+    rhs = {divmod(x, width): v for x, v in enumerate(grid) if v and x % width <= qmax}
+    rhs[(1, -1)] = -grid[0]
+    return lhs, series.BiSeries(rhs, pmax, qmax)
 
 
 def denominator_identity_report(pmax: int, qmax: int) -> ProductReport:
@@ -315,15 +324,24 @@ def dimension_product(dims: GradedDims) -> series.BiSeries:
     exactly 1 - (character of the generators).  Every dimension is checked
     before any expansion, so a negative one is reported at its first cell
     in (m, n) order.
+    """
+    width = dims.nmax + 1
+    grid = _product_grid(dims)
+    cells = {divmod(x, width): v for x, v in enumerate(grid) if v}
+    return series.BiSeries(cells, dims.mmax, dims.nmax)
+
+
+def _product_grid(dims: GradedDims) -> list[int]:
+    """:func:`dimension_product` on one row-major integer list, p^i q^j at
+    index i*(qmax+1) + j, with pmax, qmax = dims.mmax, dims.nmax.
 
     The factors are grouped by primitive direction (a, b) = (m, n)/gcd(m, n).
     Each ray's product R(x) = prod_t (1 - x^t)^{d(ta,tb)} is expanded once,
     by binomials, to x^min(pmax/a, qmax/b); the grid is then multiplied by
-    R(p^a q^b).  The terms live in one row-major integer list, p^i q^j at
-    index i*(qmax+1) + j, where one step along (a, b) is a fixed offset:
-    every term the ray can move adds R's t-th coefficient times itself at t
-    steps, inside the window.  The terms are visited from the last index
-    down, so each is moved before any term lands on it.
+    R(p^a q^b).  One step along (a, b) is a fixed offset: every term the
+    ray can move adds R's t-th coefficient times itself at t steps, inside
+    the window.  The terms are visited from the last index down, so each is
+    moved before any term lands on it.
 
     The rays go largest (a, b) first: a ray moves every term it can step
     from, so a large ray is cheap while the grid is still sparse.  On the
@@ -365,6 +383,4 @@ def dimension_product(dims: GradedDims) -> series.BiSeries:
                     for c in coeffs[: min(reach, (qmax - j) // b)]:
                         x += step
                         out[x] += c * v
-    return series.BiSeries(
-        {divmod(x, width): v for x, v in enumerate(out) if v}, pmax, qmax
-    )
+    return out

@@ -13,30 +13,30 @@ Exponents may be negative: a Laurent term such as q^-1 in the modular
 invariant, or p q^-1 in the prefactor of the two-variable product identity,
 is ordinary data.  p exponents are always nonnegative.
 
-``UniSeries`` is a read-only record with no arithmetic: ``modular`` builds
-every expansion on dense ``int`` lists and hands back the record, which
-callers read by coefficient, compare and print.  Every product runs through
-one Kronecker kernel on dense ``int`` lists (:func:`_kronecker`), which
-multiplies one right factor by one or more left factors and packs the
-shared right factor once: each factor becomes a single big number with one
-slot per exponent, wide enough that no carry crosses from one coefficient
-to the next, and the slots of the product are the coefficients.  The slots
+``UniSeries`` and ``BiSeries`` are read-only records with no arithmetic:
+``modular`` and ``lattice`` build every window on dense ``int`` lists and
+hand back the record, which callers read by coefficient, compare and
+print.  Every product runs through one Kronecker kernel on dense ``int``
+lists (:func:`_kronecker`), which multiplies one right factor by one or
+more left factors and packs the shared right factor once: each factor
+becomes a single big number with one slot per exponent, wide enough that
+no carry crosses from one coefficient to the next, and the slots of the
+product are the coefficients.  The slots
 are binary, in an ``int``, unless the products have at least 30,000
 decimal digits: then they are base-10^k slots of a ``decimal`` number,
 whose exact number-theoretic transform multiplies such operands faster than
 ``int``'s Karatsuba (about three times at 250,000 digits).  Factors with
-few term pairs per slot are multiplied pair by pair.  ``BiSeries`` has sums
-and differences but no series product.  ``log1m_rows`` takes log(1 - U)
-for the generator character U = sum c(m+n-1) p^m q^n, the one shape every
-two-variable log here has, from the column c: one dot product per cell,
-no packed product.
+few term pairs per slot are multiplied pair by pair.  ``log1m_rows`` takes
+log(1 - U) for the generator character U = sum c(m+n-1) p^m q^n, the one
+shape every two-variable log here has, from the column c: one dot product
+per cell, no packed product.
 
 Every reported coefficient is exact: a record's window is set by the code
 that computed it, from the windows of its inputs, and nothing is ever
 padded with fabricated zeros, which is what makes the identity checks
 built on top of this module trustworthy.
 
-All records are immutable by convention: operations return fresh objects.
+All records are immutable by convention.
 """
 
 from __future__ import annotations
@@ -295,21 +295,21 @@ class UniSeries:
 
 
 class BiSeries:
-    """A series in two variables p, q known exactly up to p^pmax and q^qmax.
+    """A series in two variables p, q known exactly up to p^pmax and q^qmax:
+    a read-only window record.
 
     p exponents are always nonnegative.  q exponents may be negative, as in
     the ``p q^-1`` term of the two-variable product identity.  As in
     :class:`UniSeries`, the ceilings are truncation orders and the support
     is read from the stored terms.
 
-    The operations are sums, differences and negation.  There is no series
-    product and no constant-term arithmetic.  The untracked terms of a
-    truncated two-variable series fill an L-shaped region, p above pmax at
-    any q or q above qmax at any p, so the lowest stored exponents of a
-    factor do not bound what its untracked terms contribute, and no window
-    read from the stored terms is sound.  The one logarithm taken here,
-    of 1 minus a generator character, comes from its column
-    (:func:`log1m_rows`).
+    The record has no arithmetic: ``lattice`` builds each window on a flat
+    integer grid.  The untracked terms of a truncated two-variable series
+    fill an L-shaped region, p above pmax at any q or q above qmax at any
+    p, so the lowest stored exponents of a factor do not bound what its
+    untracked terms contribute, and no product window read from the stored
+    terms is sound.  The one logarithm taken here, of 1 minus a generator
+    character, comes from its column (:func:`log1m_rows`).
     """
 
     __slots__ = ("pmax", "qmax", "_c")
@@ -338,16 +338,6 @@ class BiSeries:
         self.pmax = pmax
         self.qmax = qmax
         self._c = data
-
-    # ------------------------------------------------------------------
-    # constructors
-
-    @classmethod
-    def one(cls, pmax: int, qmax: int) -> "BiSeries":
-        return cls({(0, 0): 1}, pmax, qmax)
-
-    # ------------------------------------------------------------------
-    # inspection
 
     def coeff(self, i: int, j: int) -> Coeff:
         if i > self.pmax or j > self.qmax:
@@ -391,29 +381,6 @@ class BiSeries:
             body = " + ".join(shown) + (" + ..." if len(terms) > 6 else "")
         return f"BiSeries[..{self.pmax}][..{self.qmax}]({body})"
 
-    # ------------------------------------------------------------------
-    # ring operations
-
-    def __add__(self, other):
-        """Sum with another series, exact up to the lower ceilings."""
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        pmax = min(self.pmax, other.pmax)
-        qmax = min(self.qmax, other.qmax)
-        data = {k: v for k, v in self._c.items() if k[0] <= pmax and k[1] <= qmax}
-        for k, v in other._c.items():
-            if k[0] <= pmax and k[1] <= qmax:
-                data[k] = data.get(k, 0) + v
-        return BiSeries(data, pmax, qmax)
-
-    def __neg__(self) -> "BiSeries":
-        return BiSeries({k: -v for k, v in self._c.items()}, self.pmax, self.qmax)
-
-    def __sub__(self, other):
-        if not isinstance(other, BiSeries):
-            return NotImplemented
-        return self.__add__(-other)
-
 
 def log1m_rows(column: Mapping[int, Coeff], mmax: int, nmax: int) -> list[list[Coeff]]:
     """The rows M_m = m L_m of log(1 - U) = sum_m L_m p^m on the window
@@ -434,7 +401,25 @@ def log1m_rows(column: Mapping[int, Coeff], mmax: int, nmax: int) -> list[list[C
     whole-row packed products on square windows, more on narrow ones
     (2-core machine, 1A column: 0.75 s, not 2.0 s, at 70x70; 0.8 s, not
     0.13 s, at 2x2500).
+
+    The k-loop runs about mmax^2 * nmax / 2 times, so a window taller than
+    wide is computed as its transpose: U is symmetric, so n M_m[n] =
+    m M_n[m], one exact division per cell.  On the same machine 5000x1
+    takes 5 ms, not 6.9 s, and 2500x2 1.6 s, not 5.0 s.
     """
+    if mmax > nmax:
+        wide = log1m_rows(column, nmax, mmax)
+        rows = [[]] + [[0] * (nmax + 1) for _ in range(mmax)]
+        for n in range(1, nmax + 1):
+            for m, value in enumerate(wide[n][1:], 1):
+                if isinstance(value, int):
+                    value, rest = divmod(m * value, n)
+                    if rest:
+                        raise RuntimeError(f"internal cross-check failed: M_{m}[{n}] not integral")
+                else:
+                    value = m * value / n  # a Fraction: // would truncate it
+                rows[m][n] = value
+        return rows
     c = [0] + [column[n] for n in range(1, mmax + nmax)]
     rows: list[list[Coeff]] = [[]]
     for m in range(1, mmax + 1):

@@ -330,7 +330,7 @@ def fraction_report(family, name, imax, jmax):
         for cell, value in adams_term(family, name, k, imax, jmax).items():
             lhs[cell] = lhs.get(cell, 0) + Fraction(value, k)
     u = BiSeries(generator_cells(family, name, imax, jmax), imax, jmax)
-    rhs = -reference_log1m(u)
+    rhs = BiSeries({cell: -v for cell, v in reference_log1m(u).items()}, imax, jmax)
     return EPReport(name, imax, jmax, tuple(BiSeries(lhs, imax, jmax).mismatches(rhs)))
 
 
@@ -430,7 +430,7 @@ class TestEulerPoincare:
     def test_generator_log_matches_direct_expansion(self, family):
         u = BiSeries(generator_cells(family, "1A", 3, 3), 3, 3)
         total = {}
-        power = BiSeries.one(3, 3)
+        power = BiSeries({(0, 0): 1}, 3, 3)
         for k in range(1, 4):
             power = reference_bimul(power, u, 3, 3)
             for cell, value in power.items():

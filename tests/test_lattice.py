@@ -29,7 +29,7 @@ from moonshine.lattice import (
 )
 from moonshine.modular import normalized_j
 from moonshine.series import BiSeries, UniSeries, mobius
-from test_series import generator_character, reference_log1m
+from test_series import generator_character, one_minus, reference_log1m
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +269,7 @@ class TestWittDims:
             4,
             4,
         )
-        assert not dimension_product(dims).mismatches(BiSeries.one(4, 4) - u)
+        assert not dimension_product(dims).mismatches(one_minus(u))
 
     @given(st.lists(st.integers(0, 3), min_size=5, max_size=5))
     @settings(deadline=None, max_examples=40)
@@ -277,7 +277,7 @@ class TestWittDims:
         column = dict(enumerate(values, start=1))
         dims = column_witt_dims(column, 3, 3)
         u = generator_character(column, 3, 3)
-        assert not dimension_product(dims).mismatches(BiSeries.one(3, 3) - u)
+        assert not dimension_product(dims).mismatches(one_minus(u))
 
     def test_lyndon_word_count_oracle(self):
         # alphabet: two letters of degree (1,1), one of (1,2), one of (2,1),

@@ -198,7 +198,7 @@ class TestPartitionEnumeration:
         # [p^i q^j] of prod over cells 1/(1 - p^r q^s), computed by
         # multiplying truncated geometric factors -- a route with no
         # recursion in common with the enumerator.
-        prod = BiSeries.one(i, j)
+        prod = BiSeries({(0, 0): 1}, i, j)
         for r in range(1, i + 1):
             for s in range(1, j + 1):
                 factor = BiSeries(
