@@ -49,8 +49,9 @@ FAIL_LINE = "VERDICT: FAIL"
 # window expands through q^600.  The limit bounds the order only: a
 # two-variable window's cost grows with its cells squared and with its
 # shape: at 70x70 (q^4900) ``witt`` runs for about 2.5 s and
-# ``verify-product`` for 1.8 s, ``witt`` at 2x2500 for 2.4 s and at 5000x1,
-# whose product oracle is slower on a tall grid, for about 4 s.
+# ``verify-product`` for 1.8 s, ``witt`` at 2x2500 for 2.4 s, at 2500x2 about
+# 3 s and at 5000x1 about 1 s (its product oracle builds a tall grid as its
+# transpose).
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
@@ -134,9 +135,8 @@ def _cmd_jexpand(args) -> int:
         raise CommandError("order must be >= -1")
     _check_order(args.order)
     c = modular.normalized_j(args.order)
-    fmt = series.format_coeff
     for n in range(-1, args.order + 1):
-        print(f"{n}\t{fmt(c.coeff(n))}")
+        print(f"{n}\t{c.coeff(n)}")
     return 0
 
 
@@ -147,9 +147,8 @@ def _cmd_verify_product(args) -> int:
     report = lattice.denominator_identity_report(args.pmax, args.qmax)
     print(f"command: verify-product --pmax {args.pmax} --qmax {args.qmax}")
     print(f"window: p 0..{report.pmax}, q {report.qmin}..{report.qmax}")
-    fmt = series.format_coeff
     for i, j, lhs, rhs in report.mismatches:
-        print(f"mismatch\tp^{i} q^{j}\t{fmt(lhs)}\t{fmt(rhs)}")
+        print(f"mismatch\tp^{i} q^{j}\t{lhs}\t{rhs}")
     print(PASS_LINE if report.ok else FAIL_LINE)
     return 0 if report.ok else 1
 
@@ -173,9 +172,8 @@ def _cmd_verify_ep(args) -> int:
         f"--imax {args.imax} --jmax {args.jmax}"
     )
     print(f"window: p 1..{args.imax}, q 1..{args.jmax}")
-    fmt = series.format_coeff
     for i, j, lhs, rhs in report.mismatches:
-        print(f"mismatch\t({i},{j})\t{fmt(lhs)}\t{fmt(rhs)}")
+        print(f"mismatch\t({i},{j})\t{lhs}\t{rhs}")
     print(PASS_LINE if report.ok else FAIL_LINE)
     return 0 if report.ok else 1
 
@@ -271,9 +269,8 @@ def _cmd_witt(args) -> int:
     oracle_bad = lattice.dimension_product(dims).mismatches(
         series.BiSeries(oracle, args.mmax, args.nmax)
     )
-    fmt = series.format_coeff
     for i, j, lhs, rhs in oracle_bad:
-        print(f"oracle mismatch\t({i},{j})\t{fmt(lhs)}\t{fmt(rhs)}")
+        print(f"oracle mismatch\t({i},{j})\t{lhs}\t{rhs}")
     ok = not mismatches and not oracle_bad
     print(PASS_LINE if ok else FAIL_LINE)
     return 0 if ok else 1

@@ -347,6 +347,11 @@ def _product_grid(dims: GradedDims) -> list[int]:
     from, so a large ray is cheap while the grid is still sparse.  On the
     verify-product 70x71 grid that is 3,275,508 multiplies against the
     5,536,351 of the factors taken one by one, largest first.
+
+    Each ray walks every row of the grid, so a grid taller than wide is
+    built as its transpose, with p and q swapped, and read back by columns
+    (as :func:`series.log1m_rows` does): on a 2-core machine 5000x1 takes
+    0.6 s, not 3.7 s, and 2500x2 1.5 s, not 2.4 s.
     """
     pmax, qmax = dims.mmax, dims.nmax
     rays: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -356,6 +361,10 @@ def _product_grid(dims: GradedDims) -> list[int]:
         if d:
             g = math.gcd(m, n)
             rays.setdefault((m // g, n // g), []).append((g, d))
+    tall = pmax > qmax
+    if tall:
+        pmax, qmax = qmax, pmax
+        rays = {(b, a): factors for (a, b), factors in rays.items()}
     width = qmax + 1
     out = [0] * ((pmax + 1) * width)
     out[0] = 1
@@ -383,4 +392,6 @@ def _product_grid(dims: GradedDims) -> list[int]:
                     for c in coeffs[: min(reach, (qmax - j) // b)]:
                         x += step
                         out[x] += c * v
+    if tall:  # column i of the transpose is row i of the grid
+        return [v for i in range(width) for v in out[i::width]]
     return out

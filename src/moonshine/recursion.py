@@ -65,10 +65,13 @@ from __future__ import annotations
 from itertools import count, islice
 from math import gcd, isqrt
 from operator import mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 # the layers are read through their modules: a call runs only those it reads
-from . import classes, series
+from . import classes
+
+if TYPE_CHECKING:
+    from . import series
 
 __all__ = [
     "ContradictionError",
@@ -209,7 +212,7 @@ def _state(table: classes.ClassTable, name: str, i: int, j: int, values: dict, c
             broken = "is violated:" if key is None else f"cannot hold: {key} cancels but"
             raise ContradictionError(
                 f"relation ({i},{j}) at class {name} {broken} sides differ by "
-                f"{series.format_coeff(Fraction(const, i * scale))}"
+                f"{Fraction(const, i * scale)}"
             )
         return "verified", None
     # const + coeff * unknown = 0
@@ -283,9 +286,9 @@ def _run_passes(
                     if prior_value != solved:
                         raise ContradictionError(
                             f"{key[0]}({key[1]}) derived twice with different "
-                            f"values: {series.format_coeff(prior_value)} from relation "
+                            f"values: {prior_value} from relation "
                             f"({pi},{pj}) at class {prior_name} vs "
-                            f"{series.format_coeff(solved)} from relation ({i},{j}) at "
+                            f"{solved} from relation ({i},{j}) at "
                             f"class {name}"
                         )
                 else:
@@ -372,7 +375,7 @@ def solve_from_seeds(table: classes.ClassTable, nmax: int) -> SolveResult:
         value = values[name][n]
         if not isinstance(value, int):  # a normalized value: a non-integral Fraction
             raise ContradictionError(
-                f"{name}({n}) solved to non-integer {series.format_coeff(value)}"
+                f"{name}({n}) solved to non-integer {value}"
             )
         clean[(name, n)] = value
     unresolved = tuple(

@@ -9,9 +9,10 @@ precision: one ceiling per variable, as in the usual O(q^n) model.
   there is zero, so the support is read from the stored terms,
 * exponents above the ceiling are untracked, and asking for them raises.
 
-Exponents may be negative: a Laurent term such as q^-1 in the modular
-invariant, or p q^-1 in the prefactor of the two-variable product identity,
-is ordinary data.  p exponents are always nonnegative.
+Exponents are integers (a ``float`` or ``Fraction`` one raises
+``TypeError``) and may be negative: a Laurent term such as q^-1 in the
+modular invariant, or p q^-1 in the prefactor of the two-variable product
+identity, is ordinary data.  p exponents are always nonnegative.
 
 ``UniSeries`` and ``BiSeries`` are read-only records with no arithmetic:
 ``modular`` and ``lattice`` build every window on dense ``int`` lists and
@@ -21,15 +22,14 @@ lists (:func:`_kronecker`), which multiplies one right factor by one or
 more left factors and packs the shared right factor once: each factor
 becomes a single big number with one slot per exponent, wide enough that
 no carry crosses from one coefficient to the next, and the slots of the
-product are the coefficients.  The slots
-are binary, in an ``int``, unless the products have at least 30,000
-decimal digits: then they are base-10^k slots of a ``decimal`` number,
-whose exact number-theoretic transform multiplies such operands faster than
-``int``'s Karatsuba (about three times at 250,000 digits).  Factors with
-few term pairs per slot are multiplied pair by pair.  ``log1m_rows`` takes
-log(1 - U) for the generator character U = sum c(m+n-1) p^m q^n, the one
-shape every two-variable log here has, from the column c: one dot product
-per cell, no packed product.
+product are the coefficients.  Sparse factors are packed too, their gaps
+as zero slots.  The slots are binary, in an ``int``, unless the products
+have at least 30,000 decimal digits: then they are base-10^k slots of a
+``decimal`` number, whose exact number-theoretic transform multiplies such
+operands faster than ``int``'s Karatsuba (about three times at 250,000
+digits).  ``log1m_rows`` takes log(1 - U) for the generator character
+U = sum c(m+n-1) p^m q^n, the one shape every two-variable log here has,
+from the column c: one dot product per cell, no packed product.
 
 Every reported coefficient is exact: a record's window is set by the code
 that computed it, from the windows of its inputs, and nothing is ever
@@ -45,7 +45,7 @@ import sys
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import add, index, mul
 
 try:
     import _decimal  # the C decimal module; its pure-Python fallback is slower than int
@@ -60,24 +60,11 @@ Coeff = int | Fraction
 # slots were faster on 68 of 73 shapes below 30,000 digits and decimal ones
 # on 120 of 132 from there (BENCH_28.json ``crossover``).
 _DECIMAL_MIN_DIGITS = 30_000
-# Products with at most this many term pairs per slot multiply their pairs:
-# timed on eta-power and j factors below q^100, packing cost less from about
-# 20 pairs per slot (BENCH_28.json ``pair_cutoff``).
-_PAIRS_PER_SLOT = 20
 # The interpreter's int/str digit limit (0 when off), read at each product;
 # Python before 3.10.7 has no limit and no function to read it.
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-__all__ = ["Coeff", "format_coeff", "mobius", "UniSeries", "BiSeries"]
-
-
-def format_coeff(value: Coeff) -> str:
-    """An exact number as text: an integer as is, a fraction as num/den."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
+__all__ = ["Coeff", "mobius", "UniSeries", "BiSeries"]
 
 
 def mobius(k: int) -> int:
@@ -131,24 +118,10 @@ def _kronecker(lefts: list[list[int]], right: list[int], n: int) -> list[list[in
     (:func:`_decimal_slots`), when the products have at least
     ``_DECIMAL_MIN_DIGITS`` digits (``k * n``), ``k`` is within the
     interpreter's int/str digit limit (4,300 when it is off) and the C
-    ``decimal`` module is present.  Factors with at most
-    ``_PAIRS_PER_SLOT`` term pairs per slot multiply their pairs instead.
+    ``decimal`` module is present.
     """
     r_count = n - right.count(0)
     counts = [n - a.count(0) for a in lefts]
-    if max(counts) * r_count <= _PAIRS_PER_SLOT * n:
-        terms = [(t, v) for t, v in enumerate(right) if v]
-        products = []
-        for a in lefts:
-            c = [0] * n
-            for s, u in enumerate(a):
-                if u:
-                    for t, v in terms:
-                        if s + t >= n:
-                            break
-                        c[s + t] += u * v
-            products.append(c)
-        return products
     r_bits = list(map(int.bit_length, reversed(right)))  # bits(right_(n-1-s))
     bits = max(
         max(map(add, accumulate(map(int.bit_length, a), max), r_bits))
@@ -234,17 +207,17 @@ class UniSeries:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         data: dict[int, Coeff] = {}
         for exponent, value in items:
-            value = _norm(value)
+            exponent, value = index(exponent), _norm(value)
             if value == 0:
                 continue
             if exponent > hi:
                 raise ValueError(f"exponent {exponent} outside window: above q^{hi}")
-            data[int(exponent)] = value
+            data[exponent] = value
         self.hi = hi
         self._c = data
 
     def coeff(self, exponent: int) -> Coeff:
-        if exponent > self.hi:
+        if index(exponent) > self.hi:
             raise ValueError(
                 f"coefficient at q^{exponent} is beyond the window: known up to q^{self.hi}"
             )
@@ -325,7 +298,7 @@ class BiSeries:
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         data: dict[tuple[int, int], Coeff] = {}
         for (i, j), value in items:
-            value = _norm(value)
+            i, j, value = index(i), index(j), _norm(value)
             if value == 0:
                 continue
             if i < 0:
@@ -334,12 +307,13 @@ class BiSeries:
                 raise ValueError(
                     f"exponent pair ({i}, {j}) outside window: above p^{pmax} or q^{qmax}"
                 )
-            data[(int(i), int(j))] = value
+            data[(i, j)] = value
         self.pmax = pmax
         self.qmax = qmax
         self._c = data
 
     def coeff(self, i: int, j: int) -> Coeff:
+        i, j = index(i), index(j)
         if i > self.pmax or j > self.qmax:
             raise ValueError(
                 f"coefficient at p^{i} q^{j} is beyond the window: known up to "

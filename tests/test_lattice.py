@@ -383,6 +383,47 @@ def factor_dimension_product(dims: GradedDims) -> BiSeries:
     return BiSeries({divmod(x, width): v for x, v in enumerate(out) if v}, pmax, qmax)
 
 
+def row_walk_grid(dims: GradedDims) -> list[int]:
+    """``lattice._product_grid`` without its transpose: every ray walks the
+    rows of the grid as given, however tall."""
+    pmax, qmax = dims.mmax, dims.nmax
+    rays: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for (m, n), d in sorted(dims.dims.items()):
+        if d < 0:
+            raise ValueError(f"negative dimension {d} at ({m},{n})")
+        if d:
+            g = math.gcd(m, n)
+            rays.setdefault((m // g, n // g), []).append((g, d))
+    width = qmax + 1
+    out = [0] * ((pmax + 1) * width)
+    out[0] = 1
+    for (a, b), factors in sorted(rays.items(), reverse=True):
+        top = min(pmax // a, qmax // b)
+        ray = [1] + [0] * top
+        for t, d in factors:
+            if t > top:
+                break
+            binomials = [(-1) ** s * math.comb(d, s) for s in range(1, top // t + 1)]
+            for e in range(top - t, -1, -1):
+                v = ray[e]
+                if v:
+                    for s, c in enumerate(binomials[: (top - e) // t], 1):
+                        ray[e + s * t] += c * v
+        coeffs = ray[1:]
+        step = a * width + b
+        for i in range(pmax - a, -1, -1):
+            base = i * width
+            reach = (pmax - i) // a
+            for j in range(qmax - b, -1, -1):
+                v = out[base + j]
+                if v:
+                    x = base + j
+                    for c in coeffs[: min(reach, (qmax - j) // b)]:
+                        x += step
+                        out[x] += c * v
+    return out
+
+
 @st.composite
 def dimension_grids(draw):
     """Dimension grids up to 12x12, 1x60 or 60x1, with zeros, small and
@@ -415,6 +456,8 @@ def product_grid(pmax: int, qmax: int) -> GradedDims:
 
 
 def assert_same_product(dims: GradedDims):
+    # a tall grid is built as its transpose; the walk reads it as given
+    assert lattice._product_grid(dims) == row_walk_grid(dims)
     got = dimension_product(dims)
     for want in (factor_dimension_product(dims), reference_dimension_product(dims)):
         assert (got.pmax, got.qmax) == (want.pmax, want.qmax)
@@ -423,7 +466,8 @@ def assert_same_product(dims: GradedDims):
 
 class TestDimensionProduct:
     """The ray product against the factor-by-factor expansions: largest
-    first on a flat list, and smallest first in a dict."""
+    first on a flat list, and smallest first in a dict; its grid against the
+    ray walk over the rows as given."""
 
     @settings(deadline=None, max_examples=60)
     @given(dimension_grids())

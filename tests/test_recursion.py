@@ -49,8 +49,9 @@ from moonshine.relations import (
     recursion_cross_check,
 )
 from moonshine.series import BiSeries, log1m_rows, mobius
-from moonshine.series import format_coeff as _show
 from test_series import kronecker_log1m_rows, reference_bimul
+
+_show = str  # the solver prints an exact value as str does
 
 # ---------------------------------------------------------------------------
 # partition matrices: the brute enumeration, the oracle for the compressed

@@ -155,6 +155,24 @@ class TestConstruction:
     def test_rejects_floats(self):
         with pytest.raises(TypeError, match="exact coefficient"):
             UniSeries({1: 0.5}, 2)
+        # a non-integral exponent is refused, not truncated onto another one
+        s = UniSeries({1: 3}, 3)
+        b = BiSeries({(1, 1): 2}, 1, 1)
+        refused = [
+            lambda: UniSeries({1.5: 3, Fraction(5, 2): 7}, 3),
+            lambda: UniSeries({Fraction(5, 2): 7}, 3),
+            lambda: UniSeries({2.0: 0}, 3),
+            lambda: BiSeries({(0.5, 1): 2}, 1, 1),
+            lambda: BiSeries({(0, Fraction(1, 2)): 2}, 1, 1),
+            lambda: s.coeff(1.5),
+            lambda: s.coeff(1.0),
+            lambda: s.coeff(Fraction(1)),
+            lambda: b.coeff(1.0, 1),
+            lambda: b.coeff(1, Fraction(1, 2)),
+        ]
+        for make in refused:
+            with pytest.raises(TypeError):
+                make()
 
     def test_rejects_out_of_window_exponent(self):
         with pytest.raises(ValueError, match="outside window"):
@@ -243,11 +261,9 @@ class TestMultiplication:
 
 @contextmanager
 def packing(route: str):
-    """Send every product through one packing, none pair by pair:
-    ``"decimal"`` lowers the decimal threshold to 0, ``"binary"`` hides the
-    C decimal module."""
+    """Send every product through one packing: ``"decimal"`` lowers the
+    decimal threshold to 0, ``"binary"`` hides the C decimal module."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_PAIRS_PER_SLOT", 0)
         if route == "decimal":
             mp.setattr(series, "_DECIMAL_MIN_DIGITS", 0)
         else:
@@ -315,7 +331,7 @@ class TestProductKernel:
     )
     def test_stepped_factors_match_reference(self, a, b, s, t, lead):
         # factors in q^s are sparse: one slot per offset leaves the gaps
-        # as zero slots, and few term pairs take the pair loop
+        # as zero slots
         a = [0] * lead + spread(a, s)
         b = spread(b, t)
         n = max(len(a), len(b))
@@ -513,21 +529,7 @@ class TestDecimalKernel:
         assert got == pair_products([a], b, 400)
 
 
-@contextmanager
-def kernel_route(route: str):
-    """Send every ``_kronecker`` call through one route: ``"pairs"`` raises
-    the pair-loop cut-off past any product, the packings are as in
-    :func:`packing`."""
-    if route != "pairs":
-        with packing(route):
-            yield
-        return
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(series, "_PAIRS_PER_SLOT", 10**9)
-        yield
-
-
-KERNEL_ROUTES = ["pairs", "binary", "decimal"]
+KERNEL_ROUTES = ["binary", "decimal"]
 
 
 @st.composite
@@ -557,14 +559,14 @@ def eta_lists(scale: int, exponent: int, n: int) -> list[int]:
 
 
 class TestKroneckerKernel:
-    """The one kernel, on each of its routes, against the pair-loop oracle."""
+    """The one kernel, in each of its packings, against the pair-loop oracle."""
 
     @pytest.mark.parametrize("route", KERNEL_ROUTES)
     @settings(max_examples=150, deadline=None)
     @given(shared_operands())
     def test_matches_pair_loop(self, route, operands):
         lefts, right, n = operands
-        with kernel_route(route):
+        with packing(route):
             assert _kronecker(lefts, right, n) == pair_products(lefts, right, n)
 
     @pytest.mark.parametrize("route", KERNEL_ROUTES)
@@ -572,7 +574,7 @@ class TestKroneckerKernel:
     @given(shared_operands())
     def test_shared_right_factor_matches_separate_calls(self, route, operands):
         lefts, right, n = operands
-        with kernel_route(route):
+        with packing(route):
             together = _kronecker(lefts, right, n)
             apart = [_kronecker([a], right, n)[0] for a in lefts]
         assert together == apart
@@ -581,14 +583,21 @@ class TestKroneckerKernel:
     @pytest.mark.parametrize("n", [1, 2, 7, 60])
     def test_zero_and_sparse_factors(self, route, n):
         # eta powers in q^2, q^3 and q^5 are zero off their multiples; an
-        # all-zero left factor shares the right one with dense ones
+        # all-zero left factor, a lone constant term (the first factor of
+        # an eta monomial multiplies it) and one term per 20 slots share
+        # the right factor with dense ones
         right = eta_lists(1, -24, n)
+        one = [1] + [0] * (n - 1)
+        sparse = [(-1) ** t * (t + 1) if t % 20 == 0 else 0 for t in range(n)]
         lefts = [eta_lists(2, 24, n), eta_lists(3, -12, n), [0] * n, eta_lists(5, 8, n), right]
-        with kernel_route(route):
+        lefts += [one, sparse]
+        with packing(route):
             got = _kronecker(lefts, right, n)
             alone = _kronecker([[0] * n], right, n)
+            sparse_right = _kronecker([one, sparse], sparse, n)
         assert got == pair_products(lefts, right, n)
         assert alone == [[0] * n]
+        assert sparse_right == pair_products([one, sparse], sparse, n)
 
     def test_width_reads_only_the_pairs_below_n(self):
         # a wide coefficient at the top of each factor: no pair reaching the
@@ -616,7 +625,7 @@ class TestKroneckerKernel:
         e4, e6, e8 = modular._eisenstein_coeffs(n - 1)
         dinv = eta_lists(1, -24, n)
         want = pair_products([e4, e6], e8, n) + pair_products([e6], e6, n)
-        with kernel_route(route):
+        with packing(route):
             got = _kronecker([e4, e6], e8, n) + _kronecker([e6], e6, n)
             assert got == want
             assert _kronecker(want, dinv, n) == pair_products(want, dinv, n)
@@ -1003,9 +1012,14 @@ def assert_same_bi(got: BiSeries, want: BiSeries):
 
 @st.composite
 def graded_dims(draw):
-    """Full dimension grids with zero entries and 300-bit entries."""
-    mmax = draw(st.integers(min_value=1, max_value=6))
-    nmax = draw(st.integers(min_value=1, max_value=6))
+    """Full dimension grids up to 6x6, or tall up to 30x2, with zero
+    entries and 300-bit entries."""
+    mmax, nmax = draw(
+        st.one_of(
+            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            st.tuples(st.integers(7, 30), st.integers(1, 2)),
+        )
+    )
     dim = st.one_of(
         st.just(0),
         st.integers(min_value=1, max_value=5),
