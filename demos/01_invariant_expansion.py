@@ -8,7 +8,7 @@ cross-check has already happened once.  We redo it by hand anyway, because
 that is the point of a walkthrough.
 """
 
-from moonshine.classes import EtaMonomial, EtaRecipe
+from moonshine.classes import EtaMonomial
 from moonshine.modular import delta, eisenstein, expand_recipe, normalized_j
 
 ORDER = 10
@@ -46,7 +46,7 @@ print()
 # The same machinery expands eta quotients.  This one is the order-2
 # companion series used by the shipped catalog: (eta(q)/eta(2q))^24,
 # normalized so its constant term vanishes.
-recipe = EtaRecipe((EtaMonomial.from_factors(1, [(1, 24), (2, -24)]),))
+recipe = (EtaMonomial.from_factors(1, [(1, 24), (2, -24)]),)
 t2 = expand_recipe(recipe, ORDER)
 print("(eta(q)/eta(2q))^24, normalized:")
 for n in range(-1, ORDER + 1):

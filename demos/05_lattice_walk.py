@@ -21,7 +21,7 @@ from moonshine.series import BiSeries
 c = normalized_j(25)
 
 print("simple roots up to level 3:")
-for vector, mult in simple_roots(3, c).entries:
+for vector, mult in simple_roots(3, c):
     print(f"  ({vector.m},{vector.n})  multiplicity {mult}")
 print()
 

@@ -15,7 +15,7 @@ takes from another (``from . import series``, then ``series.log1m_rows``),
 are read through the same modules.  So a command compiles and runs only
 the layers it calls: ``derive`` and ``derive --audit`` run ``classes`` and
 ``recursion`` alone, and import no ``fractions`` (a table's eta recipes
-are records in ``classes``; ``modular`` expands them), and no command runs
+are tuples in ``classes``; ``modular`` expands them), and no command runs
 ``relations``, the oracles the tests check the solver against.  The first
 use of a layer from several threads at once is not supported.  On a
 loaded 2-core machine, where ``python -c pass`` takes 40 ms, a fresh
@@ -43,7 +43,6 @@ _EXPORTS = {
     ),
     "classes": (
         "EtaMonomial",
-        "EtaRecipe",
         "ClassTable",
         "CoefficientFamily",
         "MissingCoefficients",

@@ -9,9 +9,9 @@ in integers, m LHS = -M_m[n], where the left side reads the Adams
 operations as the g^k columns of the family and M_m are the rows of
 log(1 - U_g) (see :func:`euler_poincare_report`).
 
-The table's eta-quotient recipes are records here (``EtaMonomial``,
-``EtaRecipe``); ``modular.expand_recipe`` expands them, so parsing a table
-runs no expansion code.  ``Fraction`` is imported only where one is made:
+A table's eta-quotient recipe is a tuple of ``EtaMonomial`` records;
+``modular.expand_recipe`` expands it, normalized, so parsing a table runs
+no expansion code.  ``Fraction`` is imported only where one is made:
 a non-integral eta coefficient, an offset, a mismatch's report.
 
 Everything fails loudly: a missing coefficient raises an exception listing
@@ -33,7 +33,6 @@ from . import modular, series
 
 __all__ = [
     "EtaMonomial",
-    "EtaRecipe",
     "MissingCoefficients",
     "ClassTable",
     "parse_table_text",
@@ -78,18 +77,6 @@ class EtaMonomial(NamedTuple):
         return Fraction(sum(k * e for k, e in self.factors), 24)
 
 
-class EtaRecipe(NamedTuple):
-    """A formal sum of eta monomials defining a Hauptmodul candidate.
-
-    With ``normalize`` set, the constant term of the expansion is subtracted
-    so that the candidate matches the convention that the q^0 coefficient
-    vanishes.
-    """
-
-    monomials: tuple[EtaMonomial, ...]
-    normalize: bool = True
-
-
 class MissingCoefficients(Exception):
     """Raised when an operation needs coefficients the family lacks."""
 
@@ -107,7 +94,7 @@ class ClassTable(NamedTuple):
     orders: dict[str, int]
     power: dict[tuple[str, int], str]
     seeds: dict[tuple[str, int], int]
-    recipes: dict[str, EtaRecipe]
+    recipes: dict[str, tuple[EtaMonomial, ...]]
     identity: str
 
     def order_of(self, name: str) -> int:
@@ -175,7 +162,7 @@ class ClassTable(NamedTuple):
         for name, recipe in self.recipes.items():
             if name not in self.orders:
                 raise ValueError(f"recipe for undeclared class {name!r}")
-            for mono in recipe.monomials:
+            for mono in recipe:
                 if sum(k * e for k, e in mono.factors) % 24:
                     raise ValueError(
                         f"fractional leading exponent {mono.offset()} in recipe for {name}"
@@ -303,7 +290,7 @@ def parse_table_text(text: str) -> ClassTable:
         orders=orders,
         power=power,
         seeds=seeds,
-        recipes={g: EtaRecipe(tuple(m)) for g, m in monomials.items()},
+        recipes={g: tuple(m) for g, m in monomials.items()},
         identity=identity,
     )
     table.validate()
@@ -320,10 +307,7 @@ def serialize_table(table: ClassTable) -> str:
     for (name, n), value in sorted(table.seeds.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])):
         lines.append(f"seed {name} {n} {value}")
     for name in table.names:
-        recipe = table.recipes.get(name)
-        if recipe is None:
-            continue
-        for mono in recipe.monomials:
+        for mono in table.recipes.get(name, ()):
             factors = " ".join(f"{k}:{e}" for k, e in mono.factors)
             lines.append(f"eta {name} {mono.coeff} {factors}".rstrip())
     return "\n".join(lines) + "\n"
@@ -342,7 +326,6 @@ class CoefficientFamily(NamedTuple):
 
     table: ClassTable
     values: dict[str, dict[int, int]]
-    order: int
 
     def known(self, name: str, n: int) -> bool:
         return n in self.values[name] or n < -1
@@ -364,7 +347,7 @@ def load_family(table: ClassTable, order: int | dict[str, int]) -> CoefficientFa
     ``order`` is the q-order of every expansion, or a map from the classes
     to expand to their orders; a class the map leaves out keeps its seeds
     alone.  Every expansion is shape-checked: leading coefficient 1 at
-    q^-1, constant term 0, all coefficients integral.  A seed that
+    q^-1, all coefficients integral (the q^0 is zeroed).  A seed that
     contradicts an expansion is an input error, not a mismatch to report
     later.
     """
@@ -388,15 +371,11 @@ def load_family(table: ClassTable, order: int | dict[str, int]) -> CoefficientFa
                     f"leading coefficient 1 at q^-1, got {expansion.coeff(-1)} "
                     f"at q^{expansion.support_lo}"
                 )
-            if expansion.coeff(0) != 0:
-                raise ValueError(
-                    f"recipe for {name} has nonzero constant term {expansion.coeff(0)}"
-                )
             if not expansion.is_integral():
                 raise ValueError(f"recipe for {name} has non-integer coefficients")
         if expansion is not None:
             for n in range(1, order + 1):
-                vals[n] = int(expansion.coeff(n))
+                vals[n] = expansion.coeff(n)
         values[name] = vals
     for (name, n), seed in table.seeds.items():
         current = values[name].get(n)
@@ -405,7 +384,7 @@ def load_family(table: ClassTable, order: int | dict[str, int]) -> CoefficientFa
                 f"seed {name}({n}) = {seed} conflicts with expansion value {current}"
             )
         values[name][n] = seed
-    return CoefficientFamily(table, values, max(orders.values(), default=0))
+    return CoefficientFamily(table, values)
 
 
 # ---------------------------------------------------------------------------

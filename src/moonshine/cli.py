@@ -50,8 +50,8 @@ FAIL_LINE = "VERDICT: FAIL"
 # two-variable window's cost grows with its cells squared and with its
 # shape: at 70x70 (q^4900) ``witt`` runs for about 2.5 s and
 # ``verify-product`` for 1.8 s, ``witt`` at 2x2500 for 2.4 s, at 2500x2 about
-# 3 s and at 5000x1 about 1 s (its product oracle builds a tall grid as its
-# transpose).
+# 2.6 s and at 5000x1 about 0.7 s (its product oracle builds a tall grid as
+# its transpose).
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).
@@ -114,7 +114,7 @@ def _family(table: classes.ClassTable, order: int | dict[str, int]):
         top = orders.get(name, -1)
         if top < 0 or name == table.identity or name not in table.recipes:
             continue
-        window = top - min(mono.offset() // 1 for mono in table.recipes[name].monomials)
+        window = top - min(mono.offset() // 1 for mono in table.recipes[name])
         if window > MAX_Q_ORDER + 1:
             raise CommandError(
                 f"the recipe for {name} expands eta products to order {window}, "
@@ -255,7 +255,7 @@ def _cmd_witt(args) -> int:
     for m in range(1, args.mmax + 1):
         row = []
         for n in range(1, args.nmax + 1):
-            expected = int(c.coeff(m * n))
+            expected = c.coeff(m * n)
             row.append(str(expected))
             if dims.dim(m, n) != expected:
                 mismatches.append((m, n, dims.dim(m, n), expected))
@@ -302,8 +302,7 @@ def _cmd_simple_roots(args) -> int:
         raise CommandError("nmax must be >= -1")
     _check_order(args.nmax)
     c = modular.normalized_j(max(args.nmax, 1))
-    roots = lattice.simple_roots(args.nmax, c)
-    for vector, mult in roots.entries:
+    for vector, mult in lattice.simple_roots(args.nmax, c):
         print(f"({vector.m},{vector.n})\t{mult}")
     return 0
 

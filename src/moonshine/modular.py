@@ -2,8 +2,8 @@
 
 This module supplies every coefficient source used elsewhere: the Euler
 product (via the pentagonal-number theorem), Dedekind eta powers and the
-eta-quotient recipes of a class table (records in ``classes``, whose
-monomials track their exponent offsets in units of 1/24), the Eisenstein
+eta-quotient recipes of a class table (tuples of ``classes`` monomials,
+which track their exponent offsets in units of 1/24), the Eisenstein
 series E4 and E6 by divisor sums, the discriminant form, and the modular
 invariant j.  Every expansion is computed on dense ``int`` lists, its
 products through the one Kronecker kernel (``series._kronecker``), and
@@ -176,9 +176,10 @@ def normalized_j(order: int) -> series.UniSeries:
 # eta-quotient recipes
 
 
-def expand_recipe(recipe: classes.EtaRecipe, order: int) -> series.UniSeries:
-    """Exact q-expansion of a recipe through q^order; the recipe is read by
-    its fields and ``offset`` alone.
+def expand_recipe(recipe: tuple[classes.EtaMonomial, ...], order: int) -> series.UniSeries:
+    """Exact q-expansion of a recipe through q^order, normalized as a
+    Hauptmodul q^-1 + 0 + c(1) q + ... is: its q^0 coefficient is zeroed.
+    Each monomial is read by its fields and ``offset`` alone.
 
     A monomial c q^shift prod eta-powers is expanded on dense ``int`` lists
     of ``order - shift + 1`` entries, one kernel product per eta factor
@@ -189,7 +190,7 @@ def expand_recipe(recipe: classes.EtaRecipe, order: int) -> series.UniSeries:
     if order < 0:
         raise ValueError("order must be >= 0")
     terms = []
-    for mono in recipe.monomials:
+    for mono in recipe:
         off = mono.offset()
         if off.denominator != 1:
             raise ValueError(
@@ -210,6 +211,6 @@ def expand_recipe(recipe: classes.EtaRecipe, order: int) -> series.UniSeries:
         for t, v in enumerate(body, shift - lo):
             if v:
                 total[t] += coeff * v
-    if recipe.normalize and lo <= 0:
+    if lo <= 0:
         total[-lo] = 0
     return series.UniSeries(zip(range(lo, order + 1), total), order)

@@ -37,6 +37,12 @@ def c25():
     return normalized_j(25)
 
 
+@pytest.fixture(scope="module")
+def c_fractional():
+    """A coefficient source with a non-integral value at q^1."""
+    return UniSeries({-1: 1, 1: Fraction(3, 2), 2: 5}, 4)
+
+
 class TestGram:
     def test_display_values(self):
         assert gram(LatticeVector(1, -1), LatticeVector(1, -1)) == 2
@@ -66,33 +72,39 @@ class TestGram:
 
 class TestSimpleRoots:
     def test_lowest_case(self, c25):
-        roots = simple_roots(-1, c25)
-        assert roots.entries == ((LatticeVector(1, -1), 1),)
-        assert roots.total_count() == 1
+        assert simple_roots(-1, c25) == ((LatticeVector(1, -1), 1),)
 
     def test_first_levels(self, c25):
-        roots = simple_roots(2, c25)
-        assert roots.entries == (
+        assert simple_roots(2, c25) == (
             (LatticeVector(1, -1), 1),
             (LatticeVector(1, 1), 196884),
             (LatticeVector(1, 2), 21493760),
         )
 
     def test_no_root_at_level_zero(self, c25):
-        vectors = [v for v, _ in simple_roots(3, c25).entries]
+        vectors = [v for v, _ in simple_roots(3, c25)]
         assert LatticeVector(1, 0) not in vectors
 
-    def test_rejects_bad_nmax(self, c25):
+    def test_rejects_bad_nmax(self, c25, c_fractional):
         with pytest.raises(ValueError):
             simple_roots(-2, c25)
+        # a multiplicity 3/2 is refused, not truncated to 1
+        assert simple_roots(0, c_fractional) == ((LatticeVector(1, -1), 1),)
+        with pytest.raises(TypeError):
+            simple_roots(2, c_fractional)
 
 
 class TestExpandedRoots:
-    def test_walk(self, c25):
+    def test_walk(self, c25, c_fractional):
         assert expanded_root(0, c25) == LatticeVector(1, -1)
         assert expanded_root(1, c25) == LatticeVector(1, 1)
         assert expanded_root(196884, c25) == LatticeVector(1, 1)
         assert expanded_root(196885, c25) == LatticeVector(1, 2)
+        # truncating 3/2 to 1 would land root 2 on (1,2)
+        assert expanded_root(0, c_fractional) == LatticeVector(1, -1)
+        for index in (1, 2):
+            with pytest.raises(TypeError):
+                expanded_root(index, c_fractional)
 
     def test_beyond_known_order(self):
         c = normalized_j(1)
@@ -153,12 +165,15 @@ class TestMatrix:
 
 
 class TestRootMultiplicity:
-    def test_values(self, c25):
+    def test_values(self, c25, c_fractional):
         assert root_multiplicity(0, 0, c25) == 2
         assert root_multiplicity(1, 1, c25) == 196884
         assert root_multiplicity(2, -1, c25) == 0
         assert root_multiplicity(1, -1, c25) == 1
         assert root_multiplicity(2, 0, c25) == 0
+        assert root_multiplicity(1, 2, c_fractional) == 5
+        with pytest.raises(TypeError):
+            root_multiplicity(1, 1, c_fractional)
 
     def test_insufficient_order(self):
         with pytest.raises(ValueError, match="order"):
@@ -323,6 +338,11 @@ class TestWittDims:
             d = cells[(m, n)]
             with pytest.raises(ValueError, match=rf"^negative dimension {d} at \({m},{n}\)$"):
                 dimension_product(GradedDims(cells, 4, 4))
+        # every factor has m, n >= 1: row 0 and column 0 hold only the
+        # constant, and the product walks neither
+        for m, n in [(0, 1), (1, 0), (0, 0), (-1, 2), (2, -1)]:
+            with pytest.raises(ValueError, match=rf"^factor at \({m},{n}\) lies outside"):
+                dimension_product(GradedDims({(m, n): 1}, 3, 3))
 
 
 def reference_dimension_product(dims: GradedDims) -> BiSeries:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moonshine import cli, modular, series
-from moonshine.classes import EtaMonomial, EtaRecipe, parse_table_text
+from moonshine.classes import EtaMonomial, parse_table_text
 from moonshine.modular import (
     dedekind_eta_power,
     delta,
@@ -117,12 +117,12 @@ def plain_variable_eta_power(scale: int, exponent: int, order: int) -> list:
     return spread(out, scale)[: order + 1]
 
 
-def reference_recipe(recipe: EtaRecipe, order: int) -> UniSeries:
+def reference_recipe(recipe: tuple[EtaMonomial, ...], order: int) -> UniSeries:
     """A recipe with integral offsets through q^order: each monomial is its
     coefficient times the schoolbook product of its substitute-first eta
-    powers, added in at its leading exponent."""
+    powers, added in at its leading exponent, and the sum's q^0 zeroed."""
     terms = []
-    for mono in recipe.monomials:
+    for mono in recipe:
         shift = int(mono.offset())
         if shift <= order:
             n = order - shift + 1
@@ -135,7 +135,7 @@ def reference_recipe(recipe: EtaRecipe, order: int) -> UniSeries:
     for shift, body in terms:
         for t, v in enumerate(body, shift - lo):
             total[t] += v
-    if recipe.normalize and lo <= 0:
+    if lo <= 0:
         total[-lo] = 0
     return record(total, lo)
 
@@ -373,7 +373,7 @@ class TestJCrossCheck:
 class TestRecipes:
     def test_quotient_24_over_2(self):
         # (eta(t)/eta(2t))^24 normalized, checked against a from-scratch fold
-        recipe = EtaRecipe((EtaMonomial.from_factors(1, {1: 24, 2: -24}),))
+        recipe = (EtaMonomial.from_factors(1, {1: 24, 2: -24}),)
         got = expand_recipe(recipe, 8)
         quotient = long_division(power(brute_euler(9, scale=2), 24))
         [brute] = pair_products([power(brute_euler(9), 24)], quotient, 10)
@@ -385,53 +385,42 @@ class TestRecipes:
         ]
 
     def test_quotient_12_over_3(self):
-        recipe = EtaRecipe((EtaMonomial.from_factors(1, {1: 12, 3: -12}),))
+        recipe = (EtaMonomial.from_factors(1, {1: 12, 3: -12}),)
         assert expand_recipe(recipe, 5).items() == [
             (-1, 1), (1, 54), (2, -76), (3, -243), (4, 1188), (5, -1384),
         ]
 
     def test_quotient_8_over_4_is_odd(self):
-        recipe = EtaRecipe((EtaMonomial.from_factors(1, {1: 8, 4: -8}),))
+        recipe = (EtaMonomial.from_factors(1, {1: 8, 4: -8}),)
         got = expand_recipe(recipe, 8)
         assert got.items() == [(-1, 1), (1, 20), (3, -62), (5, 216), (7, -641)]
         assert all(got.coeff(n) == 0 for n in (0, 2, 4, 6, 8))
 
-    def test_unnormalized_keeps_constant(self):
-        recipe = EtaRecipe(
-            (EtaMonomial.from_factors(1, {1: 24, 2: -24}),), normalize=False
-        )
-        assert expand_recipe(recipe, 1).coeff(0) == -24
-
     def test_fractional_offset_rejected(self):
-        recipe = EtaRecipe((EtaMonomial.from_factors(1, {1: 1}),))
+        recipe = (EtaMonomial.from_factors(1, {1: 1}),)
         with pytest.raises(ValueError, match="fractional leading exponent"):
             expand_recipe(recipe, 4)
 
-    def test_empty_monomial_is_one(self):
-        recipe = EtaRecipe((EtaMonomial.from_factors(1, {}),), normalize=False)
-        assert expand_recipe(recipe, 3).items() == [(0, 1)]
-
     def test_monomial_sum(self):
-        # a two-monomial recipe is the sum of its parts
+        # a two-monomial recipe is the sum of its parts away from q^0, which
+        # every expansion zeroes; the second part starts at q^2
         m1 = EtaMonomial.from_factors(2, {1: 24, 2: -24})
-        m2 = EtaMonomial.from_factors(-1, {})
-        got = expand_recipe(EtaRecipe((m1, m2), normalize=False), 2)
-        lone = dense(expand_recipe(EtaRecipe((m1,), normalize=False), 2), lo=-1)
-        lone[1] -= 1
-        assert window(got) == window(record(lone, lo=-1))
+        m2 = EtaMonomial.from_factors(-1, {2: 24})
+        got = expand_recipe((m1, m2), 6)
+        first = dense(expand_recipe((m1,), 6), lo=-1)
+        second = dense(expand_recipe((m2,), 6), lo=-1)
+        assert second[:4] == [0, 0, 0, -1]
+        total = [a + b for a, b in zip(first, second)]
+        assert window(got) == window(record(total, lo=-1))
 
-    @pytest.mark.parametrize("normalize", [True, False])
-    def test_rational_recipe(self, normalize):
+    def test_rational_recipe(self):
         # 1/2 (eta(t)/eta(2t))^24 + 3/4 eta(2t)^24 + 5: the monomials start
         # at q^-1, q^2 and q^0, and their Fraction coefficients sum to an
         # integer at most exponents
-        recipe = EtaRecipe(
-            (
-                EtaMonomial.from_factors(Fraction(1, 2), {1: 24, 2: -24}),
-                EtaMonomial.from_factors(Fraction(3, 4), {2: 24}),
-                EtaMonomial.from_factors(5, {}),
-            ),
-            normalize=normalize,
+        recipe = (
+            EtaMonomial.from_factors(Fraction(1, 2), {1: 24, 2: -24}),
+            EtaMonomial.from_factors(Fraction(3, 4), {2: 24}),
+            EtaMonomial.from_factors(5, {}),
         )
         for order in range(21):
             got = expand_recipe(recipe, order)
@@ -440,7 +429,7 @@ class TestRecipes:
                 isinstance(v, int) for _, v in got.items() if Fraction(v).denominator == 1
             )
         assert got.coeff(-1) == Fraction(1, 2)
-        assert got.coeff(0) == (0 if normalize else -7)
+        assert got.coeff(0) == 0
         assert got.coeff(2) == Fraction(-4093, 4)  # -2048/2 + 3/4
         assert got.coeff(4) == -24594  # -49152/2 - 24 * 3/4
 
@@ -464,7 +453,7 @@ class TestRecipes:
         recipes = [r for text in texts for r in parse_table_text(text).recipes.values()]
         recipes += [
             parse_table_text(TABLE_2A).recipes["2A"],
-            EtaRecipe((EtaMonomial.from_factors(3, {2: 24}),), normalize=False),
+            (EtaMonomial.from_factors(3, {2: 24}),),
         ]
         top = 12
         for recipe in recipes:

@@ -1467,7 +1467,7 @@ def holed_families(draw):
         holes = draw(st.sets(st.integers(1, 20), max_size=3))
         values[g] = {n: v for n, v in full.values[g].items() if n <= cut and n not in holes}
         values[g].update({n: v for (h, n), v in table.seeds.items() if h == g})
-    return CoefficientFamily(table, values, 40), draw(st.sampled_from(table.names))
+    return CoefficientFamily(table, values), draw(st.sampled_from(table.names))
 
 
 @st.composite
@@ -1490,7 +1490,7 @@ def one_layer_holed_families(draw):
     column = values[table.power_of(name, k)]
     for n in draw(st.sets(st.integers(1, b - 1), min_size=3, max_size=4)):
         del column[n]
-    return CoefficientFamily(table, values, 40), name, (k, k * b)
+    return CoefficientFamily(table, values), name, (k, k * b)
 
 
 def assert_closed_form_matches_monomial_oracle(family, name, i, j):
