@@ -433,7 +433,11 @@ def euler_poincare_report(
         m RHS = -M_m[n],
 
     where M_m = m L_m are the rows of log(1 - U_g), taken from the column
-    c_g by ``series.log1m_rows``.
+    c_g by ``series.log1m_rows``.  Row m is minus the q^1.. part of
+    P_m(J_g), the m-th Faber polynomial of J_g = q^-1 + sum c_g(n) q^n, so
+    the check reads [q^n] P_m(J_g) = sum_{k | gcd(m,n)} (m/k) c_{g^k}(mn/k^2):
+    the m-th Faber polynomial of J_g against its replication sum (Norton's
+    replicability; Conway-Norton 1979, Norton 1984).
     Terms with k > min(imax, jmax) have no cell in the window.  A mismatch
     reports each side as its exact value, divided by m.
 

@@ -47,11 +47,11 @@ FAIL_LINE = "VERDICT: FAIL"
 # ``jexpand --order 1200`` takes about 0.08 s, 2000 about 0.13 s and 5000
 # about 0.43 s, and the time grows a little faster than the order; a 24x24
 # window expands through q^600.  The limit bounds the order only: a
-# two-variable window's cost grows with its cells squared and with its
-# shape: at 70x70 (q^4900) ``witt`` runs for about 2.5 s and
-# ``verify-product`` for 1.8 s, ``witt`` at 2x2500 for 2.4 s, at 2500x2 about
-# 2.6 s and at 5000x1 about 0.7 s (its product oracle builds a tall grid as
-# its transpose).
+# two-variable window's cost grows faster than its cells and depends on its
+# shape: at 70x70 (q^4900) ``witt`` runs for about 2.2 s, ``verify-product``
+# for 1.8 s and ``verify-ep --class 1A`` for 0.9 s; ``witt`` at 2x2500 and
+# at 2500x2 for about 1.4 s and at 5000x1 about 0.7 s (its product oracle
+# builds a tall grid as its transpose).
 MAX_Q_ORDER = 5000
 
 # Largest coefficient index ``derive`` and ``compare`` may reach (``--max``).

@@ -99,8 +99,10 @@ def _squared(i: int, j: int, v: int) -> bool:
 
 class _Cells:
     """The cells M_m[q] of log(1 - U_g) for one class, u_m[n] = c_g(m+n-1),
-    each computed once, when first read (``series.log1m_rows`` runs the
-    same recurrence from the same column, over a whole window).
+    each computed once, when first read.  ``series.log1m_rows`` computes
+    the same cells from the same column over a whole window by another
+    algorithm, row m as the m-th Faber polynomial of J_g, so the tests check
+    each against the other.
 
     ``column`` is the class's {index: value} dict, which only ever gains
     values; ``gaps`` are its three smallest missing indices as of the last

@@ -29,30 +29,33 @@ have at least 30,000 decimal digits: then they are base-10^k slots of a
 operands faster than ``int``'s Karatsuba (about three times at 250,000
 digits).  ``log1m_rows`` takes log(1 - U) for the generator character
 U = sum c(m+n-1) p^m q^n, the one shape every two-variable log here has,
-from the column c: one dot product per cell, no packed product.
+from the column c: row m is a Faber polynomial of J = q^-1 + sum c(n) q^n,
+one kernel product per row.
 
 Every reported coefficient is exact: a record's window is set by the code
 that computed it, from the windows of its inputs, and nothing is ever
 padded with fabricated zeros, which is what makes the identity checks
 built on top of this module trustworthy.
 
-All records are immutable by convention.
+All records are immutable by convention.  The module imports neither
+``fractions`` nor ``decimal``: a ``Fraction`` can exist only once its module
+is loaded, and the C ``decimal`` module is imported by the first product
+with decimal slots.
 """
 
 from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Mapping
-from fractions import Fraction
-from itertools import accumulate
-from operator import add, index, mul
+from itertools import accumulate, repeat
+from math import lcm
+from operator import add, index, mul, sub
+from typing import TYPE_CHECKING
 
-try:
-    import _decimal  # the C decimal module; its pure-Python fallback is slower than int
-except ImportError:
-    _decimal = None
+if TYPE_CHECKING:
+    from fractions import Fraction
 
-Coeff = int | Fraction
+    Coeff = int | Fraction
 
 # Products of at least this many decimal digits (slot width times slots) go
 # through ``decimal``.  Timed on the j_series and eta-product operands of
@@ -64,7 +67,7 @@ _DECIMAL_MIN_DIGITS = 30_000
 # Python before 3.10.7 has no limit and no function to read it.
 _int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
-__all__ = ["Coeff", "mobius", "UniSeries", "BiSeries"]
+__all__ = ["mobius", "UniSeries", "BiSeries"]
 
 
 def mobius(k: int) -> int:
@@ -86,10 +89,13 @@ def mobius(k: int) -> int:
 
 
 def _norm(value: Coeff) -> Coeff:
-    """Validate an exact coefficient, collapsing integral fractions to int."""
+    """Validate an exact coefficient, collapsing integral fractions to int.
+    A ``Fraction`` exists only once its module is imported, so the module is
+    looked up, never imported, here."""
     if isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return int(value) if value.denominator == 1 else value
     raise TypeError(
         f"exact coefficient required (int or Fraction), got {type(value).__name__}"
@@ -118,7 +124,7 @@ def _kronecker(lefts: list[list[int]], right: list[int], n: int) -> list[list[in
     (:func:`_decimal_slots`), when the products have at least
     ``_DECIMAL_MIN_DIGITS`` digits (``k * n``), ``k`` is within the
     interpreter's int/str digit limit (4,300 when it is off) and the C
-    ``decimal`` module is present.
+    ``decimal`` module is present; it is imported only then.
     """
     r_count = n - right.count(0)
     counts = [n - a.count(0) for a in lefts]
@@ -129,11 +135,11 @@ def _kronecker(lefts: list[list[int]], right: list[int], n: int) -> list[list[in
         for a, count in zip(lefts, counts)
     ) + 1
     k = bits * 30103 // 100000 + 1  # 10^k > 2^bits, as log10(2) < 0.30103
+    slots = None
     # decimal slots pass through str, refused past the int/str limit
-    if _decimal is not None and k * n >= _DECIMAL_MIN_DIGITS and k <= (_int_str_limit() or 4_300):
-        pack, times, unpack = _decimal_slots(k, n)
-    else:
-        pack, times, unpack = _binary_slots((bits + 7) // 8, n)
+    if k * n >= _DECIMAL_MIN_DIGITS and k <= (_int_str_limit() or 4_300):
+        slots = _decimal_slots(k, n)  # None without the C decimal module
+    pack, times, unpack = slots or _binary_slots((bits + 7) // 8, n)
     y = pack(right)
     return [unpack(times(y, y) if a is right else times(pack(a), y)) for a in lefts]
 
@@ -165,19 +171,23 @@ def _decimal_slots(k: int, n: int):
     slots of a ``decimal`` number, highest offset first.  Every operation is
     exact in a local context that traps any rounding; the global context is
     never touched.  Only the low ``k * n`` digits of a product, split off
-    its floored high part, are turned into text."""
-    dec = _decimal
+    its floored high part, are turned into text.  ``None`` without the C
+    ``decimal`` module, whose pure-Python fallback is slower than ``int``."""
+    try:
+        import _decimal as dec
+    except ImportError:
+        return None
     traps = [dec.Inexact, dec.Rounded, dec.InvalidOperation]
     ctx = dec.Context(prec=dec.MAX_PREC, Emax=dec.MAX_EMAX, Emin=dec.MIN_EMIN, traps=traps)
     half = 5 * 10 ** (k - 1)
     zero = str(half)
     biases = dec.Decimal(zero * n)
 
-    def pack(c: list[int]) -> _decimal.Decimal:
+    def pack(c: list[int]) -> dec.Decimal:
         slots = ["%0*d" % (k, v + half) if v else zero for v in reversed(c)]
         return ctx.subtract(dec.Decimal("".join(slots)), biases)
 
-    def unpack(product: _decimal.Decimal) -> list[int]:
+    def unpack(product: dec.Decimal) -> list[int]:
         biased = ctx.add(product, biases)
         high = ctx.scaleb(biased, -k * n).to_integral_value(dec.ROUND_FLOOR, ctx)
         # 10^(kn) plus the low k*n digits: a leading 1, then the slots
@@ -363,23 +373,35 @@ def log1m_rows(column: Mapping[int, Coeff], mmax: int, nmax: int) -> list[list[C
         U = sum_{m,n >= 1} c(m+n-1) p^m q^n,
 
     whose coefficients ``column`` maps n -> c(n), read for 1 <= n < mmax +
-    nmax.  The p-derivative gives (1 - U) * sum m L_m p^m = -sum m u_m p^m,
-    with u_m[n] = c(m+n-1), so
+    nmax.  ``rows[m][q]`` is M_m[q] (index 0 holds 0, row 0 is empty); the
+    cells are exact ``int``s, or ``Fraction``s for a column with a
+    non-integral value.
 
-        M_m[q] = -m c(m+q-1) + sum_{k=1}^{m-1} sum_{s=1}^{q-1} c(k+s-1) M_{m-k}[q-s],
+    With J = q^-1 + sum c(n) q^n, 1 - U = p (J(p) - J(q)) / (1 - p q^-1),
+    so row m is minus the q^1.. part of F_m = P_m(J), the m-th Faber
+    polynomial of J (log(p (J(p) - x)) = -sum_m P_m(x) p^m / m):
 
-    each row reading lower rows only.  ``rows[m][q]`` is M_m[q] (index 0
-    holds 0, row 0 is empty); the cells are exact in plain ``int`` or
-    ``Fraction`` arithmetic.  A cell is one dot product per k, as in
-    ``recursion._Cells``: about (mmax * nmax)^2 / 4 multiplies, fewer than
-    whole-row packed products on square windows, more on narrow ones
-    (2-core machine, 1A column: 0.75 s, not 2.0 s, at 70x70; 0.8 s, not
-    0.13 s, at 2x2500).
+        F_1 = J,  F_m = J F_(m-1) - sum_{n=1}^{m-2} c(n) F_(m-1-n) - m c(m-1),
+        M_m[q] = -[q^q] F_m.
 
-    The k-loop runs about mmax^2 * nmax / 2 times, so a window taller than
+    For a replicable J_g this is the replication sum: [q^n] P_m(J_g) =
+    sum_{k | gcd(m,n)} (m/k) c_{g^k}(mn/k^2) (Conway-Norton 1979; Norton,
+    "More on moonshine", 1984), which ``classes.euler_poincare_report``
+    checks.  F_m is a dense ``int`` list of L = mmax + nmax + 1 entries,
+    q^-m to q^(mmax+nmax-m), exact there because J is: one product
+    J F_(m-1) through :func:`_kronecker`, plus m - 2 scaled rows added at
+    offset n + 1.  A column with non-integral values, D the lcm of their
+    denominators, runs as G_m = D^m F_m, whose recurrence is in integers:
+    c(n) becomes D c(n), the n-th subtracted row is weighted by D^n and the
+    constant is m (D c(m-1)) D^(m-1); each cell is divided back once.
+
+    The rows cost mmax - 1 products of length L, so a window taller than
     wide is computed as its transpose: U is symmetric, so n M_m[n] =
-    m M_n[m], one exact division per cell.  On the same machine 5000x1
-    takes 5 ms, not 6.9 s, and 2500x2 1.6 s, not 5.0 s.
+    m M_n[m], one exact division per cell.  In process on a 2-core machine,
+    j column, against the cell-by-cell recurrence of ``recursion._Cells``
+    (about (mmax * nmax)^2 / 4 multiplies, kept in the tests as the oracle):
+    24x24 5 ms, not 11 ms; 70x70 0.27 s, not 0.95 s; 2x2500 0.07 s, not
+    1.05 s; 8x625 0.10 s, not 1.15 s; 140x35 0.14 s, not 0.93 s.
     """
     if mmax > nmax:
         wide = log1m_rows(column, nmax, mmax)
@@ -394,14 +416,25 @@ def log1m_rows(column: Mapping[int, Coeff], mmax: int, nmax: int) -> list[list[C
                     value = m * value / n  # a Fraction: // would truncate it
                 rows[m][n] = value
         return rows
-    c = [0] + [column[n] for n in range(1, mmax + nmax)]
+    values = [_norm(column[n]) for n in range(1, mmax + nmax)]
+    den = lcm(*(v.denominator for v in values if not isinstance(v, int)))
+    c = [0] + [int(v * den) for v in values]  # D c(n)
+    size = mmax + nmax + 1
+    j = [den] + c  # D J, entry t at q^(t-1)
+    faber = [[], j]  # faber[m][t]: D^m F_m at q^(t-m)
+    for m in range(2, mmax + 1):
+        [f] = _kronecker([faber[m - 1]], j, size)
+        for n in range(1, m - 1):
+            if c[n]:
+                f[n + 1 :] = map(sub, f[n + 1 :], map(mul, repeat(c[n] * den ** n), faber[m - 1 - n]))
+        f[m] -= m * c[m - 1] * den ** (m - 1)
+        faber.append(f)
     rows: list[list[Coeff]] = [[]]
     for m in range(1, mmax + 1):
-        row = [0]
-        for q in range(1, nmax + 1):
-            total = -m * c[m + q - 1]
-            for k in range(1, m):
-                total += sum(map(mul, c[k : k + q - 1], reversed(rows[m - k][1:q])))
-            row.append(total)
-        rows.append(row)
+        cells = faber[m][m + 1 : m + nmax + 1]
+        if den == 1:
+            rows.append([0] + [-v for v in cells])
+        else:
+            Fraction = sys.modules["fractions"].Fraction  # a value was one
+            rows.append([0] + [Fraction(-v, den ** m) for v in cells])
     return rows

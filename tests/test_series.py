@@ -262,12 +262,14 @@ class TestMultiplication:
 @contextmanager
 def packing(route: str):
     """Send every product through one packing: ``"decimal"`` lowers the
-    decimal threshold to 0, ``"binary"`` hides the C decimal module."""
+    decimal threshold to 0, ``"binary"`` hides the C decimal module, which
+    the kernel imports when a product takes decimal slots (a ``None`` entry
+    in ``sys.modules`` makes that import fail)."""
     with pytest.MonkeyPatch.context() as mp:
         if route == "decimal":
             mp.setattr(series, "_DECIMAL_MIN_DIGITS", 0)
         else:
-            mp.setattr(series, "_decimal", None)
+            mp.setitem(sys.modules, "_decimal", None)
         yield
 
 
@@ -763,33 +765,62 @@ def per_cell_log1m_rows(column, mmax: int, nmax: int) -> list[list]:
     return rows
 
 
-@st.composite
-def tall_log_columns(draw):
-    """A window taller than wide, mmax > nmax, and its generator column:
-    ints, Fractions, zeros and +-10^30."""
-    nmax = draw(st.integers(min_value=1, max_value=4))
-    mmax = draw(st.integers(min_value=nmax + 1, max_value=14))
+def big_log_values():
+    """Column values: ints, Fractions (non-integral ones of any size among
+    them), zeros and +-10^30."""
     big = 10**30
-    value = st.one_of(
+    return st.one_of(
         st.just(0),
         coeffs(),
+        st.fractions(max_denominator=7).filter(lambda v: v.denominator > 1),
         st.integers(min_value=-big, max_value=big),
         st.sampled_from([big, -big]),
     )
+
+
+@st.composite
+def tall_log_columns(draw):
+    """A window taller than wide, mmax > nmax, and its generator column."""
+    nmax = draw(st.integers(min_value=1, max_value=4))
+    mmax = draw(st.integers(min_value=nmax + 1, max_value=14))
+    value = big_log_values()
+    return {n: draw(value) for n in range(1, mmax + nmax)}, mmax, nmax
+
+
+@st.composite
+def shaped_log_columns(draw):
+    """A window of a drawn shape, square, wide, tall, one row or one
+    column, and its generator column."""
+    shape = draw(st.sampled_from(["square", "wide", "tall", "row", "column"]))
+    side = st.integers(min_value=1, max_value=10)
+    if shape == "square":
+        mmax = nmax = draw(side)
+    elif shape == "row":
+        mmax, nmax = 1, draw(side)
+    elif shape == "column":
+        mmax, nmax = draw(side), 1
+    else:
+        short = draw(st.integers(min_value=1, max_value=9))
+        long = draw(st.integers(min_value=short + 1, max_value=10))
+        mmax, nmax = (short, long) if shape == "wide" else (long, short)
+    value = big_log_values()
     return {n: draw(value) for n in range(1, mmax + nmax)}, mmax, nmax
 
 
 @contextmanager
-def no_packed_product():
-    """Running the product kernel (``_kronecker``, either packing) fails."""
+def schoolbook_kernel():
+    """The product kernel ``_kronecker`` swapped for the schoolbook double
+    loop (:func:`pair_products`), so that the log rows are checked apart
+    from the packing.  Yields the list of the lengths of the products run."""
+    calls = []
 
-    def refuse(*args):
-        raise AssertionError("a packed product ran")
+    def schoolbook(lefts, right, n):
+        calls.append(n)
+        return pair_products(lefts, right, n)
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_kronecker", "_binary_slots", "_decimal_slots"):
-            mp.setattr(series, name, refuse)
-        yield
+        mp.setattr(series, "_kronecker", schoolbook)
+        yield calls
 
 
 def generator_character(column, mmax: int, nmax: int) -> BiSeries:
@@ -890,12 +921,12 @@ class TestBiSeries:
         assert log_cells(rows) == {(m, q): m * v for (m, q), v in want.items()}
 
     def test_log1m_matches_reference_power_sum(self):
-        # the shipped sizes, with the packed kernel made to fail, against
-        # the power sum and the whole-row products
+        # the shipped sizes, with the schoolbook product for the kernel,
+        # against the power sum and the whole-row products
         for column, mmax, nmax in SHIPPED_COLUMNS:
             want = reference_log1m(generator_character(column, mmax, nmax))
             packed = kronecker_log1m_rows(column_rows(column, mmax, nmax), [nmax] * (mmax + 1))
-            with no_packed_product():
+            with schoolbook_kernel():
                 rows = series.log1m_rows(column, mmax, nmax)
             assert log_cells(rows) == {(m, q): m * v for (m, q), v in want.items()}
             assert [{q: v for q, v in enumerate(row) if v} for row in rows] == packed
@@ -908,7 +939,7 @@ class TestBiSeries:
         # row m is m times the coefficient of p^m in -sum_k U^k / k
         column, mmax, nmax = case
         want = reference_log1m(generator_character(column, mmax, nmax))
-        with no_packed_product():
+        with schoolbook_kernel():
             rows = series.log1m_rows(column, mmax, nmax)
         assert len(rows) == mmax + 1 and rows[0] == []
         assert all(len(row) == nmax + 1 and row[0] == 0 for row in rows[1:])
@@ -920,7 +951,7 @@ class TestBiSeries:
     def test_log1m_rows_matches_kronecker_rows(self, case):
         column, mmax, nmax = case
         want = kronecker_log1m_rows(column_rows(column, mmax, nmax), [nmax] * (mmax + 1))
-        with no_packed_product():
+        with schoolbook_kernel():
             rows = series.log1m_rows(column, mmax, nmax)
         assert [{q: v for q, v in enumerate(row) if v} for row in rows] == want
 
@@ -937,6 +968,26 @@ class TestBiSeries:
         if all(isinstance(v, int) for v in column.values()):
             assert all(isinstance(v, int) for row in rows for v in row)
 
+    @settings(max_examples=300)
+    @given(shaped_log_columns())
+    @example(({1: Fraction(1, 2), 2: 0, 3: 10**30, 4: Fraction(-5, 3), 5: 7, 6: -(10**30)}, 3, 4))
+    @example(({n: Fraction(n, 6) for n in range(1, 12)}, 1, 11))
+    @example(({n: (-1) ** n * 10**30 for n in range(1, 12)}, 11, 1))
+    def test_faber_rows_match_per_cell_rows(self, case):
+        # the Faber recurrence against the cell-by-cell one, on every shape;
+        # a column with a non-integral value runs scaled by D^m, and an
+        # integer column keeps integer cells
+        column, mmax, nmax = case
+        rows = series.log1m_rows(column, mmax, nmax)
+        assert rows == per_cell_log1m_rows(column, mmax, nmax)
+        if all(isinstance(v, int) for v in column.values()):
+            assert all(isinstance(v, int) for row in rows for v in row)
+
+    @pytest.mark.parametrize("mmax, nmax", [(24, 24), (2, 300)])
+    def test_faber_rows_match_per_cell_rows_on_j(self, mmax, nmax):
+        column = j_column(max(mmax, nmax))
+        assert series.log1m_rows(column, mmax, nmax) == per_cell_log1m_rows(column, mmax, nmax)
+
     def test_tall_window_remainder_is_an_internal_fault(self, monkeypatch):
         # a transposed cell m M_n[m] that n does not divide is a fault of the
         # code, not of the input
@@ -951,14 +1002,30 @@ class TestBiSeries:
         with pytest.raises(RuntimeError, match="not integral"):
             log1m_rows({1: 1, 2: 0, 3: 0, 4: 0}, 3, 2)
 
-    def test_log_readers_run_no_packed_product(self):
-        # expanding a family multiplies eta powers through the packed kernel,
-        # so the family and the column are built first
+    def test_log_rows_make_one_product_per_row(self):
+        # row m >= 2 is one kernel product J F_(m-1); a window taller than
+        # wide runs as its transpose, so min(mmax, nmax) - 1 products
+        column = j_column(14)
+        for mmax, nmax in [(1, 1), (1, 27), (2, 2), (6, 6), (3, 14), (14, 3), (27, 1)]:
+            with schoolbook_kernel() as calls:
+                rows = series.log1m_rows(column, mmax, nmax)
+            assert calls == [mmax + nmax + 1] * (min(mmax, nmax) - 1)
+            assert rows == per_cell_log1m_rows(column, mmax, nmax)
+
+    def test_log_readers_make_one_product_per_row(self):
+        # expanding a family multiplies eta powers through the kernel, so
+        # the family and the column are built first; then each reader's
+        # log1m_rows makes at most mmax - 1 products
         family = load_family(CATALOG_FAMILY.table, 36)
         c = normalized_j(15)
-        with no_packed_product():
-            reports = [euler_poincare_report(family, name, 6, 6) for name in family.table.names]
+        reports = []
+        for name in family.table.names:
+            with schoolbook_kernel() as calls:
+                reports.append(euler_poincare_report(family, name, 6, 6))
+            assert len(calls) <= 5
+        with schoolbook_kernel() as calls:
             dims = witt_dims(8, 8, c)
+        assert len(calls) <= 7
         assert all(report.ok for report in reports)
         assert [dims.dim(1, n) for n in range(1, 9)] == [c.coeff(n) for n in range(1, 9)]
 

@@ -174,3 +174,45 @@ def test_solve_path_loads_no_fractions_or_modular(command):
     if before:
         pytest.skip(f"the interpreter loads {before} at start-up")
     assert (code, after) == (0, [])
+
+
+# the series commands make no Fraction: ``series`` looks the fractions module
+# up only to recognise one, and imports the C decimal module (which imports
+# numbers) only for a product of at least 30,000 digits, which a window of
+# jexpand 1200 or witt 18x18 makes and the smaller ones here do not
+NO_FRACTIONS = ("fractions", "decimal")
+NO_DECIMAL = NO_FRACTIONS + ("_decimal", "numbers")
+
+SERIES_LOADED = (
+    "import contextlib, io, sys\n"
+    "unneeded = sys.argv.pop(1).split(',')\n"
+    "before = [name for name in unneeded if name in sys.modules]\n"
+    "from moonshine import cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(sys.argv[1:])\n"
+    "after = [name for name in unneeded if name in sys.modules]\n"
+    "import json\n"
+    "print(json.dumps([code, before, after]))\n"
+)
+
+
+SERIES_COMMANDS = {
+    "jexpand --order 1200": NO_FRACTIONS,
+    "witt --mmax 18 --nmax 18": NO_FRACTIONS,
+    "jexpand --order 200": NO_DECIMAL,
+    "simple-roots --nmax 20": NO_DECIMAL,
+    "verify-product --pmax 14 --qmax 14": NO_DECIMAL,
+    "witt --mmax 12 --nmax 12": NO_DECIMAL,
+    "bmatrix --size 20": NO_DECIMAL,
+}
+
+
+@pytest.mark.parametrize("command", SERIES_COMMANDS)
+def test_series_commands_load_no_fractions_or_decimal(command):
+    unneeded = ",".join(SERIES_COMMANDS[command])
+    code, before, after = json.loads(
+        probe(SERIES_LOADED, unneeded, *command.split(), flags=("-S",))[-1]
+    )
+    if before:
+        pytest.skip(f"the interpreter loads {before} at start-up")
+    assert (code, after) == (0, [])
